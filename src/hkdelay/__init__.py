@@ -29,6 +29,7 @@ from .model import (
     check_icass,
     eval_weights,
     has_symmetric_weights,
+    pair_sq,
     psi_floor,
     weights_from_states,
 )

@@ -116,6 +116,7 @@ class RunResult:
     spec: ExperimentSpec
     trajectory: dynamics.Trajectory
     series: metrics.MetricSeries
+    preconditions: rates.PreconditionReport
     report: dict
     blow_up_time: float | None
 
@@ -143,17 +144,28 @@ def _fit_c_emp(series: metrics.MetricSeries):
         return None
 
 
-def _theoretical_rates(spec: ExperimentSpec, report: rates.PreconditionReport) -> dict:
+def _theoretical_rates(spec: ExperimentSpec, report: rates.PreconditionReport):
+    """Theorem rates that apply, and the reasons for those that were skipped.
+
+    A rate is skipped when its certified influence floor underflows to 0,
+    where the rate equation has no positive solution to certify.
+    """
     out: dict = {}
+    skipped: dict = {}
     config = spec.config
     if report.transmission_normalized.applies and config.n_agents >= 3:
         psi_low = psi_floor(config.influence, 2.0 * report.r_x0)
-        res = rates.rate_transmission_normalized(config.n_agents, psi_low, config.tau)
-        out["transmission_normalized"] = {"psi_lower": psi_low, **res.to_dict()}
+        if psi_low > 0.0:
+            res = rates.rate_transmission_normalized(config.n_agents, psi_low, config.tau)
+            out["transmission_normalized"] = {"psi_lower": psi_low, **res.to_dict()}
+        else:
+            skipped["transmission_normalized"] = (
+                f"psi floor over [0, 2*r_x0={2.0 * report.r_x0:g}] underflows to 0"
+            )
     if report.reaction_small_delay.applies:
         res = rates.rate_reaction_nonsymmetric(report.psi0_lower, config.tau)
         out["reaction_small_delay"] = {"psi0_lower": report.psi0_lower, **res.to_dict()}
-    return out
+    return out, skipped
 
 
 def run_experiment(spec: ExperimentSpec) -> RunResult:
@@ -170,7 +182,7 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
         blow_up = exc.time
     series = metrics.compute_metrics(spec.config, traj)
     precond = rates.check_preconditions(spec.config, spec.datum)
-    theoretical = _theoretical_rates(spec, precond)
+    theoretical, skipped = _theoretical_rates(spec, precond)
     c_emp = None if blow_up is not None else _fit_c_emp(series)
     tol = CONSENSUS_REL_TOL * max(series.d_x0, 1e-300)
     t_cons = None if blow_up is not None else metrics.consensus_time(series, tol)
@@ -178,6 +190,7 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
         "spec": spec.to_dict(),
         "preconditions": precond.to_dict(),
         "rates": theoretical,
+        "rates_skipped": skipped,
         "metrics_summary": {
             "d_x0": series.d_x0,
             "d_x_final": float(series.d_x[-1]),
@@ -191,7 +204,7 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
         "blow_up_time": blow_up,
         "exit_reason": "ok" if blow_up is None else "blow_up",
     }
-    return RunResult(spec, traj, series, report, blow_up)
+    return RunResult(spec, traj, series, precond, report, blow_up)
 
 
 def write_outputs(result: RunResult, out_dir: Path) -> None:
@@ -258,9 +271,7 @@ def _sweep_row(doc: dict, param: str, value: float, overrides: dict) -> dict:
         "consensus_time": summary["consensus_time"],
         "C_emp": summary["C_emp"],
         "regime": regime,
-        "preconditions": "|".join(
-            rates.check_preconditions(spec.config, spec.datum).applicable()
-        ),
+        "preconditions": "|".join(result.preconditions.applicable()),
     }
 
 

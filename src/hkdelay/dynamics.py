@@ -176,13 +176,21 @@ def _make_grid(config: SystemConfig, datum: InitialDatum, horizon: float, spec: 
 
 
 def _fill_startup(grid, q, datum):
+    """States and slopes on the startup nodes, plus the datum at the q
+    startup midpoints, which the RK4 half steps read exactly."""
     n = grid.size
     states = np.empty((n, datum.n_agents, datum.dim))
     derivs = np.empty_like(states)
     for m in range(q + 1):
         states[m] = datum.at(grid[m])
         derivs[m] = datum.slope_at(grid[m])
-    return states, derivs
+    mids = np.array([datum.at(0.5 * (grid[j] + grid[j + 1])) for j in range(q)])
+    return states, derivs, mids
+
+
+def _blown_up(y) -> bool:
+    # NaN fails the comparison, so non-finite states count as blown up
+    return not np.abs(y).max() <= BLOW_UP_THRESHOLD
 
 
 def integrate(
@@ -202,37 +210,45 @@ def integrate(
     if spec.method is not Method.RK4_STEPS:
         raise InvalidConfig("integrate expects an rk4_steps spec")
     grid, q, n_fwd = _make_grid(config, datum, horizon, spec)
-    states, derivs = _fill_startup(grid, q, datum)
+    states, derivs, mids = _fill_startup(grid, q, datum)
     dt = spec.dt
-    tau = config.tau
     transmission = config.delay_kind is DelayKind.TRANSMISSION
 
-    def lookup(n_valid, t):
-        return _sample_raw(grid, states, derivs, datum, "hermite", n_valid, t)
+    # dt divides tau, so the delayed state of a full step is a stored node
+    # and that of a half step is a startup midpoint or the closed-form
+    # cubic Hermite midpoint of a computed segment
+    def delayed_half(j):
+        if j < q:
+            return mids[j]
+        return 0.5 * (states[j] + states[j + 1]) + (0.125 * dt) * (derivs[j] - derivs[j + 1])
 
     def vel(x_now, x_del):
-        return velocity_from_states(config, x_now if transmission else None, x_del)
+        return velocity_from_states(config, x_now, x_del)
 
     with np.errstate(all="ignore"):
-        derivs[q] = vel(states[q], lookup(q + 1, -tau))
+        derivs[q] = vel(states[q], states[0])
         for m in range(q, q + n_fwd):
-            t0 = grid[m]
             y0 = states[m]
-            xd_half = lookup(m + 1, t0 + 0.5 * dt - tau)
-            xd_full = lookup(m + 1, t0 + dt - tau)
+            xd_half = delayed_half(m - q)
+            xd_full = states[m + 1 - q]
             k1 = derivs[m]
-            k2 = vel(y0 + 0.5 * dt * k1, xd_half)
-            k3 = vel(y0 + 0.5 * dt * k2, xd_half)
-            k4 = vel(y0 + dt * k3, xd_full)
+            if transmission:
+                k2 = vel(y0 + 0.5 * dt * k1, xd_half)
+                k3 = vel(y0 + 0.5 * dt * k2, xd_half)
+                k4 = vel(y0 + dt * k3, xd_full)
+            else:
+                # reaction velocities read only delayed states
+                k2 = k3 = vel(None, xd_half)
+                k4 = vel(None, xd_full)
             y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y1)) or np.max(np.abs(y1)) > BLOW_UP_THRESHOLD:
+            if _blown_up(y1):
                 partial = Trajectory(
                     grid[: m + 1].copy(), states[: m + 1].copy(),
                     derivs[: m + 1].copy(), config, datum, "hermite",
                 )
                 raise NonFinite(float(grid[m + 1]), partial)
             states[m + 1] = y1
-            derivs[m + 1] = vel(y1, lookup(m + 2, grid[m + 1] - tau))
+            derivs[m + 1] = vel(y1, xd_full) if transmission else k4
     return Trajectory(grid, states, derivs, config, datum, "hermite")
 
 
@@ -272,7 +288,7 @@ def integrate_oracle(
     if spec.method is not Method.EULER_ORACLE:
         raise InvalidConfig("integrate_oracle expects an euler_oracle spec")
     grid, q, n_fwd = _make_grid(config, datum, horizon, spec)
-    states, derivs = _fill_startup(grid, q, datum)
+    states, derivs, _ = _fill_startup(grid, q, datum)
     dt = spec.dt
     tau = config.tau
 
@@ -285,7 +301,7 @@ def integrate_oracle(
             v = _oracle_velocity(config, states[m], x_del)
             derivs[m] = v
             y1 = states[m] + dt * v
-            if not np.all(np.isfinite(y1)) or np.max(np.abs(y1)) > BLOW_UP_THRESHOLD:
+            if _blown_up(y1):
                 partial = Trajectory(
                     grid[: m + 1].copy(), states[: m + 1].copy(),
                     derivs[: m + 1].copy(), config, datum, "linear",
@@ -301,19 +317,16 @@ def integrate_oracle(
 # ---------------------------------------------------------------------------
 # Export
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,agent,component,value` rows; times round-trip bit-exactly."""
+    n_nodes, n_agents, dim = traj.states.shape
+    tails = [f",{i},{k}," for i in range(n_agents) for k in range(dim)]
+    rows = traj.states.reshape(n_nodes, -1).tolist()
     with open(path, "w", newline="") as fh:
         fh.write("t,agent,component,value\n")
-        for m, t in enumerate(traj.grid):
-            ts = _fmt(t)
-            for i in range(traj.config.n_agents):
-                for k in range(traj.config.dim):
-                    fh.write(f"{ts},{i},{k},{_fmt(traj.states[m, i, k])}\n")
+        for t, row in zip(traj.grid.tolist(), rows):
+            ts = format(t, ".17g")
+            fh.write("".join([f"{ts}{tail}{v:.17g}\n" for tail, v in zip(tails, row)]))
 
 
 def read_trajectory_csv(path):

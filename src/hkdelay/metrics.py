@@ -13,16 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HistoryUnderflow, NonPositiveSeries
-from .model import DelayKind, SystemConfig, has_symmetric_weights, weights_from_states
+from .model import (
+    DelayKind,
+    SystemConfig,
+    diameter,
+    has_symmetric_weights,
+    pair_sq,
+    weights_from_states,
+)
 
 SIGN_ATOL = 1e-10
-
-
-def diameter(state: np.ndarray) -> float:
-    """Maximum pairwise Euclidean distance of an (N, d) state."""
-    state = np.atleast_2d(np.asarray(state, dtype=float))
-    diff = state[None, :, :] - state[:, None, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
 
 
 def radius(state: np.ndarray) -> float:
@@ -44,11 +44,11 @@ def fluctuation(state: np.ndarray, mean_ref: np.ndarray) -> float:
     return float((dev * dev).sum() / (2.0 * (n - 1)))
 
 
-def _dissipation_from_states(config, x_now, x_delayed) -> float:
+def _dissipation_from_states(config, x_now, x_delayed, sq) -> float:
+    """D from explicit states, with sq = pair_sq(x_delayed, x_delayed)."""
     w = weights_from_states(config, x_now, x_delayed)
-    diff = x_delayed[None, :, :] - x_delayed[:, None, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    return float((w * sq).sum() / (2.0 * (config.n_agents - 1)))
+    w *= sq
+    return float(w.sum() / (2.0 * (config.n_agents - 1)))
 
 
 def dissipation(config: SystemConfig, trajectory, t: float) -> float:
@@ -56,7 +56,7 @@ def dissipation(config: SystemConfig, trajectory, t: float) -> float:
     _coverage(trajectory, t - config.tau, t)
     x_delayed = trajectory.sample(t - config.tau)
     x_now = trajectory.sample(t) if config.delay_kind is DelayKind.TRANSMISSION else x_delayed
-    return _dissipation_from_states(config, x_now, x_delayed)
+    return _dissipation_from_states(config, x_now, x_delayed, pair_sq(x_delayed, x_delayed))
 
 
 def lyapunov(config: SystemConfig, trajectory, t: float, lam: float = 1.0) -> float:
@@ -136,30 +136,25 @@ def compute_metrics(
     i0 = int(np.searchsorted(g, -1e-12, side="right"))
     q = i0  # startup nodes 0..i0, with g[i0] == 0
 
-    # chunk the pairwise reduction: the full (n, N, N, d) broadcast is
-    # gigabytes at N = 50 over long horizons
-    diam_pt = np.empty(n)
-    chunk = max(1, int(2_000_000 / max(n_agents * n_agents * config.dim, 1)))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        diff = S[lo:hi, None, :, :] - S[lo:hi, :, None, :]
-        pair = np.einsum("tijk,tijk->tij", diff, diff)
-        diam_pt[lo:hi] = np.sqrt(pair.max(axis=(1, 2)))
-    d0 = float(diam_pt[: i0 + 1].max())
-    d_x = diam_pt.copy()
-    d_x[: i0 + 1] = d0
+    # one pass over the nodes: the pairwise squared distances of S[m] give
+    # both d_x[m] and, as delayed states, the dissipation D[m + q]
+    transmission = config.delay_kind is DelayKind.TRANSMISSION
+    d_x = np.empty(n)
+    D = np.full(n, np.nan)
+    for m in range(n):
+        sq = pair_sq(S[m], S[m])
+        d_x[m] = sq.max()
+        if m + q < n:
+            x_now = S[m + q] if transmission else None
+            D[m + q] = _dissipation_from_states(config, x_now, S[m], sq)
+    np.sqrt(d_x, out=d_x)
+    d_x[: i0 + 1] = d_x[: i0 + 1].max()
 
     r_x = np.sqrt(np.einsum("tik,tik->ti", S, S)).max(axis=1)
     xbar = S.mean(axis=1)
     drift = np.sqrt(((xbar - xbar[i0]) ** 2).sum(axis=1))
     dev = S - xbar[i0][None, None, :]
     X = np.einsum("tik,tik->t", dev, dev) / (2.0 * (n_agents - 1))
-
-    D = np.full(n, np.nan)
-    for m in range(i0, n):
-        x_del = S[m - q]
-        x_now = S[m] if config.delay_kind is DelayKind.TRANSMISSION else x_del
-        D[m] = _dissipation_from_states(config, x_now, x_del)
 
     L = np.full(n, np.nan)
     if include_lyapunov:

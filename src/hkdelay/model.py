@@ -94,13 +94,23 @@ class InfluenceFunction:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        if self.kind is InfluenceKind.CONSTANT:
-            out = np.full_like(s, self.c)
-        elif self.kind is InfluenceKind.ALGEBRAIC_DECAY:
-            out = (1.0 + s * s) ** (-self.gamma)
-        else:
+        if self.kind is InfluenceKind.TABLE:
             out = np.interp(s, self.knots_s, self.knots_psi)
+        else:
+            out = self.of_sq(s * s)
         return out if out.ndim else float(out)
+
+    def of_sq(self, s2: np.ndarray) -> np.ndarray:
+        """psi(sqrt(s2)) for an array of squared distances.
+
+        The constant and algebraic families need no square root; only the
+        tabulated profile interpolates in s itself.
+        """
+        if self.kind is InfluenceKind.CONSTANT:
+            return np.full_like(s2, self.c)
+        if self.kind is InfluenceKind.ALGEBRAIC_DECAY:
+            return (1.0 + s2) ** (-self.gamma)
+        return np.interp(np.sqrt(s2), self.knots_s, self.knots_psi)
 
     def to_dict(self) -> dict:
         if self.kind is InfluenceKind.CONSTANT:
@@ -311,26 +321,61 @@ class WeightMatrix:
         return self.entries.sum(axis=1)
 
 
+def pair_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) squared distances |b_j - a_i|^2 between the rows of a and b.
+
+    Accumulates one component at a time, so no (N, M, d) temporary is
+    formed; pair_sq(x, x) is exactly symmetric.
+    """
+    a = np.asarray(a, dtype=float).T[:, :, None]  # (d, N, 1)
+    b = np.asarray(b, dtype=float).T  # (d, M)
+    out = a[0] - b[0]
+    out *= out
+    for k in range(1, len(b)):
+        tmp = a[k] - b[k]
+        tmp *= tmp
+        out += tmp
+    return out
+
+
+def diameter(state: np.ndarray) -> float:
+    """Maximum pairwise Euclidean distance of an (N, d) state."""
+    state = np.atleast_2d(np.asarray(state, dtype=float))
+    return math.sqrt(pair_sq(state, state).max())
+
+
 def weights_from_states(
     config: SystemConfig, x_now: np.ndarray | None, x_delayed: np.ndarray
 ) -> np.ndarray:
     """Raw (N, N) weight entries from explicit states.
 
     Transmission compares x_delayed[j] to x_now[i]; reaction compares
-    x_delayed[j] to x_delayed[i].  The diagonal is zero.
+    x_delayed[j] to x_delayed[i].  The diagonal is zero.  Normalized
+    algebraic weights are formed row-scaled, as
+    ((1 + s_ij^2) / (1 + min_{k != i} s_ik^2))^(-gamma): normalization
+    cancels the row scale, the largest entry of each row is 1, and no row
+    underflows however large gamma or the distances.
     """
     x_delayed = np.asarray(x_delayed, dtype=float)
-    if config.delay_kind is DelayKind.TRANSMISSION:
-        base = np.asarray(x_now, dtype=float)
-    else:
-        base = x_delayed
-    diff = x_delayed[None, :, :] - base[:, None, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    vals = np.asarray(config.influence(dist), dtype=float)
-    np.fill_diagonal(vals, 0.0)
+    base = x_now if config.delay_kind is DelayKind.TRANSMISSION else x_delayed
+    w = pair_sq(base, x_delayed)
+    influence = config.influence
     if config.weight_scheme is WeightScheme.CLASSICAL_SCALED:
-        return vals / (config.n_agents - 1)
-    return vals / vals.sum(axis=1, keepdims=True)
+        w = influence.of_sq(w)
+        np.fill_diagonal(w, 0.0)
+        w /= config.n_agents - 1
+        return w
+    if influence.kind is InfluenceKind.ALGEBRAIC_DECAY:
+        w += 1.0
+        np.fill_diagonal(w, np.inf)  # excluded from the row minimum; maps to 0
+        np.divide(w.min(axis=1, keepdims=True), w, out=w)
+        if influence.gamma != 1.0:
+            w **= influence.gamma
+    else:
+        w = influence.of_sq(w)
+    np.fill_diagonal(w, 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def eval_weights(config: SystemConfig, history, t: float) -> WeightMatrix:
@@ -375,11 +420,6 @@ class IcassReport:
         }
 
 
-def _state_diameter(state: np.ndarray) -> float:
-    diff = state[None, :, :] - state[:, None, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max())
-
-
 def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
     """Check that startup slopes do not exceed the startup diameter.
 
@@ -389,13 +429,13 @@ def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
     """
     datum.require_coverage(config.tau)
     if datum.kind is DatumKind.CONSTANT_PER_AGENT:
-        d_x0 = _state_diameter(datum.values)
+        d_x0 = diameter(datum.values)
         return IcassReport(satisfied=True, max_slope=0.0, d_x0=d_x0)
     mask = (datum.times >= -config.tau - 1e-9) & (datum.times <= 1e-9)
     idx = np.where(mask)[0]
     if idx.size == 0:
         raise InvalidDatum("sampled datum has no grid points in the startup span")
-    d_x0 = max(_state_diameter(datum.samples[i]) for i in idx)
+    d_x0 = max(diameter(datum.samples[i]) for i in idx)
     seg = idx[:-1] if idx.size > 1 else idx[:0]
     max_slope = 0.0
     for i in seg:

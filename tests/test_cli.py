@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from hkdelay import rate_transmission_normalized
+from hkdelay import rate_transmission_normalized, rates, weights_from_states
 from hkdelay.cli import main
+from hkdelay.dynamics import read_trajectory_csv
+from hkdelay.model import config_from_dict
 
 
 def write_spec(path, doc):
@@ -122,6 +124,33 @@ def test_simulate_deterministic_and_round_trippable(tmp_path):
     assert (out_a / "trajectory.csv").read_bytes() == (out_c / "trajectory.csv").read_bytes()
 
 
+def test_simulate_underflowing_influence(tmp_path):
+    # every psi value of every row underflows to 0 at gamma = 200
+    doc = {
+        "config": {
+            "n_agents": 3, "dim": 1, "tau": 1.0,
+            "delay_kind": "transmission", "weight_scheme": "normalized",
+            "influence": {"kind": "algebraic_decay", "gamma": 200.0},
+        },
+        "datum": {"kind": "constant_per_agent", "vectors": [[0.0], [10.0], [20.0]]},
+        "seed": 0,
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", write_spec(tmp_path / "g200.json", doc), "--out", str(out)]) == 0
+    for name in ("trajectory.csv", "metrics.csv", "report.json"):
+        assert (out / name).exists()
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_reason"] == "ok"
+    assert "transmission_normalized" not in report["rates"]
+    assert "underflows" in report["rates_skipped"]["transmission_normalized"]
+    config = config_from_dict(doc["config"])
+    _, states = read_trajectory_csv(out / "trajectory.csv")
+    for x in (states[0], states[-1]):
+        w = weights_from_states(config, x, x)
+        assert np.all(np.isfinite(w))
+        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
+
+
 def test_simulate_seed_changes_random_datum(tmp_path):
     spec = prop_rate_spec(tmp_path)
     out_a, out_b = tmp_path / "sa", tmp_path / "sb"
@@ -169,6 +198,28 @@ def test_sweep_n_theoretical_rate_monotone(tmp_path):
     # so the theorem rate C grows with N
     cs = [rate_transmission_normalized(n, 0.5, 0.5).C for n in (3, 5, 10)]
     assert cs[0] < cs[1] < cs[2]
+
+
+def test_sweep_checks_preconditions_once_per_row(tmp_path, monkeypatch):
+    calls = []
+    check = rates.check_preconditions
+
+    def counting(config, datum):
+        calls.append(config.tau)
+        return check(config, datum)
+
+    monkeypatch.setattr(rates, "check_preconditions", counting)
+    out = tmp_path / "out"
+    code = main([
+        "sweep", toy_spec(tmp_path), "--param", "tau",
+        "--values", "0.15", "0.5", "--out", str(out),
+    ])
+    assert code == 0
+    assert sorted(calls) == [0.15, 0.5]
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == [
+        "reaction_symmetric|reaction_small_delay", "reaction_symmetric",
+    ]
 
 
 def test_sweep_empty_values(tmp_path):

@@ -17,6 +17,7 @@ from hkdelay import (
     integrate_oracle,
     rhs,
 )
+from hkdelay import dynamics
 from hkdelay.dynamics import read_trajectory_csv, trajectory_to_csv, trajectory_to_json
 
 from conftest import make_config, random_datum
@@ -296,6 +297,40 @@ def test_sampled_datum_enters_trajectory():
     assert traj.sample(-1.0)[1, 0] == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("kind", list(DelayKind))
+def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
+    # the datum is sampled 10x finer than dt, so its values at the startup
+    # midpoints differ from any interpolant of the stored nodes
+    config = make_config(n_agents=3, dim=1, tau=1.0, delay_kind=kind)
+    times = np.linspace(-1.0, 0.0, 41)
+    values = [[[np.sin(3.0 * t)], [np.cos(2.0 * t)], [t * t]] for t in times]
+    datum = InitialDatum.sampled(times, values)
+    delayed = []
+    velocity = dynamics.velocity_from_states
+
+    def spy(config, x_now, x_delayed):
+        delayed.append(np.array(x_delayed))
+        return velocity(config, x_now, x_delayed)
+
+    monkeypatch.setattr(dynamics, "velocity_from_states", spy)
+    dt, q = 0.25, 4
+    traj = integrate(config, datum, 3.0, IntegratorSpec(Method.RK4_STEPS, dt))
+    # one call for the derivative at t = 0; then per step, transmission calls
+    # k2, k3 (half step), k4 and the new node's derivative (full step), and
+    # reaction calls once per distinct delayed state
+    per_step = 4 if kind is DelayKind.TRANSMISSION else 2
+    assert len(delayed) == 1 + per_step * (traj.grid.size - 1 - q)
+    for step, m in enumerate(range(q, traj.grid.size - 1)):
+        calls = delayed[1 + per_step * step : 1 + per_step * (step + 1)]
+        half, full = calls[: per_step // 2], calls[per_step // 2 :]
+        t_half = float(traj.grid[m]) + 0.5 * dt - config.tau
+        t_full = float(traj.grid[m + 1]) - config.tau
+        assert np.max(np.abs(half[0] - traj.sample(t_half))) <= 1e-12
+        assert np.max(np.abs(full[0] - traj.sample(t_full))) <= 1e-12
+        assert all(np.array_equal(x, half[0]) for x in half)
+        assert all(np.array_equal(x, full[0]) for x in full)
+
+
 # ---------------------------------------------------------------------------
 # spec validation and blow-up
 
@@ -335,6 +370,31 @@ def test_trajectory_csv_round_trip(tmp_path, rng):
     assert np.array_equal(states, traj.states)
     header = path.read_text().splitlines()[0]
     assert header == "t,agent,component,value"
+
+
+def reference_trajectory_csv(traj, path):
+    """The element-by-element writer that trajectory_to_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,agent,component,value\n")
+        for m, t in enumerate(traj.grid):
+            ts = format(float(t), ".17g")
+            for i in range(traj.config.n_agents):
+                for k in range(traj.config.dim):
+                    fh.write(f"{ts},{i},{k},{format(float(traj.states[m, i, k]), '.17g')}\n")
+
+
+def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng):
+    config = make_config(n_agents=4, dim=3, tau=0.5)
+    datum = random_datum(rng, 4, 3, low=-2.0, high=2.0)
+    traj = integrate(config, datum, 2 * config.tau, IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
+    states = traj.states.copy()
+    states[1, 0, 0] = -0.0
+    states[2, 1, 1] = 5e-324
+    states[3, 2, 2] = -1.2345678901234567e300
+    traj = Trajectory(traj.grid, states, traj.derivs, config, datum, "hermite")
+    trajectory_to_csv(traj, tmp_path / "new.csv")
+    reference_trajectory_csv(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_table_influence_through_integration(rng):

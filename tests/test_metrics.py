@@ -202,6 +202,22 @@ def test_metric_series_shapes_and_startup_convention(rng):
     assert ms.mean_drift[np.searchsorted(ms.times, 0.0)] == 0.0
 
 
+@pytest.mark.parametrize("kind", list(DelayKind))
+def test_series_match_pointwise_diameter_and_dissipation(rng, kind):
+    config = make_config(n_agents=4, dim=2, tau=0.5, delay_kind=kind)
+    datum = random_datum(rng, 4, 2)
+    traj = integrate(config, datum, 4 * config.tau)
+    ms = compute_metrics(config, traj)
+    i0 = int(np.searchsorted(traj.grid, 0.0))
+    startup_max = max(diameter(s) for s in traj.states[: i0 + 1])
+    d_scale = float(np.nanmax(ms.D))
+    for m, t in enumerate(traj.grid):
+        assert ms.d_x[m] == (startup_max if m <= i0 else diameter(traj.states[m]))
+        if m >= i0:
+            expect = dissipation(config, traj, float(t))
+            assert ms.D[m] == pytest.approx(expect, rel=1e-12, abs=1e-14 * d_scale)
+
+
 def test_lyapunov_series_matches_pointwise_op(rng):
     config = make_config(n_agents=3, dim=1, tau=0.5, delay_kind=DelayKind.REACTION,
                          weight_scheme=WeightScheme.CLASSICAL_SCALED)

@@ -15,6 +15,7 @@ from hkdelay import (
     WeightScheme,
     check_icass,
     eval_weights,
+    pair_sq,
     psi_floor,
     weights_from_states,
 )
@@ -194,6 +195,65 @@ def test_classical_reaction_weights_symmetric_exactly(rng):
     x_del = rng.normal(size=(6, 3))
     w = weights_from_states(config, None, x_del)
     assert np.array_equal(w, w.T)
+
+
+def broadcast_weights(config, x_now, x_delayed):
+    """The (N, N, d) broadcast formula the squared-distance kernel replaced."""
+    base = x_now if config.delay_kind is DelayKind.TRANSMISSION else x_delayed
+    diff = x_delayed[None, :, :] - base[:, None, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    vals = np.asarray(config.influence(dist), dtype=float)
+    np.fill_diagonal(vals, 0.0)
+    if config.weight_scheme is WeightScheme.CLASSICAL_SCALED:
+        return vals / (config.n_agents - 1)
+    return vals / vals.sum(axis=1, keepdims=True)
+
+
+KERNEL_INFLUENCES = (
+    InfluenceFunction.constant(0.6),
+    InfluenceFunction.algebraic_decay(1.0),
+    InfluenceFunction.algebraic_decay(2.5),
+    InfluenceFunction.table([[0.0, 1.0], [0.5, 0.7], [2.0, 0.2]]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=9),
+    d=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(list(DelayKind)),
+    scheme=st.sampled_from(list(WeightScheme)),
+    influence=st.sampled_from(KERNEL_INFLUENCES),
+    scale=st.sampled_from([0.01, 1.0, 4.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernel_matches_broadcast_reference(n, d, kind, scheme, influence, scale, seed):
+    rng = np.random.default_rng(seed)
+    config = make_config(n_agents=n, dim=d, delay_kind=kind, weight_scheme=scheme,
+                         influence=influence)
+    x_now = scale * rng.normal(size=(n, d))
+    x_del = scale * rng.normal(size=(n, d))
+    diff = x_del[None, :, :] - x_now[:, None, :]
+    np.testing.assert_allclose(pair_sq(x_now, x_del), np.einsum("ijk,ijk->ij", diff, diff),
+                               rtol=1e-15, atol=0.0)
+    w = weights_from_states(config, x_now, x_del)
+    ref = broadcast_weights(config, x_now, x_del)
+    assert np.max(np.abs(w - ref)) <= 1e-12
+    if kind is DelayKind.REACTION and scheme is WeightScheme.CLASSICAL_SCALED:
+        assert np.array_equal(w, w.T)
+
+
+def test_normalized_weights_do_not_underflow():
+    # every psi of a row is below the smallest double, yet the row-scaled
+    # form keeps the normalized weights finite, summing to one
+    config = make_config(influence=InfluenceFunction.algebraic_decay(200.0))
+    x = np.array([[0.0], [10.0], [20.0]])
+    with np.errstate(invalid="ignore"):
+        assert np.all(np.isnan(broadcast_weights(config, x, x)))
+    w = weights_from_states(config, x, x)
+    assert np.all(np.isfinite(w))
+    assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
+    assert w[1, 0] == w[1, 2] == 0.5
 
 
 def test_weight_matrix_contract_enforced():
