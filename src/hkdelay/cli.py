@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,15 +99,19 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
     )
 
 
-def load_spec_file(path, overrides: dict | None = None) -> ExperimentSpec:
+def _read_spec_doc(path) -> dict:
+    """The JSON document of a spec file, with read errors as SpecError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise SpecError(f"spec file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec is not valid JSON (line {exc.lineno}, column {exc.colno})")
-    return load_spec(doc, overrides)
+
+
+def load_spec_file(path, overrides: dict | None = None) -> ExperimentSpec:
+    return load_spec(_read_spec_doc(path), overrides)
 
 
 @dataclass(frozen=True)
@@ -170,13 +173,8 @@ def _theoretical_rates(spec: ExperimentSpec, report: rates.PreconditionReport):
 
 def run_experiment(spec: ExperimentSpec) -> RunResult:
     blow_up = None
-    advance = (
-        dynamics.integrate
-        if spec.integrator.method is dynamics.Method.RK4_STEPS
-        else dynamics.integrate_oracle
-    )
     try:
-        traj = advance(spec.config, spec.datum, spec.horizon, spec.integrator)
+        traj = dynamics.integrate(spec.config, spec.datum, spec.horizon, spec.integrator)
     except NonFinite as exc:
         traj = exc.trajectory
         blow_up = exc.time
@@ -278,20 +276,10 @@ def _sweep_row(doc: dict, param: str, value: float, overrides: dict) -> dict:
 def cmd_sweep(args) -> int:
     if args.param not in SWEEP_PARAMS:
         raise SpecError(f"unknown sweep parameter {args.param!r} (choose from {SWEEP_PARAMS})")
-    try:
-        with open(args.spec) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise SpecError(f"spec file not found: {args.spec}")
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"spec is not valid JSON (line {exc.lineno}, column {exc.colno})")
+    doc = _read_spec_doc(args.spec)
     overrides = _overrides(args)
-    values = [float(v) for v in args.values]
-    rows = []
-    if values:
-        # tau sweeps drop the fixed dt/horizon; other sweeps keep overrides
-        with ThreadPoolExecutor(max_workers=min(8, max(1, len(values)))) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(doc, args.param, v, overrides), values))
+    # tau sweeps drop the fixed dt/horizon; other sweeps keep overrides
+    rows = [_sweep_row(doc, args.param, float(v), overrides) for v in args.values]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:

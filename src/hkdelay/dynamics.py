@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import HistoryUnderflow, InvalidConfig, NonFinite, OutOfRange
+from .errors import InvalidConfig, NonFinite, OutOfRange
 from .model import (
     DelayKind,
     InitialDatum,
     SystemConfig,
     WeightScheme,
+    delayed_states,
     weights_from_states,
 )
 
@@ -139,25 +140,8 @@ def velocity_from_states(
 
 
 def rhs(config: SystemConfig, history, t: float) -> np.ndarray:
-    """Instantaneous velocity (N, d) at time t read entirely from history.
-
-    Transmission needs history on [t - tau, t]; reaction reads everything
-    at t - tau and so works one delay past the stored horizon.
-    """
-    transmission = config.delay_kind is DelayKind.TRANSMISSION
-    _require_coverage(history, t - config.tau, t if transmission else t - config.tau)
-    x_delayed = history.sample(t - config.tau)
-    x_now = history.sample(t) if transmission else None
-    return velocity_from_states(config, x_now, x_delayed)
-
-
-def _require_coverage(history, t_lo: float, t_hi: float) -> None:
-    pad = 1e-9 * (1.0 + max(abs(t_lo), abs(t_hi)))
-    if t_lo < history.t_start - pad or t_hi > history.t_end + pad:
-        raise HistoryUnderflow(
-            f"history covers [{history.t_start:.6g}, {history.t_end:.6g}], "
-            f"lookup needs [{t_lo:.6g}, {t_hi:.6g}]"
-        )
+    """Instantaneous velocity (N, d) at time t, with states read by delayed_states."""
+    return velocity_from_states(config, *delayed_states(config, history, t))
 
 
 def _make_grid(config: SystemConfig, datum: InitialDatum, horizon: float, spec: IntegratorSpec):
@@ -188,9 +172,20 @@ def _fill_startup(grid, q, datum):
     return states, derivs, mids
 
 
-def _blown_up(y) -> bool:
+def _require_finite(y, traj: Trajectory, m: int) -> None:
+    """Raise NonFinite when y, the state at node m + 1, has blown up.
+
+    The error carries traj cut to its first m + 1 nodes.
+    """
     # NaN fails the comparison, so non-finite states count as blown up
-    return not np.abs(y).max() <= BLOW_UP_THRESHOLD
+    if not np.abs(y).max() <= BLOW_UP_THRESHOLD:
+        partial = replace(
+            traj,
+            grid=traj.grid[: m + 1].copy(),
+            states=traj.states[: m + 1].copy(),
+            derivs=traj.derivs[: m + 1].copy(),
+        )
+        raise NonFinite(float(traj.grid[m + 1]), partial)
 
 
 def integrate(
@@ -199,18 +194,20 @@ def integrate(
     horizon: float,
     spec: IntegratorSpec | None = None,
 ) -> Trajectory:
-    """Integrate the delayed system by RK4 method of steps over [0, horizon].
+    """Integrate the delayed system over [0, horizon] by the spec's method.
 
-    Raises NonFinite (carrying the partial trajectory and blow-up time) if
-    any state exceeds the blow-up threshold, which is the expected outcome
-    in the unstable reaction regime.
+    RK4 method of steps is the default; an euler_oracle spec runs
+    integrate_oracle.  Raises NonFinite (carrying the partial trajectory and
+    blow-up time) if any state exceeds the blow-up threshold, which is the
+    expected outcome in the unstable reaction regime.
     """
     if spec is None:
         spec = default_spec(config)
-    if spec.method is not Method.RK4_STEPS:
-        raise InvalidConfig("integrate expects an rk4_steps spec")
+    if spec.method is Method.EULER_ORACLE:
+        return integrate_oracle(config, datum, horizon, spec)
     grid, q, n_fwd = _make_grid(config, datum, horizon, spec)
     states, derivs, mids = _fill_startup(grid, q, datum)
+    traj = Trajectory(grid, states, derivs, config, datum, "hermite")
     dt = spec.dt
     transmission = config.delay_kind is DelayKind.TRANSMISSION
 
@@ -241,15 +238,10 @@ def integrate(
                 k2 = k3 = vel(None, xd_half)
                 k4 = vel(None, xd_full)
             y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if _blown_up(y1):
-                partial = Trajectory(
-                    grid[: m + 1].copy(), states[: m + 1].copy(),
-                    derivs[: m + 1].copy(), config, datum, "hermite",
-                )
-                raise NonFinite(float(grid[m + 1]), partial)
+            _require_finite(y1, traj, m)
             states[m + 1] = y1
             derivs[m + 1] = vel(y1, xd_full) if transmission else k4
-    return Trajectory(grid, states, derivs, config, datum, "hermite")
+    return traj
 
 
 def _oracle_velocity(config: SystemConfig, x_now, x_delayed) -> np.ndarray:
@@ -289,6 +281,7 @@ def integrate_oracle(
         raise InvalidConfig("integrate_oracle expects an euler_oracle spec")
     grid, q, n_fwd = _make_grid(config, datum, horizon, spec)
     states, derivs, _ = _fill_startup(grid, q, datum)
+    traj = Trajectory(grid, states, derivs, config, datum, "linear")
     dt = spec.dt
     tau = config.tau
 
@@ -301,17 +294,12 @@ def integrate_oracle(
             v = _oracle_velocity(config, states[m], x_del)
             derivs[m] = v
             y1 = states[m] + dt * v
-            if _blown_up(y1):
-                partial = Trajectory(
-                    grid[: m + 1].copy(), states[: m + 1].copy(),
-                    derivs[: m + 1].copy(), config, datum, "linear",
-                )
-                raise NonFinite(float(grid[m + 1]), partial)
+            _require_finite(y1, traj, m)
             states[m + 1] = y1
         derivs[q + n_fwd] = _oracle_velocity(
             config, states[q + n_fwd], lookup(q + n_fwd + 1, grid[q + n_fwd] - tau)
         )
-    return Trajectory(grid, states, derivs, config, datum, "linear")
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HistoryUnderflow, NonPositiveSeries
+from .errors import NonPositiveSeries
 from .model import (
     DelayKind,
     SystemConfig,
+    delayed_states,
     diameter,
     has_symmetric_weights,
     pair_sq,
+    require_history,
     weights_from_states,
 )
 
@@ -52,10 +54,8 @@ def _dissipation_from_states(config, x_now, x_delayed, sq) -> float:
 
 
 def dissipation(config: SystemConfig, trajectory, t: float) -> float:
-    """Weighted delayed-disagreement energy at time t."""
-    _coverage(trajectory, t - config.tau, t)
-    x_delayed = trajectory.sample(t - config.tau)
-    x_now = trajectory.sample(t) if config.delay_kind is DelayKind.TRANSMISSION else x_delayed
+    """Weighted delayed-disagreement energy at time t, with states read by delayed_states."""
+    x_now, x_delayed = delayed_states(config, trajectory, t)
     return _dissipation_from_states(config, x_now, x_delayed, pair_sq(x_delayed, x_delayed))
 
 
@@ -67,7 +67,7 @@ def lyapunov(config: SystemConfig, trajectory, t: float, lam: float = 1.0) -> fl
     on the stored grid (fractional end segments included).
     """
     tau = config.tau
-    _coverage(trajectory, t - 2.0 * tau, t)
+    require_history(trajectory, t - 2.0 * tau, t)
     mean_ref = mean(trajectory.sample(0.0))
     x_t = fluctuation(trajectory.sample(t), mean_ref)
     g = trajectory.grid
@@ -77,15 +77,6 @@ def lyapunov(config: SystemConfig, trajectory, t: float, lam: float = 1.0) -> fl
     vals = np.array([dissipation(config, trajectory, s) * (s - lo) for s in nodes])
     integral = float(np.sum((nodes[1:] - nodes[:-1]) * (vals[1:] + vals[:-1])) / 2.0)
     return x_t + lam * integral
-
-
-def _coverage(trajectory, t_lo, t_hi):
-    pad = 1e-9 * (1.0 + max(abs(t_lo), abs(t_hi)))
-    if t_lo < trajectory.t_start - pad or t_hi > trajectory.t_end + pad:
-        raise HistoryUnderflow(
-            f"trajectory covers [{trajectory.t_start:.6g}, {trajectory.t_end:.6g}], "
-            f"need [{t_lo:.6g}, {t_hi:.6g}]"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,15 +96,14 @@ class MetricSeries:
         return float(self.d_x[0])
 
     def to_csv(self, path) -> None:
+        """Write one row per grid time; NaN entries are left empty."""
         cols = [self.d_x, self.r_x, self.mean_drift, self.X, self.D, self.L]
+        rows = np.column_stack([self.times, *cols]).tolist()
         with open(path, "w", newline="") as fh:
             fh.write("t,d_x,r_x,mean_drift,X,D,L\n")
-            for m, t in enumerate(self.times):
-                cells = [format(float(t), ".17g")]
-                for col in cols:
-                    v = col[m]
-                    cells.append("" if np.isnan(v) else format(float(v), ".17g"))
-                fh.write(",".join(cells) + "\n")
+            for row in rows:
+                # v != v only for NaN
+                fh.write(",".join(["" if v != v else format(v, ".17g") for v in row]) + "\n")
 
 
 def compute_metrics(

@@ -378,30 +378,44 @@ def weights_from_states(
     return w
 
 
-def eval_weights(config: SystemConfig, history, t: float) -> WeightMatrix:
-    """Communication weights at time t, with delayed states read from history.
+def require_history(history, t_lo: float, t_hi: float) -> None:
+    """Raise HistoryUnderflow unless history is stored on [t_lo, t_hi]."""
+    if (
+        t_lo < history.t_start - 1e-9 * (1.0 + abs(t_lo))
+        or t_hi > history.t_end + 1e-9 * (1.0 + abs(t_hi))
+    ):
+        raise HistoryUnderflow(
+            f"history covers [{history.t_start:.6g}, {history.t_end:.6g}], "
+            f"lookup needs [{t_lo:.6g}, {t_hi:.6g}]"
+        )
 
-    The history must cover [t - tau, t]; for transmission-type delay the
-    current state enters the weight arguments as well.
+
+def delayed_states(
+    config: SystemConfig, history, t: float
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """(x_now, x_delayed) at time t, read from history.
+
+    Transmission compares delayed states to the current one and needs
+    history on [t - tau, t]; reaction reads only t - tau, so x_now is None
+    and the lookup works one delay past the stored horizon.
     """
-    x_delayed = _history_sample(history, t - config.tau)
-    x_now = None
+    t_del = t - config.tau
     if config.delay_kind is DelayKind.TRANSMISSION:
-        x_now = _history_sample(history, t)
-    entries = weights_from_states(config, x_now, x_delayed)
+        require_history(history, t_del, t)
+        return history.sample(t), history.sample(t_del)
+    require_history(history, t_del, t_del)
+    return None, history.sample(t_del)
+
+
+def eval_weights(config: SystemConfig, history, t: float) -> WeightMatrix:
+    """Communication weights at time t, with states read by delayed_states."""
+    entries = weights_from_states(config, *delayed_states(config, history, t))
     contract = (
         RowSumContract.EXACTLY_ONE
         if config.weight_scheme is WeightScheme.NORMALIZED
         else RowSumContract.AT_MOST_ONE
     )
     return WeightMatrix(entries, contract)
-
-
-def _history_sample(history, t: float) -> np.ndarray:
-    try:
-        return history.sample(t)
-    except OutOfRange as exc:
-        raise HistoryUnderflow(str(exc)) from exc
 
 
 @dataclass(frozen=True)

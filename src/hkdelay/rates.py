@@ -316,9 +316,7 @@ def check_preconditions(config: SystemConfig, datum: InitialDatum) -> Preconditi
     datum.require_coverage(config.tau)
     icass = check_icass(datum, config)
     psi0 = psi0_lower_bound(config, datum)
-    startup = _startup_states(config, datum)
-    d_x0 = max(diameter(s) for s in startup)
-    r_x0 = max(radius(s) for s in startup)
+    r_x0 = max(radius(s) for s in _startup_states(config, datum))
     transmission = config.delay_kind is DelayKind.TRANSMISSION
     reaction = not transmission
     normalized = config.weight_scheme is WeightScheme.NORMALIZED
@@ -346,7 +344,7 @@ def check_preconditions(config: SystemConfig, datum: InitialDatum) -> Preconditi
         r4.append(f"4*tau < psi0_lower violated (4*tau={4.0 * config.tau:g}, psi0_lower={psi0:g})")
     rd = TheoremCheck("reaction_small_delay", not r4, tuple(r4))
 
-    return PreconditionReport(tc, tn, rs, rd, psi0, icass, d_x0, r_x0)
+    return PreconditionReport(tc, tn, rs, rd, psi0, icass, icass.d_x0, r_x0)
 
 
 def _startup_states(config: SystemConfig, datum: InitialDatum):

@@ -13,6 +13,8 @@ from hkdelay import (
     OutOfRange,
     Trajectory,
     WeightScheme,
+    dissipation,
+    eval_weights,
     integrate,
     integrate_oracle,
     rhs,
@@ -89,6 +91,22 @@ def test_reaction_rhs_works_one_delay_past_horizon():
     assert np.all(np.isfinite(v))
     with pytest.raises(HistoryUnderflow):
         rhs(config, traj, traj.t_end + config.tau + 0.1)
+
+
+@pytest.mark.parametrize("kind", list(DelayKind))
+@pytest.mark.parametrize("view", [rhs, eval_weights, dissipation], ids=lambda f: f.__name__)
+def test_delayed_state_views_share_history_coverage(view, kind):
+    # transmission reads x(t - tau) and x(t); reaction reads only x(t - tau)
+    config = make_config(n_agents=3, tau=0.5, delay_kind=kind)
+    traj = integrate(config, InitialDatum.constant([[0.0], [0.5], [1.0]]), 1.0)
+    t_first = traj.t_start + config.tau
+    t_last = traj.t_end + (config.tau if kind is DelayKind.REACTION else 0.0)
+    for t in (t_first, t_last):
+        out = view(config, traj, t)
+        assert np.all(np.isfinite(getattr(out, "entries", out)))
+    for t in (t_first - 1e-6, t_last + 1e-6):
+        with pytest.raises(HistoryUnderflow):
+            view(config, traj, t)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +357,30 @@ def test_dt_must_divide_tau():
         IntegratorSpec(Method.RK4_STEPS, 0.3).steps_per_delay(1.0)
     assert IntegratorSpec(Method.RK4_STEPS, 0.25).steps_per_delay(1.0) == 4
     assert IntegratorSpec(Method.RK4_STEPS, 1.0 / 3.0).steps_per_delay(1.0) == 3
+
+
+@pytest.mark.parametrize("tau, horizon", [(0.5, 2.0), (2.0, 200.0)], ids=["converges", "blows_up"])
+def test_integrate_runs_euler_oracle_spec_bit_for_bit(tau, horizon):
+    config = make_config(
+        n_agents=2, tau=tau, delay_kind=DelayKind.REACTION,
+        influence=InfluenceFunction.constant(1.0),
+    )
+    datum = InitialDatum.constant([[0.5], [-0.5]])
+    spec = IntegratorSpec(Method.EULER_ORACLE, tau / 16)
+
+    def run(fn):
+        try:
+            return None, fn(config, datum, horizon, spec)
+        except NonFinite as exc:
+            return exc.time, exc.trajectory
+
+    blow_up, via_integrate = run(integrate)
+    expect_blow_up, direct = run(integrate_oracle)
+    assert blow_up == expect_blow_up
+    assert (blow_up is None) == (tau < 1.0)
+    assert via_integrate.interp == direct.interp == "linear"
+    for name in ("grid", "states", "derivs"):
+        assert np.array_equal(getattr(via_integrate, name), getattr(direct, name))
 
 
 def test_blow_up_reports_time_and_partial():

@@ -332,3 +332,31 @@ def test_metric_series_csv_format(tmp_path, rng):
     last = lines[-1].split(",")
     assert float(last[1]) == ms.d_x[-1]
     assert last[6] == ""
+
+
+def reference_metrics_csv(ms, path):
+    """The cell-by-cell writer that MetricSeries.to_csv replaced."""
+    cols = [ms.d_x, ms.r_x, ms.mean_drift, ms.X, ms.D, ms.L]
+    with open(path, "w", newline="") as fh:
+        fh.write("t,d_x,r_x,mean_drift,X,D,L\n")
+        for m, t in enumerate(ms.times):
+            cells = [format(float(t), ".17g")]
+            for col in cols:
+                v = col[m]
+                cells.append("" if np.isnan(v) else format(float(v), ".17g"))
+            fh.write(",".join(cells) + "\n")
+
+
+def test_metric_series_csv_bytes_match_reference_writer(tmp_path, rng):
+    config = make_config(n_agents=4, dim=2, tau=0.5, delay_kind=DelayKind.REACTION,
+                         weight_scheme=WeightScheme.CLASSICAL_SCALED)
+    ms = compute_metrics(config, integrate(config, random_datum(rng, 4, 2), 3 * config.tau))
+    # NaN runs in D and L, plus values at the edges of the format
+    ms.X[3] = -0.0
+    ms.D[-2] = 5e-324
+    ms.L[-1] = -1.2345678901234567e300
+    ms.r_x[4] = np.inf
+    assert np.isnan(ms.D).any() and np.isnan(ms.L).any()
+    ms.to_csv(tmp_path / "new.csv")
+    reference_metrics_csv(ms, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
