@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from hkdelay.cli import ExperimentSpec, run_experiment, write_outputs
-from hkdelay.dynamics import IntegratorSpec, Method
+from hkdelay.dynamics import default_spec
 from hkdelay.model import (
     DelayKind,
     InfluenceFunction,
@@ -31,7 +31,7 @@ def spec_for(name, config, datum, horizon):
     return name, ExperimentSpec(
         config=config,
         datum=datum,
-        integrator=IntegratorSpec(Method.RK4_STEPS, config.tau / 64.0),
+        integrator=default_spec(config),
         horizon=horizon,
         outputs=("trajectory", "metrics", "rates", "report"),
         seed=0,

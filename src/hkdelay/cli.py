@@ -83,7 +83,7 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
         )
     horizon = float(overrides.get("horizon", doc.get("horizon", 20.0 * config.tau)))
     integ = doc.get("integrator", {})
-    dt = float(overrides.get("dt", integ.get("dt", config.tau / 64.0)))
+    dt = float(overrides.get("dt", integ.get("dt", config.tau / dynamics.STEPS_PER_DELAY)))
     method = dynamics.Method(integ.get("method", "rk4_steps"))
     outputs = tuple(doc.get("outputs", DEFAULT_OUTPUTS))
     for name in outputs:
@@ -276,9 +276,11 @@ def _sweep_row(doc: dict, param: str, value: float, overrides: dict) -> dict:
 def cmd_sweep(args) -> int:
     if args.param not in SWEEP_PARAMS:
         raise SpecError(f"unknown sweep parameter {args.param!r} (choose from {SWEEP_PARAMS})")
+    if args.param == "horizon" and args.horizon is not None:
+        raise SpecError("--horizon would replace every swept horizon; drop it from a horizon sweep")
     doc = _read_spec_doc(args.spec)
     overrides = _overrides(args)
-    # tau sweeps drop the fixed dt/horizon; other sweeps keep overrides
+    # tau sweeps drop the spec's own dt and horizon; --dt and --horizon still apply
     rows = [_sweep_row(doc, args.param, float(v), overrides) for v in args.values]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,8 +310,7 @@ def cmd_toy(args) -> int:
     regime = toy.classify_regime(kind, args.tau)
     root = toy.rightmost_root(kind, args.tau)
     horizon = args.horizon if args.horizon is not None else 40.0 * args.tau
-    dt = args.dt if args.dt is not None else args.tau / 64.0
-    series = toy.simulate_toy(kind, args.tau, w0=1.0, horizon=horizon, dt=dt)
+    series = toy.simulate_toy(kind, args.tau, w0=1.0, horizon=horizon, dt=args.dt)
     forward = series.times > 0.0
     changes = metrics.count_sign_changes(series.w[forward])
     fitted = toy.fitted_decay_rate(series)

@@ -28,6 +28,7 @@ from .model import (
 )
 
 BLOW_UP_THRESHOLD = 1e12
+STEPS_PER_DELAY = 64  # default resolution: dt = tau / STEPS_PER_DELAY
 
 
 class Method(str, Enum):
@@ -60,7 +61,7 @@ class IntegratorSpec:
 
 
 def default_spec(config: SystemConfig, method: Method = Method.RK4_STEPS) -> IntegratorSpec:
-    return IntegratorSpec(method, config.tau / 64.0)
+    return IntegratorSpec(method, config.tau / STEPS_PER_DELAY)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +173,17 @@ def _fill_startup(grid, q, datum):
     return states, derivs, mids
 
 
+def _blown_up(y) -> bool:
+    # NaN fails the comparison, so non-finite states count as blown up
+    return not np.abs(y).max() <= BLOW_UP_THRESHOLD
+
+
 def _require_finite(y, traj: Trajectory, m: int) -> None:
     """Raise NonFinite when y, the state at node m + 1, has blown up.
 
     The error carries traj cut to its first m + 1 nodes.
     """
-    # NaN fails the comparison, so non-finite states count as blown up
-    if not np.abs(y).max() <= BLOW_UP_THRESHOLD:
+    if _blown_up(y):
         partial = replace(
             traj,
             grid=traj.grid[: m + 1].copy(),
@@ -186,6 +191,44 @@ def _require_finite(y, traj: Trajectory, m: int) -> None:
             derivs=traj.derivs[: m + 1].copy(),
         )
         raise NonFinite(float(traj.grid[m + 1]), partial)
+
+
+def rk4_method_of_steps(vel, states, derivs, mids, q, dt, reads_now=True) -> int:
+    """Advance classical RK4 by the method of steps, in place, from node q (t = 0).
+
+    states and derivs hold the history on nodes 0..q and mids at the q
+    startup midpoints; a state may have any shape.  vel(x_now, x_delayed)
+    is the velocity; reads_now=False declares that it ignores x_now.
+    Returns the number of nodes filled: fewer than len(states) when the
+    state at the next node, left in states, blew up.
+    """
+    with np.errstate(all="ignore"):
+        derivs[q] = vel(states[q], states[0])
+        for m in range(q, len(states) - 1):
+            # dt divides the delay: a full step's delayed state is a stored
+            # node, a half step's a startup midpoint or the closed-form cubic
+            # Hermite midpoint of a computed segment
+            j = m - q
+            xd_half = mids[j] if j < q else (
+                0.5 * (states[j] + states[j + 1]) + (0.125 * dt) * (derivs[j] - derivs[j + 1])
+            )
+            xd_full = states[m + 1 - q]
+            y0 = states[m]
+            k1 = derivs[m]
+            if reads_now:
+                k2 = vel(y0 + 0.5 * dt * k1, xd_half)
+                k3 = vel(y0 + 0.5 * dt * k2, xd_half)
+                k4 = vel(y0 + dt * k3, xd_full)
+            else:
+                # vel ignores x_now: k3 = k2, and k4 is the new node's derivative
+                k2 = k3 = vel(None, xd_half)
+                k4 = vel(None, xd_full)
+            y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[m + 1] = y1
+            if _blown_up(y1):
+                return m + 1
+            derivs[m + 1] = vel(y1, xd_full) if reads_now else k4
+    return len(states)
 
 
 def integrate(
@@ -205,42 +248,18 @@ def integrate(
         spec = default_spec(config)
     if spec.method is Method.EULER_ORACLE:
         return integrate_oracle(config, datum, horizon, spec)
-    grid, q, n_fwd = _make_grid(config, datum, horizon, spec)
+    grid, q, _ = _make_grid(config, datum, horizon, spec)
     states, derivs, mids = _fill_startup(grid, q, datum)
     traj = Trajectory(grid, states, derivs, config, datum, "hermite")
-    dt = spec.dt
-    transmission = config.delay_kind is DelayKind.TRANSMISSION
-
-    # dt divides tau, so the delayed state of a full step is a stored node
-    # and that of a half step is a startup midpoint or the closed-form
-    # cubic Hermite midpoint of a computed segment
-    def delayed_half(j):
-        if j < q:
-            return mids[j]
-        return 0.5 * (states[j] + states[j + 1]) + (0.125 * dt) * (derivs[j] - derivs[j + 1])
 
     def vel(x_now, x_del):
         return velocity_from_states(config, x_now, x_del)
 
-    with np.errstate(all="ignore"):
-        derivs[q] = vel(states[q], states[0])
-        for m in range(q, q + n_fwd):
-            y0 = states[m]
-            xd_half = delayed_half(m - q)
-            xd_full = states[m + 1 - q]
-            k1 = derivs[m]
-            if transmission:
-                k2 = vel(y0 + 0.5 * dt * k1, xd_half)
-                k3 = vel(y0 + 0.5 * dt * k2, xd_half)
-                k4 = vel(y0 + dt * k3, xd_full)
-            else:
-                # reaction velocities read only delayed states
-                k2 = k3 = vel(None, xd_half)
-                k4 = vel(None, xd_full)
-            y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _require_finite(y1, traj, m)
-            states[m + 1] = y1
-            derivs[m + 1] = vel(y1, xd_full) if transmission else k4
+    # reaction velocities read only delayed states
+    transmission = config.delay_kind is DelayKind.TRANSMISSION
+    n_valid = rk4_method_of_steps(vel, states, derivs, mids, q, spec.dt, transmission)
+    if n_valid < grid.size:  # the stepper left the blown-up state at node n_valid
+        _require_finite(states[n_valid], traj, n_valid - 1)
     return traj
 
 

@@ -106,19 +106,13 @@ class MetricSeries:
                 fh.write(",".join(["" if v != v else format(v, ".17g") for v in row]) + "\n")
 
 
-def compute_metrics(
-    config: SystemConfig,
-    trajectory,
-    lam: float = 1.0,
-    include_lyapunov: bool | None = None,
-) -> MetricSeries:
+def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     """Evaluate all diagnostic series on the trajectory grid.
 
-    The Lyapunov series defaults to on for reaction systems with symmetric
-    weights (where its decay is meaningful) and is NaN before t = tau.
+    The Lyapunov series, with lam = 1, is computed for reaction systems with
+    symmetric weights (where its decay is meaningful); it is NaN for other
+    systems and before t = tau.
     """
-    if include_lyapunov is None:
-        include_lyapunov = has_symmetric_weights(config)
     g = trajectory.grid
     S = trajectory.states
     n = g.size
@@ -147,7 +141,7 @@ def compute_metrics(
     X = np.einsum("tik,tik->t", dev, dev) / (2.0 * (n_agents - 1))
 
     L = np.full(n, np.nan)
-    if include_lyapunov:
+    if has_symmetric_weights(config):
         dt = float(g[1] - g[0])
         # trapezoid of (s - t + tau) D(s) over the q segments ending at m
         wgt = np.arange(q + 1) * dt
@@ -155,7 +149,7 @@ def compute_metrics(
         coef[0] = coef[-1] = 0.5
         for m in range(2 * q, n):
             seg = D[m - q : m + 1]
-            L[m] = X[m] + lam * dt * float(np.sum(coef * wgt * seg))
+            L[m] = X[m] + dt * float(np.sum(coef * wgt * seg))
     return MetricSeries(g, d_x, r_x, drift, X, D, L)
 
 

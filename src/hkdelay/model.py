@@ -418,6 +418,25 @@ def eval_weights(config: SystemConfig, history, t: float) -> WeightMatrix:
     return WeightMatrix(entries, contract)
 
 
+def startup_points(datum: InitialDatum, tau: float) -> tuple[list, list]:
+    """States and slopes that bound the datum over the startup interval [-tau, 0].
+
+    The states are those at -tau, at every datum knot strictly inside
+    (-tau, 0) and at 0; the slopes are those of every datum segment that
+    overlaps (-tau, 0).  The datum is piecewise linear and diameter and
+    radius are convex, so their maxima over [-tau, 0] lie at these states.
+    """
+    datum.require_coverage(tau)
+    if datum.kind is DatumKind.CONSTANT_PER_AGENT:
+        return [datum.values], []
+    ts = datum.times
+    inner = ts[(ts > -tau) & (ts < 0.0)].tolist()
+    states = [datum.at(t) for t in [-tau, *inner, 0.0]]
+    seg = np.where((ts[:-1] < 0.0) & (ts[1:] > -tau))[0]
+    slopes = [(datum.samples[i + 1] - datum.samples[i]) / (ts[i + 1] - ts[i]) for i in seg]
+    return states, slopes
+
+
 @dataclass(frozen=True)
 class IcassReport:
     """Startup-interval regularity check: slopes against the initial diameter."""
@@ -425,6 +444,14 @@ class IcassReport:
     satisfied: bool
     max_slope: float
     d_x0: float
+
+    @classmethod
+    def from_points(cls, states: list, slopes: list) -> "IcassReport":
+        """d_x0 is the largest diameter of the states, max_slope the largest
+        per-agent slope norm (zero without slopes)."""
+        d_x0 = max(diameter(s) for s in states)
+        max_slope = max((float(np.sqrt((v * v).sum(axis=1)).max()) for v in slopes), default=0.0)
+        return cls(satisfied=max_slope <= d_x0, max_slope=max_slope, d_x0=d_x0)
 
     def to_dict(self) -> dict:
         return {
@@ -435,28 +462,8 @@ class IcassReport:
 
 
 def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
-    """Check that startup slopes do not exceed the startup diameter.
-
-    d_x0 is the maximum group diameter over the startup interval; the slope
-    bound is the essential sup of per-agent derivative norms (attained on
-    grid segments for piecewise-linear data, zero for constant data).
-    """
-    datum.require_coverage(config.tau)
-    if datum.kind is DatumKind.CONSTANT_PER_AGENT:
-        d_x0 = diameter(datum.values)
-        return IcassReport(satisfied=True, max_slope=0.0, d_x0=d_x0)
-    mask = (datum.times >= -config.tau - 1e-9) & (datum.times <= 1e-9)
-    idx = np.where(mask)[0]
-    if idx.size == 0:
-        raise InvalidDatum("sampled datum has no grid points in the startup span")
-    d_x0 = max(diameter(datum.samples[i]) for i in idx)
-    seg = idx[:-1] if idx.size > 1 else idx[:0]
-    max_slope = 0.0
-    for i in seg:
-        dt = datum.times[i + 1] - datum.times[i]
-        step = (datum.samples[i + 1] - datum.samples[i]) / dt
-        max_slope = max(max_slope, float(np.sqrt((step * step).sum(axis=1)).max()))
-    return IcassReport(satisfied=max_slope <= d_x0, max_slope=max_slope, d_x0=d_x0)
+    """Check that startup slopes, read by startup_points, do not exceed the startup diameter."""
+    return IcassReport.from_points(*startup_points(datum, config.tau))
 
 
 # ---------------------------------------------------------------------------

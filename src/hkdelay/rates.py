@@ -23,14 +23,15 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
 )
+from .dynamics import STEPS_PER_DELAY, rk4_method_of_steps
 from .model import (
     DelayKind,
     IcassReport,
     InitialDatum,
     SystemConfig,
     WeightScheme,
-    check_icass,
     has_symmetric_weights,
+    startup_points,
     weights_from_states,
 )
 from .metrics import diameter, radius
@@ -313,10 +314,10 @@ def psi0_lower_bound(config: SystemConfig, datum: InitialDatum) -> float:
 
 def check_preconditions(config: SystemConfig, datum: InitialDatum) -> PreconditionReport:
     """Which consensus theorems cover this configuration, with reasons."""
-    datum.require_coverage(config.tau)
-    icass = check_icass(datum, config)
+    states, slopes = startup_points(datum, config.tau)
+    icass = IcassReport.from_points(states, slopes)
     psi0 = psi0_lower_bound(config, datum)
-    r_x0 = max(radius(s) for s in _startup_states(config, datum))
+    r_x0 = max(radius(s) for s in states)
     transmission = config.delay_kind is DelayKind.TRANSMISSION
     reaction = not transmission
     normalized = config.weight_scheme is WeightScheme.NORMALIZED
@@ -345,13 +346,6 @@ def check_preconditions(config: SystemConfig, datum: InitialDatum) -> Preconditi
     rd = TheoremCheck("reaction_small_delay", not r4, tuple(r4))
 
     return PreconditionReport(tc, tn, rs, rd, psi0, icass, icass.d_x0, r_x0)
-
-
-def _startup_states(config: SystemConfig, datum: InitialDatum):
-    if datum.times is None:
-        return [datum.values]
-    mask = (datum.times >= -config.tau - 1e-9) & (datum.times <= 1e-9)
-    return [datum.samples[i] for i in np.where(mask)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -406,45 +400,22 @@ def convexity_bound_check(vectors, eta_i, eta_k, mu: float, i=None, k=None) -> C
 # ---------------------------------------------------------------------------
 # Sharpness check: simulate the equality-case scalar delay equation
 
-def simulate_equality_case(
-    alpha, beta, tau: float, horizon_delays: int = 10, steps_per_delay: int = 64
-):
+def simulate_equality_case(alpha, beta, tau: float, horizon_delays: int = 10):
     """Integrate u' = alpha u(t - tau) - beta u from constant history u = 1.
 
     alpha and beta broadcast, so a whole parameter grid advances in one
     sweep.  Returns (times, u) with times on [0, horizon] and u of shape
-    (n_times,) + broadcast(alpha, beta).  RK4 with cubic Hermite history,
-    independent of the transcendental rate solve it is used to check.
+    (n_times,) + broadcast(alpha, beta), cut before the first node where
+    any entry blows up.  Uses the integrator's RK4 stepper at its default
+    resolution, independent of the transcendental rate solve it checks.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    shape = np.broadcast(alpha, beta).shape
-    q = int(steps_per_delay)
+    q = STEPS_PER_DELAY
     h = tau / q
-    n = horizon_delays * q
-    u = np.empty((n + 1,) + shape)
-    f = np.empty_like(u)
-    u[0] = 1.0
-    f[0] = alpha - beta  # forward derivative at t = 0
-
-    def delayed(j):  # u at node time (j - q) h, exact
-        return u[j - q] if j >= q else np.ones(shape)
-
-    def delayed_half(j):  # u at (j - q + 1/2) h
-        if j + 1 <= q:
-            return np.ones(shape)
-        y0, y1 = u[j - q], u[j - q + 1]
-        f0, f1 = f[j - q], f[j - q + 1]
-        return 0.5 * (y0 + y1) + 0.125 * h * (f0 - f1)
-
-    for m in range(n):
-        ud_half = delayed_half(m)
-        ud_full = delayed(m + 1)
-        k1 = f[m]
-        k2 = alpha * ud_half - beta * (u[m] + 0.5 * h * k1)
-        k3 = alpha * ud_half - beta * (u[m] + 0.5 * h * k2)
-        k4 = alpha * ud_full - beta * (u[m] + h * k3)
-        u[m + 1] = u[m] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        f[m + 1] = alpha * ud_full - beta * u[m + 1]
-    times = np.arange(n + 1) * h
-    return times, u
+    u = np.ones((q + horizon_delays * q + 1,) + np.broadcast(alpha, beta).shape)
+    # the history is constant, so its startup midpoints equal its nodes
+    n_valid = rk4_method_of_steps(
+        lambda u_now, u_del: alpha * u_del - beta * u_now, u, np.zeros_like(u), u[:q], q, h
+    )
+    return np.arange(n_valid - q) * h, u[q:n_valid]

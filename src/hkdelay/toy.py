@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import IntegratorSpec, Method, integrate
+from .dynamics import STEPS_PER_DELAY, IntegratorSpec, Method, integrate
 from .errors import NoRootFound, NonFinite
 from .model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
 
@@ -127,7 +127,7 @@ def simulate_toy(
     """
     delay_kind = DelayKind(delay_kind)
     horizon = 20.0 * tau if horizon is None else horizon
-    dt = tau / 64.0 if dt is None else dt
+    dt = tau / STEPS_PER_DELAY if dt is None else dt
     config = SystemConfig(
         n_agents=2,
         dim=1,

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from hkdelay import rate_transmission_normalized, rates, weights_from_states
-from hkdelay.cli import main
-from hkdelay.dynamics import read_trajectory_csv
+from hkdelay import DelayKind, rate_transmission_normalized, rates, weights_from_states
+from hkdelay.cli import load_spec, main
+from hkdelay.dynamics import default_spec, read_trajectory_csv
+from hkdelay.toy import simulate_toy
 from hkdelay.model import config_from_dict
 
 
@@ -253,6 +254,16 @@ def test_sweep_horizon(tmp_path):
     assert rows[1].split(",")[1] != ""
 
 
+def test_sweep_horizon_rejects_horizon_flag(tmp_path, capsys):
+    # --horizon would replace every swept value, giving identical rows
+    out = tmp_path / "out"
+    code = main(["sweep", toy_spec(tmp_path, tau=0.15), "--param", "horizon",
+                 "--values", "2", "8", "--horizon", "1", "--out", str(out)])
+    assert code == 1
+    assert "--horizon" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_simulate_with_euler_oracle_integrator(tmp_path):
     spec = write_spec(
         tmp_path / "euler.json",
@@ -345,3 +356,20 @@ def test_toy_command(capsys, tau, kind, regime):
     if regime == "NonOscillatoryStable":
         assert doc["sign_changes"] == 0
         assert doc["fitted_rate"] == pytest.approx(-doc["rightmost_root"]["re"], rel=0.1)
+
+
+def test_default_resolution_is_tau_over_64(tmp_path, capsys):
+    tau = 0.3
+    toy_spec(tmp_path, tau=tau)
+    doc = json.loads((tmp_path / "toy.json").read_text())
+    assert load_spec(doc).integrator.dt == tau / 64
+    assert default_spec(load_spec(doc).config).dt == tau / 64
+    default = simulate_toy(DelayKind.REACTION, tau, w0=1.0, horizon=2.0)
+    explicit = simulate_toy(DelayKind.REACTION, tau, w0=1.0, horizon=2.0, dt=tau / 64)
+    assert np.array_equal(default.times, explicit.times)
+    assert np.array_equal(default.w, explicit.w)
+    assert main(["toy", "--tau", str(tau), "--kind", "reaction", "--horizon", "2"]) == 0
+    without_dt = capsys.readouterr().out
+    assert main(["toy", "--tau", str(tau), "--kind", "reaction", "--horizon", "2",
+                 "--dt", repr(tau / 64)]) == 0
+    assert capsys.readouterr().out == without_dt

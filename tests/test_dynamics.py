@@ -398,6 +398,19 @@ def test_blow_up_reports_time_and_partial():
     assert partial.t_end < 200.0
 
 
+def test_rk4_stepper_stops_at_the_first_blown_up_node():
+    # u' = 2 u(t - 1) from u = 1 on a (3,) state passes the threshold near t = 32
+    q, dt = 4, 0.25
+    states = np.ones((q + 200 + 1, 3))
+    derivs = np.zeros_like(states)
+    n_valid = dynamics.rk4_method_of_steps(
+        lambda x_now, x_del: 2.0 * x_del, states, derivs, states[:q], q, dt, reads_now=False
+    )
+    assert q < n_valid < len(states)
+    assert np.all(np.abs(states[:n_valid]) <= dynamics.BLOW_UP_THRESHOLD)
+    assert np.all(np.abs(states[n_valid]) > dynamics.BLOW_UP_THRESHOLD)
+
+
 # ---------------------------------------------------------------------------
 # export
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkdelay import (
@@ -18,8 +18,10 @@ from hkdelay import (
     WeightScheme,
     check_preconditions,
     convexity_bound_check,
+    diameter,
     integrate,
     psi_floor,
+    radius,
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
     shrink_factor,
@@ -103,7 +105,7 @@ def test_halanay_invalid_problems():
 def test_equality_case_matches_closed_form_on_first_segment():
     # for t in [0, tau]: u' = alpha - beta u, so u = a/b + (1 - a/b) e^{-bt}
     alpha, beta, tau = 0.4, 1.2, 0.8
-    times, u = simulate_equality_case(alpha, beta, tau, horizon_delays=1, steps_per_delay=64)
+    times, u = simulate_equality_case(alpha, beta, tau, horizon_delays=1)
     exact = alpha / beta + (1 - alpha / beta) * np.exp(-beta * times)
     assert np.max(np.abs(u - exact)) < 1e-9
 
@@ -114,6 +116,53 @@ def test_equality_case_respects_rate_bound():
     for measure in Measure:
         c = solve_halanay(HalanayProblem(alpha, beta, tau, measure)).C
         assert np.all(u <= np.exp(-c * times) * (1.0 + 1e-6))
+
+
+def reference_equality_case(alpha, beta, tau, horizon_delays, steps_per_delay=64):
+    """The equality-case RK4 loop as it stood before it shared the integrator's stepper."""
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    shape = np.broadcast(alpha, beta).shape
+    q = steps_per_delay
+    h = tau / q
+    n = horizon_delays * q
+    u = np.empty((n + 1,) + shape)
+    f = np.empty_like(u)
+    u[0] = 1.0
+    f[0] = alpha - beta
+
+    def delayed(j):
+        return u[j - q] if j >= q else np.ones(shape)
+
+    def delayed_half(j):
+        if j + 1 <= q:
+            return np.ones(shape)
+        y0, y1 = u[j - q], u[j - q + 1]
+        f0, f1 = f[j - q], f[j - q + 1]
+        return 0.5 * (y0 + y1) + 0.125 * h * (f0 - f1)
+
+    for m in range(n):
+        ud_half = delayed_half(m)
+        ud_full = delayed(m + 1)
+        k1 = f[m]
+        k2 = alpha * ud_half - beta * (u[m] + 0.5 * h * k1)
+        k3 = alpha * ud_half - beta * (u[m] + 0.5 * h * k2)
+        k4 = alpha * ud_full - beta * (u[m] + h * k3)
+        u[m + 1] = u[m] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        f[m + 1] = alpha * ud_full - beta * u[m + 1]
+    return np.arange(n + 1) * h, u
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.5, 5.0])
+@pytest.mark.parametrize("horizon_delays", [1, 10])
+def test_equality_case_matches_reference_loop_bit_for_bit(tau, horizon_delays):
+    beta = np.linspace(0.2, 2.0, 6)[None, :]
+    alpha = np.linspace(0.05, 0.95, 5)[:, None] * beta  # broadcast (5, 6) grid
+    times, u = simulate_equality_case(alpha, beta, tau, horizon_delays=horizon_delays)
+    ref_times, ref_u = reference_equality_case(alpha, beta, tau, horizon_delays)
+    assert u.shape == ref_u.shape == (64 * horizon_delays + 1, 5, 6)
+    assert np.array_equal(times, ref_times)
+    assert np.array_equal(u, ref_u)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +311,50 @@ def test_preconditions_normalized_constant_psi_counts_as_symmetric():
     )
     datum = InitialDatum.constant([[0.0], [0.5], [1.0]])
     assert check_preconditions(config, datum).reaction_symmetric.applies
+
+
+def startup_bounds(datum, tau):
+    """check_preconditions' d_x0, r_x0, icass max_slope and icass d_x0 for the datum."""
+    config = make_config(n_agents=datum.n_agents, dim=datum.dim, tau=tau)
+    rep = check_preconditions(config, datum)
+    return rep.d_x0, rep.r_x0, rep.icass.max_slope, rep.icass.d_x0
+
+
+def test_startup_bounds_cover_the_datum_between_knots():
+    # no knot at -tau = -1: the datum there lies 2/3 of the way from -2 to -0.5
+    datum = InitialDatum.sampled(
+        [-2.0, -0.5, 0.0], [[[-4.0], [4.0]], [[0.0], [0.0]], [[0.1], [-0.1]]]
+    )
+    d_x0, r_x0, max_slope, icass_d_x0 = startup_bounds(datum, 1.0)
+    assert d_x0 == icass_d_x0 == pytest.approx(8.0 / 3.0, rel=1e-14)
+    assert r_x0 == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert max_slope == pytest.approx(8.0 / 3.0, rel=1e-14)  # segment [-2, -0.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tau=st.floats(min_value=0.1, max_value=3.0),
+    before=st.floats(min_value=0.0, max_value=2.0),
+    after=st.floats(min_value=0.0, max_value=1.0),
+    inner=st.lists(st.floats(min_value=0.01, max_value=0.99), max_size=5),
+    n_agents=st.integers(min_value=2, max_value=4),
+    dim=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_startup_bounds_hold_on_a_fine_grid(tau, before, after, inner, n_agents, dim, seed):
+    # knots span [-tau - before, after] and need not include -tau or 0
+    lo, hi = -tau - before, after
+    times = np.unique(np.concatenate([[lo, hi], lo + (hi - lo) * np.asarray(inner)]))
+    values = np.random.default_rng(seed).uniform(-5.0, 5.0, (times.size, n_agents, dim))
+    datum = InitialDatum.sampled(times, values)
+    d_x0, r_x0, max_slope, _ = startup_bounds(datum, tau)
+    fine = np.linspace(-tau, 0.0, 1001)
+    states = [datum.at(t) for t in fine]
+    slopes = [datum.slope_at(t) for t in fine[1:-1]]
+    tol = 1e-12 * (1.0 + d_x0 + r_x0 + max_slope)
+    assert max(diameter(x) for x in states) <= d_x0 + tol
+    assert max(radius(x) for x in states) <= r_x0 + tol
+    assert max(float(np.sqrt((v * v).sum(axis=1)).max()) for v in slopes) <= max_slope + tol
 
 
 # ---------------------------------------------------------------------------
