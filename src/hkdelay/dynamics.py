@@ -327,13 +327,13 @@ def integrate_oracle(
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,agent,component,value` rows; times round-trip bit-exactly."""
     n_nodes, n_agents, dim = traj.states.shape
-    tails = [f",{i},{k}," for i in range(n_agents) for k in range(dim)]
+    # one template per node: "{t}" takes the time, each %.17g one value
+    node = "".join([f"{{t}},{i},{k},%.17g\n" for i in range(n_agents) for k in range(dim)])
     rows = traj.states.reshape(n_nodes, -1).tolist()
     with open(path, "w", newline="") as fh:
         fh.write("t,agent,component,value\n")
         for t, row in zip(traj.grid.tolist(), rows):
-            ts = format(t, ".17g")
-            fh.write("".join([f"{ts}{tail}{v:.17g}\n" for tail, v in zip(tails, row)]))
+            fh.write(node.replace("{t}", format(t, ".17g")) % tuple(row))
 
 
 def read_trajectory_csv(path):

@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonPositiveSeries
 from .model import (
     DelayKind,
     SystemConfig,
+    check_icass,
     delayed_states,
     diameter,
     has_symmetric_weights,
@@ -25,6 +27,13 @@ from .model import (
 )
 
 SIGN_ATOL = 1e-10
+# Cap on the entries of one block's (nodes, N, N) pair arrays or (nodes, q + 1)
+# Lyapunov windows in compute_metrics: 2**13 doubles, 64 KiB per temporary.
+# glibc maps temporaries above its default 128 KiB threshold afresh on every
+# call: at 2**16 (six nodes per block at N = 100) the first compute_metrics
+# of a process took 0.27 s, against 0.23 s node by node, on a 2-vCPU Intel
+# Xeon guest.
+BLOCK_ENTRIES = 2**13
 
 
 def radius(state: np.ndarray) -> float:
@@ -46,17 +55,18 @@ def fluctuation(state: np.ndarray, mean_ref: np.ndarray) -> float:
     return float((dev * dev).sum() / (2.0 * (n - 1)))
 
 
-def _dissipation_from_states(config, x_now, x_delayed, sq) -> float:
-    """D from explicit states, with sq = pair_sq(x_delayed, x_delayed)."""
+def _dissipation_from_states(config, x_now, x_delayed, sq) -> np.ndarray:
+    """D from explicit (..., N, d) states, one value per leading index, with
+    sq = pair_sq(x_delayed, x_delayed)."""
     w = weights_from_states(config, x_now, x_delayed)
     w *= sq
-    return float(w.sum() / (2.0 * (config.n_agents - 1)))
+    return w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1) / (2.0 * (config.n_agents - 1))
 
 
 def dissipation(config: SystemConfig, trajectory, t: float) -> float:
     """Weighted delayed-disagreement energy at time t, with states read by delayed_states."""
     x_now, x_delayed = delayed_states(config, trajectory, t)
-    return _dissipation_from_states(config, x_now, x_delayed, pair_sq(x_delayed, x_delayed))
+    return float(_dissipation_from_states(config, x_now, x_delayed, pair_sq(x_delayed, x_delayed)))
 
 
 def lyapunov(config: SystemConfig, trajectory, t: float, lam: float = 1.0) -> float:
@@ -107,11 +117,13 @@ class MetricSeries:
 
 
 def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
-    """Evaluate all diagnostic series on the trajectory grid.
+    """Evaluate all diagnostic series on the trajectory grid, in blocks of nodes.
 
-    The Lyapunov series, with lam = 1, is computed for reaction systems with
-    symmetric weights (where its decay is meaningful); it is NaN for other
-    systems and before t = tau.
+    On the startup nodes d_x is the largest diameter of the datum over
+    [-tau, 0], read at its knots (the d_x0 of check_icass).  The Lyapunov
+    series, with lam = 1, is computed for reaction systems with symmetric
+    weights (where its decay is meaningful); it is NaN for other systems
+    and before t = tau.
     """
     g = trajectory.grid
     S = trajectory.states
@@ -120,19 +132,22 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     i0 = int(np.searchsorted(g, -1e-12, side="right"))
     q = i0  # startup nodes 0..i0, with g[i0] == 0
 
-    # one pass over the nodes: the pairwise squared distances of S[m] give
-    # both d_x[m] and, as delayed states, the dissipation D[m + q]
+    # the pairwise squared distances of the block S[a:b] give d_x[a:b] and,
+    # as delayed states, the dissipation D[a + q : b + q]
     transmission = config.delay_kind is DelayKind.TRANSMISSION
     d_x = np.empty(n)
     D = np.full(n, np.nan)
-    for m in range(n):
-        sq = pair_sq(S[m], S[m])
-        d_x[m] = sq.max()
-        if m + q < n:
-            x_now = S[m + q] if transmission else None
-            D[m + q] = _dissipation_from_states(config, x_now, S[m], sq)
+    step = max(1, BLOCK_ENTRIES // (n_agents * n_agents))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        sq = pair_sq(S[a:b], S[a:b])
+        d_x[a:b] = sq.max(axis=(-2, -1))
+        c = min(b, n - q)
+        if a < c:
+            x_now = S[a + q : c + q] if transmission else None
+            D[a + q : c + q] = _dissipation_from_states(config, x_now, S[a:c], sq[: c - a])
     np.sqrt(d_x, out=d_x)
-    d_x[: i0 + 1] = d_x[: i0 + 1].max()
+    d_x[: i0 + 1] = check_icass(trajectory.datum, config).d_x0
 
     r_x = np.sqrt(np.einsum("tik,tik->ti", S, S)).max(axis=1)
     xbar = S.mean(axis=1)
@@ -147,9 +162,12 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
         wgt = np.arange(q + 1) * dt
         coef = np.ones(q + 1)
         coef[0] = coef[-1] = 0.5
-        for m in range(2 * q, n):
-            seg = D[m - q : m + 1]
-            L[m] = X[m] + dt * float(np.sum(coef * wgt * seg))
+        cw = coef * wgt
+        windows = sliding_window_view(D, q + 1)  # windows[m - q] = D[m - q : m + 1]
+        step = max(1, BLOCK_ENTRIES // (q + 1))
+        for a in range(2 * q, n, step):
+            b = min(a + step, n)
+            L[a:b] = X[a:b] + dt * (windows[a - q : b - q] * cw).sum(axis=-1)
     return MetricSeries(g, d_x, r_x, drift, X, D, L)
 
 

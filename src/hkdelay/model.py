@@ -322,20 +322,28 @@ class WeightMatrix:
 
 
 def pair_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) squared distances |b_j - a_i|^2 between the rows of a and b.
+    """(..., N, M) squared distances |b_j - a_i|^2 between the rows of a and b.
 
-    Accumulates one component at a time, so no (N, M, d) temporary is
-    formed; pair_sq(x, x) is exactly symmetric.
+    a is (..., N, d) and b is (..., M, d), with broadcastable leading axes.
+    Accumulates one component at a time, so no (..., N, M, d) temporary is
+    formed; pair_sq(x, x) is exactly symmetric, and a stack of inputs gives
+    the stack of the per-slice results bit for bit.
     """
-    a = np.asarray(a, dtype=float).T[:, :, None]  # (d, N, 1)
-    b = np.asarray(b, dtype=float).T  # (d, M)
-    out = a[0] - b[0]
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = a[..., :, None, 0] - b[..., None, :, 0]
     out *= out
-    for k in range(1, len(b)):
-        tmp = a[k] - b[k]
+    for k in range(1, b.shape[-1]):
+        tmp = a[..., :, None, k] - b[..., None, :, k]
         tmp *= tmp
         out += tmp
     return out
+
+
+def _diagonal(w: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a C-contiguous (..., N, N) array."""
+    n = w.shape[-1]
+    return w.reshape(w.shape[:-2] + (n * n,))[..., :: n + 1]
 
 
 def diameter(state: np.ndarray) -> float:
@@ -347,14 +355,15 @@ def diameter(state: np.ndarray) -> float:
 def weights_from_states(
     config: SystemConfig, x_now: np.ndarray | None, x_delayed: np.ndarray
 ) -> np.ndarray:
-    """Raw (N, N) weight entries from explicit states.
+    """Raw (..., N, N) weight entries from explicit (..., N, d) states.
 
     Transmission compares x_delayed[j] to x_now[i]; reaction compares
     x_delayed[j] to x_delayed[i].  The diagonal is zero.  Normalized
     algebraic weights are formed row-scaled, as
     ((1 + s_ij^2) / (1 + min_{k != i} s_ik^2))^(-gamma): normalization
     cancels the row scale, the largest entry of each row is 1, and no row
-    underflows however large gamma or the distances.
+    underflows however large gamma or the distances.  Leading axes stack
+    independent evaluations.
     """
     x_delayed = np.asarray(x_delayed, dtype=float)
     base = x_now if config.delay_kind is DelayKind.TRANSMISSION else x_delayed
@@ -362,19 +371,19 @@ def weights_from_states(
     influence = config.influence
     if config.weight_scheme is WeightScheme.CLASSICAL_SCALED:
         w = influence.of_sq(w)
-        np.fill_diagonal(w, 0.0)
+        _diagonal(w)[...] = 0.0
         w /= config.n_agents - 1
         return w
     if influence.kind is InfluenceKind.ALGEBRAIC_DECAY:
         w += 1.0
-        np.fill_diagonal(w, np.inf)  # excluded from the row minimum; maps to 0
-        np.divide(w.min(axis=1, keepdims=True), w, out=w)
+        _diagonal(w)[...] = np.inf  # excluded from the row minimum; maps to 0
+        np.divide(w.min(axis=-1, keepdims=True), w, out=w)
         if influence.gamma != 1.0:
             w **= influence.gamma
     else:
         w = influence.of_sq(w)
-    np.fill_diagonal(w, 0.0)
-    w /= w.sum(axis=1, keepdims=True)
+    _diagonal(w)[...] = 0.0
+    w /= w.sum(axis=-1, keepdims=True)
     return w
 
 

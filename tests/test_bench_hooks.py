@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hkdelay import cli
+from hkdelay import cli, dynamics, metrics
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -65,3 +65,31 @@ def test_sweep_rows_pass_through_named_hooks(tmp_path, monkeypatch):
                      "--horizon", "1.0", "--out", str(tmp_path / "out")])
     assert code == 0
     assert calls == ["_sweep_row", "load_spec", "run_experiment"] * 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_each_run_calls_the_timed_layers_once(tmp_path, monkeypatch, command):
+    # child.py stamps setup_s at the first integrate call and times the
+    # layers at every site bound to these two functions; a run that computed
+    # its trajectory or series another way would leave them unmeasured
+    calls = []
+    for owner, attr in ((dynamics, "integrate"), (metrics, "compute_metrics")):
+        for namespace, key, _ in CHILD_MODULE.find_sites(owner.__name__, attr):
+            original = getattr(namespace, key)
+
+            def wrapper(*args, _name=attr, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(namespace, key, wrapper)
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"config": {"n_agents": 2, "dim": 1, "tau": 0.5, "delay_kind": "transmission",'
+        ' "weight_scheme": "normalized", "influence": {"kind": "constant", "c": 1.0}},'
+        ' "datum": {"kind": "constant_per_agent", "vectors": [[0.0], [1.0]]}}'
+    )
+    args = [command, str(spec), "--horizon", "1.0", "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        args[2:2] = ["--param", "tau", "--values", "0.25", "0.5"]
+    assert cli.main(args) == 0
+    assert calls == ["integrate", "compute_metrics"] * (2 if command == "sweep" else 1)

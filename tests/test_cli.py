@@ -152,6 +152,31 @@ def test_simulate_underflowing_influence(tmp_path):
         assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
 
+def test_startup_diameter_reads_datum_knots_between_grid_nodes(tmp_path):
+    # the knot at -0.505 carries the largest diameter, 2, and lies between
+    # the nodes of the dt = 1/64 grid, where the diameter is at most 1.9802
+    doc = {
+        "config": {
+            "n_agents": 2, "dim": 1, "tau": 1.0,
+            "delay_kind": "transmission", "weight_scheme": "normalized",
+            "influence": {"kind": "algebraic_decay", "gamma": 1.0},
+        },
+        "datum": {"kind": "sampled", "times": [-1.0, -0.505, 0.0],
+                  "values": [[[0.0], [0.0]], [[-1.0], [1.0]], [[0.0], [0.0]]]},
+        "seed": 0,
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", write_spec(tmp_path / "sampled.json", doc), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["preconditions"]["d_x0"] == 2.0
+    assert report["metrics_summary"]["d_x0"] == 2.0
+    assert report["metrics_summary"]["consensus_tol"] == 1e-3 * 2.0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    startup = [row.split(",") for row in rows if float(row.split(",")[0]) <= 0.0]
+    assert len(startup) == 65
+    assert all(row[1] == "2" for row in startup)
+
+
 def test_simulate_seed_changes_random_datum(tmp_path):
     spec = prop_rate_spec(tmp_path)
     out_a, out_b = tmp_path / "sa", tmp_path / "sb"

@@ -446,10 +446,22 @@ def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng):
     states[1, 0, 0] = -0.0
     states[2, 1, 1] = 5e-324
     states[3, 2, 2] = -1.2345678901234567e300
+    states[4, 3, 0] = 1e300
+    states[5, 0, 1] = -1e300
     traj = Trajectory(traj.grid, states, traj.derivs, config, datum, "hermite")
     trajectory_to_csv(traj, tmp_path / "new.csv")
     reference_trajectory_csv(traj, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # the partial trajectory of a blown-up run, near the blow-up threshold
+    config = make_config(n_agents=2, tau=2.0, delay_kind=DelayKind.REACTION,
+                         influence=InfluenceFunction.constant(1.0))
+    with pytest.raises(NonFinite) as err:
+        integrate(config, InitialDatum.constant([[0.5], [-0.5]]), 200.0,
+                  IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
+    partial = err.value.trajectory
+    trajectory_to_csv(partial, tmp_path / "partial.csv")
+    reference_trajectory_csv(partial, tmp_path / "partial_ref.csv")
+    assert (tmp_path / "partial.csv").read_bytes() == (tmp_path / "partial_ref.csv").read_bytes()
 
 
 def test_table_influence_through_integration(rng):

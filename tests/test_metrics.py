@@ -9,6 +9,10 @@ from hkdelay import (
     DelayKind,
     InfluenceFunction,
     InitialDatum,
+    IntegratorSpec,
+    Method,
+    MetricSeries,
+    NonFinite,
     NonPositiveSeries,
     Trajectory,
     WeightScheme,
@@ -24,6 +28,8 @@ from hkdelay import (
     mean,
     radius,
 )
+from hkdelay import metrics
+from hkdelay.model import has_symmetric_weights, pair_sq, weights_from_states
 
 from conftest import make_config, random_datum
 
@@ -251,6 +257,77 @@ def test_dissipation_bounded_by_fluctuation(rng):
     q = int(np.searchsorted(ms.times, -1e-12, side="right"))
     for m in range(q, ms.times.size):
         assert ms.D[m] <= 4.0 * ms.X[m - q] + 1e-12
+
+
+def reference_metrics(config, trajectory):
+    """The per-node loops that the blocked compute_metrics replaced."""
+    g = trajectory.grid
+    S = trajectory.states
+    n = g.size
+    n_agents = config.n_agents
+    i0 = q = int(np.searchsorted(g, -1e-12, side="right"))
+    transmission = config.delay_kind is DelayKind.TRANSMISSION
+    d_x = np.empty(n)
+    D = np.full(n, np.nan)
+    for m in range(n):
+        sq = pair_sq(S[m], S[m])
+        d_x[m] = sq.max()
+        if m + q < n:
+            w = weights_from_states(config, S[m + q] if transmission else None, S[m])
+            w *= sq
+            D[m + q] = float(w.sum() / (2.0 * (n_agents - 1)))
+    np.sqrt(d_x, out=d_x)
+    d_x[: i0 + 1] = d_x[: i0 + 1].max()
+    r_x = np.sqrt(np.einsum("tik,tik->ti", S, S)).max(axis=1)
+    xbar = S.mean(axis=1)
+    drift = np.sqrt(((xbar - xbar[i0]) ** 2).sum(axis=1))
+    dev = S - xbar[i0][None, None, :]
+    X = np.einsum("tik,tik->t", dev, dev) / (2.0 * (n_agents - 1))
+    L = np.full(n, np.nan)
+    if has_symmetric_weights(config):
+        dt = float(g[1] - g[0])
+        wgt = np.arange(q + 1) * dt
+        coef = np.ones(q + 1)
+        coef[0] = coef[-1] = 0.5
+        for m in range(2 * q, n):
+            L[m] = X[m] + dt * float(np.sum(coef * wgt * D[m - q : m + 1]))
+    return MetricSeries(g, d_x, r_x, drift, X, D, L)
+
+
+def assert_series_identical(got, ref):
+    for name in ("times", "d_x", "r_x", "mean_drift", "X", "D", "L"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True), name
+
+
+# block_entries 1 gives one node per block; 40 splits the pair pass, the q
+# offset of D and the (q + 1)-wide Lyapunov windows at every N below
+@pytest.mark.parametrize("block_entries", [1, 40, metrics.BLOCK_ENTRIES])
+@pytest.mark.parametrize("n_agents", [2, 5, 30])
+@pytest.mark.parametrize("kind, scheme", [
+    (DelayKind.TRANSMISSION, WeightScheme.NORMALIZED),
+    (DelayKind.REACTION, WeightScheme.NORMALIZED),
+    (DelayKind.REACTION, WeightScheme.CLASSICAL_SCALED),  # symmetric: L is computed
+])
+def test_blocked_series_match_per_node_loop(monkeypatch, block_entries, n_agents, kind, scheme):
+    config = make_config(n_agents=n_agents, dim=2, tau=0.5, delay_kind=kind, weight_scheme=scheme)
+    datum = random_datum(np.random.default_rng(n_agents), n_agents, 2, low=-1.0)
+    traj = integrate(config, datum, 3 * config.tau, IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
+    monkeypatch.setattr(metrics, "BLOCK_ENTRIES", block_entries)
+    assert_series_identical(compute_metrics(config, traj), reference_metrics(config, traj))
+
+
+@pytest.mark.parametrize("block_entries", [1, 40, metrics.BLOCK_ENTRIES])
+def test_blocked_series_match_per_node_loop_on_blown_up_run(monkeypatch, block_entries):
+    config = make_config(n_agents=2, tau=2.0, delay_kind=DelayKind.REACTION,
+                         influence=InfluenceFunction.constant(1.0))
+    with pytest.raises(NonFinite) as err:
+        integrate(config, InitialDatum.constant([[0.5], [-0.5]]), 200.0,
+                  IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
+    traj = err.value.trajectory
+    monkeypatch.setattr(metrics, "BLOCK_ENTRIES", block_entries)
+    ms = compute_metrics(config, traj)
+    assert not np.all(np.isnan(ms.L))
+    assert_series_identical(ms, reference_metrics(config, traj))
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,30 @@ def test_kernel_matches_broadcast_reference(n, d, kind, scheme, influence, scale
         assert np.array_equal(w, w.T)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    batch=st.sampled_from([(1,), (4,), (2, 3)]),
+    n=st.integers(min_value=2, max_value=9),
+    d=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(list(DelayKind)),
+    scheme=st.sampled_from(list(WeightScheme)),
+    influence=st.sampled_from(KERNEL_INFLUENCES),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernel_on_stacked_states_matches_per_slice_calls(batch, n, d, kind, scheme, influence, seed):
+    rng = np.random.default_rng(seed)
+    config = make_config(n_agents=n, dim=d, delay_kind=kind, weight_scheme=scheme,
+                         influence=influence)
+    x_now = rng.normal(size=batch + (n, d))
+    x_del = rng.normal(size=batch + (n, d))
+    sq = pair_sq(x_now, x_del)
+    w = weights_from_states(config, x_now, x_del)
+    assert sq.shape == w.shape == batch + (n, n)
+    for idx in np.ndindex(*batch):
+        assert np.array_equal(sq[idx], pair_sq(x_now[idx], x_del[idx]))
+        assert np.array_equal(w[idx], weights_from_states(config, x_now[idx], x_del[idx]))
+
+
 def test_normalized_weights_do_not_underflow():
     # every psi of a row is below the smallest double, yet the row-scaled
     # form keeps the normalized weights finite, summing to one
