@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,7 @@ from .model import (
     config_from_dict,
     datum_from_dict,
     psi_floor,
+    startup_points,
 )
 
 DEFAULT_OUTPUTS = ("trajectory", "metrics", "report")
@@ -81,6 +83,7 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
             f"datum: shape ({datum.n_agents}, {datum.dim}) does not match "
             f"config.n_agents/dim ({config.n_agents}, {config.dim})"
         )
+    _require_finite_squares(doc["datum"], datum, config.tau)
     horizon = float(overrides.get("horizon", doc.get("horizon", 20.0 * config.tau)))
     integ = doc.get("integrator", {})
     dt = float(overrides.get("dt", integ.get("dt", config.tau / dynamics.STEPS_PER_DELAY)))
@@ -97,6 +100,23 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
         outputs=outputs,
         seed=seed,
     )
+
+
+def _require_finite_squares(raw: dict, datum: InitialDatum, tau: float) -> None:
+    """Reject a datum whose squared distances overflow.
+
+    The weights, the diameter and the radius square differences and norms
+    of states; with every startup coordinate at most m in size they stay
+    below 4 d m^2, which must be finite.
+    """
+    states, _ = startup_points(datum, tau)
+    m = max(float(np.abs(s).max()) for s in states)
+    if not math.isfinite(4.0 * datum.dim * m * m):
+        field = {"sampled": "values", "random_uniform": "low/high"}.get(raw.get("kind"), "vectors")
+        raise SpecError(
+            f"datum.{field}: coordinates up to {m:.3g} overflow the squared distances "
+            "between agents; rescale the datum"
+        )
 
 
 def _read_spec_doc(path) -> dict:
@@ -171,13 +191,15 @@ def _theoretical_rates(spec: ExperimentSpec, report: rates.PreconditionReport):
     return out, skipped
 
 
-def run_experiment(spec: ExperimentSpec) -> RunResult:
-    blow_up = None
-    try:
-        traj = dynamics.integrate(spec.config, spec.datum, spec.horizon, spec.integrator)
-    except NonFinite as exc:
-        traj = exc.trajectory
-        blow_up = exc.time
+def run_experiment(spec: ExperimentSpec, traj=None, blow_up=None) -> RunResult:
+    """Integrate spec, unless a sweep passes the trajectory and blow-up time
+    that its group gave, and evaluate the metrics, preconditions and report."""
+    if traj is None:
+        try:
+            traj = dynamics.integrate(spec.config, spec.datum, spec.horizon, spec.integrator)
+        except NonFinite as exc:
+            traj = exc.trajectory
+            blow_up = exc.time
     series = metrics.compute_metrics(spec.config, traj)
     precond = rates.check_preconditions(spec.config, spec.datum)
     theoretical, skipped = _theoretical_rates(spec, precond)
@@ -257,9 +279,8 @@ def _apply_sweep_value(doc: dict, param: str, value: float) -> dict:
     return doc
 
 
-def _sweep_row(doc: dict, param: str, value: float, overrides: dict) -> dict:
-    spec = load_spec(_apply_sweep_value(doc, param, value), overrides)
-    result = run_experiment(spec)
+def _sweep_row(spec: ExperimentSpec, value: float, traj, blow_up) -> dict:
+    result = run_experiment(spec, traj, blow_up)
     regime = ""
     if spec.config.n_agents == 2:
         regime = toy.classify_regime(spec.config.delay_kind, spec.config.tau).value
@@ -280,8 +301,24 @@ def cmd_sweep(args) -> int:
         raise SpecError("--horizon would replace every swept horizon; drop it from a horizon sweep")
     doc = _read_spec_doc(args.spec)
     overrides = _overrides(args)
+    values = [float(v) for v in args.values]
+    # every value loads before any integrates, so a bad one fails first;
     # tau sweeps drop the spec's own dt and horizon; --dt and --horizon still apply
-    rows = [_sweep_row(doc, args.param, float(v), overrides) for v in args.values]
+    specs = [load_spec(_apply_sweep_value(doc, args.param, v), overrides) for v in values]
+    groups: dict = {}
+    for i, spec in enumerate(specs):
+        key = dynamics.group_key(spec.config, spec.horizon, spec.integrator)
+        groups.setdefault(i if key is None else key, []).append(i)  # int i: alone
+    rows = [None] * len(specs)
+    for members in groups.values():
+        runs = [(None, None)]  # a group of one integrates in run_experiment
+        if len(members) > 1:
+            columns = zip(*[(specs[i].config, specs[i].datum, specs[i].horizon, specs[i].integrator)
+                            for i in members])
+            group = dynamics.integrate(*columns)
+            runs = zip(group.trajectories, group.blow_up_times)
+        for i, (traj, blow_up) in zip(members, runs):
+            rows[i] = _sweep_row(specs[i], values[i], traj, blow_up)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:

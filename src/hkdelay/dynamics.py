@@ -24,6 +24,7 @@ from .model import (
     SystemConfig,
     WeightScheme,
     delayed_states,
+    pair_sq,
     weights_from_states,
 )
 
@@ -130,14 +131,14 @@ def _hermite(y0, y1, f0, f1, h, theta):
 def velocity_from_states(
     config: SystemConfig, x_now: np.ndarray | None, x_delayed: np.ndarray
 ) -> np.ndarray:
-    """Velocity field from explicit states.
+    """Velocity field from explicit (..., N, d) states; leading axes stack runs.
 
     Transmission: dx_i/dt = sum_j psi_ij (x_delayed_j - x_now_i).
     Reaction:     dx_i/dt = sum_j psi_ij (x_delayed_j - x_delayed_i).
     """
     w = weights_from_states(config, x_now, x_delayed)
     anchor = x_now if config.delay_kind is DelayKind.TRANSMISSION else x_delayed
-    return w @ x_delayed - w.sum(axis=1)[:, None] * anchor
+    return w @ x_delayed - w.sum(axis=-1)[..., None] * anchor
 
 
 def rhs(config: SystemConfig, history, t: float) -> np.ndarray:
@@ -145,122 +146,196 @@ def rhs(config: SystemConfig, history, t: float) -> np.ndarray:
     return velocity_from_states(config, *delayed_states(config, history, t))
 
 
-def _make_grid(config: SystemConfig, datum: InitialDatum, horizon: float, spec: IntegratorSpec):
+def _grid_shape(config: SystemConfig, horizon: float, spec: IntegratorSpec) -> tuple[int, int]:
+    """(q, n_fwd): steps per delay and forward steps to the horizon."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise InvalidConfig(f"horizon must be positive, got {horizon}")
+    return spec.steps_per_delay(config.tau), int(math.ceil(horizon / spec.dt - 1e-9))
+
+
+def _make_grid(config: SystemConfig, datum: InitialDatum, horizon: float, spec: IntegratorSpec):
+    q, n_fwd = _grid_shape(config, horizon, spec)
     if datum.n_agents != config.n_agents or datum.dim != config.dim:
         raise InvalidConfig(
             f"datum shape ({datum.n_agents}, {datum.dim}) does not match "
             f"config ({config.n_agents}, {config.dim})"
         )
     datum.require_coverage(config.tau)
-    q = spec.steps_per_delay(config.tau)
-    n_fwd = int(math.ceil(horizon / spec.dt - 1e-9))
     grid = (np.arange(q + n_fwd + 1) - q) * spec.dt
     return grid, q, n_fwd
 
 
-def _fill_startup(grid, q, datum):
-    """States and slopes on the startup nodes, plus the datum at the q
-    startup midpoints, which the RK4 half steps read exactly."""
-    n = grid.size
-    states = np.empty((n, datum.n_agents, datum.dim))
-    derivs = np.empty_like(states)
+def _fill_startup(grid, q, datum, states, derivs):
+    """Write states and slopes on the startup nodes 0..q; return the datum
+    at the q startup midpoints, which the RK4 half steps read exactly."""
     for m in range(q + 1):
         states[m] = datum.at(grid[m])
         derivs[m] = datum.slope_at(grid[m])
-    mids = np.array([datum.at(0.5 * (grid[j] + grid[j + 1])) for j in range(q)])
-    return states, derivs, mids
+    return np.array([datum.at(0.5 * (grid[j] + grid[j + 1])) for j in range(q)])
 
 
-def _blown_up(y) -> bool:
-    # NaN fails the comparison, so non-finite states count as blown up
-    return not np.abs(y).max() <= BLOW_UP_THRESHOLD
+def _blow_up_bounds(x0):
+    """Center and limit of the blow-up test, from (..., N, d) states at t = 0.
 
-
-def _require_finite(y, traj: Trajectory, m: int) -> None:
-    """Raise NonFinite when y, the state at node m + 1, has blown up.
-
-    The error carries traj cut to its first m + 1 nodes.
+    A state x blows up where |x - xbar(0)| exceeds
+    BLOW_UP_THRESHOLD * max(1, d_x(0)) or is not finite, with xbar(0) the
+    agent mean and d_x(0) the diameter at t = 0.  The dynamics are
+    translation-invariant, so a datum placed far from the origin does not
+    blow up by its position alone.
     """
-    if _blown_up(y):
-        partial = replace(
-            traj,
-            grid=traj.grid[: m + 1].copy(),
-            states=traj.states[: m + 1].copy(),
-            derivs=traj.derivs[: m + 1].copy(),
-        )
-        raise NonFinite(float(traj.grid[m + 1]), partial)
+    center = x0.mean(axis=-2, keepdims=True)
+    d_x0 = np.sqrt(pair_sq(x0, x0).max(axis=(-2, -1)))
+    return center, BLOW_UP_THRESHOLD * np.maximum(1.0, d_x0)[..., None, None]
 
 
-def rk4_method_of_steps(vel, states, derivs, mids, q, dt, reads_now=True) -> int:
+def rk4_method_of_steps(
+    vel, states, derivs, mids, q, dt, reads_now=True, center=0.0, limit=BLOW_UP_THRESHOLD
+):
     """Advance classical RK4 by the method of steps, in place, from node q (t = 0).
 
     states and derivs hold the history on nodes 0..q and mids at the q
     startup midpoints; a state may have any shape.  vel(x_now, x_delayed)
-    is the velocity; reads_now=False declares that it ignores x_now.
-    Returns the number of nodes filled: fewer than len(states) when the
-    state at the next node, left in states, blew up.
+    is the velocity; reads_now=False declares that it ignores x_now.  dt is
+    a scalar, or a (B, 1, ..., 1) array that steps B members stacked on the
+    first axis of each state, member b by dt[b]; every operation acts per
+    member, so one member's values never reach another's.  A state blows
+    up where |state - center| exceeds limit or is not finite (both
+    broadcast against a state).
+
+    Returns the number of nodes filled before the first blown-up one, whose
+    state is left in states: an int for a scalar dt, and one count per
+    member for an array dt.  The loop ends once every member has blown up.
     """
+    n = len(states)
+    members = np.ndim(dt) > 0
+    n_valid = np.full(len(dt), n) if members else n
+    lowest = np.min(limit)
+    half, sixth, eighth = 0.5 * dt, dt / 6.0, 0.125 * dt
     with np.errstate(all="ignore"):
         derivs[q] = vel(states[q], states[0])
-        for m in range(q, len(states) - 1):
+        for m in range(q, n - 1):
             # dt divides the delay: a full step's delayed state is a stored
             # node, a half step's a startup midpoint or the closed-form cubic
             # Hermite midpoint of a computed segment
             j = m - q
             xd_half = mids[j] if j < q else (
-                0.5 * (states[j] + states[j + 1]) + (0.125 * dt) * (derivs[j] - derivs[j + 1])
+                0.5 * (states[j] + states[j + 1]) + eighth * (derivs[j] - derivs[j + 1])
             )
             xd_full = states[m + 1 - q]
             y0 = states[m]
             k1 = derivs[m]
             if reads_now:
-                k2 = vel(y0 + 0.5 * dt * k1, xd_half)
-                k3 = vel(y0 + 0.5 * dt * k2, xd_half)
+                k2 = vel(y0 + half * k1, xd_half)
+                k3 = vel(y0 + half * k2, xd_half)
                 k4 = vel(y0 + dt * k3, xd_full)
             else:
                 # vel ignores x_now: k3 = k2, and k4 is the new node's derivative
                 k2 = k3 = vel(None, xd_half)
                 k4 = vel(None, xd_full)
-            y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y1 = y0 + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states[m + 1] = y1
-            if _blown_up(y1):
-                return m + 1
+            dev = np.abs(y1 - center)
+            if not dev.max() <= lowest:  # NaN fails the comparison
+                if not members:
+                    return m + 1
+                blown = ~(dev <= limit).all(axis=tuple(range(1, dev.ndim)))
+                n_valid[blown & (n_valid == n)] = m + 1
+                if (n_valid < n).all():
+                    return n_valid
             derivs[m + 1] = vel(y1, xd_full) if reads_now else k4
-    return len(states)
+    return n_valid
 
 
-def integrate(
-    config: SystemConfig,
-    datum: InitialDatum,
-    horizon: float,
-    spec: IntegratorSpec | None = None,
-) -> Trajectory:
+@dataclass(frozen=True, eq=False)
+class GroupRun:
+    """Members integrated together: member b ran on grid[b], and
+    trajectories[b] holds its nodes up to blow_up_times[b] (None when it
+    reached the horizon)."""
+
+    grid: np.ndarray  # (B, n)
+    trajectories: tuple
+    blow_up_times: tuple
+
+
+def group_key(config: SystemConfig, horizon: float, spec: IntegratorSpec):
+    """Runs with equal keys can integrate as one group; None for a run that
+    integrates alone.
+
+    Group members differ only in tau and share q = tau/dt, the forward step
+    count and the rk4_steps method.
+    """
+    if spec.method is not Method.RK4_STEPS:
+        return None
+    rest = json.dumps({**config.to_dict(), "tau": None}, sort_keys=True)
+    return (rest, *_grid_shape(config, horizon, spec))
+
+
+def integrate(config, datum, horizon, spec=None):
     """Integrate the delayed system over [0, horizon] by the spec's method.
 
     RK4 method of steps is the default; an euler_oracle spec runs
-    integrate_oracle.  Raises NonFinite (carrying the partial trajectory and
-    blow-up time) if any state exceeds the blow-up threshold, which is the
-    expected outcome in the unstable reaction regime.
+    integrate_oracle.  Returns the Trajectory, or raises NonFinite (carrying
+    the partial trajectory and blow-up time) if a state blows up, which is
+    the expected outcome in the unstable reaction regime.
+
+    A group integrates in one stepper call: config, datum, horizon and spec
+    are then equal-length sequences, one entry per member (spec may be
+    None), whose group_key is the same.  It returns a GroupRun and raises
+    nothing for a member that blows up.
     """
+    if isinstance(config, SystemConfig):
+        if spec is None:
+            spec = default_spec(config)
+        if spec.method is Method.EULER_ORACLE:
+            return integrate_oracle(config, datum, horizon, spec)
+        run = _integrate_group([config], [datum], [horizon], [spec])
+        (traj,), (blow_up,) = run.trajectories, run.blow_up_times
+        if blow_up is not None:
+            raise NonFinite(blow_up, traj)
+        return traj
     if spec is None:
-        spec = default_spec(config)
-    if spec.method is Method.EULER_ORACLE:
-        return integrate_oracle(config, datum, horizon, spec)
-    grid, q, _ = _make_grid(config, datum, horizon, spec)
-    states, derivs, mids = _fill_startup(grid, q, datum)
-    traj = Trajectory(grid, states, derivs, config, datum, "hermite")
+        spec = [None] * len(config)
+    specs = [default_spec(c) if s is None else s for c, s in zip(config, spec)]
+    return _integrate_group(config, datum, horizon, specs)
+
+
+def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
+    keys = {group_key(c, h, s) for c, h, s in zip(configs, horizons, specs)}
+    if len(keys) != 1 or None in keys:
+        raise InvalidConfig(
+            "group members must differ only in tau and share rk4_steps, q and the step count"
+        )
+    made = [_make_grid(c, d, h, s) for c, d, h, s in zip(configs, datums, horizons, specs)]
+    grid = np.stack([g for g, _, _ in made])
+    B, n = grid.shape
+    q = made[0][1]
+    config = configs[0]
+    # member-major storage, so each member's trajectory is contiguous; the
+    # stepper walks the node axis of the swapped views
+    states = np.empty((B, n, config.n_agents, config.dim))
+    derivs = np.empty_like(states)
+    mids = np.empty((q, B, config.n_agents, config.dim))
+    for b in range(B):
+        mids[:, b] = _fill_startup(grid[b], q, datums[b], states[b], derivs[b])
+    center, limit = _blow_up_bounds(states[:, q])
+    dt = np.array([s.dt for s in specs]).reshape(B, 1, 1)
 
     def vel(x_now, x_del):
         return velocity_from_states(config, x_now, x_del)
 
     # reaction velocities read only delayed states
     transmission = config.delay_kind is DelayKind.TRANSMISSION
-    n_valid = rk4_method_of_steps(vel, states, derivs, mids, q, spec.dt, transmission)
-    if n_valid < grid.size:  # the stepper left the blown-up state at node n_valid
-        _require_finite(states[n_valid], traj, n_valid - 1)
-    return traj
+    n_valid = rk4_method_of_steps(
+        vel, states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, q, dt,
+        transmission, center, limit,
+    )
+    counts = n_valid.tolist()
+    trajectories = tuple(
+        Trajectory(grid[b, :m], states[b, :m], derivs[b, :m], configs[b], datums[b], "hermite")
+        for b, m in enumerate(counts)
+    )
+    blow_ups = tuple(float(grid[b, m]) if m < n else None for b, m in enumerate(counts))
+    return GroupRun(grid, trajectories, blow_ups)
 
 
 def _oracle_velocity(config: SystemConfig, x_now, x_delayed) -> np.ndarray:
@@ -299,7 +374,10 @@ def integrate_oracle(
     if spec.method is not Method.EULER_ORACLE:
         raise InvalidConfig("integrate_oracle expects an euler_oracle spec")
     grid, q, n_fwd = _make_grid(config, datum, horizon, spec)
-    states, derivs, _ = _fill_startup(grid, q, datum)
+    states = np.empty((grid.size, config.n_agents, config.dim))
+    derivs = np.empty_like(states)
+    _fill_startup(grid, q, datum, states, derivs)
+    center, limit = _blow_up_bounds(states[q])
     traj = Trajectory(grid, states, derivs, config, datum, "linear")
     dt = spec.dt
     tau = config.tau
@@ -313,7 +391,10 @@ def integrate_oracle(
             v = _oracle_velocity(config, states[m], x_del)
             derivs[m] = v
             y1 = states[m] + dt * v
-            _require_finite(y1, traj, m)
+            if not (np.abs(y1 - center) <= limit).all():
+                cut = slice(0, m + 1)
+                partial = replace(traj, grid=grid[cut], states=states[cut], derivs=derivs[cut])
+                raise NonFinite(float(grid[m + 1]), partial)
             states[m + 1] = y1
         derivs[q + n_fwd] = _oracle_velocity(
             config, states[q + n_fwd], lookup(q + n_fwd + 1, grid[q + n_fwd] - tau)

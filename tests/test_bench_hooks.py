@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hkdelay import cli, dynamics, metrics
+from hkdelay import cli
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -39,42 +39,12 @@ def test_benchmark_targets_resolve(module_name, attr):
     assert CHILD_MODULE.find_sites(module_name, attr)
 
 
-def test_sweep_rows_pass_through_named_hooks(tmp_path, monkeypatch):
-    # the sweep's per-layer metrics are built from _sweep_row spans, which
-    # exist only while cmd_sweep and _sweep_row look these names up per call
+def record_calls(monkeypatch, targets):
+    """Names of the calls to each (module, attribute), in order, recorded at
+    every site that perfbench/child.py would patch."""
     calls = []
-
-    def counting(name):
-        original = getattr(cli, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("_sweep_row", "load_spec", "run_experiment"):
-        monkeypatch.setattr(cli, name, counting(name))
-    spec = tmp_path / "spec.json"
-    spec.write_text(
-        '{"config": {"n_agents": 2, "dim": 1, "tau": 0.5, "delay_kind": "reaction",'
-        ' "weight_scheme": "classical_scaled", "influence": {"kind": "constant", "c": 1.0}},'
-        ' "datum": {"kind": "constant_per_agent", "vectors": [[0.0], [1.0]]}}'
-    )
-    code = cli.main(["sweep", str(spec), "--param", "tau", "--values", "0.25", "0.5",
-                     "--horizon", "1.0", "--out", str(tmp_path / "out")])
-    assert code == 0
-    assert calls == ["_sweep_row", "load_spec", "run_experiment"] * 2
-
-
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_each_run_calls_the_timed_layers_once(tmp_path, monkeypatch, command):
-    # child.py stamps setup_s at the first integrate call and times the
-    # layers at every site bound to these two functions; a run that computed
-    # its trajectory or series another way would leave them unmeasured
-    calls = []
-    for owner, attr in ((dynamics, "integrate"), (metrics, "compute_metrics")):
-        for namespace, key, _ in CHILD_MODULE.find_sites(owner.__name__, attr):
+    for module_name, attr in targets:
+        for namespace, key, _ in CHILD_MODULE.find_sites(module_name, attr):
             original = getattr(namespace, key)
 
             def wrapper(*args, _name=attr, _original=original, **kwargs):
@@ -82,14 +52,93 @@ def test_each_run_calls_the_timed_layers_once(tmp_path, monkeypatch, command):
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(namespace, key, wrapper)
+    return calls
+
+
+TIMED = (
+    ("hkdelay.dynamics", "integrate"),
+    ("hkdelay.dynamics", "rk4_method_of_steps"),
+    ("hkdelay.metrics", "compute_metrics"),
+)
+
+
+def write_spec(tmp_path, delay_kind, weight_scheme):
     spec = tmp_path / "spec.json"
     spec.write_text(
-        '{"config": {"n_agents": 2, "dim": 1, "tau": 0.5, "delay_kind": "transmission",'
-        ' "weight_scheme": "normalized", "influence": {"kind": "constant", "c": 1.0}},'
+        '{"config": {"n_agents": 2, "dim": 1, "tau": 0.5, "delay_kind": "%s",'
+        ' "weight_scheme": "%s", "influence": {"kind": "constant", "c": 1.0}},'
         ' "datum": {"kind": "constant_per_agent", "vectors": [[0.0], [1.0]]}}'
+        % (delay_kind, weight_scheme)
     )
-    args = [command, str(spec), "--horizon", "1.0", "--out", str(tmp_path / "out")]
-    if command == "sweep":
+    return str(spec)
+
+
+def test_sweep_rows_pass_through_named_hooks(tmp_path, monkeypatch):
+    # child.py builds the sweep's per-layer metrics from spans around these
+    # names: every value is loaded first, the group of tau values reaches
+    # integrate once before any stepping, and then each value passes through
+    # _sweep_row, run_experiment, compute_metrics and check_preconditions
+    calls = record_calls(monkeypatch, [
+        ("hkdelay.cli", "load_spec"), ("hkdelay.cli", "_sweep_row"),
+        ("hkdelay.cli", "run_experiment"), ("hkdelay.rates", "check_preconditions"), *TIMED,
+    ])
+    spec = write_spec(tmp_path, "reaction", "classical_scaled")
+    code = cli.main(["sweep", spec, "--param", "tau", "--values", "0.25", "0.5",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert calls == ["load_spec"] * 2 + ["integrate", "rk4_method_of_steps"] + [
+        "_sweep_row", "run_experiment", "compute_metrics", "check_preconditions"
+    ] * 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "split_sweep"])
+def test_each_run_calls_the_timed_layers_once(tmp_path, monkeypatch, command):
+    # child.py stamps setup_s at the first integrate call and times the
+    # layers at every site bound to these functions; a trajectory stepped
+    # outside integrate, or a series computed another way, would go
+    # unmeasured.  A tau sweep integrates as one group; --horizon gives its
+    # values different step counts, so each integrates alone
+    calls = record_calls(monkeypatch, TIMED)
+    spec = write_spec(tmp_path, "transmission", "normalized")
+    args = ["simulate", spec, "--out", str(tmp_path / "out")]
+    if command != "simulate":
+        args[:1] = ["sweep"]
         args[2:2] = ["--param", "tau", "--values", "0.25", "0.5"]
+    if command == "split_sweep":
+        args += ["--horizon", "1.0"]
     assert cli.main(args) == 0
-    assert calls == ["integrate", "compute_metrics"] * (2 if command == "sweep" else 1)
+    run = ["integrate", "rk4_method_of_steps", "compute_metrics"]
+    assert calls == {
+        "simulate": run,
+        "sweep": run + ["compute_metrics"],
+        "split_sweep": run * 2,
+    }[command]
+
+
+def test_integrate_extra_counts_the_steps_of_every_member(tmp_path, monkeypatch):
+    # --trace 1 reads dynamics.steps from _EXTRA["dynamics.integrate"]
+    # applied to what integrate returns: for the benchmark's 8-value tau
+    # sweep, one group of 8 members with 1280 forward steps each
+    extra = CHILD_MODULE._EXTRA["dynamics.integrate"]
+    counts = []
+    for namespace, key, _ in CHILD_MODULE.find_sites("hkdelay.dynamics", "integrate"):
+        original = getattr(namespace, key)
+
+        def wrapper(*args, _original=original):
+            out = _original(*args)
+            counts.append(extra(args, out))
+            return out
+
+        monkeypatch.setattr(namespace, key, wrapper)
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"config": {"n_agents": 5, "dim": 2, "tau": 1.0, "delay_kind": "reaction",'
+        ' "weight_scheme": "normalized", "influence": {"kind": "algebraic_decay", "gamma": 1.0}},'
+        ' "datum": {"kind": "constant_per_agent", "vectors":'
+        ' [[0.1, 0.9], [0.4, 0.2], [0.7, 0.5], [0.2, 0.3], [0.9, 0.8]]},'
+        ' "integrator": {"method": "rk4_steps"}}'
+    )
+    taus = ["0.25", "0.5", "0.75", "1", "1.25", "1.5", "1.75", "2"]
+    assert cli.main(["sweep", str(spec), "--param", "tau", "--values", *taus,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert counts == [8 * 1280]

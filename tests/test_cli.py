@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hkdelay import DelayKind, rate_transmission_normalized, rates, weights_from_states
+from hkdelay import DelayKind, dynamics, rate_transmission_normalized, rates, weights_from_states
 from hkdelay.cli import load_spec, main
 from hkdelay.dynamics import default_spec, read_trajectory_csv
 from hkdelay.toy import simulate_toy
@@ -152,6 +152,53 @@ def test_simulate_underflowing_influence(tmp_path):
         assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
 
+def test_translated_datum_runs_to_the_horizon(tmp_path):
+    # the dynamics are translation-invariant; a datum near 1e13 used to be
+    # reported as a blow-up at t = tau/64 by an absolute |x| > 1e12 test
+    doc = {
+        "config": {
+            "n_agents": 3, "dim": 1, "tau": 1.0,
+            "delay_kind": "transmission", "weight_scheme": "normalized",
+            "influence": {"kind": "constant", "c": 1.0},
+        },
+        "datum": {"kind": "constant_per_agent", "vectors": [[1e13], [1e13 + 1], [1e13 + 3]]},
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", write_spec(tmp_path / "far.json", doc), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_reason"] == "ok"
+    assert report["blow_up_time"] is None
+    assert report["metrics_summary"]["d_x_final"] < report["metrics_summary"]["d_x0"]
+
+
+@pytest.mark.parametrize(
+    "datum, field",
+    [
+        ({"kind": "constant_per_agent", "vectors": [[0.0], [1e200], [-1e200]]}, "datum.vectors"),
+        ({"kind": "random_uniform", "low": -1e200, "high": 1e200}, "datum.low/high"),
+        ({"kind": "sampled", "times": [-1.0, 0.0], "values": [[0.0, 1.0, 2.0], [0.0, 1e160, 2.0]]},
+         "datum.values"),
+    ],
+    ids=["vectors", "random", "sampled"],
+)
+def test_overflowing_datum_is_rejected_before_any_output(tmp_path, capsys, datum, field):
+    # squared distances of such data overflow: the radius was inf, and the
+    # rate floor then raised inside the report with no outputs written
+    doc = {
+        "config": {
+            "n_agents": 3, "dim": 1, "tau": 1.0,
+            "delay_kind": "transmission", "weight_scheme": "normalized",
+            "influence": {"kind": "algebraic_decay", "gamma": 200.0},
+        },
+        "datum": datum,
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", write_spec(tmp_path / "huge.json", doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}:" in err and "overflow" in err
+    assert not out.exists()
+
+
 def test_startup_diameter_reads_datum_knots_between_grid_nodes(tmp_path):
     # the knot at -0.505 carries the largest diameter, 2, and lies between
     # the nodes of the dt = 1/64 grid, where the diameter is at most 1.9802
@@ -287,6 +334,76 @@ def test_sweep_horizon_rejects_horizon_flag(tmp_path, capsys):
     assert code == 1
     assert "--horizon" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_fails_on_a_bad_value_before_integrating(tmp_path, capsys, monkeypatch):
+    # every value loads before the first integration, so the last value's
+    # error leaves no rows computed and no sweep.csv
+    calls = []
+    monkeypatch.setattr(dynamics, "integrate", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "out"
+    code = main(["sweep", prop_rate_spec(tmp_path), "--param", "N",
+                 "--values", "3", "4", "2.5", "--out", str(out)])
+    assert code == 1
+    assert "must be an integer" in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "sweep.csv").exists()
+
+
+# sweep.csv of the parent's one-value-at-a-time loop, before runs were
+# grouped: the benchmark's tau sweep (seed 11) and a sweep whose last two
+# values blow up
+BENCH_SWEEP_VECTORS = [
+    [0.6047994518655023, -1.2330077890366409], [1.3742132093207848, -1.0881111761158422],
+    [1.407433289149106, -0.9427543189085312], [0.520211497039343, -0.943805113913356],
+    [1.0879374470097636, -1.107000833028376],
+]
+BENCH_SWEEP_CSV = """value,consensus_time,C_emp,regime,preconditions
+0.25,3.49609375,2.1079209396010889,,
+0.5,5.234375,1.2821712045813576,,
+0.75,13.18359375,0.48617807398194873,,
+1,,0.16129915580506357,,
+1.25,,0.012481750519692235,,
+1.5,,-0.045975799800243529,,
+1.75,,-0.079242057524322812,,
+2,,-0.1170305859813851,,
+"""
+BLOW_UP_SWEEP_CSV = """value,consensus_time,C_emp,regime,preconditions
+0.5,9.703125,0.65901872819231,OscillatoryStable,reaction_symmetric
+2,,-0.34048081961206411,Unstable,
+4,,-0.30010706516089247,Unstable,
+8,,,Unstable,
+16,,,Unstable,
+"""
+
+
+@pytest.mark.parametrize(
+    "config, vectors, values, expected",
+    [
+        (
+            {"n_agents": 5, "dim": 2, "tau": 1.0, "delay_kind": "reaction",
+             "weight_scheme": "normalized", "influence": {"kind": "algebraic_decay", "gamma": 1.0}},
+            BENCH_SWEEP_VECTORS,
+            ["0.25", "0.5", "0.75", "1", "1.25", "1.5", "1.75", "2"],
+            BENCH_SWEEP_CSV,
+        ),
+        (
+            {"n_agents": 2, "dim": 1, "tau": 1.0, "delay_kind": "reaction",
+             "weight_scheme": "classical_scaled", "influence": {"kind": "constant", "c": 1.0}},
+            [[0.0], [1.0]],
+            ["0.5", "2", "4", "8", "16"],
+            BLOW_UP_SWEEP_CSV,
+        ),
+    ],
+    ids=["benchmark", "blow_up"],
+)
+def test_grouped_tau_sweep_matches_one_value_at_a_time(tmp_path, config, vectors, values, expected):
+    doc = {"config": config, "datum": {"kind": "constant_per_agent", "vectors": vectors},
+           "integrator": {"method": "rk4_steps"}, "seed": 11}
+    out = tmp_path / "out"
+    assert main(["sweep", write_spec(tmp_path / "s.json", doc), "--param", "tau",
+                 "--values", *values, "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_text() == expected
 
 
 def test_simulate_with_euler_oracle_integrator(tmp_path):

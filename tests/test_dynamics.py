@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from hkdelay import (
     DelayKind,
@@ -391,9 +393,12 @@ def test_blow_up_reports_time_and_partial():
     datum = InitialDatum.constant([[0.5], [-0.5]])
     with pytest.raises(NonFinite) as err:
         integrate(config, datum, 200.0)
-    assert err.value.time > 0.0
+    # centred at 0 with spread 1, the relative blow-up test reads |x| > 1e12,
+    # the absolute rule it replaced, and stops at the same node
+    assert err.value.time == 83.4375
     partial = err.value.trajectory
     assert partial is not None
+    assert partial.grid.size == 2734
     assert np.all(np.isfinite(partial.states))
     assert partial.t_end < 200.0
 
@@ -409,6 +414,124 @@ def test_rk4_stepper_stops_at_the_first_blown_up_node():
     assert q < n_valid < len(states)
     assert np.all(np.abs(states[:n_valid]) <= dynamics.BLOW_UP_THRESHOLD)
     assert np.all(np.abs(states[n_valid]) > dynamics.BLOW_UP_THRESHOLD)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e13])
+@pytest.mark.parametrize("tau, blows_up", [(0.5, False), (2.0, True)])
+def test_rk4_and_euler_oracle_agree_on_blow_up(offset, tau, blows_up):
+    # the test is relative to the mean at t = 0, so a translated datum that
+    # converges finishes under both integrators and an unstable one stops
+    config = make_config(
+        n_agents=2, tau=tau, delay_kind=DelayKind.REACTION,
+        influence=InfluenceFunction.constant(1.0),
+    )
+    datum = InitialDatum.constant([[offset + 0.5], [offset - 0.5]])
+    for spec in (IntegratorSpec(Method.RK4_STEPS, tau / 16), IntegratorSpec(Method.EULER_ORACLE, tau / 16)):
+        try:
+            traj = integrate(config, datum, 100.0, spec)
+        except NonFinite as exc:
+            assert blows_up, spec.method
+            assert 0.0 < exc.time < 100.0
+            assert np.all(np.abs(exc.trajectory.states - offset) <= 1e12)
+        else:
+            assert not blows_up, spec.method
+            assert traj.t_end == 100.0
+
+
+def solo(config, datum, horizon, spec):
+    """(trajectory, blow-up time) of one run through the single-run call."""
+    try:
+        return integrate(config, datum, horizon, spec), None
+    except NonFinite as exc:
+        return exc.trajectory, exc.time
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_members_equal_solo_runs(configs, datums, horizons, specs):
+    run = integrate(configs, datums, horizons, specs)
+    assert run.grid.shape[0] == len(configs)
+    for b, args in enumerate(zip(configs, datums, horizons, specs)):
+        traj, blow_up = solo(*args)
+        assert run.blow_up_times[b] == blow_up
+        member = run.trajectories[b]
+        assert member.grid.size == traj.grid.size  # n_valid
+        assert same_bits(run.grid[b, : traj.grid.size], traj.grid)
+        for name in ("grid", "states", "derivs"):
+            assert same_bits(getattr(member, name), getattr(traj, name)), (b, name)
+    return run
+
+
+GROUP_INFLUENCES = (
+    InfluenceFunction.constant(1.0),
+    InfluenceFunction.constant(0.6),
+    InfluenceFunction.algebraic_decay(1.0),
+    InfluenceFunction.algebraic_decay(2.5),
+    InfluenceFunction.table([[0.0, 1.0], [0.5, 0.7], [2.0, 0.2]]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    d=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(list(DelayKind)),
+    scheme=st.sampled_from(list(WeightScheme)),
+    influence=st.sampled_from(GROUP_INFLUENCES),
+    taus=st.lists(st.floats(min_value=0.05, max_value=16.0), min_size=1, max_size=8),
+    q=st.sampled_from([1, 2, 4]),
+    delays=st.integers(min_value=1, max_value=30),
+    offset=st.sampled_from([0.0, 1e13]),
+    sampled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_group_members_equal_solo_runs_bit_for_bit(
+    n, d, kind, scheme, influence, taus, q, delays, offset, sampled, seed
+):
+    rng = np.random.default_rng(seed)
+    n_fwd = delays * q
+    configs, datums, horizons, specs = [], [], [], []
+    for tau in taus:
+        configs.append(make_config(n, d, tau, kind, scheme, influence))
+        if sampled:
+            datums.append(InitialDatum.sampled([-tau, -tau / 3, 0.0], offset + rng.normal(size=(3, n, d))))
+        else:
+            datums.append(InitialDatum.constant(offset + rng.normal(size=(n, d))))
+        specs.append(IntegratorSpec(Method.RK4_STEPS, tau / q))
+        horizons.append(n_fwd * specs[-1].dt)
+    run = assert_members_equal_solo_runs(configs, datums, horizons, specs)
+    assert run.grid.shape == (len(taus), q + n_fwd + 1)
+    blown = sum(t is not None for t in run.blow_up_times)
+    event(f"{'no' if blown == 0 else 'all' if blown == len(taus) else 'some'} members blow up")
+
+
+def test_blown_up_members_keep_their_own_node_counts():
+    # two agents, reaction, classical, constant psi: tau >= 8 blows up
+    # within 20 tau; each member stops where its solo run raises
+    taus = [0.5, 2.0, 4.0, 8.0, 16.0]
+    configs = [
+        make_config(2, 1, tau, DelayKind.REACTION, WeightScheme.CLASSICAL_SCALED,
+                    InfluenceFunction.constant(1.0))
+        for tau in taus
+    ]
+    datum = InitialDatum.constant([[0.0], [1.0]])
+    run = assert_members_equal_solo_runs(
+        configs, [datum] * 5, [20.0 * tau for tau in taus], [None] * 5
+    )
+    assert [t.grid.size for t in run.trajectories] == [1345, 1345, 1345, 1079, 843]
+    assert run.blow_up_times[:3] == (None, None, None)
+
+
+def test_group_rejects_members_that_differ_beyond_tau():
+    a = make_config(tau=1.0)
+    b = make_config(tau=2.0, influence=InfluenceFunction.constant(1.0))
+    datum = InitialDatum.constant([[0.0], [1.0], [2.0]])
+    with pytest.raises(InvalidConfig):
+        integrate([a, b], [datum, datum], [20.0, 40.0])
+    with pytest.raises(InvalidConfig):  # same q, different step counts
+        integrate([a, make_config(tau=2.0)], [datum, datum], [20.0, 20.0])
 
 
 # ---------------------------------------------------------------------------
