@@ -34,6 +34,7 @@ DEFAULT_OUTPUTS = ("trajectory", "metrics", "report")
 KNOWN_OUTPUTS = ("trajectory", "metrics", "rates", "report")
 SWEEP_PARAMS = ("tau", "N", "gamma", "horizon")
 CONSENSUS_REL_TOL = 1e-3
+FIT_ROUNDING_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -142,13 +143,19 @@ class RunResult:
     preconditions: rates.PreconditionReport
     report: dict
     blow_up_time: float | None
+    error: HKDelayError | None = None  # raised after the integration
 
 
-def _fit_window(series: metrics.MetricSeries):
-    """Fit window for the empirical rate: mid-run, while d_x is resolvable."""
+def _fit_window(series: metrics.MetricSeries, r_x0: float):
+    """Fit window for the empirical rate: mid-run, while d_x is resolvable.
+
+    d_x is resolvable above 1e-12 d_x0 and above the rounding of the states
+    themselves, FIT_ROUNDING_ULPS * eps * r_x0: a datum far from the origin
+    stops contracting at a few ulps of its own size.
+    """
     t = series.times
     horizon = float(t[-1])
-    floor = max(series.d_x0 * 1e-12, 1e-280)
+    floor = max(series.d_x0 * 1e-12, FIT_ROUNDING_ULPS * np.finfo(float).eps * r_x0, 1e-280)
     ok = (t >= 0.1 * horizon) & (t <= 0.9 * horizon) & (series.d_x > floor)
     if ok.sum() < 8:
         return None
@@ -157,8 +164,8 @@ def _fit_window(series: metrics.MetricSeries):
     return (lo, hi) if hi > lo else None
 
 
-def _fit_c_emp(series: metrics.MetricSeries):
-    window = _fit_window(series)
+def _fit_c_emp(series: metrics.MetricSeries, r_x0: float):
+    window = _fit_window(series, r_x0)
     if window is None:
         return None
     try:
@@ -193,38 +200,49 @@ def _theoretical_rates(spec: ExperimentSpec, report: rates.PreconditionReport):
 
 def run_experiment(spec: ExperimentSpec, traj=None, blow_up=None) -> RunResult:
     """Integrate spec, unless a sweep passes the trajectory and blow-up time
-    that its group gave, and evaluate the metrics, preconditions and report."""
+    that its group gave, and evaluate the metrics, preconditions and report.
+
+    A package error after the integration is kept in the result with what
+    was computed before it; its class name is the report's exit_reason.
+    """
     if traj is None:
         try:
             traj = dynamics.integrate(spec.config, spec.datum, spec.horizon, spec.integrator)
         except NonFinite as exc:
             traj = exc.trajectory
             blow_up = exc.time
-    series = metrics.compute_metrics(spec.config, traj)
-    precond = rates.check_preconditions(spec.config, spec.datum)
-    theoretical, skipped = _theoretical_rates(spec, precond)
-    c_emp = None if blow_up is not None else _fit_c_emp(series)
-    tol = CONSENSUS_REL_TOL * max(series.d_x0, 1e-300)
-    t_cons = None if blow_up is not None else metrics.consensus_time(series, tol)
-    report = {
-        "spec": spec.to_dict(),
-        "preconditions": precond.to_dict(),
-        "rates": theoretical,
-        "rates_skipped": skipped,
-        "metrics_summary": {
+    series = precond = summary = error = None
+    theoretical, skipped = {}, {}
+    try:
+        series = metrics.compute_metrics(spec.config, traj)
+        precond = rates.check_preconditions(spec.config, spec.datum)
+        theoretical, skipped = _theoretical_rates(spec, precond)
+        c_emp = None if blow_up is not None else _fit_c_emp(series, precond.r_x0)
+        tol = CONSENSUS_REL_TOL * max(series.d_x0, 1e-300)
+        summary = {
             "d_x0": series.d_x0,
             "d_x_final": float(series.d_x[-1]),
             "r_x0": precond.r_x0,
             "X0": float(series.X[np.searchsorted(series.times, -1e-12, side="right")]),
             "X_final": float(series.X[-1]),
-            "consensus_time": t_cons,
+            "consensus_time": None if blow_up is not None else metrics.consensus_time(series, tol),
             "consensus_tol": tol,
             "C_emp": c_emp,
-        },
+        }
+    except HKDelayError as exc:
+        error = exc
+    report = {
+        "spec": spec.to_dict(),
+        "preconditions": None if precond is None else precond.to_dict(),
+        "rates": theoretical,
+        "rates_skipped": skipped,
+        "metrics_summary": summary,
         "blow_up_time": blow_up,
-        "exit_reason": "ok" if blow_up is None else "blow_up",
+        "exit_reason": (
+            type(error).__name__ if error is not None else "ok" if blow_up is None else "blow_up"
+        ),
     }
-    return RunResult(spec, traj, series, precond, report, blow_up)
+    return RunResult(spec, traj, series, precond, report, blow_up, error)
 
 
 def write_outputs(result: RunResult, out_dir: Path) -> None:
@@ -232,7 +250,7 @@ def write_outputs(result: RunResult, out_dir: Path) -> None:
     outputs = result.spec.outputs
     if "trajectory" in outputs:
         dynamics.trajectory_to_csv(result.trajectory, out_dir / "trajectory.csv")
-    if "metrics" in outputs:
+    if "metrics" in outputs and result.series is not None:
         result.series.to_csv(out_dir / "metrics.csv")
     if "rates" in outputs:
         with open(out_dir / "rates.json", "w") as fh:
@@ -248,6 +266,8 @@ def cmd_simulate(args) -> int:
     spec = load_spec_file(args.spec, _overrides(args))
     result = run_experiment(spec)
     write_outputs(result, Path(args.out))
+    if result.error is not None:
+        raise result.error  # exit 1, after the partial outputs
     if result.blow_up_time is not None:
         print(f"blow-up at t={result.blow_up_time:.6g}; partial outputs written", file=sys.stderr)
         return 2
@@ -281,6 +301,8 @@ def _apply_sweep_value(doc: dict, param: str, value: float) -> dict:
 
 def _sweep_row(spec: ExperimentSpec, value: float, traj, blow_up) -> dict:
     result = run_experiment(spec, traj, blow_up)
+    if result.error is not None:
+        raise result.error
     regime = ""
     if spec.config.n_agents == 2:
         regime = toy.classify_regime(spec.config.delay_kind, spec.config.tau).value

@@ -2,10 +2,15 @@
 
 The main integrator advances classical RK4 on segments aligned with the
 delay (dt divides tau), so every delayed lookup lands on already-computed
-history.  Dense output between nodes is cubic Hermite from stored states
-and RHS values; on the startup interval the prescribed datum is evaluated
-directly.  A deliberately simple explicit-Euler integrator with linear
-history interpolation serves as an independent cross-check.
+history.  Transmission-type velocities read the current state and step one
+node at a time.  Reaction-type velocities read only states one delay old,
+so a whole delay segment depends only on the segment before it: its
+delayed states are evaluated in stacked calls, and its nodes are summed in
+order from the increments, bit for bit as a step-by-step loop would give.
+Dense output between nodes is cubic Hermite from stored states and RHS
+values; on the startup interval the prescribed datum is evaluated directly.
+A deliberately simple explicit-Euler integrator with linear history
+interpolation serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .model import (
     InitialDatum,
     SystemConfig,
     WeightScheme,
+    block_length,
     delayed_states,
     pair_sq,
     weights_from_states,
@@ -188,19 +194,61 @@ def _blow_up_bounds(x0):
     return center, BLOW_UP_THRESHOLD * np.maximum(1.0, d_x0)[..., None, None]
 
 
+def _delayed_nodes(states, derivs, mids, q, j0, j1, eighth):
+    """(half, full): the delayed states of the half and of the full steps
+    from node j0 + q to node j1 + q, each stacked on the first axis.
+
+    dt divides the delay, so a full step's delayed state is the stored node
+    j + 1, and a half step's the startup midpoint j (for j < q) or the
+    closed-form cubic Hermite midpoint of the computed segment [j, j + 1].
+    The steps lie on one side of j = q: j1 <= q or j0 >= q.
+    """
+    full = states[j0 + 1 : j1 + 1]
+    if j1 <= q:
+        return mids[j0:j1], full
+    return 0.5 * (states[j0:j1] + full) + eighth * (derivs[j0:j1] - derivs[j0 + 1 : j1 + 1]), full
+
+
+def _blown(nodes, center, limit, lowest, members):
+    """Blow-up flags of a (c, ...) stack of nodes, or None if none blew up.
+
+    A state blows up where |state - center| exceeds limit (both broadcast
+    against a state; lowest is the smallest limit) or is not finite.  The
+    flags are (c,) for plain states and (c, B) for members stacked on the
+    axis after the node axis.
+    """
+    dev = np.abs(nodes - center)
+    if dev.max() <= lowest:  # NaN fails the comparison
+        return None
+    bad = ~(dev <= limit)
+    bad = bad.reshape(bad.shape[: 1 + members] + (-1,)).any(axis=-1)
+    return bad if bad.any() else None
+
+
 def rk4_method_of_steps(
-    vel, states, derivs, mids, q, dt, reads_now=True, center=0.0, limit=BLOW_UP_THRESHOLD
+    vel, states, derivs, mids, q, dt, reads_now=True, center=0.0, limit=BLOW_UP_THRESHOLD,
+    per_call=None,
 ):
     """Advance classical RK4 by the method of steps, in place, from node q (t = 0).
 
     states and derivs hold the history on nodes 0..q and mids at the q
     startup midpoints; a state may have any shape.  vel(x_now, x_delayed)
-    is the velocity; reads_now=False declares that it ignores x_now.  dt is
-    a scalar, or a (B, 1, ..., 1) array that steps B members stacked on the
-    first axis of each state, member b by dt[b]; every operation acts per
-    member, so one member's values never reach another's.  A state blows
-    up where |state - center| exceeds limit or is not finite (both
+    is the velocity, and it takes states stacked on extra leading axes.  dt
+    is a scalar, or a (B, 1, ..., 1) array that steps B members stacked on
+    the first axis of each state, member b by dt[b]; every operation acts
+    per member, so one member's values never reach another's.  A state
+    blows up where |state - center| exceeds limit or is not finite (both
     broadcast against a state).
+
+    reads_now=True steps one node at a time with four vel calls.
+    reads_now=False declares that vel ignores x_now, as reaction-type delay
+    does.  Then k3 = k2, k4 is the new node's derivative, and a step reads
+    only history at least one delay old, so the stepper advances the rest
+    of a delay segment, up to q steps, at once: it stacks their delayed
+    states and evaluates them in vel(None, stack) calls of at most per_call
+    states each (default: the whole stack).  Either way the nodes are summed
+    in order from the increments, so they equal the per-step loop's bit for
+    bit.
 
     Returns the number of nodes filled before the first blown-up one, whose
     state is left in states: an int for a scalar dt, and one count per
@@ -211,38 +259,40 @@ def rk4_method_of_steps(
     n_valid = np.full(len(dt), n) if members else n
     lowest = np.min(limit)
     half, sixth, eighth = 0.5 * dt, dt / 6.0, 0.125 * dt
+    width = 1 if reads_now else q
+    per_call = per_call or 2 * q
     with np.errstate(all="ignore"):
         derivs[q] = vel(states[q], states[0])
-        for m in range(q, n - 1):
-            # dt divides the delay: a full step's delayed state is a stored
-            # node, a half step's a startup midpoint or the closed-form cubic
-            # Hermite midpoint of a computed segment
-            j = m - q
-            xd_half = mids[j] if j < q else (
-                0.5 * (states[j] + states[j + 1]) + eighth * (derivs[j] - derivs[j + 1])
-            )
-            xd_full = states[m + 1 - q]
-            y0 = states[m]
-            k1 = derivs[m]
-            if reads_now:
+        for a in range(q, n - 1, width):
+            b = min(a + width, n - 1)  # steps a..b-1 fill nodes a+1..b
+            xd_half, xd_full = _delayed_nodes(states, derivs, mids, q, a - q, b - q, eighth)
+            if reads_now:  # one step, on unstacked states
+                y0, k1, xd_half, xd_full = states[a], derivs[a], xd_half[0], xd_full[0]
                 k2 = vel(y0 + half * k1, xd_half)
                 k3 = vel(y0 + half * k2, xd_half)
                 k4 = vel(y0 + dt * k3, xd_full)
+                nodes = (y0 + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[None]
             else:
-                # vel ignores x_now: k3 = k2, and k4 is the new node's derivative
-                k2 = k3 = vel(None, xd_half)
-                k4 = vel(None, xd_full)
-            y1 = y0 + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[m + 1] = y1
-            dev = np.abs(y1 - center)
-            if not dev.max() <= lowest:  # NaN fails the comparison
+                xd = np.concatenate([xd_half, xd_full])
+                chunks = range(0, len(xd), per_call)
+                k = np.concatenate([vel(None, xd[i : i + per_call]) for i in chunks])
+                k2 = k3 = k[: b - a]
+                k4 = k[b - a :]
+                k1 = np.concatenate([derivs[a : a + 1], k4[:-1]])
+                nodes = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                # node m + 1 = node m + increment m, summed in order
+                np.add(states[a : a + 1], nodes[:1], out=nodes[:1])
+                np.cumsum(nodes, axis=0, out=nodes)
+            states[a + 1 : b + 1] = nodes
+            derivs[a + 1 : b + 1] = vel(nodes[0], xd_full) if reads_now else k4
+            bad = _blown(nodes, center, limit, lowest, members)
+            if bad is not None:
                 if not members:
-                    return m + 1
-                blown = ~(dev <= limit).all(axis=tuple(range(1, dev.ndim)))
-                n_valid[blown & (n_valid == n)] = m + 1
+                    return a + 1 + int(bad.argmax())
+                hit = bad.any(axis=0) & (n_valid == n)
+                n_valid[hit] = a + 1 + bad.argmax(axis=0)[hit]
                 if (n_valid < n).all():
                     return n_valid
-            derivs[m + 1] = vel(y1, xd_full) if reads_now else k4
     return n_valid
 
 
@@ -323,11 +373,13 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
     def vel(x_now, x_del):
         return velocity_from_states(config, x_now, x_del)
 
-    # reaction velocities read only delayed states
+    # reaction velocities read only delayed states; a reaction segment is
+    # evaluated in stacks whose (states, B, N, N) pair arrays stay within
+    # BLOCK_ENTRIES entries
     transmission = config.delay_kind is DelayKind.TRANSMISSION
     n_valid = rk4_method_of_steps(
         vel, states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, q, dt,
-        transmission, center, limit,
+        transmission, center, limit, block_length(B * config.n_agents**2),
     )
     counts = n_valid.tolist()
     trajectories = tuple(
@@ -378,6 +430,7 @@ def integrate_oracle(
     derivs = np.empty_like(states)
     _fill_startup(grid, q, datum, states, derivs)
     center, limit = _blow_up_bounds(states[q])
+    lowest = np.min(limit)
     traj = Trajectory(grid, states, derivs, config, datum, "linear")
     dt = spec.dt
     tau = config.tau
@@ -391,7 +444,7 @@ def integrate_oracle(
             v = _oracle_velocity(config, states[m], x_del)
             derivs[m] = v
             y1 = states[m] + dt * v
-            if not (np.abs(y1 - center) <= limit).all():
+            if _blown(y1[None], center, limit, lowest, False) is not None:
                 cut = slice(0, m + 1)
                 partial = replace(traj, grid=grid[cut], states=states[cut], derivs=derivs[cut])
                 raise NonFinite(float(grid[m + 1]), partial)

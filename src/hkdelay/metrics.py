@@ -17,6 +17,7 @@ from .errors import NonPositiveSeries
 from .model import (
     DelayKind,
     SystemConfig,
+    block_length,
     check_icass,
     delayed_states,
     diameter,
@@ -27,13 +28,6 @@ from .model import (
 )
 
 SIGN_ATOL = 1e-10
-# Cap on the entries of one block's (nodes, N, N) pair arrays or (nodes, q + 1)
-# Lyapunov windows in compute_metrics: 2**13 doubles, 64 KiB per temporary.
-# glibc maps temporaries above its default 128 KiB threshold afresh on every
-# call: at 2**16 (six nodes per block at N = 100) the first compute_metrics
-# of a process took 0.27 s, against 0.23 s node by node, on a 2-vCPU Intel
-# Xeon guest.
-BLOCK_ENTRIES = 2**13
 
 
 def radius(state: np.ndarray) -> float:
@@ -117,7 +111,9 @@ class MetricSeries:
 
 
 def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
-    """Evaluate all diagnostic series on the trajectory grid, in blocks of nodes.
+    """Evaluate all diagnostic series on the trajectory grid, in blocks of nodes
+    whose (nodes, N, N) pair arrays and (nodes, q + 1) Lyapunov windows stay
+    within model.BLOCK_ENTRIES entries.
 
     On the startup nodes d_x is the largest diameter of the datum over
     [-tau, 0], read at its knots (the d_x0 of check_icass).  The Lyapunov
@@ -137,7 +133,7 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     transmission = config.delay_kind is DelayKind.TRANSMISSION
     d_x = np.empty(n)
     D = np.full(n, np.nan)
-    step = max(1, BLOCK_ENTRIES // (n_agents * n_agents))
+    step = block_length(n_agents * n_agents)
     for a in range(0, n, step):
         b = min(a + step, n)
         sq = pair_sq(S[a:b], S[a:b])
@@ -164,7 +160,7 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
         coef[0] = coef[-1] = 0.5
         cw = coef * wgt
         windows = sliding_window_view(D, q + 1)  # windows[m - q] = D[m - q : m + 1]
-        step = max(1, BLOCK_ENTRIES // (q + 1))
+        step = block_length(q + 1)
         for a in range(2 * q, n, step):
             b = min(a + step, n)
             L[a:b] = X[a:b] + dt * (windows[a - q : b - q] * cw).sum(axis=-1)

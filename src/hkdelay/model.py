@@ -19,6 +19,18 @@ import numpy as np
 from .errors import HistoryUnderflow, InvalidConfig, InvalidDatum, OutOfRange
 
 ROW_SUM_TOL = 1e-12
+# Cap on the entries of one stacked temporary, shared by compute_metrics and
+# the reaction segments of the RK4 stepper: 2**13 doubles, 64 KiB.  glibc
+# maps temporaries above its default 128 KiB threshold afresh on every call:
+# at 2**16 (six nodes per block at N = 100) the first compute_metrics of a
+# process took 0.27 s, against 0.23 s node by node, on a 2-vCPU Intel Xeon
+# guest.
+BLOCK_ENTRIES = 2**13
+
+
+def block_length(entries_per_item: int) -> int:
+    """Items stacked per block when each adds entries_per_item to a temporary."""
+    return max(1, BLOCK_ENTRIES // entries_per_item)
 
 
 class DelayKind(str, Enum):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hkdelay import DelayKind, dynamics, rate_transmission_normalized, rates, weights_from_states
+from hkdelay import DelayKind, dynamics, metrics, rate_transmission_normalized, rates, weights_from_states
+from hkdelay.errors import NoRootFound, OutOfRange, PreconditionViolated
 from hkdelay.cli import load_spec, main
 from hkdelay.dynamics import default_spec, read_trajectory_csv
 from hkdelay.toy import simulate_toy
@@ -169,6 +170,63 @@ def test_translated_datum_runs_to_the_horizon(tmp_path):
     assert report["exit_reason"] == "ok"
     assert report["blow_up_time"] is None
     assert report["metrics_summary"]["d_x_final"] < report["metrics_summary"]["d_x0"]
+
+
+def test_empirical_rate_of_a_translated_datum_respects_the_theorem_rate(tmp_path):
+    # near 1e13, d_x stops at 0.03125 (about 16 ulps of the states) from
+    # t ~ 4 on; a fit over that rounding floor reported C_emp 0.0384, below
+    # the certified rate C = 0.315 of the same report
+    doc = {
+        "config": {
+            "n_agents": 3, "dim": 1, "tau": 1.0,
+            "delay_kind": "transmission", "weight_scheme": "normalized",
+            "influence": {"kind": "constant", "c": 1.0},
+        },
+        "datum": {"kind": "constant_per_agent", "vectors": [[1e13], [1e13 + 1], [1e13 + 3]]},
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", write_spec(tmp_path / "far.json", doc), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    rate = report["rates"]["transmission_normalized"]["C"]
+    assert rate == pytest.approx(0.315, abs=1e-3)
+    assert report["metrics_summary"]["C_emp"] >= rate
+
+
+def _raise(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "module, layer, error, written",
+    [
+        (metrics, "compute_metrics", OutOfRange("no series"), ("trajectory.csv", "report.json")),
+        (rates, "check_preconditions", PreconditionViolated("no check"),
+         ("trajectory.csv", "metrics.csv", "report.json")),
+        (rates, "rate_transmission_normalized", NoRootFound("no rate"),
+         ("trajectory.csv", "metrics.csv", "report.json")),
+    ],
+    ids=["compute_metrics", "check_preconditions", "theorem_rate"],
+)
+def test_package_error_after_integration_writes_partial_outputs(
+    tmp_path, capsys, monkeypatch, module, layer, error, written
+):
+    spec = prop_rate_spec(tmp_path)
+    assert main(["simulate", spec, "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(module, layer, _raise(error))
+    out = tmp_path / "out"
+    assert main(["simulate", spec, "--out", str(out)]) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
+    for name in written[:-1]:  # the trajectory and series computed before the error
+        assert (out / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_reason"] == type(error).__name__
+    assert report["spec"] == json.loads((tmp_path / "ok" / "report.json").read_text())["spec"]
+    assert report["metrics_summary"] is None
+    assert report["blow_up_time"] is None
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from hkdelay import (
     integrate_oracle,
     rhs,
 )
-from hkdelay import dynamics
+from hkdelay import dynamics, model
 from hkdelay.dynamics import read_trajectory_csv, trajectory_to_csv, trajectory_to_json
 
 from conftest import make_config, random_datum
@@ -325,30 +325,56 @@ def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
     times = np.linspace(-1.0, 0.0, 41)
     values = [[[np.sin(3.0 * t)], [np.cos(2.0 * t)], [t * t]] for t in times]
     datum = InitialDatum.sampled(times, values)
-    delayed = []
     velocity = dynamics.velocity_from_states
-
-    def spy(config, x_now, x_delayed):
-        delayed.append(np.array(x_delayed))
-        return velocity(config, x_now, x_delayed)
-
-    monkeypatch.setattr(dynamics, "velocity_from_states", spy)
     dt, q = 0.25, 4
-    traj = integrate(config, datum, 3.0, IntegratorSpec(Method.RK4_STEPS, dt))
-    # one call for the derivative at t = 0; then per step, transmission calls
-    # k2, k3 (half step), k4 and the new node's derivative (full step), and
-    # reaction calls once per distinct delayed state
-    per_step = 4 if kind is DelayKind.TRANSMISSION else 2
-    assert len(delayed) == 1 + per_step * (traj.grid.size - 1 - q)
-    for step, m in enumerate(range(q, traj.grid.size - 1)):
-        calls = delayed[1 + per_step * step : 1 + per_step * (step + 1)]
-        half, full = calls[: per_step // 2], calls[per_step // 2 :]
-        t_half = float(traj.grid[m]) + 0.5 * dt - config.tau
-        t_full = float(traj.grid[m + 1]) - config.tau
-        assert np.max(np.abs(half[0] - traj.sample(t_half))) <= 1e-12
-        assert np.max(np.abs(full[0] - traj.sample(t_full))) <= 1e-12
-        assert all(np.array_equal(x, half[0]) for x in half)
-        assert all(np.array_equal(x, full[0]) for x in full)
+    # 27 entries hold three 3-agent pair arrays, so a reaction segment's
+    # 2q = 8 stacked states take calls of 3, 3 and 2; the default takes one
+    for entries, per_call in ((model.BLOCK_ENTRIES, 2 * q), (27, 3)):
+        delayed = []
+
+        def spy(config, x_now, x_delayed):
+            delayed.append(np.array(x_delayed))
+            return velocity(config, x_now, x_delayed)
+
+        monkeypatch.setattr(dynamics, "velocity_from_states", spy)
+        monkeypatch.setattr(model, "BLOCK_ENTRIES", entries)
+        # 11 steps: the last delay segment ends after 3 of its 4 steps
+        traj = integrate(config, datum, 2.75, IntegratorSpec(Method.RK4_STEPS, dt))
+        steps = range(q, traj.grid.size - 1)
+        # one call for the derivative at t = 0
+        assert len(delayed[0]) == 1 and np.array_equal(delayed[0][0], datum.at(-1.0))
+        calls = delayed[1:]
+        if kind is DelayKind.TRANSMISSION:
+            # per step: k2, k3 (half step), k4 and the new node's derivative
+            # (full step), each on the one step's delayed state
+            assert len(calls) == 4 * len(steps)
+            halves, fulls = [], []
+            for step in range(len(steps)):
+                half, full = calls[4 * step : 4 * step + 2], calls[4 * step + 2 : 4 * step + 4]
+                assert all(np.array_equal(x, half[0]) for x in half)
+                assert all(np.array_equal(x, full[0]) for x in full)
+                halves.append(half[0])
+                fulls.append(full[0])
+        else:
+            # per delay segment of c steps: its c half-step states, then its
+            # c full-step states, stacked in calls of at most per_call states
+            halves, fulls, at = [], [], 0
+            for a in range(q, traj.grid.size - 1, q):
+                c = min(q, traj.grid.size - 1 - a)
+                sizes = [min(per_call, 2 * c - i) for i in range(0, 2 * c, per_call)]
+                segment = calls[at : at + len(sizes)]
+                at += len(sizes)
+                assert [len(x) for x in segment] == sizes
+                stack = np.concatenate(segment)
+                halves += list(stack[:c])
+                fulls += list(stack[c:])
+            assert at == len(calls)
+        assert len(halves) == len(fulls) == len(steps)
+        for m, half, full in zip(steps, halves, fulls):
+            t_half = float(traj.grid[m]) + 0.5 * dt - config.tau
+            t_full = float(traj.grid[m + 1]) - config.tau
+            assert np.max(np.abs(half - traj.sample(t_half))) <= 1e-12
+            assert np.max(np.abs(full - traj.sample(t_full))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +558,104 @@ def test_group_rejects_members_that_differ_beyond_tau():
         integrate([a, b], [datum, datum], [20.0, 40.0])
     with pytest.raises(InvalidConfig):  # same q, different step counts
         integrate([a, make_config(tau=2.0)], [datum, datum], [20.0, 20.0])
+
+
+def per_step_rk4(vel, states, derivs, mids, q, dt, reads_now, center, limit):
+    """The RK4 method of steps one node at a time, with two velocity calls a
+    reaction step: the reference that the stacked reaction segments of
+    rk4_method_of_steps must equal bit for bit."""
+    n = len(states)
+    members = np.ndim(dt) > 0
+    n_valid = np.full(len(dt), n) if members else n
+    half, sixth, eighth = 0.5 * dt, dt / 6.0, 0.125 * dt
+    with np.errstate(all="ignore"):
+        derivs[q] = vel(states[q], states[0])
+        for m in range(q, n - 1):
+            j = m - q
+            xd_half = mids[j] if j < q else (
+                0.5 * (states[j] + states[j + 1]) + eighth * (derivs[j] - derivs[j + 1])
+            )
+            xd_full = states[m + 1 - q]
+            y0, k1 = states[m], derivs[m]
+            if reads_now:
+                k2 = vel(y0 + half * k1, xd_half)
+                k3 = vel(y0 + half * k2, xd_half)
+                k4 = vel(y0 + dt * k3, xd_full)
+            else:
+                k2 = k3 = vel(None, xd_half)
+                k4 = vel(None, xd_full)
+            y1 = y0 + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[m + 1] = y1
+            ok = np.abs(y1 - center) <= limit
+            if not ok.all():
+                if not members:
+                    return m + 1
+                blown = ~ok.all(axis=tuple(range(1, ok.ndim)))
+                n_valid[blown & (n_valid == n)] = m + 1
+                if (n_valid < n).all():
+                    return n_valid
+            derivs[m + 1] = vel(y1, xd_full) if reads_now else k4
+    return n_valid
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    d=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(list(DelayKind)),
+    scheme=st.sampled_from(list(WeightScheme)),
+    influence=st.sampled_from(GROUP_INFLUENCES),
+    taus=st.lists(st.floats(min_value=0.05, max_value=16.0), min_size=1, max_size=5),
+    members=st.booleans(),
+    q=st.integers(min_value=1, max_value=9),
+    n_fwd=st.integers(min_value=1, max_value=60),
+    tight=st.booleans(),
+    per_call=st.sampled_from([None, 1, 2, 3, 7]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rk4_stepper_matches_per_step_loop_bit_for_bit(
+    n, d, kind, scheme, influence, taus, members, q, n_fwd, tight, per_call, seed
+):
+    # members=False steps one run with a scalar dt (the first tau); random
+    # startup states and midpoints, and a blow-up limit of one spread when
+    # tight, so unstable members blow up within the horizon
+    rng = np.random.default_rng(seed)
+    config = make_config(n, d, 1.0, kind, scheme, influence)
+    taus = np.array(taus if members else taus[:1])
+    dt = (taus / q).reshape(-1, 1, 1) if members else float(taus[0] / q)
+    shape = (q + n_fwd + 1,) + taus.shape[:members] + (n, d)
+    states = np.full(shape, np.nan)
+    derivs = np.full(shape, np.nan)
+    states[: q + 1] = rng.normal(size=(q + 1,) + shape[1:])
+    derivs[:q] = rng.normal(size=(q,) + shape[1:])
+    mids = rng.normal(size=(q,) + shape[1:])
+    center, limit = dynamics._blow_up_bounds(states[q])
+    if tight:
+        limit = limit * 1e-12
+    reads_now = kind is DelayKind.TRANSMISSION
+
+    def vel(x_now, x_delayed):
+        return dynamics.velocity_from_states(config, x_now, x_delayed)
+
+    ref_states, ref_derivs = states.copy(), derivs.copy()
+    got = dynamics.rk4_method_of_steps(
+        vel, states, derivs, mids, q, dt, reads_now, center, limit, per_call
+    )
+    want = per_step_rk4(vel, ref_states, ref_derivs, mids, q, dt, reads_now, center, limit)
+    if members:
+        assert np.array_equal(got, want)
+    else:
+        assert type(got) is int and got == want
+    counts = np.atleast_1d(want).tolist()
+    for b, count in enumerate(counts):
+        member = (slice(None), b) if members else (slice(None),)
+        # the nodes before the first blown-up one, and that one's state
+        cut = count + 1 if count < len(states) else count
+        assert same_bits(states[member][:cut], ref_states[member][:cut]), b
+        assert same_bits(derivs[member][:count], ref_derivs[member][:count]), b
+    blown = sum(c < len(states) for c in counts)
+    event(f"{'no' if blown == 0 else 'all' if blown == len(counts) else 'some'} members blow up")
+    event("horizon ends mid-segment" if n_fwd % q else "horizon ends on a segment")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from hkdelay import (
     mean,
     radius,
 )
-from hkdelay import metrics
+from hkdelay import model
 from hkdelay.model import has_symmetric_weights, pair_sq, weights_from_states
 
 from conftest import make_config, random_datum
@@ -301,7 +301,7 @@ def assert_series_identical(got, ref):
 
 # block_entries 1 gives one node per block; 40 splits the pair pass, the q
 # offset of D and the (q + 1)-wide Lyapunov windows at every N below
-@pytest.mark.parametrize("block_entries", [1, 40, metrics.BLOCK_ENTRIES])
+@pytest.mark.parametrize("block_entries", [1, 40, model.BLOCK_ENTRIES])
 @pytest.mark.parametrize("n_agents", [2, 5, 30])
 @pytest.mark.parametrize("kind, scheme", [
     (DelayKind.TRANSMISSION, WeightScheme.NORMALIZED),
@@ -312,11 +312,11 @@ def test_blocked_series_match_per_node_loop(monkeypatch, block_entries, n_agents
     config = make_config(n_agents=n_agents, dim=2, tau=0.5, delay_kind=kind, weight_scheme=scheme)
     datum = random_datum(np.random.default_rng(n_agents), n_agents, 2, low=-1.0)
     traj = integrate(config, datum, 3 * config.tau, IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
-    monkeypatch.setattr(metrics, "BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(model, "BLOCK_ENTRIES", block_entries)
     assert_series_identical(compute_metrics(config, traj), reference_metrics(config, traj))
 
 
-@pytest.mark.parametrize("block_entries", [1, 40, metrics.BLOCK_ENTRIES])
+@pytest.mark.parametrize("block_entries", [1, 40, model.BLOCK_ENTRIES])
 def test_blocked_series_match_per_node_loop_on_blown_up_run(monkeypatch, block_entries):
     config = make_config(n_agents=2, tau=2.0, delay_kind=DelayKind.REACTION,
                          influence=InfluenceFunction.constant(1.0))
@@ -324,7 +324,7 @@ def test_blocked_series_match_per_node_loop_on_blown_up_run(monkeypatch, block_e
         integrate(config, InitialDatum.constant([[0.5], [-0.5]]), 200.0,
                   IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
     traj = err.value.trajectory
-    monkeypatch.setattr(metrics, "BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(model, "BLOCK_ENTRIES", block_entries)
     ms = compute_metrics(config, traj)
     assert not np.all(np.isnan(ms.L))
     assert_series_identical(ms, reference_metrics(config, traj))
