@@ -3,7 +3,6 @@ transmission-type and reaction-type delay."""
 
 from .errors import (
     HKDelayError,
-    HistoryUnderflow,
     InvalidConfig,
     InvalidDatum,
     InvalidInterval,
@@ -22,12 +21,9 @@ from .model import (
     InfluenceFunction,
     InfluenceKind,
     InitialDatum,
-    RowSumContract,
     SystemConfig,
-    WeightMatrix,
     WeightScheme,
     check_icass,
-    eval_weights,
     has_symmetric_weights,
     pair_sq,
     psi_floor,
@@ -40,9 +36,7 @@ from .dynamics import (
     default_spec,
     integrate,
     integrate_oracle,
-    rhs,
     trajectory_to_csv,
-    trajectory_to_json,
     velocity_from_states,
 )
 from .metrics import (
@@ -51,11 +45,7 @@ from .metrics import (
     consensus_time,
     count_sign_changes,
     diameter,
-    dissipation,
     fit_decay_rate,
-    fluctuation,
-    lyapunov,
-    mean,
     radius,
 )
 from .rates import (

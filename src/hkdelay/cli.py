@@ -62,34 +62,59 @@ class ExperimentSpec:
 def _resolve_datum(raw: dict, config: SystemConfig, seed: int) -> InitialDatum:
     kind = raw.get("kind")
     if kind == "random_uniform":
-        low = float(raw.get("low", 0.0))
-        high = float(raw.get("high", 1.0))
+        low = _field("datum.low", float, raw.get("low", 0.0))
+        high = _field("datum.high", float, raw.get("high", 1.0))
         rng = np.random.default_rng(seed)
         return InitialDatum.constant(rng.uniform(low, high, (config.n_agents, config.dim)))
     return datum_from_dict(raw)
 
 
+def _field(name: str, convert, value):
+    """convert(value), with a TypeError or ValueError raised as a SpecError
+    that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{name}: {exc}") from exc
+
+
+def _section(doc: dict, name: str, default=None) -> dict:
+    """The JSON object doc[name], or default if it is absent; an absent
+    section without a default is an error."""
+    if name not in doc and default is None:
+        raise SpecError(f"{name}: missing field")
+    section = doc.get(name, default)
+    if not isinstance(section, dict):
+        raise SpecError(f"{name}: expected a JSON object, got {type(section).__name__}")
+    return section
+
+
 def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
-    """Build a resolved ExperimentSpec from a JSON document."""
+    """Build a resolved ExperimentSpec from a JSON document.
+
+    A malformed field raises a package error whose message starts with the
+    name of the field or of its section.
+    """
     overrides = overrides or {}
-    if "config" not in doc:
-        raise SpecError("config: missing field")
-    if "datum" not in doc:
-        raise SpecError("datum: missing field")
-    config = config_from_dict(doc["config"])
-    seed = int(overrides.get("seed", doc.get("seed", 0)))
-    datum = _resolve_datum(doc["datum"], config, seed)
+    if not isinstance(doc, dict):
+        raise SpecError(f"spec: expected a JSON object, got {type(doc).__name__}")
+    config = config_from_dict(_section(doc, "config"))
+    seed = _field("seed", int, overrides.get("seed", doc.get("seed", 0)))
+    datum = _resolve_datum(_section(doc, "datum"), config, seed)
     if datum.n_agents != config.n_agents or datum.dim != config.dim:
         raise SpecError(
             f"datum: shape ({datum.n_agents}, {datum.dim}) does not match "
             f"config.n_agents/dim ({config.n_agents}, {config.dim})"
         )
     _require_finite_squares(doc["datum"], datum, config.tau)
-    horizon = float(overrides.get("horizon", doc.get("horizon", 20.0 * config.tau)))
-    integ = doc.get("integrator", {})
-    dt = float(overrides.get("dt", integ.get("dt", config.tau / dynamics.STEPS_PER_DELAY)))
-    method = dynamics.Method(integ.get("method", "rk4_steps"))
-    outputs = tuple(doc.get("outputs", DEFAULT_OUTPUTS))
+    horizon = _field("horizon", float, overrides.get("horizon", doc.get("horizon", 20.0 * config.tau)))
+    integ = _section(doc, "integrator", {})
+    dt = _field(
+        "integrator.dt", float,
+        overrides.get("dt", integ.get("dt", config.tau / dynamics.STEPS_PER_DELAY)),
+    )
+    method = _field("integrator.method", dynamics.Method, integ.get("method", "rk4_steps"))
+    outputs = _field("outputs", tuple, doc.get("outputs", DEFAULT_OUTPUTS))
     for name in outputs:
         if name not in KNOWN_OUTPUTS:
             raise SpecError(f"outputs: unknown entry {name!r}")
@@ -146,16 +171,19 @@ class RunResult:
     error: HKDelayError | None = None  # raised after the integration
 
 
-def _fit_window(series: metrics.MetricSeries, r_x0: float):
-    """Fit window for the empirical rate: mid-run, while d_x is resolvable.
+def _rounding_floor(r_x0: float) -> float:
+    """The rounding of states of size r_x0, FIT_ROUNDING_ULPS * eps * r_x0:
+    a datum far from the origin stops contracting at a few ulps of its own
+    size, so no diameter below this floor is resolved."""
+    return FIT_ROUNDING_ULPS * np.finfo(float).eps * r_x0
 
-    d_x is resolvable above 1e-12 d_x0 and above the rounding of the states
-    themselves, FIT_ROUNDING_ULPS * eps * r_x0: a datum far from the origin
-    stops contracting at a few ulps of its own size.
-    """
+
+def _fit_window(series: metrics.MetricSeries, r_x0: float):
+    """Fit window for the empirical rate: mid-run, while d_x is resolvable,
+    above 1e-12 d_x0 and above the rounding floor of the states."""
     t = series.times
     horizon = float(t[-1])
-    floor = max(series.d_x0 * 1e-12, FIT_ROUNDING_ULPS * np.finfo(float).eps * r_x0, 1e-280)
+    floor = max(series.d_x0 * 1e-12, _rounding_floor(r_x0), 1e-280)
     ok = (t >= 0.1 * horizon) & (t <= 0.9 * horizon) & (series.d_x > floor)
     if ok.sum() < 8:
         return None
@@ -218,7 +246,7 @@ def run_experiment(spec: ExperimentSpec, traj=None, blow_up=None) -> RunResult:
         precond = rates.check_preconditions(spec.config, spec.datum)
         theoretical, skipped = _theoretical_rates(spec, precond)
         c_emp = None if blow_up is not None else _fit_c_emp(series, precond.r_x0)
-        tol = CONSENSUS_REL_TOL * max(series.d_x0, 1e-300)
+        tol = max(CONSENSUS_REL_TOL * max(series.d_x0, 1e-300), _rounding_floor(precond.r_x0))
         summary = {
             "d_x0": series.d_x0,
             "d_x_final": float(series.d_x[-1]),

@@ -1,4 +1,4 @@
-"""Right-hand sides and method-of-steps integration for the delayed systems.
+"""Velocity field and method-of-steps integration for the delayed systems.
 
 The main integrator advances classical RK4 on segments aligned with the
 delay (dt divides tau), so every delayed lookup lands on already-computed
@@ -7,10 +7,11 @@ node at a time.  Reaction-type velocities read only states one delay old,
 so a whole delay segment depends only on the segment before it: its
 delayed states are evaluated in stacked calls, and its nodes are summed in
 order from the increments, bit for bit as a step-by-step loop would give.
-Dense output between nodes is cubic Hermite from stored states and RHS
-values; on the startup interval the prescribed datum is evaluated directly.
-A deliberately simple explicit-Euler integrator with linear history
-interpolation serves as an independent cross-check.
+A half step reads the prescribed datum on the startup interval and the
+closed-form cubic Hermite midpoint of a computed segment after it.  A
+trajectory stores states and derivatives on the grid nodes only.  A
+deliberately simple explicit-Euler integrator with its own linear history
+lookup serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFinite, OutOfRange
+from .errors import InvalidConfig, NonFinite
 from .model import (
     DelayKind,
     InitialDatum,
     SystemConfig,
     WeightScheme,
     block_length,
-    delayed_states,
     pair_sq,
     weights_from_states,
 )
@@ -73,65 +73,14 @@ def default_spec(config: SystemConfig, method: Method = Method.RK4_STEPS) -> Int
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Dense-output solution history on [-tau, T].
-
-    States and RHS values are stored on a uniform grid with grid[0] = -tau;
-    sample() interpolates between nodes (cubic Hermite for the RK4 method,
-    linear for the Euler oracle) and reproduces stored nodes exactly.  On
-    the startup interval the datum itself is evaluated, which is exact.
-    """
+    """Solution history on [-tau, T]: states and derivatives on a uniform
+    grid with grid[0] = -tau, and the datum that prescribed the startup."""
 
     grid: np.ndarray  # (n,)
     states: np.ndarray  # (n, N, d)
     derivs: np.ndarray  # (n, N, d)
     config: SystemConfig
     datum: InitialDatum
-    interp: str  # "hermite" | "linear"
-
-    @property
-    def t_start(self) -> float:
-        return float(self.grid[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.grid[-1])
-
-    def sample(self, t: float) -> np.ndarray:
-        return _sample_raw(
-            self.grid, self.states, self.derivs, self.datum,
-            self.interp, self.grid.size, t,
-        )
-
-
-def _sample_raw(grid, states, derivs, datum, interp, n_valid, t):
-    t_lo = grid[0]
-    t_hi = grid[n_valid - 1]
-    pad = 1e-9 * (1.0 + abs(t))
-    if t < t_lo - pad or t > t_hi + pad:
-        raise OutOfRange(f"sample at t={t:.6g} outside [{t_lo:.6g}, {t_hi:.6g}]")
-    t = min(max(t, t_lo), t_hi)
-    if t <= 0.0:
-        return datum.at(t)
-    i = int(np.searchsorted(grid[:n_valid], t, side="right")) - 1
-    i = min(max(i, 0), n_valid - 2)
-    h = grid[i + 1] - grid[i]
-    theta = (t - grid[i]) / h
-    if theta == 0.0:
-        return states[i].copy()
-    if interp == "linear":
-        return (1.0 - theta) * states[i] + theta * states[i + 1]
-    return _hermite(states[i], states[i + 1], derivs[i], derivs[i + 1], h, theta)
-
-
-def _hermite(y0, y1, f0, f1, h, theta):
-    t2 = theta * theta
-    t3 = t2 * theta
-    return (
-        (2.0 * t3 - 3.0 * t2 + 1.0) * y0
-        + h * (t3 - 2.0 * t2 + theta) * f0
-        + (-2.0 * t3 + 3.0 * t2) * y1
-        + h * (t3 - t2) * f1
-    )
 
 
 def velocity_from_states(
@@ -145,11 +94,6 @@ def velocity_from_states(
     w = weights_from_states(config, x_now, x_delayed)
     anchor = x_now if config.delay_kind is DelayKind.TRANSMISSION else x_delayed
     return w @ x_delayed - w.sum(axis=-1)[..., None] * anchor
-
-
-def rhs(config: SystemConfig, history, t: float) -> np.ndarray:
-    """Instantaneous velocity (N, d) at time t, with states read by delayed_states."""
-    return velocity_from_states(config, *delayed_states(config, history, t))
 
 
 def _grid_shape(config: SystemConfig, horizon: float, spec: IntegratorSpec) -> tuple[int, int]:
@@ -383,7 +327,7 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
     )
     counts = n_valid.tolist()
     trajectories = tuple(
-        Trajectory(grid[b, :m], states[b, :m], derivs[b, :m], configs[b], datums[b], "hermite")
+        Trajectory(grid[b, :m], states[b, :m], derivs[b, :m], configs[b], datums[b])
         for b, m in enumerate(counts)
     )
     blow_ups = tuple(float(grid[b, m]) if m < n else None for b, m in enumerate(counts))
@@ -431,12 +375,21 @@ def integrate_oracle(
     _fill_startup(grid, q, datum, states, derivs)
     center, limit = _blow_up_bounds(states[q])
     lowest = np.min(limit)
-    traj = Trajectory(grid, states, derivs, config, datum, "linear")
+    traj = Trajectory(grid, states, derivs, config, datum)
     dt = spec.dt
     tau = config.tau
 
     def lookup(n_valid, t):
-        return _sample_raw(grid, states, derivs, datum, "linear", n_valid, t)
+        """State at t from the datum on the startup interval and linear
+        interpolation between the first n_valid nodes after it."""
+        t = min(max(t, grid[0]), grid[n_valid - 1])
+        if t <= 0.0:
+            return datum.at(t)
+        i = min(int(np.searchsorted(grid[:n_valid], t, side="right")) - 1, n_valid - 2)
+        theta = (t - grid[i]) / (grid[i + 1] - grid[i])
+        if theta == 0.0:
+            return states[i].copy()
+        return (1.0 - theta) * states[i] + theta * states[i + 1]
 
     with np.errstate(all="ignore"):
         for m in range(q, q + n_fwd):
@@ -468,40 +421,3 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         fh.write("t,agent,component,value\n")
         for t, row in zip(traj.grid.tolist(), rows):
             fh.write(node.replace("{t}", format(t, ".17g")) % tuple(row))
-
-
-def read_trajectory_csv(path):
-    """Read back (times, states) from a trajectory CSV."""
-    times = []
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "t,agent,component,value":
-            raise InvalidConfig(f"unexpected trajectory CSV header: {header!r}")
-        for line in fh:
-            t_s, i_s, k_s, v_s = line.rstrip("\n").split(",")
-            rows.append((float(t_s), int(i_s), int(k_s), float(v_s)))
-            if not times or times[-1] != float(t_s):
-                times.append(float(t_s))
-    times = np.asarray(times)
-    n_agents = max(r[1] for r in rows) + 1
-    dim = max(r[2] for r in rows) + 1
-    states = np.empty((times.size, n_agents, dim))
-    t_index = {t: m for m, t in enumerate(times)}
-    for t, i, k, v in rows:
-        states[t_index[t], i, k] = v
-    return times, states
-
-
-def trajectory_to_json(traj: Trajectory, path=None) -> dict:
-    doc = {
-        "config": traj.config.to_dict(),
-        "interp": traj.interp,
-        "grid": traj.grid.tolist(),
-        "states": traj.states.tolist(),
-        "derivs": traj.derivs.tolist(),
-    }
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-    return doc

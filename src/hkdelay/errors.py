@@ -13,10 +13,6 @@ class InvalidDatum(HKDelayError, ValueError):
     """Initial datum is empty, non-increasing in time, or non-finite."""
 
 
-class HistoryUnderflow(HKDelayError):
-    """A delayed lookup requires history that is not available."""
-
-
 class OutOfRange(HKDelayError):
     """A sample time lies outside the stored trajectory span."""
 

@@ -1,9 +1,11 @@
-"""Diagnostics along trajectories: diameter, radius, mean drift, quadratic
-fluctuation, dissipation, Lyapunov functional, and empirical decay fitting.
+"""Diagnostics along trajectories and empirical decay fitting.
 
-Conventions: the diameter series is frozen at its startup maximum for
-t <= 0; fluctuation and the Lyapunov functional subtract the initial mean
-explicitly (it is conserved for symmetric reaction weights).
+compute_metrics evaluates every series on the trajectory grid at once: the
+diameter d_x, radius r_x, mean drift, quadratic fluctuation X, dissipation
+D and Lyapunov functional L.  Conventions: the diameter series is frozen
+at its startup maximum for t <= 0; fluctuation and the Lyapunov functional
+subtract the mean at t = 0 (it is conserved for symmetric reaction
+weights).  diameter and radius also act on one state.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ from .model import (
     SystemConfig,
     block_length,
     check_icass,
-    delayed_states,
     diameter,
     has_symmetric_weights,
     pair_sq,
-    require_history,
     weights_from_states,
 )
 
@@ -36,51 +36,12 @@ def radius(state: np.ndarray) -> float:
     return float(np.sqrt((state * state).sum(axis=1)).max())
 
 
-def mean(state: np.ndarray) -> np.ndarray:
-    """Arithmetic mean over agents, a d-vector."""
-    return np.atleast_2d(np.asarray(state, dtype=float)).mean(axis=0)
-
-
-def fluctuation(state: np.ndarray, mean_ref: np.ndarray) -> float:
-    """Quadratic fluctuation around mean_ref: sum |x_i - mean|^2 / (2(N-1))."""
-    state = np.atleast_2d(np.asarray(state, dtype=float))
-    n = state.shape[0]
-    dev = state - np.asarray(mean_ref, dtype=float)[None, :]
-    return float((dev * dev).sum() / (2.0 * (n - 1)))
-
-
 def _dissipation_from_states(config, x_now, x_delayed, sq) -> np.ndarray:
     """D from explicit (..., N, d) states, one value per leading index, with
     sq = pair_sq(x_delayed, x_delayed)."""
     w = weights_from_states(config, x_now, x_delayed)
     w *= sq
     return w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1) / (2.0 * (config.n_agents - 1))
-
-
-def dissipation(config: SystemConfig, trajectory, t: float) -> float:
-    """Weighted delayed-disagreement energy at time t, with states read by delayed_states."""
-    x_now, x_delayed = delayed_states(config, trajectory, t)
-    return float(_dissipation_from_states(config, x_now, x_delayed, pair_sq(x_delayed, x_delayed)))
-
-
-def lyapunov(config: SystemConfig, trajectory, t: float, lam: float = 1.0) -> float:
-    """Fluctuation plus lam times the double time-integral of dissipation.
-
-    The double integral over {t - tau <= theta <= s <= t} collapses to
-    int_{t-tau}^{t} (s - t + tau) D(s) ds, evaluated by composite trapezoid
-    on the stored grid (fractional end segments included).
-    """
-    tau = config.tau
-    require_history(trajectory, t - 2.0 * tau, t)
-    mean_ref = mean(trajectory.sample(0.0))
-    x_t = fluctuation(trajectory.sample(t), mean_ref)
-    g = trajectory.grid
-    lo, hi = t - tau, t
-    inner = np.where((g > lo + 1e-12) & (g < hi - 1e-12))[0]
-    nodes = np.concatenate(([lo], g[inner], [hi]))
-    vals = np.array([dissipation(config, trajectory, s) * (s - lo) for s in nodes])
-    integral = float(np.sum((nodes[1:] - nodes[:-1]) * (vals[1:] + vals[:-1])) / 2.0)
-    return x_t + lam * integral
 
 
 @dataclass(frozen=True, eq=False)

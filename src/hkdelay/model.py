@@ -11,14 +11,13 @@ most one) or row-normalized weights (row sums exactly one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import HistoryUnderflow, InvalidConfig, InvalidDatum, OutOfRange
+from .errors import InvalidConfig, InvalidDatum, OutOfRange
 
-ROW_SUM_TOL = 1e-12
 # Cap on the entries of one stacked temporary, shared by compute_metrics and
 # the reaction segments of the RK4 stepper: 2**13 doubles, 64 KiB.  glibc
 # maps temporaries above its default 128 KiB threshold afresh on every call:
@@ -41,11 +40,6 @@ class DelayKind(str, Enum):
 class WeightScheme(str, Enum):
     CLASSICAL_SCALED = "classical_scaled"
     NORMALIZED = "normalized"
-
-
-class RowSumContract(str, Enum):
-    AT_MOST_ONE = "at_most_one"
-    EXACTLY_ONE = "exactly_one"
 
 
 class InfluenceKind(str, Enum):
@@ -102,6 +96,8 @@ class InfluenceFunction:
     @classmethod
     def table(cls, samples) -> "InfluenceFunction":
         samples = np.asarray(samples, dtype=float)
+        if samples.ndim != 2 or samples.shape[1] != 2:
+            raise InvalidConfig("influence.table needs >= 2 (s, psi) pairs")
         return cls(InfluenceKind.TABLE, knots_s=samples[:, 0], knots_psi=samples[:, 1])
 
     def __call__(self, s):
@@ -299,40 +295,6 @@ class InitialDatum:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class WeightMatrix:
-    """Snapshot of the communication weights with a row-sum contract."""
-
-    entries: np.ndarray
-    row_sum_contract: RowSumContract
-    tol: float = field(default=ROW_SUM_TOL, repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", w)
-        n = w.shape[0]
-        if w.ndim != 2 or w.shape[1] != n:
-            raise InvalidConfig("weight matrix must be square")
-        if np.any(np.abs(np.diagonal(w)) > 0.0):
-            raise InvalidConfig("weight matrix diagonal must be zero")
-        if np.any(w < -self.tol):
-            raise InvalidConfig("weight matrix entries must be nonnegative")
-        sums = w.sum(axis=1)
-        if self.row_sum_contract is RowSumContract.EXACTLY_ONE:
-            if np.any(np.abs(sums - 1.0) > self.tol):
-                raise InvalidConfig(f"row sums must equal 1 within {self.tol:g}")
-        else:
-            if np.any(sums > 1.0 + self.tol):
-                raise InvalidConfig(f"row sums must be <= 1 within {self.tol:g}")
-
-    @property
-    def n_agents(self) -> int:
-        return self.entries.shape[0]
-
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-
 def pair_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., N, M) squared distances |b_j - a_i|^2 between the rows of a and b.
 
@@ -399,46 +361,6 @@ def weights_from_states(
     return w
 
 
-def require_history(history, t_lo: float, t_hi: float) -> None:
-    """Raise HistoryUnderflow unless history is stored on [t_lo, t_hi]."""
-    if (
-        t_lo < history.t_start - 1e-9 * (1.0 + abs(t_lo))
-        or t_hi > history.t_end + 1e-9 * (1.0 + abs(t_hi))
-    ):
-        raise HistoryUnderflow(
-            f"history covers [{history.t_start:.6g}, {history.t_end:.6g}], "
-            f"lookup needs [{t_lo:.6g}, {t_hi:.6g}]"
-        )
-
-
-def delayed_states(
-    config: SystemConfig, history, t: float
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """(x_now, x_delayed) at time t, read from history.
-
-    Transmission compares delayed states to the current one and needs
-    history on [t - tau, t]; reaction reads only t - tau, so x_now is None
-    and the lookup works one delay past the stored horizon.
-    """
-    t_del = t - config.tau
-    if config.delay_kind is DelayKind.TRANSMISSION:
-        require_history(history, t_del, t)
-        return history.sample(t), history.sample(t_del)
-    require_history(history, t_del, t_del)
-    return None, history.sample(t_del)
-
-
-def eval_weights(config: SystemConfig, history, t: float) -> WeightMatrix:
-    """Communication weights at time t, with states read by delayed_states."""
-    entries = weights_from_states(config, *delayed_states(config, history, t))
-    contract = (
-        RowSumContract.EXACTLY_ONE
-        if config.weight_scheme is WeightScheme.NORMALIZED
-        else RowSumContract.AT_MOST_ONE
-    )
-    return WeightMatrix(entries, contract)
-
-
 def startup_points(datum: InitialDatum, tau: float) -> tuple[list, list]:
     """States and slopes that bound the datum over the startup interval [-tau, 0].
 
@@ -491,6 +413,8 @@ def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
 # JSON codecs (field names mirror the dataclass fields)
 
 def influence_from_dict(d: dict) -> InfluenceFunction:
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"influence: expected a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == InfluenceKind.CONSTANT.value:
         return InfluenceFunction.constant(d.get("c", 1.0))
@@ -502,6 +426,9 @@ def influence_from_dict(d: dict) -> InfluenceFunction:
 
 
 def config_from_dict(d: dict) -> SystemConfig:
+    for key in ("n_agents", "dim", "tau"):
+        if not isinstance(d.get(key, 0), (int, float)):
+            raise InvalidConfig(f"config.{key}: expected a number, got {d[key]!r}")
     try:
         return SystemConfig(
             n_agents=d["n_agents"],
@@ -513,14 +440,24 @@ def config_from_dict(d: dict) -> SystemConfig:
         )
     except KeyError as exc:
         raise InvalidConfig(f"config.{exc.args[0]}: missing field") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"config: {exc}") from exc
+
+
+def _datum_array(d: dict, key: str) -> np.ndarray:
+    """d[key] as a float array, with errors that name the field datum.<key>."""
+    if key not in d:
+        raise InvalidDatum(f"datum.{key}: missing field")
+    try:
+        return np.asarray(d[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDatum(f"datum.{key}: {exc}") from exc
 
 
 def datum_from_dict(d: dict) -> InitialDatum:
     kind = d.get("kind")
     if kind == DatumKind.CONSTANT_PER_AGENT.value:
-        return InitialDatum.constant(d["vectors"])
+        return InitialDatum.constant(_datum_array(d, "vectors"))
     if kind == DatumKind.SAMPLED.value:
-        return InitialDatum.sampled(d["times"], d["values"])
+        return InitialDatum.sampled(_datum_array(d, "times"), _datum_array(d, "values"))
     raise InvalidDatum(f"datum.kind: unknown value {kind!r}")

@@ -236,12 +236,12 @@ def shrink_iteration(
     """
     config = trajectory.config
     tau = config.tau
-    if trajectory.t_end + 1e-9 < 6.0 * n_windows * tau:
+    g = trajectory.grid
+    if g[-1] + 1e-9 < 6.0 * n_windows * tau:
         raise OutOfRange(
-            f"trajectory ends at {trajectory.t_end:g}, "
+            f"trajectory ends at {g[-1]:g}, "
             f"{n_windows} windows need {6.0 * n_windows * tau:g}"
         )
-    g = trajectory.grid
     coord = trajectory.states[:, :, coordinate]
     records = []
     for k in range(n_windows + 1):

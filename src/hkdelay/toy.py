@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import STEPS_PER_DELAY, IntegratorSpec, Method, integrate
-from .errors import NoRootFound, NonFinite
+from .errors import InvalidConfig, NoRootFound, NonFinite
 from .model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
 
 OSCILLATION_THRESHOLD = math.exp(-1.0)  # on 2*tau
@@ -34,10 +34,14 @@ class ToyRegime(str, Enum):
     BOUNDARY = "Boundary"
 
 
+def _require_delay(tau: float) -> None:
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise InvalidConfig(f"tau: must be a positive real, got {tau}")
+
+
 def classify_regime(delay_kind: DelayKind, tau: float) -> ToyRegime:
     """Regime by delay length; BOUNDARY within 1e-9 of a threshold."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _require_delay(tau)
     if DelayKind(delay_kind) is DelayKind.TRANSMISSION:
         return ToyRegime.ALWAYS_STABLE
     x = 2.0 * tau
@@ -76,8 +80,7 @@ def rightmost_root(delay_kind: DelayKind, tau: float) -> CharRoot:
     sufficient.  Raises NoRootFound if no start converges.
     """
     delay_kind = DelayKind(delay_kind)
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _require_delay(tau)
     res = np.arange(-10.0, 5.0 + 1e-12, 0.25)
     ims = np.arange(0.0, 4.0 * math.pi / tau + 1e-12, math.pi / (2.0 * tau))
     z = (res[:, None] + 1j * ims[None, :]).ravel()

@@ -1,0 +1,125 @@
+"""Pointwise reference views of a trajectory, for the tests.
+
+The package evaluates its diagnostics as series on the grid
+(compute_metrics) and reads delayed states inside the RK4 stepper.  These
+views recompute the same quantities at any single time t from the stored
+nodes: the datum on the startup interval, the stored nodes exactly, and
+cubic Hermite dense output from the stored states and derivatives between
+them.  Tests check the package paths against them.
+
+Transmission reads x(t - tau) and x(t); reaction reads only x(t - tau).
+A lookup outside the stored grid raises OutOfRange instead of
+extrapolating.
+"""
+
+import numpy as np
+
+from hkdelay import DelayKind, OutOfRange, velocity_from_states, weights_from_states
+
+
+def hermite(y0, y1, f0, f1, h, theta):
+    """Cubic Hermite interpolant at fraction theta of a step of length h."""
+    t2 = theta * theta
+    t3 = t2 * theta
+    return (
+        (2.0 * t3 - 3.0 * t2 + 1.0) * y0
+        + h * (t3 - 2.0 * t2 + theta) * f0
+        + (-2.0 * t3 + 3.0 * t2) * y1
+        + h * (t3 - t2) * f1
+    )
+
+
+def sample(traj, t):
+    """State (N, d) of the trajectory at time t."""
+    g = traj.grid
+    pad = 1e-9 * (1.0 + abs(t))
+    if t < g[0] - pad or t > g[-1] + pad:
+        raise OutOfRange(f"sample at t={t:.6g} outside [{g[0]:.6g}, {g[-1]:.6g}]")
+    t = min(max(t, g[0]), g[-1])
+    if t <= 0.0:
+        return traj.datum.at(t)
+    i = min(int(np.searchsorted(g, t, side="right")) - 1, g.size - 2)
+    h = g[i + 1] - g[i]
+    theta = (t - g[i]) / h
+    if theta == 0.0:
+        return traj.states[i].copy()
+    S, F = traj.states, traj.derivs
+    return hermite(S[i], S[i + 1], F[i], F[i + 1], h, theta)
+
+
+def delayed_states(config, traj, t):
+    """(x_now, x_delayed) at time t; x_now is None for reaction delay."""
+    x_delayed = sample(traj, t - config.tau)
+    if config.delay_kind is DelayKind.TRANSMISSION:
+        return sample(traj, t), x_delayed
+    return None, x_delayed
+
+
+def rhs(config, traj, t):
+    """Velocity (N, d) at time t."""
+    return velocity_from_states(config, *delayed_states(config, traj, t))
+
+
+def eval_weights(config, traj, t):
+    """Weight matrix (N, N) at time t."""
+    return weights_from_states(config, *delayed_states(config, traj, t))
+
+
+def mean(state):
+    """Arithmetic mean over agents, a d-vector."""
+    return np.atleast_2d(np.asarray(state, dtype=float)).mean(axis=0)
+
+
+def fluctuation(state, mean_ref):
+    """Quadratic fluctuation around mean_ref: sum |x_i - mean|^2 / (2(N-1))."""
+    state = np.atleast_2d(np.asarray(state, dtype=float))
+    dev = state - np.asarray(mean_ref, dtype=float)[None, :]
+    return float((dev * dev).sum() / (2.0 * (state.shape[0] - 1)))
+
+
+def dissipation(config, traj, t):
+    """D(t) = sum_ij w_ij |x_j(t - tau) - x_i(t - tau)|^2 / (2(N-1))."""
+    x_now, x_delayed = delayed_states(config, traj, t)
+    w = weights_from_states(config, x_now, x_delayed)
+    diff = x_delayed[None, :, :] - x_delayed[:, None, :]
+    return float((w * (diff * diff).sum(axis=-1)).sum() / (2.0 * (config.n_agents - 1)))
+
+
+def lyapunov(config, traj, t, lam=1.0):
+    """Fluctuation around the mean at t = 0 plus lam times the double
+    time-integral of dissipation.
+
+    The double integral over {t - tau <= theta <= s <= t} collapses to
+    int_{t-tau}^{t} (s - t + tau) D(s) ds, evaluated by composite trapezoid
+    on the stored grid (fractional end segments included).
+    """
+    x_t = fluctuation(sample(traj, t), mean(sample(traj, 0.0)))
+    g = traj.grid
+    lo, hi = t - config.tau, t
+    inner = np.where((g > lo + 1e-12) & (g < hi - 1e-12))[0]
+    nodes = np.concatenate(([lo], g[inner], [hi]))
+    vals = np.array([dissipation(config, traj, s) * (s - lo) for s in nodes])
+    integral = float(np.sum((nodes[1:] - nodes[:-1]) * (vals[1:] + vals[:-1])) / 2.0)
+    return x_t + lam * integral
+
+
+def read_trajectory_csv(path):
+    """(times, states) read back from a trajectory.csv."""
+    times = []
+    rows = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        assert header == "t,agent,component,value", header
+        for line in fh:
+            t_s, i_s, k_s, v_s = line.rstrip("\n").split(",")
+            rows.append((float(t_s), int(i_s), int(k_s), float(v_s)))
+            if not times or times[-1] != float(t_s):
+                times.append(float(t_s))
+    times = np.asarray(times)
+    n_agents = max(r[1] for r in rows) + 1
+    dim = max(r[2] for r in rows) + 1
+    states = np.empty((times.size, n_agents, dim))
+    t_index = {t: m for m, t in enumerate(times)}
+    for t, i, k, v in rows:
+        states[t_index[t], i, k] = v
+    return times, states

@@ -6,9 +6,11 @@ import pytest
 from hkdelay import DelayKind, dynamics, metrics, rate_transmission_normalized, rates, weights_from_states
 from hkdelay.errors import NoRootFound, OutOfRange, PreconditionViolated
 from hkdelay.cli import load_spec, main
-from hkdelay.dynamics import default_spec, read_trajectory_csv
+from hkdelay.dynamics import default_spec
 from hkdelay.toy import simulate_toy
 from hkdelay.model import config_from_dict
+
+from reference import read_trajectory_csv
 
 
 def write_spec(path, doc):
@@ -153,19 +155,26 @@ def test_simulate_underflowing_influence(tmp_path):
         assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
 
+def far_spec(tmp_path):
+    """Three agents near 1e13, whose states round at about 0.002."""
+    return write_spec(
+        tmp_path / "far.json",
+        {
+            "config": {
+                "n_agents": 3, "dim": 1, "tau": 1.0,
+                "delay_kind": "transmission", "weight_scheme": "normalized",
+                "influence": {"kind": "constant", "c": 1.0},
+            },
+            "datum": {"kind": "constant_per_agent", "vectors": [[1e13], [1e13 + 1], [1e13 + 3]]},
+        },
+    )
+
+
 def test_translated_datum_runs_to_the_horizon(tmp_path):
     # the dynamics are translation-invariant; a datum near 1e13 used to be
     # reported as a blow-up at t = tau/64 by an absolute |x| > 1e12 test
-    doc = {
-        "config": {
-            "n_agents": 3, "dim": 1, "tau": 1.0,
-            "delay_kind": "transmission", "weight_scheme": "normalized",
-            "influence": {"kind": "constant", "c": 1.0},
-        },
-        "datum": {"kind": "constant_per_agent", "vectors": [[1e13], [1e13 + 1], [1e13 + 3]]},
-    }
     out = tmp_path / "out"
-    assert main(["simulate", write_spec(tmp_path / "far.json", doc), "--out", str(out)]) == 0
+    assert main(["simulate", far_spec(tmp_path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["exit_reason"] == "ok"
     assert report["blow_up_time"] is None
@@ -176,20 +185,26 @@ def test_empirical_rate_of_a_translated_datum_respects_the_theorem_rate(tmp_path
     # near 1e13, d_x stops at 0.03125 (about 16 ulps of the states) from
     # t ~ 4 on; a fit over that rounding floor reported C_emp 0.0384, below
     # the certified rate C = 0.315 of the same report
-    doc = {
-        "config": {
-            "n_agents": 3, "dim": 1, "tau": 1.0,
-            "delay_kind": "transmission", "weight_scheme": "normalized",
-            "influence": {"kind": "constant", "c": 1.0},
-        },
-        "datum": {"kind": "constant_per_agent", "vectors": [[1e13], [1e13 + 1], [1e13 + 3]]},
-    }
     out = tmp_path / "out"
-    assert main(["simulate", write_spec(tmp_path / "far.json", doc), "--out", str(out)]) == 0
+    assert main(["simulate", far_spec(tmp_path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     rate = report["rates"]["transmission_normalized"]["C"]
     assert rate == pytest.approx(0.315, abs=1e-3)
     assert report["metrics_summary"]["C_emp"] >= rate
+
+
+def test_consensus_time_of_a_translated_datum_is_reached(tmp_path):
+    # d_x stops at 0.03125, the rounding of states near 1e13, which lies
+    # above 1e-3 d_x0 = 0.003; the tolerance now has the floor of the fit,
+    # 64 eps r_x0, and the run reaches it
+    out = tmp_path / "out"
+    assert main(["simulate", far_spec(tmp_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "report.json").read_text())["metrics_summary"]
+    assert summary["consensus_tol"] == 64 * np.finfo(float).eps * summary["r_x0"]
+    t_c = summary["consensus_time"]
+    assert t_c is not None and 0.0 < t_c < 20.0
+    rows = [row.split(",") for row in (out / "metrics.csv").read_text().splitlines()[1:]]
+    assert all(float(row[1]) < summary["consensus_tol"] for row in rows if float(row[0]) >= t_c)
 
 
 def _raise(error):
@@ -254,6 +269,63 @@ def test_overflowing_datum_is_rejected_before_any_output(tmp_path, capsys, datum
     assert main(["simulate", write_spec(tmp_path / "huge.json", doc), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"error: {field}:" in err and "overflow" in err
+    assert not out.exists()
+
+
+DELETE = object()
+
+
+def _set(path, value):
+    """A change to the consensus spec: value at a dotted path, or the field
+    deleted there for DELETE."""
+    def apply(doc):
+        *parents, leaf = path.split(".")
+        for key in parents:
+            doc = doc[key]
+        if value is DELETE:
+            del doc[leaf]
+        else:
+            doc[leaf] = value
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (_set("horizon", "abc"), "horizon"),
+        (_set("horizon", None), "horizon"),
+        (_set("integrator", {"dt": "x"}), "integrator.dt"),
+        (_set("integrator", {"method": "rk5"}), "integrator.method"),
+        (_set("seed", "x"), "seed"),
+        (_set("config", []), "config"),
+        (_set("config.tau", "1"), "config.tau"),
+        (_set("datum.vectors", "abc"), "datum.vectors"),
+        (_set("datum.vectors", DELETE), "datum.vectors"),
+        (_set("config.influence", []), "config"),
+        (_set("config.influence", {"kind": "table", "samples": [0.0, 1.0]}), "config"),
+        (_set("outputs", 5), "outputs"),
+        (["toy", "--tau", "0", "--kind", "reaction"], "tau"),
+        (["toy", "--tau=-1", "--kind", "reaction"], "tau"),
+        (["toy", "--tau", "nan", "--kind", "transmission"], "tau"),
+    ],
+    ids=[
+        "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
+        "config_list", "tau_text", "vectors_text", "vectors_missing",
+        "influence_list", "table_flat", "outputs_number",
+        "toy_tau_zero", "toy_tau_negative", "toy_tau_nan",
+    ],
+)
+def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field):
+    out = tmp_path / "out"
+    if callable(args):
+        with open(consensus_spec(tmp_path)) as fh:
+            doc = json.load(fh)
+        args(doc)
+        args = ["simulate", write_spec(tmp_path / "bad.json", doc), "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from hkdelay import (
     DelayKind,
-    HistoryUnderflow,
     InfluenceFunction,
     InitialDatum,
     IntegratorSpec,
@@ -15,16 +14,15 @@ from hkdelay import (
     OutOfRange,
     Trajectory,
     WeightScheme,
-    dissipation,
-    eval_weights,
     integrate,
     integrate_oracle,
-    rhs,
+    velocity_from_states,
 )
 from hkdelay import dynamics, model
-from hkdelay.dynamics import read_trajectory_csv, trajectory_to_csv, trajectory_to_json
+from hkdelay.dynamics import trajectory_to_csv
 
 from conftest import make_config, random_datum
+from reference import dissipation, eval_weights, read_trajectory_csv, rhs, sample
 
 
 def consensus_datum(n, d, value=0.7):
@@ -32,14 +30,16 @@ def consensus_datum(n, d, value=0.7):
 
 
 # ---------------------------------------------------------------------------
-# right-hand side
+# velocity field
 
 def test_rhs_zero_at_consensus():
     for kind in DelayKind:
         for scheme in WeightScheme:
             config = make_config(n_agents=4, dim=2, delay_kind=kind, weight_scheme=scheme)
             traj = integrate(config, consensus_datum(4, 2), 2 * config.tau)
-            v = rhs(config, traj, config.tau)
+            m = int(np.searchsorted(traj.grid, config.tau))  # t = tau reads t = 0
+            q = dynamics.STEPS_PER_DELAY
+            v = velocity_from_states(config, traj.states[m], traj.states[m - q])
             assert np.max(np.abs(v)) == 0.0
 
 
@@ -47,9 +47,8 @@ def test_rhs_two_agent_transmission_reduction():
     # constant history x1 = a, x2 = b gives dx1 = b - a, dx2 = a - b
     a, b = 0.3, -1.2
     config = make_config(n_agents=2, tau=1.0)
-    datum = InitialDatum.constant([[a], [b]])
-    traj = integrate(config, datum, 0.1, IntegratorSpec(Method.RK4_STEPS, 1.0 / 16))
-    v = rhs(config, traj, 0.0)
+    x = np.array([[a], [b]])
+    v = velocity_from_states(config, x, x)
     assert v[0, 0] == pytest.approx(b - a, abs=1e-15)
     assert v[1, 0] == pytest.approx(a - b, abs=1e-15)
 
@@ -62,8 +61,7 @@ def test_rhs_three_agent_reaction_matches_hand_formula():
         tau=0.5,
     )
     pos = np.array([[0.0], [1.0], [2.5]])
-    traj = integrate(config, InitialDatum.constant(pos), 0.1, IntegratorSpec(Method.RK4_STEPS, 0.5 / 8))
-    v = rhs(config, traj, 0.05)
+    v = velocity_from_states(config, None, pos)
 
     def psi(s):
         return 1.0 / (1.0 + s * s)
@@ -77,11 +75,14 @@ def test_rhs_three_agent_reaction_matches_hand_formula():
         assert v[i, 0] == pytest.approx(expect, abs=1e-12)
 
 
+# The reference views read only stored history, so a comparison against
+# them cannot pass by extrapolating past the grid.
+
 def test_rhs_requires_history_coverage():
     config = make_config(tau=1.0)
     traj = integrate(config, consensus_datum(3, 1), 1.0)
-    with pytest.raises(HistoryUnderflow):
-        rhs(config, traj, traj.t_end + 1.0)
+    with pytest.raises(OutOfRange):
+        rhs(config, traj, traj.grid[-1] + 1.0)
 
 
 def test_reaction_rhs_works_one_delay_past_horizon():
@@ -89,10 +90,10 @@ def test_reaction_rhs_works_one_delay_past_horizon():
                          weight_scheme=WeightScheme.CLASSICAL_SCALED)
     datum = InitialDatum.constant([[0.0], [0.5], [1.0]])
     traj = integrate(config, datum, 1.0)
-    v = rhs(config, traj, traj.t_end + config.tau)  # reads only t - tau
+    v = rhs(config, traj, traj.grid[-1] + config.tau)  # reads only t - tau
     assert np.all(np.isfinite(v))
-    with pytest.raises(HistoryUnderflow):
-        rhs(config, traj, traj.t_end + config.tau + 0.1)
+    with pytest.raises(OutOfRange):
+        rhs(config, traj, traj.grid[-1] + config.tau + 0.1)
 
 
 @pytest.mark.parametrize("kind", list(DelayKind))
@@ -101,13 +102,12 @@ def test_delayed_state_views_share_history_coverage(view, kind):
     # transmission reads x(t - tau) and x(t); reaction reads only x(t - tau)
     config = make_config(n_agents=3, tau=0.5, delay_kind=kind)
     traj = integrate(config, InitialDatum.constant([[0.0], [0.5], [1.0]]), 1.0)
-    t_first = traj.t_start + config.tau
-    t_last = traj.t_end + (config.tau if kind is DelayKind.REACTION else 0.0)
+    t_first = traj.grid[0] + config.tau
+    t_last = traj.grid[-1] + (config.tau if kind is DelayKind.REACTION else 0.0)
     for t in (t_first, t_last):
-        out = view(config, traj, t)
-        assert np.all(np.isfinite(getattr(out, "entries", out)))
+        assert np.all(np.isfinite(view(config, traj, t)))
     for t in (t_first - 1e-6, t_last + 1e-6):
-        with pytest.raises(HistoryUnderflow):
+        with pytest.raises(OutOfRange):
             view(config, traj, t)
 
 
@@ -269,14 +269,14 @@ def test_euler_oracle_steady_state():
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# the reference's dense output, which the stepper's lookups are checked against
 
 def test_sample_exact_at_nodes():
     config = make_config(tau=0.5)
     datum = InitialDatum.constant([[0.0], [0.5], [1.0]])
     traj = integrate(config, datum, 5 * config.tau)
     for m in (0, 13, len(traj.grid) - 1):
-        assert np.array_equal(traj.sample(float(traj.grid[m])), traj.states[m])
+        assert np.array_equal(sample(traj, float(traj.grid[m])), traj.states[m])
 
 
 def test_sample_reproduces_linear_trajectory():
@@ -286,9 +286,9 @@ def test_sample_reproduces_linear_trajectory():
     states = np.array([t * slope for t in grid])
     derivs = np.array([slope for _ in grid])
     datum = InitialDatum.sampled([-1.0, 0.0], [(-1.0) * slope, 0.0 * slope])
-    traj = Trajectory(grid, states, derivs, config, datum, "hermite")
+    traj = Trajectory(grid, states, derivs, config, datum)
     for t in (-0.6, 0.125, 0.3751, 0.99):
-        assert np.max(np.abs(traj.sample(t) - t * slope)) <= 1e-12
+        assert np.max(np.abs(sample(traj, t) - t * slope)) <= 1e-12
 
 
 def test_sample_against_fine_grid_oracle(rng):
@@ -297,24 +297,24 @@ def test_sample_against_fine_grid_oracle(rng):
     coarse = integrate(config, datum, 4.0, IntegratorSpec(Method.RK4_STEPS, 1.0 / 16))
     fine = integrate(config, datum, 4.0, IntegratorSpec(Method.RK4_STEPS, 1.0 / 160))
     for t in rng.uniform(0.0, 4.0, 25):
-        assert np.max(np.abs(coarse.sample(t) - fine.sample(t))) < 1e-6
+        assert np.max(np.abs(sample(coarse, t) - sample(fine, t))) < 1e-6
 
 
 def test_sample_out_of_range():
     config = make_config(tau=0.5)
     traj = integrate(config, consensus_datum(3, 1), 1.0)
     with pytest.raises(OutOfRange):
-        traj.sample(traj.t_end + 0.1)
+        sample(traj, traj.grid[-1] + 0.1)
     with pytest.raises(OutOfRange):
-        traj.sample(traj.t_start - 0.1)
+        sample(traj, traj.grid[0] - 0.1)
 
 
 def test_sampled_datum_enters_trajectory():
     config = make_config(n_agents=2, tau=1.0)
     datum = InitialDatum.sampled([-1.0, 0.0], [[[0.0], [1.0]], [[0.0], [2.0]]])
     traj = integrate(config, datum, 1.0)
-    assert traj.sample(-0.5)[1, 0] == pytest.approx(1.5, abs=1e-15)
-    assert traj.sample(-1.0)[1, 0] == pytest.approx(1.0, abs=1e-15)
+    assert sample(traj, -0.5)[1, 0] == pytest.approx(1.5, abs=1e-15)
+    assert sample(traj, -1.0)[1, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind", list(DelayKind))
@@ -373,8 +373,12 @@ def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
         for m, half, full in zip(steps, halves, fulls):
             t_half = float(traj.grid[m]) + 0.5 * dt - config.tau
             t_full = float(traj.grid[m + 1]) - config.tau
-            assert np.max(np.abs(half - traj.sample(t_half))) <= 1e-12
-            assert np.max(np.abs(full - traj.sample(t_full))) <= 1e-12
+            assert np.max(np.abs(half - sample(traj, t_half))) <= 1e-12
+            assert np.max(np.abs(full - sample(traj, t_full))) <= 1e-12
+        # and each stored derivative is the velocity read at its node
+        for m in steps:
+            t = float(traj.grid[m + 1])
+            assert np.max(np.abs(traj.derivs[m + 1] - rhs(config, traj, t))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +410,6 @@ def test_integrate_runs_euler_oracle_spec_bit_for_bit(tau, horizon):
     expect_blow_up, direct = run(integrate_oracle)
     assert blow_up == expect_blow_up
     assert (blow_up is None) == (tau < 1.0)
-    assert via_integrate.interp == direct.interp == "linear"
     for name in ("grid", "states", "derivs"):
         assert np.array_equal(getattr(via_integrate, name), getattr(direct, name))
 
@@ -426,7 +429,7 @@ def test_blow_up_reports_time_and_partial():
     assert partial is not None
     assert partial.grid.size == 2734
     assert np.all(np.isfinite(partial.states))
-    assert partial.t_end < 200.0
+    assert partial.grid[-1] < 200.0
 
 
 def test_rk4_stepper_stops_at_the_first_blown_up_node():
@@ -461,7 +464,7 @@ def test_rk4_and_euler_oracle_agree_on_blow_up(offset, tau, blows_up):
             assert np.all(np.abs(exc.trajectory.states - offset) <= 1e12)
         else:
             assert not blows_up, spec.method
-            assert traj.t_end == 100.0
+            assert traj.grid[-1] == 100.0
 
 
 def solo(config, datum, horizon, spec):
@@ -695,7 +698,7 @@ def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng):
     states[3, 2, 2] = -1.2345678901234567e300
     states[4, 3, 0] = 1e300
     states[5, 0, 1] = -1e300
-    traj = Trajectory(traj.grid, states, traj.derivs, config, datum, "hermite")
+    traj = Trajectory(traj.grid, states, traj.derivs, config, datum)
     trajectory_to_csv(traj, tmp_path / "new.csv")
     reference_trajectory_csv(traj, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -734,26 +737,6 @@ def test_sampled_datum_transmission_consensus():
     ]
     datum = InitialDatum.sampled(times, vals)
     traj = integrate(config, datum, 30 * config.tau)
-    assert np.array_equal(traj.sample(-0.5), np.asarray(vals[1], dtype=float))
+    assert np.array_equal(sample(traj, -0.5), np.asarray(vals[1], dtype=float))
     gap = traj.states[-1].max() - traj.states[-1].min()
     assert gap < 1e-6
-
-
-def test_eval_weights_on_euler_trajectory(rng):
-    from hkdelay import eval_weights
-
-    config = make_config(n_agents=3, dim=1, tau=0.5,
-                         weight_scheme=WeightScheme.NORMALIZED)
-    datum = random_datum(rng, 3, 1)
-    traj = integrate_oracle(config, datum, 4 * config.tau)
-    w = eval_weights(config, traj, 2.3 * config.tau)
-    assert np.allclose(w.row_sums(), 1.0, atol=1e-12)
-
-
-def test_trajectory_json_export(tmp_path):
-    config = make_config(n_agents=2, tau=0.5)
-    traj = integrate(config, consensus_datum(2, 1), config.tau, IntegratorSpec(Method.RK4_STEPS, config.tau / 4))
-    doc = trajectory_to_json(traj, tmp_path / "traj.json")
-    assert doc["interp"] == "hermite"
-    assert doc["grid"][0] == -config.tau
-    assert len(doc["states"]) == len(doc["grid"])

@@ -20,18 +20,15 @@ from hkdelay import (
     consensus_time,
     count_sign_changes,
     diameter,
-    dissipation,
     fit_decay_rate,
-    fluctuation,
     integrate,
-    lyapunov,
-    mean,
     radius,
 )
 from hkdelay import model
 from hkdelay.model import has_symmetric_weights, pair_sq, weights_from_states
 
 from conftest import make_config, random_datum
+from reference import dissipation, fluctuation, lyapunov, mean, sample
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +89,8 @@ def test_fluctuation_cases(rng):
 
 
 # ---------------------------------------------------------------------------
-# dissipation and Lyapunov functional
+# the reference dissipation and Lyapunov functional, which the series are
+# checked against
 
 def test_dissipation_consensus_zero():
     config = make_config(n_agents=3, dim=2, delay_kind=DelayKind.REACTION,
@@ -122,7 +120,7 @@ def test_dissipation_random_instance_double_loop(rng):
     traj = integrate(config, datum, 2 * config.tau)
     t = 1.5 * config.tau
     got = dissipation(config, traj, t)
-    x_del = traj.sample(t - config.tau)
+    x_del = sample(traj, t - config.tau)
 
     def psi(s):
         return 1.0 / (1.0 + s * s)
@@ -145,7 +143,7 @@ def _frozen_trajectory(config, state, horizon):
     states = np.repeat(state[None], n, axis=0)
     derivs = np.zeros_like(states)
     datum = InitialDatum.constant(state)
-    return Trajectory(grid, states, derivs, config, datum, "hermite")
+    return Trajectory(grid, states, derivs, config, datum)
 
 
 def test_lyapunov_constant_dissipation_analytic():
@@ -208,10 +206,36 @@ def test_metric_series_shapes_and_startup_convention(rng):
     assert ms.mean_drift[np.searchsorted(ms.times, 0.0)] == 0.0
 
 
-@pytest.mark.parametrize("kind", list(DelayKind))
-def test_series_match_pointwise_diameter_and_dissipation(rng, kind):
-    config = make_config(n_agents=4, dim=2, tau=0.5, delay_kind=kind)
-    datum = random_datum(rng, 4, 2)
+TABLE = InfluenceFunction.table([[0.0, 1.0], [0.5, 0.7], [2.0, 0.2]])
+SERIES_CASES = [
+    pytest.param(kind, WeightScheme.NORMALIZED, InfluenceFunction.algebraic_decay(1.0), False,
+                 id=kind.value)
+    for kind in DelayKind
+] + [
+    pytest.param(kind, scheme, influence, False, id=f"{kind.value}-{scheme.value}-{name}")
+    for kind in DelayKind
+    for scheme in WeightScheme
+    for name, influence in (
+        ("constant", InfluenceFunction.constant(0.6)),
+        ("algebraic_2.5", InfluenceFunction.algebraic_decay(2.5)),
+        ("table", TABLE),
+    )
+] + [
+    pytest.param(DelayKind.TRANSMISSION, WeightScheme.CLASSICAL_SCALED, TABLE, True,
+                 id="transmission-classical_scaled-table-sampled"),
+]
+
+
+@pytest.mark.parametrize("kind, scheme, influence, sampled", SERIES_CASES)
+def test_series_match_pointwise_diameter_and_dissipation(rng, kind, scheme, influence, sampled):
+    config = make_config(n_agents=4, dim=2, tau=0.5, delay_kind=kind, weight_scheme=scheme,
+                         influence=influence)
+    if sampled:
+        # knots on grid nodes, so the startup maximum over the nodes is the
+        # maximum over the knots that compute_metrics reads
+        datum = InitialDatum.sampled([-0.5, -0.25, 0.0], rng.uniform(-1.0, 1.0, (3, 4, 2)))
+    else:
+        datum = random_datum(rng, 4, 2)
     traj = integrate(config, datum, 4 * config.tau)
     ms = compute_metrics(config, traj)
     i0 = int(np.searchsorted(traj.grid, 0.0))
@@ -225,14 +249,16 @@ def test_series_match_pointwise_diameter_and_dissipation(rng, kind):
 
 
 def test_lyapunov_series_matches_pointwise_op(rng):
-    config = make_config(n_agents=3, dim=1, tau=0.5, delay_kind=DelayKind.REACTION,
-                         weight_scheme=WeightScheme.CLASSICAL_SCALED)
-    datum = random_datum(rng, 3, 1)
-    traj = integrate(config, datum, 4 * config.tau)
-    ms = compute_metrics(config, traj)
-    for t in (config.tau, 2.0 * config.tau, 3.5 * config.tau):
-        m = int(np.searchsorted(traj.grid, t - 1e-12))
-        assert ms.L[m] == pytest.approx(lyapunov(config, traj, float(traj.grid[m])), rel=1e-10, abs=1e-13)
+    for n_agents, dim in ((3, 1), (5, 2)):
+        config = make_config(n_agents=n_agents, dim=dim, tau=0.5, delay_kind=DelayKind.REACTION,
+                             weight_scheme=WeightScheme.CLASSICAL_SCALED)
+        datum = random_datum(rng, n_agents, dim)
+        traj = integrate(config, datum, 4 * config.tau)
+        ms = compute_metrics(config, traj)
+        for t in (config.tau, 2.0 * config.tau, 3.5 * config.tau):
+            m = int(np.searchsorted(traj.grid, t - 1e-12))
+            expect = lyapunov(config, traj, float(traj.grid[m]))
+            assert ms.L[m] == pytest.approx(expect, rel=1e-10, abs=1e-13)
 
 
 def test_lyapunov_nonincreasing_for_short_reaction_delay(rng):

@@ -9,12 +9,9 @@ from hkdelay import (
     InitialDatum,
     InvalidConfig,
     InvalidDatum,
-    RowSumContract,
     SystemConfig,
-    WeightMatrix,
     WeightScheme,
     check_icass,
-    eval_weights,
     pair_sq,
     psi_floor,
     weights_from_states,
@@ -22,18 +19,6 @@ from hkdelay import (
 from hkdelay.model import config_from_dict, datum_from_dict
 
 from conftest import make_config
-
-
-class FrozenHistory:
-    """Constant-in-time history for weight/RHS evaluation."""
-
-    def __init__(self, state):
-        self.state = np.asarray(state, dtype=float)
-        self.t_start = -1e9
-        self.t_end = 1e9
-
-    def sample(self, t):
-        return self.state
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +97,11 @@ def test_influence_validation():
 
 def test_two_agents_normalized_weights_are_one():
     config = make_config(n_agents=2, weight_scheme=WeightScheme.NORMALIZED)
-    hist = FrozenHistory([[0.0], [7.3]])
-    w = eval_weights(config, hist, 1.0)
-    assert w.entries[0, 1] == 1.0
-    assert w.entries[1, 0] == 1.0
-    assert w.row_sum_contract is RowSumContract.EXACTLY_ONE
+    x = np.array([[0.0], [7.3]])
+    w = weights_from_states(config, x, x)
+    assert w[0, 1] == 1.0
+    assert w[1, 0] == 1.0
+    assert np.all(w.sum(axis=1) == 1.0)
 
 
 def test_three_agents_classical_constant_influence():
@@ -125,20 +110,19 @@ def test_three_agents_classical_constant_influence():
         weight_scheme=WeightScheme.CLASSICAL_SCALED,
         influence=InfluenceFunction.constant(1.0),
     )
-    hist = FrozenHistory([[0.0], [1.0], [5.0]])
-    w = eval_weights(config, hist, 0.7)
-    off = w.entries[~np.eye(3, dtype=bool)]
+    x = np.array([[0.0], [1.0], [5.0]])
+    w = weights_from_states(config, x, x)
+    off = w[~np.eye(3, dtype=bool)]
     assert np.allclose(off, 0.5, atol=0.0)
-    assert np.allclose(w.row_sums(), 1.0, atol=1e-15)
-    assert w.row_sum_contract is RowSumContract.AT_MOST_ONE
+    assert np.all(np.diagonal(w) == 0.0)
+    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-15)
 
 
 def test_three_agents_normalized_matches_scalar_evaluation():
     # independent scalar evaluation of psi(s) = 1/(1+s^2) at fixed positions
     config = make_config(n_agents=3, dim=1, tau=0.5)
     pos = np.array([[0.0], [1.0], [3.0]])
-    hist = FrozenHistory(pos)
-    got = eval_weights(config, hist, 2.0).entries
+    got = weights_from_states(config, pos, pos)
 
     def psi(s):
         return 1.0 / (1.0 + s * s)
@@ -278,14 +262,6 @@ def test_normalized_weights_do_not_underflow():
     assert np.all(np.isfinite(w))
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
     assert w[1, 0] == w[1, 2] == 0.5
-
-
-def test_weight_matrix_contract_enforced():
-    bad = np.array([[0.0, 0.6, 0.6], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]])
-    with pytest.raises(InvalidConfig):
-        WeightMatrix(bad, RowSumContract.AT_MOST_ONE)
-    with pytest.raises(InvalidConfig):
-        WeightMatrix(np.eye(3), RowSumContract.AT_MOST_ONE)  # nonzero diagonal
 
 
 # ---------------------------------------------------------------------------

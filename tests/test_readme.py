@@ -1,0 +1,41 @@
+"""The README's "Library layout" table names only what the package holds."""
+
+import importlib
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def layout_rows():
+    """(module, [backticked names]) per table row; spans that are not
+    (dotted) identifiers, such as shapes and formulas, are left out."""
+    section = README.read_text().split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 2 or not cells[0].startswith("`hkdelay"):
+            continue
+        names = [s for s in re.findall(r"`([^`]+)`", cells[1]) if NAME.fullmatch(s)]
+        rows.append((cells[0].strip("`"), names))
+    return rows
+
+
+def test_layout_table_names_resolve_in_their_modules():
+    rows = layout_rows()
+    assert [m for m, _ in rows] == [
+        "hkdelay.model", "hkdelay.dynamics", "hkdelay.metrics",
+        "hkdelay.rates", "hkdelay.toy", "hkdelay.cli",
+    ]
+    missing = []
+    for module_name, names in rows:
+        module = importlib.import_module(module_name)
+        assert names, module_name
+        for name in names:
+            owner = module
+            for part in name.split("."):
+                owner = getattr(owner, part, None)
+            if owner is None:
+                missing.append(f"{module_name}: {name}")
+    assert not missing
