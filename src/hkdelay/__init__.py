@@ -9,7 +9,6 @@ from .errors import (
     InvalidProblem,
     InvalidWeights,
     NoRootFound,
-    NonFinite,
     NonPositiveSeries,
     OutOfRange,
     PreconditionViolated,

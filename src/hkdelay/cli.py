@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, metrics, rates, toy
-from .errors import HKDelayError, NonFinite, NonPositiveSeries, SpecError
+from .errors import HKDelayError, NonPositiveSeries, SpecError
 from .model import (
     DelayKind,
     InitialDatum,
@@ -167,7 +167,6 @@ class RunResult:
     series: metrics.MetricSeries
     preconditions: rates.PreconditionReport
     report: dict
-    blow_up_time: float | None
     error: HKDelayError | None = None  # raised after the integration
 
 
@@ -226,19 +225,16 @@ def _theoretical_rates(spec: ExperimentSpec, report: rates.PreconditionReport):
     return out, skipped
 
 
-def run_experiment(spec: ExperimentSpec, traj=None, blow_up=None) -> RunResult:
-    """Integrate spec, unless a sweep passes the trajectory and blow-up time
-    that its group gave, and evaluate the metrics, preconditions and report.
+def run_experiment(spec: ExperimentSpec, traj=None) -> RunResult:
+    """Integrate spec, unless a sweep passes the trajectory that its group
+    gave, and evaluate the metrics, preconditions and report.
 
     A package error after the integration is kept in the result with what
     was computed before it; its class name is the report's exit_reason.
     """
     if traj is None:
-        try:
-            traj = dynamics.integrate(spec.config, spec.datum, spec.horizon, spec.integrator)
-        except NonFinite as exc:
-            traj = exc.trajectory
-            blow_up = exc.time
+        traj = dynamics.integrate(spec.config, spec.datum, spec.horizon, spec.integrator)
+    blow_up = traj.blow_up_time
     series = precond = summary = error = None
     theoretical, skipped = {}, {}
     try:
@@ -270,7 +266,7 @@ def run_experiment(spec: ExperimentSpec, traj=None, blow_up=None) -> RunResult:
             type(error).__name__ if error is not None else "ok" if blow_up is None else "blow_up"
         ),
     }
-    return RunResult(spec, traj, series, precond, report, blow_up, error)
+    return RunResult(spec, traj, series, precond, report, error)
 
 
 def write_outputs(result: RunResult, out_dir: Path) -> None:
@@ -296,8 +292,9 @@ def cmd_simulate(args) -> int:
     write_outputs(result, Path(args.out))
     if result.error is not None:
         raise result.error  # exit 1, after the partial outputs
-    if result.blow_up_time is not None:
-        print(f"blow-up at t={result.blow_up_time:.6g}; partial outputs written", file=sys.stderr)
+    blow_up = result.trajectory.blow_up_time
+    if blow_up is not None:
+        print(f"blow-up at t={blow_up:.6g}; partial outputs written", file=sys.stderr)
         return 2
     return 0
 
@@ -327,8 +324,8 @@ def _apply_sweep_value(doc: dict, param: str, value: float) -> dict:
     return doc
 
 
-def _sweep_row(spec: ExperimentSpec, value: float, traj, blow_up) -> dict:
-    result = run_experiment(spec, traj, blow_up)
+def _sweep_row(spec: ExperimentSpec, value: float, traj) -> dict:
+    result = run_experiment(spec, traj)
     if result.error is not None:
         raise result.error
     regime = ""
@@ -361,14 +358,13 @@ def cmd_sweep(args) -> int:
         groups.setdefault(i if key is None else key, []).append(i)  # int i: alone
     rows = [None] * len(specs)
     for members in groups.values():
-        runs = [(None, None)]  # a group of one integrates in run_experiment
+        trajectories = [None]  # a group of one integrates in run_experiment
         if len(members) > 1:
             columns = zip(*[(specs[i].config, specs[i].datum, specs[i].horizon, specs[i].integrator)
                             for i in members])
-            group = dynamics.integrate(*columns)
-            runs = zip(group.trajectories, group.blow_up_times)
-        for i, (traj, blow_up) in zip(members, runs):
-            rows[i] = _sweep_row(specs[i], values[i], traj, blow_up)
+            trajectories = dynamics.integrate(*columns).trajectories
+        for i, traj in zip(members, trajectories):
+            rows[i] = _sweep_row(specs[i], values[i], traj)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:

@@ -9,8 +9,9 @@ delayed states are evaluated in stacked calls, and its nodes are summed in
 order from the increments, bit for bit as a step-by-step loop would give.
 A half step reads the prescribed datum on the startup interval and the
 closed-form cubic Hermite midpoint of a computed segment after it.  A
-trajectory stores states and derivatives on the grid nodes only.  A
-deliberately simple explicit-Euler integrator with its own linear history
+trajectory stores states and derivatives on the grid nodes only; a run
+that blows up ends before its first blown-up node and records that node's
+time.  A deliberately simple explicit-Euler integrator with its own linear history
 lookup serves as an independent cross-check.
 """
 
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFinite
+from .errors import InvalidConfig
 from .model import (
     DelayKind,
     InitialDatum,
@@ -56,7 +58,8 @@ class IntegratorSpec:
         object.__setattr__(self, "method", Method(self.method))
 
     def steps_per_delay(self, tau: float) -> int:
-        q = round(tau / self.dt)
+        ratio = tau / self.dt  # inf for a dt far below tau
+        q = round(ratio) if math.isfinite(ratio) else 0
         if q < 1 or abs(q * self.dt - tau) > 1e-12 * max(1.0, tau):
             raise InvalidConfig(
                 f"dt={self.dt:g} must divide tau={tau:g} into an integer step count"
@@ -74,13 +77,16 @@ def default_spec(config: SystemConfig, method: Method = Method.RK4_STEPS) -> Int
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Solution history on [-tau, T]: states and derivatives on a uniform
-    grid with grid[0] = -tau, and the datum that prescribed the startup."""
+    grid with grid[0] = -tau, and the datum that prescribed the startup.
+    A run that blew up ends before its first blown-up node, whose time is
+    blow_up_time (None for a run that reached the horizon)."""
 
     grid: np.ndarray  # (n,)
     states: np.ndarray  # (n, N, d)
     derivs: np.ndarray  # (n, N, d)
     config: SystemConfig
     datum: InitialDatum
+    blow_up_time: float | None = None
 
 
 def velocity_from_states(
@@ -97,22 +103,38 @@ def velocity_from_states(
 
 
 def _grid_shape(config: SystemConfig, horizon: float, spec: IntegratorSpec) -> tuple[int, int]:
-    """(q, n_fwd): steps per delay and forward steps to the horizon."""
+    """(q, n_fwd): steps per delay and forward steps to the horizon.  A grid
+    whose states cannot be addressed is refused, naming integrator.dt when
+    the startup segment alone is too long."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise InvalidConfig(f"horizon must be positive, got {horizon}")
-    return spec.steps_per_delay(config.tau), int(math.ceil(horizon / spec.dt - 1e-9))
+    q = spec.steps_per_delay(config.tau)
+    node_bytes = 8 * config.n_agents * config.dim
+    nodes = q + horizon / spec.dt + 1
+    if nodes * node_bytes > sys.maxsize:
+        field = "integrator.dt" if (q + 1) * node_bytes > sys.maxsize else "horizon"
+        raise InvalidConfig(f"{field}: {nodes:.4g} grid nodes of {node_bytes} bytes cannot be addressed")
+    return q, int(math.ceil(horizon / spec.dt - 1e-9))
 
 
-def _make_grid(config: SystemConfig, datum: InitialDatum, horizon: float, spec: IntegratorSpec):
-    q, n_fwd = _grid_shape(config, horizon, spec)
+def _check_datum(config: SystemConfig, datum: InitialDatum) -> None:
     if datum.n_agents != config.n_agents or datum.dim != config.dim:
         raise InvalidConfig(
             f"datum shape ({datum.n_agents}, {datum.dim}) does not match "
             f"config ({config.n_agents}, {config.dim})"
         )
     datum.require_coverage(config.tau)
-    grid = (np.arange(q + n_fwd + 1) - q) * spec.dt
-    return grid, q, n_fwd
+
+
+def _allocate(config: SystemConfig, q: int, n_fwd: int, dts):
+    """(grid, states, derivs) of members stepped by dts: the (B, n) grids
+    from -tau to the horizon and uninitialised (B, n, N, d) node arrays."""
+    try:
+        grid = np.arange(-q, n_fwd + 1) * np.reshape(dts, (-1, 1))
+        states = np.empty(grid.shape + (config.n_agents, config.dim))
+        return grid, states, np.empty_like(states)
+    except (MemoryError, ValueError) as exc:  # ValueError: too big for numpy
+        raise InvalidConfig(f"horizon: {q + n_fwd + 1} grid nodes cannot be allocated") from exc
 
 
 def _fill_startup(grid, q, datum, states, derivs):
@@ -153,19 +175,18 @@ def _delayed_nodes(states, derivs, mids, q, j0, j1, eighth):
     return 0.5 * (states[j0:j1] + full) + eighth * (derivs[j0:j1] - derivs[j0 + 1 : j1 + 1]), full
 
 
-def _blown(nodes, center, limit, lowest, members):
-    """Blow-up flags of a (c, ...) stack of nodes, or None if none blew up.
+def _blown(nodes, center, limit, lowest):
+    """(c, B) blow-up flags of a (c, B, ...) stack of nodes of B members, or
+    None if none blew up.
 
     A state blows up where |state - center| exceeds limit (both broadcast
-    against a state; lowest is the smallest limit) or is not finite.  The
-    flags are (c,) for plain states and (c, B) for members stacked on the
-    axis after the node axis.
+    against a state; lowest is the smallest limit) or is not finite.
     """
     dev = np.abs(nodes - center)
     if dev.max() <= lowest:  # NaN fails the comparison
         return None
     bad = ~(dev <= limit)
-    bad = bad.reshape(bad.shape[: 1 + members] + (-1,)).any(axis=-1)
+    bad = bad.reshape(bad.shape[:2] + (-1,)).any(axis=-1)
     return bad if bad.any() else None
 
 
@@ -176,13 +197,12 @@ def rk4_method_of_steps(
     """Advance classical RK4 by the method of steps, in place, from node q (t = 0).
 
     states and derivs hold the history on nodes 0..q and mids at the q
-    startup midpoints; a state may have any shape.  vel(x_now, x_delayed)
-    is the velocity, and it takes states stacked on extra leading axes.  dt
-    is a scalar, or a (B, 1, ..., 1) array that steps B members stacked on
-    the first axis of each state, member b by dt[b]; every operation acts
-    per member, so one member's values never reach another's.  A state
-    blows up where |state - center| exceeds limit or is not finite (both
-    broadcast against a state).
+    startup midpoints.  A state stacks B members on its first axis, and dt
+    is a (B, 1, ..., 1) array that steps member b by dt[b]; every operation
+    acts per member, so one member's values never reach another's.
+    vel(x_now, x_delayed) is the velocity, and it takes states stacked on
+    extra leading axes.  A state blows up where |state - center| exceeds
+    limit or is not finite (both broadcast against a state).
 
     reads_now=True steps one node at a time with four vel calls.
     reads_now=False declares that vel ignores x_now, as reaction-type delay
@@ -194,13 +214,12 @@ def rk4_method_of_steps(
     in order from the increments, so they equal the per-step loop's bit for
     bit.
 
-    Returns the number of nodes filled before the first blown-up one, whose
-    state is left in states: an int for a scalar dt, and one count per
-    member for an array dt.  The loop ends once every member has blown up.
+    Returns one count per member: the number of nodes filled before its
+    first blown-up one, whose state is left in states.  The loop ends once
+    every member has blown up.
     """
     n = len(states)
-    members = np.ndim(dt) > 0
-    n_valid = np.full(len(dt), n) if members else n
+    n_valid = np.full(len(dt), n)
     lowest = np.min(limit)
     half, sixth, eighth = 0.5 * dt, dt / 6.0, 0.125 * dt
     width = 1 if reads_now else q
@@ -229,10 +248,8 @@ def rk4_method_of_steps(
                 np.cumsum(nodes, axis=0, out=nodes)
             states[a + 1 : b + 1] = nodes
             derivs[a + 1 : b + 1] = vel(nodes[0], xd_full) if reads_now else k4
-            bad = _blown(nodes, center, limit, lowest, members)
+            bad = _blown(nodes, center, limit, lowest)
             if bad is not None:
-                if not members:
-                    return a + 1 + int(bad.argmax())
                 hit = bad.any(axis=0) & (n_valid == n)
                 n_valid[hit] = a + 1 + bad.argmax(axis=0)[hit]
                 if (n_valid < n).all():
@@ -243,12 +260,10 @@ def rk4_method_of_steps(
 @dataclass(frozen=True, eq=False)
 class GroupRun:
     """Members integrated together: member b ran on grid[b], and
-    trajectories[b] holds its nodes up to blow_up_times[b] (None when it
-    reached the horizon)."""
+    trajectories[b] is its Trajectory, cut where it blew up."""
 
     grid: np.ndarray  # (B, n)
     trajectories: tuple
-    blow_up_times: tuple
 
 
 def group_key(config: SystemConfig, horizon: float, spec: IntegratorSpec):
@@ -268,25 +283,20 @@ def integrate(config, datum, horizon, spec=None):
     """Integrate the delayed system over [0, horizon] by the spec's method.
 
     RK4 method of steps is the default; an euler_oracle spec runs
-    integrate_oracle.  Returns the Trajectory, or raises NonFinite (carrying
-    the partial trajectory and blow-up time) if a state blows up, which is
-    the expected outcome in the unstable reaction regime.
+    integrate_oracle.  Returns the Trajectory.  A run that blows up, the
+    expected outcome in the unstable reaction regime, returns its nodes
+    before the blown-up one and that node's time as blow_up_time.
 
     A group integrates in one stepper call: config, datum, horizon and spec
     are then equal-length sequences, one entry per member (spec may be
-    None), whose group_key is the same.  It returns a GroupRun and raises
-    nothing for a member that blows up.
+    None), whose group_key is the same.  It returns a GroupRun.
     """
     if isinstance(config, SystemConfig):
         if spec is None:
             spec = default_spec(config)
         if spec.method is Method.EULER_ORACLE:
             return integrate_oracle(config, datum, horizon, spec)
-        run = _integrate_group([config], [datum], [horizon], [spec])
-        (traj,), (blow_up,) = run.trajectories, run.blow_up_times
-        if blow_up is not None:
-            raise NonFinite(blow_up, traj)
-        return traj
+        return _integrate_group([config], [datum], [horizon], [spec]).trajectories[0]
     if spec is None:
         spec = [None] * len(config)
     specs = [default_spec(c) if s is None else s for c, s in zip(config, spec)]
@@ -299,20 +309,19 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
         raise InvalidConfig(
             "group members must differ only in tau and share rk4_steps, q and the step count"
         )
-    made = [_make_grid(c, d, h, s) for c, d, h, s in zip(configs, datums, horizons, specs)]
-    grid = np.stack([g for g, _, _ in made])
-    B, n = grid.shape
-    q = made[0][1]
+    ((_, q, n_fwd),) = keys
+    for c, d in zip(configs, datums):
+        _check_datum(c, d)
     config = configs[0]
+    dt = np.array([s.dt for s in specs]).reshape(-1, 1, 1)
     # member-major storage, so each member's trajectory is contiguous; the
     # stepper walks the node axis of the swapped views
-    states = np.empty((B, n, config.n_agents, config.dim))
-    derivs = np.empty_like(states)
+    grid, states, derivs = _allocate(config, q, n_fwd, dt)
+    B, n = grid.shape
     mids = np.empty((q, B, config.n_agents, config.dim))
     for b in range(B):
         mids[:, b] = _fill_startup(grid[b], q, datums[b], states[b], derivs[b])
     center, limit = _blow_up_bounds(states[:, q])
-    dt = np.array([s.dt for s in specs]).reshape(B, 1, 1)
 
     def vel(x_now, x_del):
         return velocity_from_states(config, x_now, x_del)
@@ -325,13 +334,14 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
         vel, states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, q, dt,
         transmission, center, limit, block_length(B * config.n_agents**2),
     )
-    counts = n_valid.tolist()
     trajectories = tuple(
-        Trajectory(grid[b, :m], states[b, :m], derivs[b, :m], configs[b], datums[b])
-        for b, m in enumerate(counts)
+        Trajectory(
+            grid[b, :m], states[b, :m], derivs[b, :m], configs[b], datums[b],
+            float(grid[b, m]) if m < n else None,
+        )
+        for b, m in enumerate(n_valid.tolist())
     )
-    blow_ups = tuple(float(grid[b, m]) if m < n else None for b, m in enumerate(counts))
-    return GroupRun(grid, trajectories, blow_ups)
+    return GroupRun(grid, trajectories)
 
 
 def _oracle_velocity(config: SystemConfig, x_now, x_delayed) -> np.ndarray:
@@ -364,18 +374,22 @@ def integrate_oracle(
     horizon: float,
     spec: IntegratorSpec | None = None,
 ) -> Trajectory:
-    """Explicit Euler with linear history interpolation (verification path)."""
+    """Explicit Euler with linear history interpolation (verification path).
+
+    Blow-up is tested as in integrate, and a run that blows up returns its
+    nodes before the blown-up one, with that node's time as blow_up_time.
+    """
     if spec is None:
         spec = default_spec(config, Method.EULER_ORACLE)
     if spec.method is not Method.EULER_ORACLE:
         raise InvalidConfig("integrate_oracle expects an euler_oracle spec")
-    grid, q, n_fwd = _make_grid(config, datum, horizon, spec)
-    states = np.empty((grid.size, config.n_agents, config.dim))
-    derivs = np.empty_like(states)
+    q, n_fwd = _grid_shape(config, horizon, spec)
+    _check_datum(config, datum)
+    grid, states, derivs = (a[0] for a in _allocate(config, q, n_fwd, [spec.dt]))
     _fill_startup(grid, q, datum, states, derivs)
     center, limit = _blow_up_bounds(states[q])
     lowest = np.min(limit)
-    traj = Trajectory(grid, states, derivs, config, datum)
+    kept = grid.size
     dt = spec.dt
     tau = config.tau
 
@@ -397,15 +411,16 @@ def integrate_oracle(
             v = _oracle_velocity(config, states[m], x_del)
             derivs[m] = v
             y1 = states[m] + dt * v
-            if _blown(y1[None], center, limit, lowest, False) is not None:
-                cut = slice(0, m + 1)
-                partial = replace(traj, grid=grid[cut], states=states[cut], derivs=derivs[cut])
-                raise NonFinite(float(grid[m + 1]), partial)
+            if _blown(y1[None, None], center, limit, lowest) is not None:
+                kept = m + 1
+                break
             states[m + 1] = y1
-        derivs[q + n_fwd] = _oracle_velocity(
-            config, states[q + n_fwd], lookup(q + n_fwd + 1, grid[q + n_fwd] - tau)
-        )
-    return traj
+        else:
+            derivs[q + n_fwd] = _oracle_velocity(
+                config, states[q + n_fwd], lookup(q + n_fwd + 1, grid[q + n_fwd] - tau)
+            )
+    blow_up = float(grid[kept]) if kept < grid.size else None
+    return Trajectory(grid[:kept], states[:kept], derivs[:kept], config, datum, blow_up)
 
 
 # ---------------------------------------------------------------------------

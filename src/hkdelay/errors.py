@@ -17,18 +17,6 @@ class OutOfRange(HKDelayError):
     """A sample time lies outside the stored trajectory span."""
 
 
-class NonFinite(HKDelayError):
-    """Integration produced NaN/Inf or exceeded the blow-up threshold.
-
-    Carries the blow-up time and the partial trajectory computed so far.
-    """
-
-    def __init__(self, time, trajectory=None):
-        super().__init__(f"state became non-finite at t={time:.6g}")
-        self.time = time
-        self.trajectory = trajectory
-
-
 class InvalidProblem(HKDelayError, ValueError):
     """Rate problem violates 0 < alpha < beta or tau > 0."""
 

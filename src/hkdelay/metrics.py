@@ -107,9 +107,10 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     d_x[: i0 + 1] = check_icass(trajectory.datum, config).d_x0
 
     r_x = np.sqrt(np.einsum("tik,tik->ti", S, S)).max(axis=1)
-    xbar = S.mean(axis=1)
+    dev = S - S[i0, 0]  # relative to one agent, so a far datum keeps its digits
+    xbar = dev.mean(axis=1)
     drift = np.sqrt(((xbar - xbar[i0]) ** 2).sum(axis=1))
-    dev = S - xbar[i0][None, None, :]
+    dev -= xbar[i0]
     X = np.einsum("tik,tik->t", dev, dev) / (2.0 * (n_agents - 1))
 
     L = np.full(n, np.nan)

@@ -11,7 +11,7 @@ most one) or row-normalized weights (row sums exactly one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -429,6 +429,9 @@ def config_from_dict(d: dict) -> SystemConfig:
     for key in ("n_agents", "dim", "tau"):
         if not isinstance(d.get(key, 0), (int, float)):
             raise InvalidConfig(f"config.{key}: expected a number, got {d[key]!r}")
+    missing = [f.name for f in fields(SystemConfig) if f.name not in d]
+    if missing:
+        raise InvalidConfig(f"config.{missing[0]}: missing field")
     try:
         return SystemConfig(
             n_agents=d["n_agents"],
@@ -438,8 +441,8 @@ def config_from_dict(d: dict) -> SystemConfig:
             weight_scheme=WeightScheme(d["weight_scheme"]),
             influence=influence_from_dict(d["influence"]),
         )
-    except KeyError as exc:
-        raise InvalidConfig(f"config.{exc.args[0]}: missing field") from exc
+    except KeyError as exc:  # a field the influence's kind needs
+        raise InvalidConfig(f"config.influence.{exc.args[0]}: missing field") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"config: {exc}") from exc
 

@@ -17,7 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import STEPS_PER_DELAY, IntegratorSpec, Method, integrate
-from .errors import InvalidConfig, NoRootFound, NonFinite
+from .errors import InvalidConfig, NoRootFound
+from .metrics import fit_decay_rate
 from .model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
 
 OSCILLATION_THRESHOLD = math.exp(-1.0)  # on 2*tau
@@ -140,15 +141,9 @@ def simulate_toy(
         influence=InfluenceFunction.constant(1.0),
     )
     datum = InitialDatum.constant([[0.5 * w0], [-0.5 * w0]])
-    spec = IntegratorSpec(Method.RK4_STEPS, dt)
-    try:
-        traj = integrate(config, datum, horizon, spec)
-        blow_up = None
-    except NonFinite as exc:
-        traj = exc.trajectory
-        blow_up = exc.time
+    traj = integrate(config, datum, horizon, IntegratorSpec(Method.RK4_STEPS, dt))
     w = traj.states[:, 0, 0] - traj.states[:, 1, 0]
-    return ToySeries(times=traj.grid, w=w, blow_up_time=blow_up)
+    return ToySeries(times=traj.grid, w=w, blow_up_time=traj.blow_up_time)
 
 
 def fitted_decay_rate(series: ToySeries, t_lo: float | None = None):
@@ -167,12 +162,5 @@ def fitted_decay_rate(series: ToySeries, t_lo: float | None = None):
         return None
     interior = idx[(idx > 0) & (idx < t.size - 1)]
     peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
-    if peaks.size >= 4:
-        tt, yy = t[peaks], np.log(a[peaks])
-    else:
-        tt, yy = t[idx], np.log(a[idx])
-    tc = tt - tt.mean()
-    denom = float((tc * tc).sum())
-    if denom == 0.0:
-        return None
-    return -float((tc * (yy - yy.mean())).sum() / denom)
+    fit = peaks if peaks.size >= 4 else idx
+    return fit_decay_rate(t[fit], a[fit], (t[fit[0]], t[fit[-1]])).c_emp

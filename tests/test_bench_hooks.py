@@ -115,21 +115,44 @@ def test_each_run_calls_the_timed_layers_once(tmp_path, monkeypatch, command):
     }[command]
 
 
-def test_integrate_extra_counts_the_steps_of_every_member(tmp_path, monkeypatch):
-    # --trace 1 reads dynamics.steps from _EXTRA["dynamics.integrate"]
-    # applied to what integrate returns: for the benchmark's 8-value tau
-    # sweep, one group of 8 members with 1280 forward steps each
+def record_integrate_extras(monkeypatch):
+    """(extra, result) of each integrate call, with the extra that
+    perfbench/child.py's _EXTRA["dynamics.integrate"] computes from it;
+    --trace 1 reads dynamics.steps from these extras."""
     extra = CHILD_MODULE._EXTRA["dynamics.integrate"]
-    counts = []
+    calls = []
     for namespace, key, _ in CHILD_MODULE.find_sites("hkdelay.dynamics", "integrate"):
         original = getattr(namespace, key)
 
         def wrapper(*args, _original=original):
             out = _original(*args)
-            counts.append(extra(args, out))
+            calls.append((extra(args, out), out))
             return out
 
         monkeypatch.setattr(namespace, key, wrapper)
+    return calls
+
+
+def test_integrate_extra_counts_the_steps_of_a_run_that_blows_up(tmp_path, monkeypatch):
+    # two agents, reaction, tau = 16, dt = 1/4: the node at t = 194.75 blows
+    # up, so 778 forward steps completed
+    calls = record_integrate_extras(monkeypatch)
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"config": {"n_agents": 2, "dim": 1, "tau": 16.0, "delay_kind": "reaction",'
+        ' "weight_scheme": "classical_scaled", "influence": {"kind": "constant", "c": 1.0}},'
+        ' "datum": {"kind": "constant_per_agent", "vectors": [[0.0], [1.0]]}}'
+    )
+    assert cli.main(["simulate", str(spec), "--out", str(tmp_path / "out")]) == 2
+    ((steps, traj),) = calls
+    assert traj.blow_up_time == 194.75
+    assert steps == 778 == traj.grid.size - 1 - 64
+
+
+def test_integrate_extra_counts_the_steps_of_every_member(tmp_path, monkeypatch):
+    # for the benchmark's 8-value tau sweep, one group of 8 members with
+    # 1280 forward steps each
+    calls = record_integrate_extras(monkeypatch)
     spec = tmp_path / "spec.json"
     spec.write_text(
         '{"config": {"n_agents": 5, "dim": 2, "tau": 1.0, "delay_kind": "reaction",'
@@ -141,4 +164,4 @@ def test_integrate_extra_counts_the_steps_of_every_member(tmp_path, monkeypatch)
     taus = ["0.25", "0.5", "0.75", "1", "1.25", "1.5", "1.75", "2"]
     assert cli.main(["sweep", str(spec), "--param", "tau", "--values", *taus,
                      "--out", str(tmp_path / "out")]) == 0
-    assert counts == [8 * 1280]
+    assert [steps for steps, _ in calls] == [8 * 1280]

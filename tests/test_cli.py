@@ -193,6 +193,15 @@ def test_empirical_rate_of_a_translated_datum_respects_the_theorem_rate(tmp_path
     assert report["metrics_summary"]["C_emp"] >= rate
 
 
+def test_fluctuation_of_a_translated_datum_keeps_its_digits(tmp_path):
+    # X(0) = (16 + 1 + 25) / 9 / (2 (N - 1)) = 7/6; an agent mean taken of
+    # the states near 1e13 rounds at about 0.002 and read 1.1666669845581055
+    out = tmp_path / "out"
+    assert main(["simulate", far_spec(tmp_path), "--out", str(out)]) == 0
+    x0 = json.loads((out / "report.json").read_text())["metrics_summary"]["X0"]
+    assert abs(x0 - 7.0 / 6.0) <= 2 * np.spacing(7.0 / 6.0)
+
+
 def test_consensus_time_of_a_translated_datum_is_reached(tmp_path):
     # d_x stops at 0.03125, the rounding of states near 1e13, which lies
     # above 1e-3 d_x0 = 0.003; the tolerance now has the floor of the fit,
@@ -304,6 +313,10 @@ def _set(path, value):
         (_set("datum.vectors", DELETE), "datum.vectors"),
         (_set("config.influence", []), "config"),
         (_set("config.influence", {"kind": "table", "samples": [0.0, 1.0]}), "config"),
+        (_set("config.influence", {"kind": "table"}), "config.influence.samples"),
+        (_set("horizon", 1e300), "horizon"),
+        (_set("horizon", 1e13), "horizon"),  # 2^54 bytes: addressable, not allocatable
+        (_set("integrator", {"dt": 1e-300}), "integrator.dt"),
         (_set("outputs", 5), "outputs"),
         (["toy", "--tau", "0", "--kind", "reaction"], "tau"),
         (["toy", "--tau=-1", "--kind", "reaction"], "tau"),
@@ -312,7 +325,8 @@ def _set(path, value):
     ids=[
         "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
         "config_list", "tau_text", "vectors_text", "vectors_missing",
-        "influence_list", "table_flat", "outputs_number",
+        "influence_list", "table_flat", "table_samples_missing", "horizon_huge", "horizon_unallocatable", "dt_tiny",
+        "outputs_number",
         "toy_tau_zero", "toy_tau_negative", "toy_tau_nan",
     ],
 )

@@ -10,7 +10,6 @@ from hkdelay import (
     IntegratorSpec,
     InvalidConfig,
     Method,
-    NonFinite,
     OutOfRange,
     Trajectory,
     WeightScheme,
@@ -387,6 +386,8 @@ def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
 def test_dt_must_divide_tau():
     with pytest.raises(InvalidConfig):
         IntegratorSpec(Method.RK4_STEPS, 0.3).steps_per_delay(1.0)
+    with pytest.raises(InvalidConfig):  # tau / dt overflows
+        IntegratorSpec(Method.RK4_STEPS, 1e-320).steps_per_delay(1.0)
     assert IntegratorSpec(Method.RK4_STEPS, 0.25).steps_per_delay(1.0) == 4
     assert IntegratorSpec(Method.RK4_STEPS, 1.0 / 3.0).steps_per_delay(1.0) == 3
 
@@ -399,17 +400,10 @@ def test_integrate_runs_euler_oracle_spec_bit_for_bit(tau, horizon):
     )
     datum = InitialDatum.constant([[0.5], [-0.5]])
     spec = IntegratorSpec(Method.EULER_ORACLE, tau / 16)
-
-    def run(fn):
-        try:
-            return None, fn(config, datum, horizon, spec)
-        except NonFinite as exc:
-            return exc.time, exc.trajectory
-
-    blow_up, via_integrate = run(integrate)
-    expect_blow_up, direct = run(integrate_oracle)
-    assert blow_up == expect_blow_up
-    assert (blow_up is None) == (tau < 1.0)
+    via_integrate = integrate(config, datum, horizon, spec)
+    direct = integrate_oracle(config, datum, horizon, spec)
+    assert via_integrate.blow_up_time == direct.blow_up_time
+    assert (direct.blow_up_time is None) == (tau < 1.0)
     for name in ("grid", "states", "derivs"):
         assert np.array_equal(getattr(via_integrate, name), getattr(direct, name))
 
@@ -420,13 +414,10 @@ def test_blow_up_reports_time_and_partial():
         influence=InfluenceFunction.constant(1.0),
     )
     datum = InitialDatum.constant([[0.5], [-0.5]])
-    with pytest.raises(NonFinite) as err:
-        integrate(config, datum, 200.0)
+    partial = integrate(config, datum, 200.0)
     # centred at 0 with spread 1, the relative blow-up test reads |x| > 1e12,
     # the absolute rule it replaced, and stops at the same node
-    assert err.value.time == 83.4375
-    partial = err.value.trajectory
-    assert partial is not None
+    assert partial.blow_up_time == 83.4375
     assert partial.grid.size == 2734
     assert np.all(np.isfinite(partial.states))
     assert partial.grid[-1] < 200.0
@@ -434,10 +425,10 @@ def test_blow_up_reports_time_and_partial():
 
 def test_rk4_stepper_stops_at_the_first_blown_up_node():
     # u' = 2 u(t - 1) from u = 1 on a (3,) state passes the threshold near t = 32
-    q, dt = 4, 0.25
-    states = np.ones((q + 200 + 1, 3))
+    q, dt = 4, np.full((1, 1), 0.25)
+    states = np.ones((q + 200 + 1, 1, 3))
     derivs = np.zeros_like(states)
-    n_valid = dynamics.rk4_method_of_steps(
+    (n_valid,) = dynamics.rk4_method_of_steps(
         lambda x_now, x_del: 2.0 * x_del, states, derivs, states[:q], q, dt, reads_now=False
     )
     assert q < n_valid < len(states)
@@ -456,23 +447,16 @@ def test_rk4_and_euler_oracle_agree_on_blow_up(offset, tau, blows_up):
     )
     datum = InitialDatum.constant([[offset + 0.5], [offset - 0.5]])
     for spec in (IntegratorSpec(Method.RK4_STEPS, tau / 16), IntegratorSpec(Method.EULER_ORACLE, tau / 16)):
-        try:
-            traj = integrate(config, datum, 100.0, spec)
-        except NonFinite as exc:
-            assert blows_up, spec.method
-            assert 0.0 < exc.time < 100.0
-            assert np.all(np.abs(exc.trajectory.states - offset) <= 1e12)
+        traj = integrate(config, datum, 100.0, spec)
+        if blows_up:
+            assert 0.0 < traj.blow_up_time < 100.0, spec.method
+            assert traj.grid[-1] + spec.dt == traj.blow_up_time
+            assert np.all(np.abs(traj.states - offset) <= 1e12)
+            if spec.method is Method.EULER_ORACLE:  # its next step blows up
+                assert np.abs(traj.states[-1] + spec.dt * traj.derivs[-1] - offset).max() > 1e12
         else:
-            assert not blows_up, spec.method
+            assert traj.blow_up_time is None, spec.method
             assert traj.grid[-1] == 100.0
-
-
-def solo(config, datum, horizon, spec):
-    """(trajectory, blow-up time) of one run through the single-run call."""
-    try:
-        return integrate(config, datum, horizon, spec), None
-    except NonFinite as exc:
-        return exc.trajectory, exc.time
 
 
 def same_bits(a, b):
@@ -483,9 +467,9 @@ def assert_members_equal_solo_runs(configs, datums, horizons, specs):
     run = integrate(configs, datums, horizons, specs)
     assert run.grid.shape[0] == len(configs)
     for b, args in enumerate(zip(configs, datums, horizons, specs)):
-        traj, blow_up = solo(*args)
-        assert run.blow_up_times[b] == blow_up
+        traj = integrate(*args)
         member = run.trajectories[b]
+        assert member.blow_up_time == traj.blow_up_time
         assert member.grid.size == traj.grid.size  # n_valid
         assert same_bits(run.grid[b, : traj.grid.size], traj.grid)
         for name in ("grid", "states", "derivs"):
@@ -532,13 +516,13 @@ def test_group_members_equal_solo_runs_bit_for_bit(
         horizons.append(n_fwd * specs[-1].dt)
     run = assert_members_equal_solo_runs(configs, datums, horizons, specs)
     assert run.grid.shape == (len(taus), q + n_fwd + 1)
-    blown = sum(t is not None for t in run.blow_up_times)
+    blown = sum(t.blow_up_time is not None for t in run.trajectories)
     event(f"{'no' if blown == 0 else 'all' if blown == len(taus) else 'some'} members blow up")
 
 
 def test_blown_up_members_keep_their_own_node_counts():
     # two agents, reaction, classical, constant psi: tau >= 8 blows up
-    # within 20 tau; each member stops where its solo run raises
+    # within 20 tau; each member stops where its solo run does
     taus = [0.5, 2.0, 4.0, 8.0, 16.0]
     configs = [
         make_config(2, 1, tau, DelayKind.REACTION, WeightScheme.CLASSICAL_SCALED,
@@ -550,7 +534,7 @@ def test_blown_up_members_keep_their_own_node_counts():
         configs, [datum] * 5, [20.0 * tau for tau in taus], [None] * 5
     )
     assert [t.grid.size for t in run.trajectories] == [1345, 1345, 1345, 1079, 843]
-    assert run.blow_up_times[:3] == (None, None, None)
+    assert [t.blow_up_time for t in run.trajectories[:3]] == [None, None, None]
 
 
 def test_group_rejects_members_that_differ_beyond_tau():
@@ -568,8 +552,7 @@ def per_step_rk4(vel, states, derivs, mids, q, dt, reads_now, center, limit):
     reaction step: the reference that the stacked reaction segments of
     rk4_method_of_steps must equal bit for bit."""
     n = len(states)
-    members = np.ndim(dt) > 0
-    n_valid = np.full(len(dt), n) if members else n
+    n_valid = np.full(len(dt), n)
     half, sixth, eighth = 0.5 * dt, dt / 6.0, 0.125 * dt
     with np.errstate(all="ignore"):
         derivs[q] = vel(states[q], states[0])
@@ -591,8 +574,6 @@ def per_step_rk4(vel, states, derivs, mids, q, dt, reads_now, center, limit):
             states[m + 1] = y1
             ok = np.abs(y1 - center) <= limit
             if not ok.all():
-                if not members:
-                    return m + 1
                 blown = ~ok.all(axis=tuple(range(1, ok.ndim)))
                 n_valid[blown & (n_valid == n)] = m + 1
                 if (n_valid < n).all():
@@ -609,7 +590,6 @@ def per_step_rk4(vel, states, derivs, mids, q, dt, reads_now, center, limit):
     scheme=st.sampled_from(list(WeightScheme)),
     influence=st.sampled_from(GROUP_INFLUENCES),
     taus=st.lists(st.floats(min_value=0.05, max_value=16.0), min_size=1, max_size=5),
-    members=st.booleans(),
     q=st.integers(min_value=1, max_value=9),
     n_fwd=st.integers(min_value=1, max_value=60),
     tight=st.booleans(),
@@ -617,16 +597,15 @@ def per_step_rk4(vel, states, derivs, mids, q, dt, reads_now, center, limit):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_rk4_stepper_matches_per_step_loop_bit_for_bit(
-    n, d, kind, scheme, influence, taus, members, q, n_fwd, tight, per_call, seed
+    n, d, kind, scheme, influence, taus, q, n_fwd, tight, per_call, seed
 ):
-    # members=False steps one run with a scalar dt (the first tau); random
-    # startup states and midpoints, and a blow-up limit of one spread when
-    # tight, so unstable members blow up within the horizon
+    # random startup states and midpoints, and a blow-up limit of one spread
+    # when tight, so unstable members blow up within the horizon
     rng = np.random.default_rng(seed)
     config = make_config(n, d, 1.0, kind, scheme, influence)
-    taus = np.array(taus if members else taus[:1])
-    dt = (taus / q).reshape(-1, 1, 1) if members else float(taus[0] / q)
-    shape = (q + n_fwd + 1,) + taus.shape[:members] + (n, d)
+    taus = np.array(taus)
+    dt = (taus / q).reshape(-1, 1, 1)
+    shape = (q + n_fwd + 1, len(taus), n, d)
     states = np.full(shape, np.nan)
     derivs = np.full(shape, np.nan)
     states[: q + 1] = rng.normal(size=(q + 1,) + shape[1:])
@@ -645,17 +624,13 @@ def test_rk4_stepper_matches_per_step_loop_bit_for_bit(
         vel, states, derivs, mids, q, dt, reads_now, center, limit, per_call
     )
     want = per_step_rk4(vel, ref_states, ref_derivs, mids, q, dt, reads_now, center, limit)
-    if members:
-        assert np.array_equal(got, want)
-    else:
-        assert type(got) is int and got == want
-    counts = np.atleast_1d(want).tolist()
+    assert np.array_equal(got, want)
+    counts = want.tolist()
     for b, count in enumerate(counts):
-        member = (slice(None), b) if members else (slice(None),)
         # the nodes before the first blown-up one, and that one's state
         cut = count + 1 if count < len(states) else count
-        assert same_bits(states[member][:cut], ref_states[member][:cut]), b
-        assert same_bits(derivs[member][:count], ref_derivs[member][:count]), b
+        assert same_bits(states[:cut, b], ref_states[:cut, b]), b
+        assert same_bits(derivs[:count, b], ref_derivs[:count, b]), b
     blown = sum(c < len(states) for c in counts)
     event(f"{'no' if blown == 0 else 'all' if blown == len(counts) else 'some'} members blow up")
     event("horizon ends mid-segment" if n_fwd % q else "horizon ends on a segment")
@@ -705,10 +680,9 @@ def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng):
     # the partial trajectory of a blown-up run, near the blow-up threshold
     config = make_config(n_agents=2, tau=2.0, delay_kind=DelayKind.REACTION,
                          influence=InfluenceFunction.constant(1.0))
-    with pytest.raises(NonFinite) as err:
-        integrate(config, InitialDatum.constant([[0.5], [-0.5]]), 200.0,
-                  IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
-    partial = err.value.trajectory
+    partial = integrate(config, InitialDatum.constant([[0.5], [-0.5]]), 200.0,
+                        IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
+    assert partial.blow_up_time is not None
     trajectory_to_csv(partial, tmp_path / "partial.csv")
     reference_trajectory_csv(partial, tmp_path / "partial_ref.csv")
     assert (tmp_path / "partial.csv").read_bytes() == (tmp_path / "partial_ref.csv").read_bytes()

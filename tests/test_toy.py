@@ -153,6 +153,31 @@ def test_fitted_rate_matches_root_in_stable_regimes():
         assert rate == pytest.approx(-root.re, rel=0.10), (kind, tau)
 
 
+def reference_fitted_rate(series):
+    """The least-squares slope that fitted_decay_rate computed itself before
+    it called metrics.fit_decay_rate."""
+    t, a = series.times, np.abs(series.w)
+    idx = np.where((t >= 0.2 * float(t[-1])) & (a > 1e-13))[0]
+    interior = idx[(idx > 0) & (idx < t.size - 1)]
+    peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
+    tt, yy = (t[peaks], np.log(a[peaks])) if peaks.size >= 4 else (t[idx], np.log(a[idx]))
+    tc = tt - tt.mean()
+    return -float((tc * (yy - yy.mean())).sum() / float((tc * tc).sum()))
+
+
+@pytest.mark.parametrize("kind, tau", [
+    (DelayKind.REACTION, 0.1),  # monotone: fitted on log |w|
+    (DelayKind.REACTION, 0.5),  # oscillating: fitted on its peaks
+    (DelayKind.REACTION, 0.9),  # growing
+    (DelayKind.REACTION, 16.0),  # blows up
+    (DelayKind.TRANSMISSION, 2.0),
+])
+def test_fitted_rate_equals_its_least_squares_slope_bit_for_bit(kind, tau):
+    # hkdelay toy prints this rate with all its digits
+    series = simulate_toy(kind, tau, 1.0, horizon=40 * tau)
+    assert fitted_decay_rate(series) == reference_fitted_rate(series)
+
+
 def test_blow_up_truncates_series():
     series = simulate_toy(DelayKind.REACTION, 2.0, 1.0, horizon=200.0)
     assert series.blow_up_time is not None
