@@ -111,7 +111,7 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
     integ = _section(doc, "integrator", {})
     dt = _field(
         "integrator.dt", float,
-        overrides.get("dt", integ.get("dt", config.tau / dynamics.STEPS_PER_DELAY)),
+        overrides.get("dt", integ.get("dt", dynamics.default_spec(config).dt)),
     )
     method = _field("integrator.method", dynamics.Method, integ.get("method", "rk4_steps"))
     outputs = _field("outputs", tuple, doc.get("outputs", DEFAULT_OUTPUTS))
@@ -204,13 +204,16 @@ def _fit_c_emp(series: metrics.MetricSeries, r_x0: float):
 def _theoretical_rates(spec: ExperimentSpec, report: rates.PreconditionReport):
     """Theorem rates that apply, and the reasons for those that were skipped.
 
-    A rate is skipped when its certified influence floor underflows to 0,
-    where the rate equation has no positive solution to certify.
+    A rate is skipped where its rate equation has no positive solution to
+    certify: with two agents (alpha = beta) or when its certified influence
+    floor underflows to 0.
     """
     out: dict = {}
     skipped: dict = {}
     config = spec.config
-    if report.transmission_normalized.applies and config.n_agents >= 3:
+    if report.transmission_normalized.applies and config.n_agents == 2:
+        skipped["transmission_normalized"] = "n_agents = 2 gives alpha = beta = 1, so no rate C > 0"
+    elif report.transmission_normalized.applies:
         psi_low = psi_floor(config.influence, 2.0 * report.r_x0)
         if psi_low > 0.0:
             res = rates.rate_transmission_normalized(config.n_agents, psi_low, config.tau)

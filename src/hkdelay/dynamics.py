@@ -37,7 +37,8 @@ from .model import (
 )
 
 BLOW_UP_THRESHOLD = 1e12
-STEPS_PER_DELAY = 64  # default resolution: dt = tau / STEPS_PER_DELAY
+STEPS_PER_DELAY = 64  # default resolution: dt = tau / STEPS_PER_DELAY, for tau <= 16
+MAX_DEFAULT_DT = 0.25  # RK4 on a self-term of rate 1 is unstable above dt ~ 2.785
 
 
 class Method(str, Enum):
@@ -54,7 +55,7 @@ class IntegratorSpec:
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise InvalidConfig(f"dt must be positive, got {self.dt}")
+            raise InvalidConfig(f"integrator.dt: must be positive, got {self.dt}")
         object.__setattr__(self, "method", Method(self.method))
 
     def steps_per_delay(self, tau: float) -> int:
@@ -62,7 +63,7 @@ class IntegratorSpec:
         q = round(ratio) if math.isfinite(ratio) else 0
         if q < 1 or abs(q * self.dt - tau) > 1e-12 * max(1.0, tau):
             raise InvalidConfig(
-                f"dt={self.dt:g} must divide tau={tau:g} into an integer step count"
+                f"integrator.dt: dt={self.dt:g} must divide tau={tau:g} into an integer step count"
             )
         return int(q)
 
@@ -71,7 +72,11 @@ class IntegratorSpec:
 
 
 def default_spec(config: SystemConfig, method: Method = Method.RK4_STEPS) -> IntegratorSpec:
-    return IntegratorSpec(method, config.tau / STEPS_PER_DELAY)
+    """dt = tau / q with the smallest q >= STEPS_PER_DELAY that keeps dt at
+    or below MAX_DEFAULT_DT.  q is capped at sys.maxsize, where no grid can
+    be addressed anyway, so a huge tau fails on its grid, not here."""
+    q = max(STEPS_PER_DELAY, math.ceil(min(config.tau / MAX_DEFAULT_DT, sys.maxsize)))
+    return IntegratorSpec(method, config.tau / q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +112,7 @@ def _grid_shape(config: SystemConfig, horizon: float, spec: IntegratorSpec) -> t
     whose states cannot be addressed is refused, naming integrator.dt when
     the startup segment alone is too long."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise InvalidConfig(f"horizon must be positive, got {horizon}")
+        raise InvalidConfig(f"horizon: must be positive and finite, got {horizon}")
     q = spec.steps_per_delay(config.tau)
     node_bytes = 8 * config.n_agents * config.dim
     nodes = q + horizon / spec.dt + 1

@@ -223,25 +223,25 @@ class InitialDatum:
     def constant(cls, vectors) -> "InitialDatum":
         v = np.atleast_2d(np.asarray(vectors, dtype=float))
         if v.size == 0:
-            raise InvalidDatum("constant datum needs at least one agent vector")
+            raise InvalidDatum("datum.vectors: a constant datum needs at least one agent vector")
         if not np.all(np.isfinite(v)):
-            raise InvalidDatum("constant datum contains non-finite values")
+            raise InvalidDatum("datum.vectors: contains non-finite values")
         return cls(DatumKind.CONSTANT_PER_AGENT, values=v)
 
     @classmethod
     def sampled(cls, times, values) -> "InitialDatum":
         t = np.asarray(times, dtype=float)
         v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or t.size == 0 or v.size == 0:
-            raise InvalidDatum("sampled datum grid is empty")
+        if t.ndim != 1 or t.size == 0:
+            raise InvalidDatum("datum.times: a sampled datum grid is empty")
         if t.size < 2 or np.any(np.diff(t) <= 0.0):
-            raise InvalidDatum("sampled datum needs a strictly increasing grid")
+            raise InvalidDatum("datum.times: a sampled datum needs a strictly increasing grid")
         if v.ndim == 2:  # (M, N) shorthand for d = 1
             v = v[:, :, None]
-        if v.ndim != 3 or v.shape[0] != t.size:
-            raise InvalidDatum("sampled datum values must have shape (M, N, d)")
+        if v.ndim != 3 or v.shape[0] != t.size or v.size == 0:
+            raise InvalidDatum("datum.values: must have shape (M, N, d) for M times")
         if not np.all(np.isfinite(v)):
-            raise InvalidDatum("sampled datum contains non-finite values")
+            raise InvalidDatum("datum.values: contains non-finite values")
         return cls(DatumKind.SAMPLED, values=v[0], times=t, samples=v)
 
     @property
@@ -258,7 +258,7 @@ class InitialDatum:
         pad = 1e-9 * (1.0 + tau)
         if self.times[0] > -tau + pad or self.times[-1] < -pad:
             raise InvalidDatum(
-                f"sampled datum spans [{self.times[0]:g}, {self.times[-1]:g}], "
+                f"datum.times: sampled datum spans [{self.times[0]:g}, {self.times[-1]:g}], "
                 f"needs [-{tau:g}, 0]"
             )
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import STEPS_PER_DELAY, IntegratorSpec, Method, integrate
+from .dynamics import IntegratorSpec, Method, default_spec, integrate
 from .errors import InvalidConfig, NoRootFound
 from .metrics import fit_decay_rate
 from .model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
@@ -131,7 +131,6 @@ def simulate_toy(
     """
     delay_kind = DelayKind(delay_kind)
     horizon = 20.0 * tau if horizon is None else horizon
-    dt = tau / STEPS_PER_DELAY if dt is None else dt
     config = SystemConfig(
         n_agents=2,
         dim=1,
@@ -141,7 +140,8 @@ def simulate_toy(
         influence=InfluenceFunction.constant(1.0),
     )
     datum = InitialDatum.constant([[0.5 * w0], [-0.5 * w0]])
-    traj = integrate(config, datum, horizon, IntegratorSpec(Method.RK4_STEPS, dt))
+    spec = default_spec(config) if dt is None else IntegratorSpec(Method.RK4_STEPS, dt)
+    traj = integrate(config, datum, horizon, spec)
     w = traj.states[:, 0, 0] - traj.states[:, 1, 0]
     return ToySeries(times=traj.grid, w=w, blow_up_time=traj.blow_up_time)
 

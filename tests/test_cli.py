@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +171,52 @@ def far_spec(tmp_path):
     )
 
 
+def constant_psi_spec(tmp_path, tau, vectors=([0.0], [1.0], [3.0])):
+    return write_spec(
+        tmp_path / "constant_psi.json",
+        {
+            "config": {
+                "n_agents": len(vectors), "dim": 1, "tau": tau,
+                "delay_kind": "transmission", "weight_scheme": "normalized",
+                "influence": {"kind": "constant", "c": 1.0},
+            },
+            "datum": {"kind": "constant_per_agent", "vectors": list(vectors)},
+        },
+    )
+
+
+def test_long_delay_runs_at_a_stable_default_step(tmp_path):
+    # the old default tau/64 = 6.25 exceeds RK4's stability limit (about
+    # 2.785) on the transmission self-term: this run blew up at t = 50
+    out = tmp_path / "out"
+    assert main(["simulate", constant_psi_spec(tmp_path, 400.0), "--horizon", "800", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["spec"]["integrator"]["dt"] == 0.25
+    assert report["blow_up_time"] is None
+    assert report["metrics_summary"]["d_x_final"] <= report["metrics_summary"]["d_x0"]
+
+
+def test_rate_whose_kernel_overflows_is_reported(tmp_path):
+    # (beta - alpha) tau / 2 = 1000 > 709.78: the solver's first midpoint
+    # overflowed math.exp and the run ended in a traceback with no outputs
+    out = tmp_path / "out"
+    spec = constant_psi_spec(tmp_path, 4000.0)
+    assert main(["simulate", spec, "--dt", "1", "--horizon", "40", "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").exists() and (out / "metrics.csv").exists()
+    rate = json.loads((out / "report.json").read_text())["rates"]["transmission_normalized"]
+    assert 0.0 < rate["C"] < 0.5 and 0.0 <= rate["residual"] <= 1e-12
+
+
+def test_two_agent_transmission_rate_is_recorded_as_skipped(tmp_path):
+    # N = 2 gives alpha = beta, so the theorem applies but certifies no C > 0
+    out = tmp_path / "out"
+    assert main(["simulate", constant_psi_spec(tmp_path, 1.0, ([0.0], [1.0])), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["preconditions"]["theorems"]["transmission_normalized"]["applies"]
+    assert "transmission_normalized" not in report["rates"]
+    assert "n_agents = 2" in report["rates_skipped"]["transmission_normalized"]
+
+
 def test_translated_datum_runs_to_the_horizon(tmp_path):
     # the dynamics are translation-invariant; a datum near 1e13 used to be
     # reported as a blow-up at t = tau/64 by an absolute |x| > 1e12 test
@@ -318,6 +365,16 @@ def _set(path, value):
         (_set("horizon", 1e13), "horizon"),  # 2^54 bytes: addressable, not allocatable
         (_set("integrator", {"dt": 1e-300}), "integrator.dt"),
         (_set("outputs", 5), "outputs"),
+        (_set("integrator", {"dt": 0.3}), "integrator.dt"),
+        (_set("integrator", {"dt": -1.0}), "integrator.dt"),
+        (_set("horizon", -1.0), "horizon"),
+        (_set("datum.vectors", [[0.25], [float("nan")], [0.25]]), "datum.vectors"),
+        (_set("datum", {"kind": "sampled", "times": [0.0, -0.5], "values": [[0.0, 1.0, 2.0]] * 2}),
+         "datum.times"),
+        (_set("datum", {"kind": "sampled", "times": [-0.25, 0.0], "values": [[0.0, 1.0, 2.0]] * 2}),
+         "datum.times"),
+        (_set("datum", {"kind": "sampled", "times": [-0.5, 0.0], "values": [[0.0, 1.0, 2.0]]}),
+         "datum.values"),
         (["toy", "--tau", "0", "--kind", "reaction"], "tau"),
         (["toy", "--tau=-1", "--kind", "reaction"], "tau"),
         (["toy", "--tau", "nan", "--kind", "transmission"], "tau"),
@@ -326,7 +383,8 @@ def _set(path, value):
         "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
         "config_list", "tau_text", "vectors_text", "vectors_missing",
         "influence_list", "table_flat", "table_samples_missing", "horizon_huge", "horizon_unallocatable", "dt_tiny",
-        "outputs_number",
+        "outputs_number", "dt_not_dividing", "dt_negative", "horizon_negative", "vectors_nan",
+        "times_decreasing", "times_short", "values_shape",
         "toy_tau_zero", "toy_tau_negative", "toy_tau_nan",
     ],
 )
@@ -605,6 +663,13 @@ def test_rate_command_tiny_delay(capsys):
     assert doc["measure"] == "dirac"
 
 
+def test_rate_command_survives_kernel_overflow(capsys):
+    # exp((beta - alpha) tau / 2) overflows at the first midpoint
+    assert main(["rate", "--alpha", "0.05", "--beta", "5", "--tau", "1000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 0.0 < doc["C"] < 4.95 and abs(doc["residual"]) <= 1e-12
+
+
 def test_rate_command_rejects_equal_alpha_beta(capsys):
     assert main(["rate", "--alpha", "1", "--beta", "1"]) == 1
     assert "alpha < beta violated" in capsys.readouterr().err
@@ -644,12 +709,22 @@ def test_toy_command(capsys, tau, kind, regime):
         assert doc["fitted_rate"] == pytest.approx(-doc["rightmost_root"]["re"], rel=0.1)
 
 
+def test_toy_long_transmission_delay_does_not_grow(capsys):
+    # at tau/64 = 3.125 RK4 grew this stable gap: fitted_rate read -0.159
+    assert main(["toy", "--tau", "200", "--kind", "transmission", "--horizon", "2000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regime"] == "AlwaysStable"
+    assert doc["fitted_rate"] > -1e-9
+
+
 def test_default_resolution_is_tau_over_64(tmp_path, capsys):
+    # tau/64 up to tau = 16; beyond, the smallest q with tau/q <= 1/4
+    for tau, q in ((0.3, 64), (16.0, 64), (16.1, 65), (400.0, 1600), (1e308, sys.maxsize)):
+        toy_spec(tmp_path, tau=tau)
+        doc = json.loads((tmp_path / "toy.json").read_text())
+        assert load_spec(doc).integrator.dt == tau / q
+        assert default_spec(load_spec(doc).config).dt == tau / q
     tau = 0.3
-    toy_spec(tmp_path, tau=tau)
-    doc = json.loads((tmp_path / "toy.json").read_text())
-    assert load_spec(doc).integrator.dt == tau / 64
-    assert default_spec(load_spec(doc).config).dt == tau / 64
     default = simulate_toy(DelayKind.REACTION, tau, w0=1.0, horizon=2.0)
     explicit = simulate_toy(DelayKind.REACTION, tau, w0=1.0, horizon=2.0, dt=tau / 64)
     assert np.array_equal(default.times, explicit.times)

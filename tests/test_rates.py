@@ -83,6 +83,26 @@ def test_halanay_residual_and_interval_on_grid():
                     assert 0.0 < res.C < beta - frac * beta
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    log_tau=st.floats(-20.0, 8.0),
+    beta=st.floats(0.05, 5.0),
+    frac=st.floats(0.01, 0.99),
+    measure=st.sampled_from(list(Measure)),
+)
+def test_halanay_certified_side_across_scales(log_tau, beta, frac, measure):
+    # (beta - alpha) tau / 2 passes 709.78 from tau ~ 285 on: the first
+    # midpoint's kernel overflows there, which bisection reads as "above the root"
+    alpha, tau = frac * beta, 10.0 ** log_tau
+    res = solve_halanay(HalanayProblem(alpha, beta, tau, measure))
+    assert 0.0 < res.C < beta - alpha
+    assert 0.0 <= res.residual <= 1e-12
+    with np.errstate(over="ignore"):
+        lo, hi = scan_root(alpha, beta, tau, measure, n=200_001)
+    if lo < hi:  # the scan found the sign change
+        assert lo <= res.C <= hi
+
+
 def test_halanay_monotonicity():
     for measure in Measure:
         c_tau = [solve_halanay(HalanayProblem(0.4, 1.0, t, measure)).C for t in (0.1, 0.5, 2.0)]
