@@ -5,9 +5,7 @@ from .errors import (
     HKDelayError,
     InvalidConfig,
     InvalidDatum,
-    InvalidInterval,
     InvalidProblem,
-    InvalidWeights,
     NoRootFound,
     NonPositiveSeries,
     OutOfRange,
@@ -52,15 +50,9 @@ from .rates import (
     Measure,
     PreconditionReport,
     RateResult,
-    ShrinkEstimate,
     check_preconditions,
-    convexity_bound_check,
-    psi0_lower_bound,
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
-    shrink_factor,
-    shrink_iteration,
-    simulate_equality_case,
     solve_halanay,
 )
 from .toy import (

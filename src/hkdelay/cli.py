@@ -109,10 +109,11 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
     _require_finite_squares(doc["datum"], datum, config.tau)
     horizon = _field("horizon", float, overrides.get("horizon", doc.get("horizon", 20.0 * config.tau)))
     integ = _section(doc, "integrator", {})
-    dt = _field(
-        "integrator.dt", float,
-        overrides.get("dt", integ.get("dt", dynamics.default_spec(config).dt)),
-    )
+    given = overrides if "dt" in overrides else integ
+    if "dt" in given:  # an explicit dt is judged on its own grid, not the default's
+        dt = _field("integrator.dt", float, given["dt"])
+    else:
+        dt = dynamics.default_spec(config).dt
     method = _field("integrator.method", dynamics.Method, integ.get("method", "rk4_steps"))
     outputs = _field("outputs", tuple, doc.get("outputs", DEFAULT_OUTPUTS))
     for name in outputs:
@@ -416,44 +417,47 @@ def cmd_toy(args) -> int:
 
 
 def _overrides(args) -> dict:
-    out = {}
-    if getattr(args, "dt", None) is not None:
-        out["dt"] = args.dt
-    if getattr(args, "horizon", None) is not None:
-        out["horizon"] = args.horizon
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    return out
+    return {k: v for k in ("dt", "horizon", "seed") if (v := getattr(args, k)) is not None}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the configuration-error
+    code, since 2 means blow-up."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--dt", type=float, default=None, help="integrator step")
-    common.add_argument("--horizon", type=float, default=None, help="integration horizon")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized data")
+    step = argparse.ArgumentParser(add_help=False)
+    step.add_argument("--dt", type=float, default=None, help="integrator step")
+    step.add_argument("--horizon", type=float, default=None, help="integration horizon")
+    run = argparse.ArgumentParser(add_help=False, parents=[step])
+    run.add_argument("--out", default=".", help="output directory")
+    run.add_argument("--seed", type=int, default=None, help="seed for randomized data")
 
-    parser = argparse.ArgumentParser(prog="hkdelay", description=__doc__)
+    parser = _Parser(prog="hkdelay", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="run one experiment spec")
+    p_sim = sub.add_parser("simulate", parents=[run], help="run one experiment spec")
     p_sim.add_argument("spec", help="path to the experiment spec JSON")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="sweep one parameter")
+    p_sweep = sub.add_parser("sweep", parents=[run], help="sweep one parameter")
     p_sweep.add_argument("spec")
     p_sweep.add_argument("--param", required=True, help=f"one of {SWEEP_PARAMS}")
-    p_sweep.add_argument("--values", nargs="*", default=[], help="decimal values")
+    p_sweep.add_argument("--values", nargs="+", required=True, help="decimal values")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_rate = sub.add_parser("rate", parents=[common], help="solve a rate equation")
+    p_rate = sub.add_parser("rate", help="solve a rate equation")
     p_rate.add_argument("--alpha", type=float, required=True)
     p_rate.add_argument("--beta", type=float, required=True)
     p_rate.add_argument("--tau", type=float, default=1.0)
     p_rate.add_argument("--measure", choices=["dirac", "uniform"], default="dirac")
     p_rate.set_defaults(func=cmd_rate)
 
-    p_toy = sub.add_parser("toy", parents=[common], help="two-agent regime analysis")
+    p_toy = sub.add_parser("toy", parents=[step], help="two-agent regime analysis")
     p_toy.add_argument("--tau", type=float, required=True)
     p_toy.add_argument("--kind", choices=["transmission", "reaction"], required=True)
     p_toy.set_defaults(func=cmd_toy)

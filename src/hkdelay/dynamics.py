@@ -73,10 +73,17 @@ class IntegratorSpec:
 
 def default_spec(config: SystemConfig, method: Method = Method.RK4_STEPS) -> IntegratorSpec:
     """dt = tau / q with the smallest q >= STEPS_PER_DELAY that keeps dt at
-    or below MAX_DEFAULT_DT.  q is capped at sys.maxsize, where no grid can
-    be addressed anyway, so a huge tau fails on its grid, not here."""
-    q = max(STEPS_PER_DELAY, math.ceil(min(config.tau / MAX_DEFAULT_DT, sys.maxsize)))
-    return IntegratorSpec(method, config.tau / q)
+    or below MAX_DEFAULT_DT.  A tau whose startup segment of q + 1 nodes
+    cannot be addressed at that step is refused here, naming the default."""
+    q = max(STEPS_PER_DELAY, config.tau / MAX_DEFAULT_DT)  # a float: tau / 0.25 may be inf
+    node_bytes = 8 * config.n_agents * config.dim
+    if (q + 1) * node_bytes > sys.maxsize:
+        raise InvalidConfig(
+            f"integrator.dt: the default step keeps dt <= {MAX_DEFAULT_DT:g}, so tau={config.tau:g} "
+            f"needs {q + 1:.4g} startup nodes of {node_bytes} bytes, which cannot be addressed; "
+            "set integrator.dt or --dt"
+        )
+    return IntegratorSpec(method, config.tau / math.ceil(q))
 
 
 @dataclass(frozen=True, eq=False)

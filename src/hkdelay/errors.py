@@ -25,15 +25,6 @@ class PreconditionViolated(HKDelayError):
     """A theorem's smallness condition fails for the given parameters."""
 
 
-class InvalidInterval(HKDelayError, ValueError):
-    """Interval bounds must satisfy 0 < m <= M."""
-
-
-class InvalidWeights(HKDelayError, ValueError):
-    """Convex-combination weights are negative, do not sum to one, or the
-    claimed lower bound exceeds an actual weight."""
-
-
 class NonPositiveSeries(HKDelayError, ValueError):
     """Decay-rate fitting needs a strictly positive series on the window."""
 

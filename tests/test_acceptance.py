@@ -19,7 +19,6 @@ from hkdelay import (
     check_preconditions,
     classify_regime,
     compute_metrics,
-    convexity_bound_check,
     count_sign_changes,
     fit_decay_rate,
     integrate,
@@ -28,11 +27,11 @@ from hkdelay import (
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
     rightmost_root,
-    shrink_iteration,
-    simulate_equality_case,
     simulate_toy,
     solve_halanay,
 )
+
+from lemmas import convexity_bound_check, shrink_iteration, simulate_equality_case
 
 ALGEBRAIC = InfluenceFunction.algebraic_decay(1.0)
 

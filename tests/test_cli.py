@@ -1,11 +1,10 @@
 import json
-import sys
 
 import numpy as np
 import pytest
 
 from hkdelay import DelayKind, dynamics, metrics, rate_transmission_normalized, rates, weights_from_states
-from hkdelay.errors import NoRootFound, OutOfRange, PreconditionViolated
+from hkdelay.errors import InvalidConfig, NoRootFound, OutOfRange, PreconditionViolated
 from hkdelay.cli import load_spec, main
 from hkdelay.dynamics import default_spec
 from hkdelay.toy import simulate_toy
@@ -17,6 +16,13 @@ from reference import read_trajectory_csv
 def write_spec(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def usage_exit(argv) -> int:
+    """The exit code of an argv that argparse rejects or answers itself."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
 
 
 def consensus_spec(tmp_path):
@@ -114,6 +120,21 @@ def test_simulate_bad_spec_exit_code(tmp_path, capsys):
 
     missing = write_spec(tmp_path / "missing.json", {"datum": {"kind": "constant_per_agent", "vectors": [[1]]}})
     assert main(["simulate", missing, "--out", str(tmp_path / "o2")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["simulate", "spec.json", "--bogus"], ["frobnicate"]],
+    ids=["no_spec", "unknown_flag", "unknown_command"],
+)
+def test_usage_error_exits_1_not_the_blow_up_code(capsys, argv):
+    assert usage_exit(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert usage_exit(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: hkdelay")
 
 
 def test_simulate_deterministic_and_round_trippable(tmp_path):
@@ -375,6 +396,7 @@ def _set(path, value):
          "datum.times"),
         (_set("datum", {"kind": "sampled", "times": [-0.5, 0.0], "values": [[0.0, 1.0, 2.0]]}),
          "datum.values"),
+        (_set("config.tau", 1e17), "integrator.dt"),  # 4e17 default steps per delay
         (["toy", "--tau", "0", "--kind", "reaction"], "tau"),
         (["toy", "--tau=-1", "--kind", "reaction"], "tau"),
         (["toy", "--tau", "nan", "--kind", "transmission"], "tau"),
@@ -384,7 +406,7 @@ def _set(path, value):
         "config_list", "tau_text", "vectors_text", "vectors_missing",
         "influence_list", "table_flat", "table_samples_missing", "horizon_huge", "horizon_unallocatable", "dt_tiny",
         "outputs_number", "dt_not_dividing", "dt_negative", "horizon_negative", "vectors_nan",
-        "times_decreasing", "times_short", "values_shape",
+        "times_decreasing", "times_short", "values_shape", "dt_default_unaddressable",
         "toy_tau_zero", "toy_tau_negative", "toy_tau_nan",
     ],
 )
@@ -497,11 +519,11 @@ def test_sweep_checks_preconditions_once_per_row(tmp_path, monkeypatch):
     ]
 
 
-def test_sweep_empty_values(tmp_path):
+def test_sweep_empty_values(tmp_path, capsys):
     out = tmp_path / "out"
-    code = main(["sweep", toy_spec(tmp_path), "--param", "tau", "--values", "--out", str(out)])
-    assert code == 0
-    assert (out / "sweep.csv").read_text() == "value,consensus_time,C_emp,regime,preconditions\n"
+    assert usage_exit(["sweep", toy_spec(tmp_path), "--param", "tau", "--values", "--out", str(out)]) == 1
+    assert "--values: expected at least one argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_unknown_param(tmp_path, capsys):
@@ -675,6 +697,21 @@ def test_rate_command_rejects_equal_alpha_beta(capsys):
     assert "alpha < beta violated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("rate", "--out"), ("rate", "--dt"), ("rate", "--horizon"), ("rate", "--seed"),
+     ("toy", "--out"), ("toy", "--seed")],
+)
+def test_commands_refuse_flags_they_ignore(tmp_path, capsys, command, flag):
+    # rate reads no run flag, and toy reads only --dt and --horizon
+    argv = {"rate": ["rate", "--alpha", "0.5", "--beta", "1"],
+            "toy": ["toy", "--tau", "0.5", "--kind", "reaction"]}[command]
+    value = str(tmp_path / "x") if flag == "--out" else "1"
+    assert usage_exit(argv + [flag, value]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_rate_command_uniform_matches_scan(capsys):
     assert main(["rate", "--alpha", "0.4", "--beta", "1", "--tau", "0.1", "--measure", "uniform"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -719,11 +756,20 @@ def test_toy_long_transmission_delay_does_not_grow(capsys):
 
 def test_default_resolution_is_tau_over_64(tmp_path, capsys):
     # tau/64 up to tau = 16; beyond, the smallest q with tau/q <= 1/4
-    for tau, q in ((0.3, 64), (16.0, 64), (16.1, 65), (400.0, 1600), (1e308, sys.maxsize)):
+    for tau, q in ((0.3, 64), (16.0, 64), (16.1, 65), (400.0, 1600)):
         toy_spec(tmp_path, tau=tau)
         doc = json.loads((tmp_path / "toy.json").read_text())
         assert load_spec(doc).integrator.dt == tau / q
         assert default_spec(load_spec(doc).config).dt == tau / q
+    # a startup segment of 4e308 default steps cannot be addressed: the
+    # default is refused, and an explicit dt is judged on its own grid
+    toy_spec(tmp_path, tau=1e308)
+    doc = json.loads((tmp_path / "toy.json").read_text())
+    with pytest.raises(InvalidConfig, match="^integrator.dt: the default step .* set integrator.dt or --dt$"):
+        load_spec(doc)
+    assert load_spec(doc, {"dt": 1e306}).integrator.dt == 1e306
+    doc["integrator"] = {"dt": 1e306}
+    assert load_spec(doc).integrator.dt == 1e306
     tau = 0.3
     default = simulate_toy(DelayKind.REACTION, tau, w0=1.0, horizon=2.0)
     explicit = simulate_toy(DelayKind.REACTION, tau, w0=1.0, horizon=2.0, dt=tau / 64)

@@ -10,27 +10,22 @@ from hkdelay import (
     HalanayProblem,
     InfluenceFunction,
     InitialDatum,
-    InvalidInterval,
     InvalidProblem,
-    InvalidWeights,
     Measure,
     PreconditionViolated,
     WeightScheme,
     check_preconditions,
-    convexity_bound_check,
     diameter,
     integrate,
     psi_floor,
     radius,
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
-    shrink_factor,
-    shrink_iteration,
-    simulate_equality_case,
     solve_halanay,
 )
 
 from conftest import make_config
+from lemmas import convexity_bound_check, shrink_factor, shrink_iteration, simulate_equality_case
 
 
 def scan_root(alpha, beta, tau, measure, n=2_000_001):
@@ -185,6 +180,19 @@ def test_equality_case_matches_reference_loop_bit_for_bit(tau, horizon_delays):
     assert np.array_equal(u, ref_u)
 
 
+def test_equality_case_long_delay_runs_to_the_horizon():
+    # RK4 on -beta u is unstable above beta dt ~ 2.785, which tau/64 = 3.125
+    # would pass; the step rule gives tau/800 = 1/4
+    alpha, beta, tau = 0.5, 1.0, 200.0
+    times, u = simulate_equality_case(alpha, beta, tau)
+    assert times[1] == 0.25
+    assert times[-1] == 10 * tau
+    assert np.all((0.0 < u) & (u <= 1.0))
+    for measure in Measure:
+        c = solve_halanay(HalanayProblem(alpha, beta, tau, measure)).C
+        assert np.all(u <= np.exp(-c * times) * (1.0 + 1e-6))
+
+
 # ---------------------------------------------------------------------------
 # theorem rates
 
@@ -260,9 +268,9 @@ def test_shrink_factor_in_unit_interval(psi, tau, n, m, width):
 
 
 def test_shrink_factor_invalid_interval():
-    with pytest.raises(InvalidInterval):
+    with pytest.raises(ValueError, match="need 0 < m <= M"):
         shrink_factor(0.5, 1.0, 3, 0.0, 1.0)
-    with pytest.raises(InvalidInterval):
+    with pytest.raises(ValueError, match="need 0 < m <= M"):
         shrink_factor(0.5, 1.0, 3, 2.0, 1.0)
 
 
@@ -419,9 +427,9 @@ def test_convexity_bound_randomized(rng):
 def test_convexity_bound_validation(rng):
     x = np.zeros((4, 2))
     eta = np.array([0.0, 0.5, 0.25, 0.25])
-    with pytest.raises(InvalidWeights):
-        convexity_bound_check(x, eta, eta, 0.0, i=0, k=0)  # indices must differ
-    with pytest.raises(InvalidWeights):
+    with pytest.raises(ValueError, match="the two excluded indices must differ"):
+        convexity_bound_check(x, eta, eta, 0.0, i=0, k=0)
+    with pytest.raises(ValueError, match="weights must sum to one"):
         convexity_bound_check(x, eta * 2.0, eta, 0.0, i=0, k=1)
-    with pytest.raises(InvalidWeights):
-        convexity_bound_check(x, eta, np.roll(eta, 1), 0.9, i=0, k=1)  # mu too large
+    with pytest.raises(ValueError, match="exceeds the smallest relevant weight"):
+        convexity_bound_check(x, eta, np.roll(eta, 1), 0.9, i=0, k=1)
