@@ -28,11 +28,9 @@ from .model import (
 )
 from .dynamics import (
     IntegratorSpec,
-    Method,
     Trajectory,
     default_spec,
     integrate,
-    integrate_oracle,
     trajectory_to_csv,
     velocity_from_states,
 )

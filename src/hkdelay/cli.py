@@ -114,7 +114,9 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
         dt = _field("integrator.dt", float, given["dt"])
     else:
         dt = dynamics.default_spec(config).dt
-    method = _field("integrator.method", dynamics.Method, integ.get("method", "rk4_steps"))
+    method = integ.get("method", dynamics.METHOD)
+    if method != dynamics.METHOD:
+        raise SpecError(f"integrator.method: the one method is {dynamics.METHOD!r}, got {method!r}")
     outputs = _field("outputs", tuple, doc.get("outputs", DEFAULT_OUTPUTS))
     for name in outputs:
         if name not in KNOWN_OUTPUTS:
@@ -122,7 +124,7 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
     return ExperimentSpec(
         config=config,
         datum=datum,
-        integrator=dynamics.IntegratorSpec(method, dt),
+        integrator=dynamics.IntegratorSpec(dt),
         horizon=horizon,
         outputs=outputs,
         seed=seed,
@@ -312,7 +314,7 @@ def _apply_sweep_value(doc: dict, param: str, value: float) -> dict:
         doc.get("integrator", {}).pop("dt", None)
         doc.pop("horizon", None)  # keep horizon proportional to tau
     elif param == "N":
-        if value != int(value):
+        if not (math.isfinite(value) and value == int(value)):
             raise SpecError(f"sweep value for N must be an integer, got {value}")
         doc["config"]["n_agents"] = int(value)
         if doc["datum"].get("kind") != "random_uniform":
@@ -352,23 +354,18 @@ def cmd_sweep(args) -> int:
         raise SpecError("--horizon would replace every swept horizon; drop it from a horizon sweep")
     doc = _read_spec_doc(args.spec)
     overrides = _overrides(args)
-    values = [float(v) for v in args.values]
     # every value loads before any integrates, so a bad one fails first;
     # tau sweeps drop the spec's own dt and horizon; --dt and --horizon still apply
-    specs = [load_spec(_apply_sweep_value(doc, args.param, v), overrides) for v in values]
+    specs = [load_spec(_apply_sweep_value(doc, args.param, v), overrides) for v in args.values]
     groups: dict = {}
     for i, spec in enumerate(specs):
-        key = dynamics.group_key(spec.config, spec.horizon, spec.integrator)
-        groups.setdefault(i if key is None else key, []).append(i)  # int i: alone
+        groups.setdefault(dynamics.group_key(spec.config, spec.horizon, spec.integrator), []).append(i)
     rows = [None] * len(specs)
     for members in groups.values():
-        trajectories = [None]  # a group of one integrates in run_experiment
-        if len(members) > 1:
-            columns = zip(*[(specs[i].config, specs[i].datum, specs[i].horizon, specs[i].integrator)
-                            for i in members])
-            trajectories = dynamics.integrate(*columns).trajectories
-        for i, traj in zip(members, trajectories):
-            rows[i] = _sweep_row(specs[i], values[i], traj)
+        columns = zip(*[(specs[i].config, specs[i].datum, specs[i].horizon, specs[i].integrator)
+                        for i in members])
+        for i, traj in zip(members, dynamics.integrate(*columns).trajectories):
+            rows[i] = _sweep_row(specs[i], args.values[i], traj)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
@@ -396,8 +393,7 @@ def cmd_toy(args) -> int:
     kind = DelayKind.TRANSMISSION if args.kind == "transmission" else DelayKind.REACTION
     regime = toy.classify_regime(kind, args.tau)
     root = toy.rightmost_root(kind, args.tau)
-    horizon = args.horizon if args.horizon is not None else 40.0 * args.tau
-    series = toy.simulate_toy(kind, args.tau, w0=1.0, horizon=horizon, dt=args.dt)
+    series = toy.simulate_toy(kind, args.tau, w0=1.0, horizon=args.horizon, dt=args.dt)
     forward = series.times > 0.0
     changes = metrics.count_sign_changes(series.w[forward])
     fitted = toy.fitted_decay_rate(series)
@@ -447,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[run], help="sweep one parameter")
     p_sweep.add_argument("spec")
     p_sweep.add_argument("--param", required=True, help=f"one of {SWEEP_PARAMS}")
-    p_sweep.add_argument("--values", nargs="+", required=True, help="decimal values")
+    p_sweep.add_argument("--values", nargs="+", type=float, required=True, help="decimal values")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rate = sub.add_parser("rate", help="solve a rate equation")

@@ -11,8 +11,7 @@ A half step reads the prescribed datum on the startup interval and the
 closed-form cubic Hermite midpoint of a computed segment after it.  A
 trajectory stores states and derivatives on the grid nodes only; a run
 that blows up ends before its first blown-up node and records that node's
-time.  A deliberately simple explicit-Euler integrator with its own linear history
-lookup serves as an independent cross-check.
+time.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,33 +28,26 @@ from .model import (
     DelayKind,
     InitialDatum,
     SystemConfig,
-    WeightScheme,
     block_length,
     pair_sq,
     weights_from_states,
 )
 
+METHOD = "rk4_steps"  # the integrator, as a spec names it
 BLOW_UP_THRESHOLD = 1e12
 STEPS_PER_DELAY = 64  # default resolution: dt = tau / STEPS_PER_DELAY, for tau <= 16
 MAX_DEFAULT_DT = 0.25  # RK4 on a self-term of rate 1 is unstable above dt ~ 2.785
 
 
-class Method(str, Enum):
-    RK4_STEPS = "rk4_steps"
-    EULER_ORACLE = "euler_oracle"
-
-
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Integration method and step size; dt must divide tau exactly."""
+    """RK4 method-of-steps step size; dt must divide tau exactly."""
 
-    method: Method
     dt: float
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise InvalidConfig(f"integrator.dt: must be positive, got {self.dt}")
-        object.__setattr__(self, "method", Method(self.method))
 
     def steps_per_delay(self, tau: float) -> int:
         ratio = tau / self.dt  # inf for a dt far below tau
@@ -68,10 +59,10 @@ class IntegratorSpec:
         return int(q)
 
     def to_dict(self) -> dict:
-        return {"method": self.method.value, "dt": self.dt}
+        return {"method": METHOD, "dt": self.dt}
 
 
-def default_spec(config: SystemConfig, method: Method = Method.RK4_STEPS) -> IntegratorSpec:
+def default_spec(config: SystemConfig) -> IntegratorSpec:
     """dt = tau / q with the smallest q >= STEPS_PER_DELAY that keeps dt at
     or below MAX_DEFAULT_DT.  A tau whose startup segment of q + 1 nodes
     cannot be addressed at that step is refused here, naming the default."""
@@ -81,9 +72,9 @@ def default_spec(config: SystemConfig, method: Method = Method.RK4_STEPS) -> Int
         raise InvalidConfig(
             f"integrator.dt: the default step keeps dt <= {MAX_DEFAULT_DT:g}, so tau={config.tau:g} "
             f"needs {q + 1:.4g} startup nodes of {node_bytes} bytes, which cannot be addressed; "
-            "set integrator.dt or --dt"
+            "set --dt in a tau sweep, which drops integrator.dt, and elsewhere set integrator.dt or --dt"
         )
-    return IntegratorSpec(method, config.tau / math.ceil(q))
+    return IntegratorSpec(config.tau / math.ceil(q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,25 +270,18 @@ class GroupRun:
 
 
 def group_key(config: SystemConfig, horizon: float, spec: IntegratorSpec):
-    """Runs with equal keys can integrate as one group; None for a run that
-    integrates alone.
-
-    Group members differ only in tau and share q = tau/dt, the forward step
-    count and the rk4_steps method.
-    """
-    if spec.method is not Method.RK4_STEPS:
-        return None
+    """Runs with equal keys can integrate as one group: they differ only in
+    tau and share q = tau/dt and the forward step count."""
     rest = json.dumps({**config.to_dict(), "tau": None}, sort_keys=True)
     return (rest, *_grid_shape(config, horizon, spec))
 
 
 def integrate(config, datum, horizon, spec=None):
-    """Integrate the delayed system over [0, horizon] by the spec's method.
+    """Integrate the delayed system over [0, horizon] by RK4 method of steps.
 
-    RK4 method of steps is the default; an euler_oracle spec runs
-    integrate_oracle.  Returns the Trajectory.  A run that blows up, the
-    expected outcome in the unstable reaction regime, returns its nodes
-    before the blown-up one and that node's time as blow_up_time.
+    Returns the Trajectory.  A run that blows up, the expected outcome in
+    the unstable reaction regime, returns its nodes before the blown-up one
+    and that node's time as blow_up_time.
 
     A group integrates in one stepper call: config, datum, horizon and spec
     are then equal-length sequences, one entry per member (spec may be
@@ -306,8 +290,6 @@ def integrate(config, datum, horizon, spec=None):
     if isinstance(config, SystemConfig):
         if spec is None:
             spec = default_spec(config)
-        if spec.method is Method.EULER_ORACLE:
-            return integrate_oracle(config, datum, horizon, spec)
         return _integrate_group([config], [datum], [horizon], [spec]).trajectories[0]
     if spec is None:
         spec = [None] * len(config)
@@ -317,10 +299,8 @@ def integrate(config, datum, horizon, spec=None):
 
 def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
     keys = {group_key(c, h, s) for c, h, s in zip(configs, horizons, specs)}
-    if len(keys) != 1 or None in keys:
-        raise InvalidConfig(
-            "group members must differ only in tau and share rk4_steps, q and the step count"
-        )
+    if len(keys) != 1:
+        raise InvalidConfig("group members must differ only in tau and share q and the step count")
     ((_, q, n_fwd),) = keys
     for c, d in zip(configs, datums):
         _check_datum(c, d)
@@ -354,85 +334,6 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
         for b, m in enumerate(n_valid.tolist())
     )
     return GroupRun(grid, trajectories)
-
-
-def _oracle_velocity(config: SystemConfig, x_now, x_delayed) -> np.ndarray:
-    # Plain double loop over agents with scalar psi evaluations; kept
-    # intentionally separate from the vectorized path it cross-checks.
-    n = config.n_agents
-    classical = config.weight_scheme is WeightScheme.CLASSICAL_SCALED
-    out = np.zeros_like(x_delayed)
-    for i in range(n):
-        base = x_now[i] if config.delay_kind is DelayKind.TRANSMISSION else x_delayed[i]
-        vals = []
-        for j in range(n):
-            if j == i:
-                vals.append(0.0)
-                continue
-            s = math.sqrt(float(((x_delayed[j] - base) ** 2).sum()))
-            vals.append(float(config.influence(s)))
-        denom = (n - 1) if classical else sum(vals)
-        acc = np.zeros(config.dim)
-        for j in range(n):
-            if j != i:
-                acc += (vals[j] / denom) * (x_delayed[j] - base)
-        out[i] = acc
-    return out
-
-
-def integrate_oracle(
-    config: SystemConfig,
-    datum: InitialDatum,
-    horizon: float,
-    spec: IntegratorSpec | None = None,
-) -> Trajectory:
-    """Explicit Euler with linear history interpolation (verification path).
-
-    Blow-up is tested as in integrate, and a run that blows up returns its
-    nodes before the blown-up one, with that node's time as blow_up_time.
-    """
-    if spec is None:
-        spec = default_spec(config, Method.EULER_ORACLE)
-    if spec.method is not Method.EULER_ORACLE:
-        raise InvalidConfig("integrate_oracle expects an euler_oracle spec")
-    q, n_fwd = _grid_shape(config, horizon, spec)
-    _check_datum(config, datum)
-    grid, states, derivs = (a[0] for a in _allocate(config, q, n_fwd, [spec.dt]))
-    _fill_startup(grid, q, datum, states, derivs)
-    center, limit = _blow_up_bounds(states[q])
-    lowest = np.min(limit)
-    kept = grid.size
-    dt = spec.dt
-    tau = config.tau
-
-    def lookup(n_valid, t):
-        """State at t from the datum on the startup interval and linear
-        interpolation between the first n_valid nodes after it."""
-        t = min(max(t, grid[0]), grid[n_valid - 1])
-        if t <= 0.0:
-            return datum.at(t)
-        i = min(int(np.searchsorted(grid[:n_valid], t, side="right")) - 1, n_valid - 2)
-        theta = (t - grid[i]) / (grid[i + 1] - grid[i])
-        if theta == 0.0:
-            return states[i].copy()
-        return (1.0 - theta) * states[i] + theta * states[i + 1]
-
-    with np.errstate(all="ignore"):
-        for m in range(q, q + n_fwd):
-            x_del = lookup(m + 1, grid[m] - tau)
-            v = _oracle_velocity(config, states[m], x_del)
-            derivs[m] = v
-            y1 = states[m] + dt * v
-            if _blown(y1[None, None], center, limit, lowest) is not None:
-                kept = m + 1
-                break
-            states[m + 1] = y1
-        else:
-            derivs[q + n_fwd] = _oracle_velocity(
-                config, states[q + n_fwd], lookup(q + n_fwd + 1, grid[q + n_fwd] - tau)
-            )
-    blow_up = float(grid[kept]) if kept < grid.size else None
-    return Trajectory(grid[:kept], states[:kept], derivs[:kept], config, datum, blow_up)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ class HalanayProblem:
             raise InvalidProblem(f"alpha > 0 violated (alpha={self.alpha})")
         if not (self.alpha < self.beta):
             raise InvalidProblem(f"alpha < beta violated (alpha={self.alpha}, beta={self.beta})")
+        if not math.isfinite(self.beta):
+            raise InvalidProblem(f"beta must be finite (beta={self.beta})")
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise InvalidProblem(f"tau > 0 violated (tau={self.tau})")
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import IntegratorSpec, Method, default_spec, integrate
+from .dynamics import IntegratorSpec, integrate
 from .errors import InvalidConfig, NoRootFound
 from .metrics import fit_decay_rate
 from .model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
@@ -128,9 +128,10 @@ def simulate_toy(
     Runs the actual N = 2 normalized system (gap x_1 - x_2 reproduces the
     scalar equations exactly) and returns the full series on [-tau, T].
     Blow-up is tolerated: the series is truncated and the time recorded.
+    The horizon defaults to 40 tau and dt to the default step.
     """
     delay_kind = DelayKind(delay_kind)
-    horizon = 20.0 * tau if horizon is None else horizon
+    horizon = 40.0 * tau if horizon is None else horizon
     config = SystemConfig(
         n_agents=2,
         dim=1,
@@ -140,8 +141,7 @@ def simulate_toy(
         influence=InfluenceFunction.constant(1.0),
     )
     datum = InitialDatum.constant([[0.5 * w0], [-0.5 * w0]])
-    spec = default_spec(config) if dt is None else IntegratorSpec(Method.RK4_STEPS, dt)
-    traj = integrate(config, datum, horizon, spec)
+    traj = integrate(config, datum, horizon, None if dt is None else IntegratorSpec(dt))
     w = traj.states[:, 0, 0] - traj.states[:, 1, 0]
     return ToySeries(times=traj.grid, w=w, blow_up_time=traj.blow_up_time)
 

@@ -10,11 +10,26 @@ them.  Tests check the package paths against them.
 Transmission reads x(t - tau) and x(t); reaction reads only x(t - tau).
 A lookup outside the stored grid raises OutOfRange instead of
 extrapolating.
+
+integrate_oracle is an independent integrator to check the RK4 stepper
+against: explicit Euler, a scalar double loop over agents for the velocity
+and its own linear history lookup.  It shares only the package's grid,
+startup and blow-up scaffolding, so its trajectories end as integrate's do.
 """
+
+import math
 
 import numpy as np
 
-from hkdelay import DelayKind, OutOfRange, velocity_from_states, weights_from_states
+from hkdelay import (
+    DelayKind,
+    OutOfRange,
+    Trajectory,
+    WeightScheme,
+    dynamics,
+    velocity_from_states,
+    weights_from_states,
+)
 
 
 def hermite(y0, y1, f0, f1, h, theta):
@@ -63,6 +78,79 @@ def rhs(config, traj, t):
 def eval_weights(config, traj, t):
     """Weight matrix (N, N) at time t."""
     return weights_from_states(config, *delayed_states(config, traj, t))
+
+
+def _oracle_velocity(config, x_now, x_delayed):
+    # Plain double loop over agents with scalar psi evaluations; kept
+    # intentionally separate from the vectorized path it cross-checks.
+    n = config.n_agents
+    classical = config.weight_scheme is WeightScheme.CLASSICAL_SCALED
+    out = np.zeros_like(x_delayed)
+    for i in range(n):
+        base = x_now[i] if config.delay_kind is DelayKind.TRANSMISSION else x_delayed[i]
+        vals = []
+        for j in range(n):
+            if j == i:
+                vals.append(0.0)
+                continue
+            s = math.sqrt(float(((x_delayed[j] - base) ** 2).sum()))
+            vals.append(float(config.influence(s)))
+        denom = (n - 1) if classical else sum(vals)
+        acc = np.zeros(config.dim)
+        for j in range(n):
+            if j != i:
+                acc += (vals[j] / denom) * (x_delayed[j] - base)
+        out[i] = acc
+    return out
+
+
+def integrate_oracle(config, datum, horizon, spec=None):
+    """Explicit Euler with linear history interpolation, stepped by
+    spec.dt (default: the package's default step).
+
+    Blow-up is tested as in integrate, and a run that blows up returns its
+    nodes before the blown-up one, with that node's time as blow_up_time.
+    """
+    if spec is None:
+        spec = dynamics.default_spec(config)
+    q, n_fwd = dynamics._grid_shape(config, horizon, spec)
+    dynamics._check_datum(config, datum)
+    grid, states, derivs = (a[0] for a in dynamics._allocate(config, q, n_fwd, [spec.dt]))
+    dynamics._fill_startup(grid, q, datum, states, derivs)
+    center, limit = dynamics._blow_up_bounds(states[q])
+    lowest = np.min(limit)
+    kept = grid.size
+    dt = spec.dt
+    tau = config.tau
+
+    def lookup(n_valid, t):
+        """State at t from the datum on the startup interval and linear
+        interpolation between the first n_valid nodes after it."""
+        t = min(max(t, grid[0]), grid[n_valid - 1])
+        if t <= 0.0:
+            return datum.at(t)
+        i = min(int(np.searchsorted(grid[:n_valid], t, side="right")) - 1, n_valid - 2)
+        theta = (t - grid[i]) / (grid[i + 1] - grid[i])
+        if theta == 0.0:
+            return states[i].copy()
+        return (1.0 - theta) * states[i] + theta * states[i + 1]
+
+    with np.errstate(all="ignore"):
+        for m in range(q, q + n_fwd):
+            x_del = lookup(m + 1, grid[m] - tau)
+            v = _oracle_velocity(config, states[m], x_del)
+            derivs[m] = v
+            y1 = states[m] + dt * v
+            if dynamics._blown(y1[None, None], center, limit, lowest) is not None:
+                kept = m + 1
+                break
+            states[m + 1] = y1
+        else:
+            derivs[q + n_fwd] = _oracle_velocity(
+                config, states[q + n_fwd], lookup(q + n_fwd + 1, grid[q + n_fwd] - tau)
+            )
+    blow_up = float(grid[kept]) if kept < grid.size else None
+    return Trajectory(grid[:kept], states[:kept], derivs[:kept], config, datum, blow_up)
 
 
 def mean(state):

@@ -11,7 +11,6 @@ from hkdelay import (
     InitialDatum,
     IntegratorSpec,
     Measure,
-    Method,
     SystemConfig,
     ToyRegime,
     WeightScheme,
@@ -22,7 +21,6 @@ from hkdelay import (
     count_sign_changes,
     fit_decay_rate,
     integrate,
-    integrate_oracle,
     psi_floor,
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
@@ -32,6 +30,7 @@ from hkdelay import (
 )
 
 from lemmas import convexity_bound_check, shrink_iteration, simulate_equality_case
+from reference import integrate_oracle
 
 ALGEBRAIC = InfluenceFunction.algebraic_decay(1.0)
 
@@ -206,7 +205,7 @@ def test_lemma_bounds_suite():
         scheme = WeightScheme.CLASSICAL_SCALED if case % 2 else WeightScheme.NORMALIZED
         config = SystemConfig(n, d, tau, DelayKind.TRANSMISSION, scheme, ALGEBRAIC)
         datum = InitialDatum.constant(rng.uniform(-2.0, 2.0, (n, d)))
-        traj = integrate(config, datum, 8.0 * tau, IntegratorSpec(Method.RK4_STEPS, tau / 32))
+        traj = integrate(config, datum, 8.0 * tau, IntegratorSpec(tau / 32))
         r = np.sqrt((traj.states**2).sum(axis=2)).max(axis=1)
         radius_ok = radius_ok and bool(np.all(r <= r[traj.grid <= 0].max() + 1e-9))
 
@@ -218,7 +217,7 @@ def test_lemma_bounds_suite():
         config = SystemConfig(n, 1, tau, DelayKind.TRANSMISSION, scheme, ALGEBRAIC)
         vals = rng.uniform(-3.0, 3.0, (n, 1))
         traj = integrate(
-            config, InitialDatum.constant(vals), 8.0 * tau, IntegratorSpec(Method.RK4_STEPS, tau / 32)
+            config, InitialDatum.constant(vals), 8.0 * tau, IntegratorSpec(tau / 32)
         )
         box_ok = box_ok and traj.states.min() >= vals.min() - 1e-9
         box_ok = box_ok and traj.states.max() <= vals.max() + 1e-9
@@ -255,18 +254,18 @@ def test_integrator_trust():
     config = SystemConfig(3, 1, 1.0, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, ALGEBRAIC)
     datum = InitialDatum.constant([[0.0], [0.4], [1.0]])
     horizon = 5.0
-    ref = integrate(config, datum, horizon, IntegratorSpec(Method.RK4_STEPS, 1.0 / 128)).states[-1]
+    ref = integrate(config, datum, horizon, IntegratorSpec(1.0 / 128)).states[-1]
     errs = [
         float(np.max(np.abs(
-            integrate(config, datum, horizon, IntegratorSpec(Method.RK4_STEPS, dt)).states[-1] - ref
+            integrate(config, datum, horizon, IntegratorSpec(dt)).states[-1] - ref
         )))
         for dt in (1.0 / 8, 1.0 / 16, 1.0 / 32)
     ]
     order_ok = errs[0] / errs[1] >= 8.0 and errs[1] / errs[2] >= 8.0
 
-    e_dt = integrate_oracle(config, datum, horizon, IntegratorSpec(Method.EULER_ORACLE, 1.0 / 32)).states[-1]
-    e_half = integrate_oracle(config, datum, horizon, IntegratorSpec(Method.EULER_ORACLE, 1.0 / 64)).states[-1]
-    rk = integrate(config, datum, horizon, IntegratorSpec(Method.RK4_STEPS, 1.0 / 32)).states[-1]
+    e_dt = integrate_oracle(config, datum, horizon, IntegratorSpec(1.0 / 32)).states[-1]
+    e_half = integrate_oracle(config, datum, horizon, IntegratorSpec(1.0 / 64)).states[-1]
+    rk = integrate(config, datum, horizon, IntegratorSpec(1.0 / 32)).states[-1]
     euler_err_est = 2.0 * float(np.max(np.abs(e_dt - e_half)))
     agree_ok = float(np.max(np.abs(rk - e_dt))) <= 10.0 * euler_err_est
 

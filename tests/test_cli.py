@@ -350,6 +350,7 @@ def test_overflowing_datum_is_rejected_before_any_output(tmp_path, capsys, datum
 
 
 DELETE = object()
+SPEC = object()  # in an argv: the consensus spec, and --out is appended
 
 
 def _set(path, value):
@@ -397,6 +398,7 @@ def _set(path, value):
         (_set("datum", {"kind": "sampled", "times": [-0.5, 0.0], "values": [[0.0, 1.0, 2.0]]}),
          "datum.values"),
         (_set("config.tau", 1e17), "integrator.dt"),  # 4e17 default steps per delay
+        (["sweep", SPEC, "--param", "tau", "--values", "1e17"], "integrator.dt"),
         (["toy", "--tau", "0", "--kind", "reaction"], "tau"),
         (["toy", "--tau=-1", "--kind", "reaction"], "tau"),
         (["toy", "--tau", "nan", "--kind", "transmission"], "tau"),
@@ -407,6 +409,7 @@ def _set(path, value):
         "influence_list", "table_flat", "table_samples_missing", "horizon_huge", "horizon_unallocatable", "dt_tiny",
         "outputs_number", "dt_not_dividing", "dt_negative", "horizon_negative", "vectors_nan",
         "times_decreasing", "times_short", "values_shape", "dt_default_unaddressable",
+        "sweep_dt_default_unaddressable",
         "toy_tau_zero", "toy_tau_negative", "toy_tau_nan",
     ],
 )
@@ -417,9 +420,13 @@ def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field)
             doc = json.load(fh)
         args(doc)
         args = ["simulate", write_spec(tmp_path / "bad.json", doc), "--out", str(out)]
+    elif SPEC in args:
+        args = [consensus_spec(tmp_path) if a is SPEC else a for a in args] + ["--out", str(out)]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+    if args[0] == "sweep":  # the advice names the one setting a tau sweep keeps
+        assert "set --dt in a tau sweep, which drops integrator.dt" in err
     assert not out.exists()
 
 
@@ -550,6 +557,31 @@ def test_sweep_horizon(tmp_path):
     assert rows[1].split(",")[1] != ""
 
 
+@pytest.mark.parametrize(
+    "param, values, flags, sizes",
+    [
+        ("tau", ["0.15", "0.5"], [], [2]),  # q = 64 and 20 tau: one group
+        ("tau", ["0.15", "0.5"], ["--horizon", "6"], [1, 1]),  # the step counts differ
+        ("horizon", ["1.5", "6"], [], [1, 1]),
+    ],
+    ids=["tau", "tau_horizon", "horizon"],
+)
+def test_every_sweep_group_integrates_in_one_call(tmp_path, monkeypatch, param, values, flags, sizes):
+    # a group of one integrates through the same call as a larger group
+    integrate = dynamics.integrate
+    calls = []
+
+    def spy(config, *args):
+        calls.append(len(config))
+        return integrate(config, *args)
+
+    monkeypatch.setattr(dynamics, "integrate", spy)
+    out = tmp_path / "out"
+    assert main(["sweep", toy_spec(tmp_path), "--param", param, "--values", *values,
+                 *flags, "--out", str(out)]) == 0
+    assert calls == sizes
+
+
 def test_sweep_horizon_rejects_horizon_flag(tmp_path, capsys):
     # --horizon would replace every swept value, giving identical rows
     out = tmp_path / "out"
@@ -562,16 +594,29 @@ def test_sweep_horizon_rejects_horizon_flag(tmp_path, capsys):
 
 def test_sweep_fails_on_a_bad_value_before_integrating(tmp_path, capsys, monkeypatch):
     # every value loads before the first integration, so the last value's
-    # error leaves no rows computed and no sweep.csv
+    # error leaves no rows computed and no sweep.csv; int() of the
+    # non-finite values raised ValueError or OverflowError past main
     calls = []
     monkeypatch.setattr(dynamics, "integrate", lambda *args, **kwargs: calls.append(args))
+    spec = prop_rate_spec(tmp_path)
+    for bad, shown in (("2.5", "2.5"), ("nan", "nan"), ("inf", "inf"), ("1e400", "inf")):
+        out = tmp_path / f"out_{bad}"
+        code = main(["sweep", spec, "--param", "N", "--values", "3", "4", bad, "--out", str(out)])
+        assert code == 1, bad
+        err = capsys.readouterr().err
+        assert err == f"error: sweep value for N must be an integer, got {shown}\n", bad
+        assert calls == []
+        assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_refuses_a_value_that_is_not_a_number(tmp_path, capsys):
+    # float("abc") raised ValueError past main
     out = tmp_path / "out"
-    code = main(["sweep", prop_rate_spec(tmp_path), "--param", "N",
-                 "--values", "3", "4", "2.5", "--out", str(out)])
+    code = usage_exit(["sweep", consensus_spec(tmp_path), "--param", "tau",
+                       "--values", "0.5", "abc", "--out", str(out)])
     assert code == 1
-    assert "must be an integer" in capsys.readouterr().err
-    assert calls == []
-    assert not (out / "sweep.csv").exists()
+    assert "--values: invalid float value: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # sweep.csv of the parent's one-value-at-a-time loop, before runs were
@@ -630,7 +675,8 @@ def test_grouped_tau_sweep_matches_one_value_at_a_time(tmp_path, config, vectors
     assert (out / "sweep.csv").read_text() == expected
 
 
-def test_simulate_with_euler_oracle_integrator(tmp_path):
+def test_simulate_with_euler_oracle_integrator(tmp_path, capsys):
+    # the Euler oracle is a test reference, so a spec cannot select it
     spec = write_spec(
         tmp_path / "euler.json",
         {
@@ -646,10 +692,11 @@ def test_simulate_with_euler_oracle_integrator(tmp_path):
         },
     )
     out = tmp_path / "out"
-    assert main(["simulate", spec, "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["spec"]["integrator"]["method"] == "euler_oracle"
-    assert report["metrics_summary"]["d_x_final"] < 1e-2
+    assert main(["simulate", spec, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: integrator.method: the one method is 'rk4_steps', got 'euler_oracle'\n"
+    assert not out.exists()
 
 
 def test_rates_output_file(tmp_path):
@@ -695,6 +742,14 @@ def test_rate_command_survives_kernel_overflow(capsys):
 def test_rate_command_rejects_equal_alpha_beta(capsys):
     assert main(["rate", "--alpha", "1", "--beta", "1"]) == 1
     assert "alpha < beta violated" in capsys.readouterr().err
+
+
+def test_rate_command_rejects_an_infinite_beta(capsys):
+    # it printed "C": Infinity, "residual": NaN, which is not JSON
+    assert main(["rate", "--alpha", "0.5", "--beta", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: beta must be finite (beta=inf)\n"
 
 
 @pytest.mark.parametrize(

@@ -9,19 +9,17 @@ from hkdelay import (
     InitialDatum,
     IntegratorSpec,
     InvalidConfig,
-    Method,
     OutOfRange,
     Trajectory,
     WeightScheme,
     integrate,
-    integrate_oracle,
     velocity_from_states,
 )
 from hkdelay import dynamics, model
 from hkdelay.dynamics import trajectory_to_csv
 
 from conftest import make_config, random_datum
-from reference import dissipation, eval_weights, read_trajectory_csv, rhs, sample
+from reference import dissipation, eval_weights, integrate_oracle, read_trajectory_csv, rhs, sample
 
 
 def consensus_datum(n, d, value=0.7):
@@ -184,7 +182,7 @@ def test_two_agent_transmission_decays():
 # convergence order
 
 def _terminal_error(config, datum, horizon, dt, reference):
-    traj = integrate(config, datum, horizon, IntegratorSpec(Method.RK4_STEPS, dt))
+    traj = integrate(config, datum, horizon, IntegratorSpec(dt))
     return np.max(np.abs(traj.states[-1] - reference))
 
 
@@ -192,7 +190,7 @@ def test_rk4_self_convergence_order_at_least_three():
     config = make_config(n_agents=3, dim=1, tau=1.0)
     datum = InitialDatum.constant([[0.0], [0.4], [1.0]])
     horizon = 5.0
-    ref = integrate(config, datum, horizon, IntegratorSpec(Method.RK4_STEPS, 1.0 / 128)).states[-1]
+    ref = integrate(config, datum, horizon, IntegratorSpec(1.0 / 128)).states[-1]
     e1 = _terminal_error(config, datum, horizon, 1.0 / 8, ref)
     e2 = _terminal_error(config, datum, horizon, 1.0 / 16, ref)
     e3 = _terminal_error(config, datum, horizon, 1.0 / 32, ref)
@@ -204,14 +202,14 @@ def test_euler_oracle_first_order_and_agreement():
     config = make_config(n_agents=3, dim=1, tau=1.0)
     datum = InitialDatum.constant([[0.0], [0.4], [1.0]])
     horizon = 5.0
-    e_coarse = integrate_oracle(config, datum, horizon, IntegratorSpec(Method.EULER_ORACLE, 1.0 / 32)).states[-1]
-    e_mid = integrate_oracle(config, datum, horizon, IntegratorSpec(Method.EULER_ORACLE, 1.0 / 64)).states[-1]
-    e_fine = integrate_oracle(config, datum, horizon, IntegratorSpec(Method.EULER_ORACLE, 1.0 / 128)).states[-1]
+    e_coarse = integrate_oracle(config, datum, horizon, IntegratorSpec(1.0 / 32)).states[-1]
+    e_mid = integrate_oracle(config, datum, horizon, IntegratorSpec(1.0 / 64)).states[-1]
+    e_fine = integrate_oracle(config, datum, horizon, IntegratorSpec(1.0 / 128)).states[-1]
     d1 = np.max(np.abs(e_coarse - e_fine))
     d2 = np.max(np.abs(e_mid - e_fine))
     # order one: halving dt roughly halves the error (Richardson-style ratio)
     assert 1.4 <= d1 / d2 <= 3.0
-    rk = integrate(config, datum, horizon, IntegratorSpec(Method.RK4_STEPS, 1.0 / 32)).states[-1]
+    rk = integrate(config, datum, horizon, IntegratorSpec(1.0 / 32)).states[-1]
     euler_err_est = 2.0 * np.max(np.abs(e_coarse - e_mid))
     assert np.max(np.abs(rk - e_coarse)) <= 10.0 * euler_err_est
 
@@ -236,7 +234,7 @@ def test_integrator_matches_polynomial_method_of_steps():
         influence=InfluenceFunction.constant(1.0),
     )
     datum = InitialDatum.constant([[0.5], [-0.5]])
-    traj = integrate(config, datum, 3 * tau, IntegratorSpec(Method.RK4_STEPS, tau / 16))
+    traj = integrate(config, datum, 3 * tau, IntegratorSpec(tau / 16))
     w = traj.states[:, 0, 0] - traj.states[:, 1, 0]
     for m, t in enumerate(traj.grid):
         if t < 0.0:
@@ -252,8 +250,8 @@ def test_cross_integrator_sign_pattern_toy_feedback():
         influence=InfluenceFunction.constant(1.0),
     )
     datum = InitialDatum.constant([[0.5], [-0.5]])
-    t_rk = integrate(config, datum, 20 * config.tau, IntegratorSpec(Method.RK4_STEPS, config.tau / 64))
-    t_eu = integrate_oracle(config, datum, 20 * config.tau, IntegratorSpec(Method.EULER_ORACLE, config.tau / 64))
+    t_rk = integrate(config, datum, 20 * config.tau, IntegratorSpec(config.tau / 64))
+    t_eu = integrate_oracle(config, datum, 20 * config.tau, IntegratorSpec(config.tau / 64))
     w_rk = t_rk.states[:, 0, 0] - t_rk.states[:, 1, 0]
     w_eu = t_eu.states[:, 0, 0] - t_eu.states[:, 1, 0]
     mask = np.abs(w_rk) > 1e-6
@@ -293,8 +291,8 @@ def test_sample_reproduces_linear_trajectory():
 def test_sample_against_fine_grid_oracle(rng):
     config = make_config(n_agents=3, dim=1, tau=1.0)
     datum = InitialDatum.constant([[0.0], [0.4], [1.0]])
-    coarse = integrate(config, datum, 4.0, IntegratorSpec(Method.RK4_STEPS, 1.0 / 16))
-    fine = integrate(config, datum, 4.0, IntegratorSpec(Method.RK4_STEPS, 1.0 / 160))
+    coarse = integrate(config, datum, 4.0, IntegratorSpec(1.0 / 16))
+    fine = integrate(config, datum, 4.0, IntegratorSpec(1.0 / 160))
     for t in rng.uniform(0.0, 4.0, 25):
         assert np.max(np.abs(sample(coarse, t) - sample(fine, t))) < 1e-6
 
@@ -338,7 +336,7 @@ def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
         monkeypatch.setattr(dynamics, "velocity_from_states", spy)
         monkeypatch.setattr(model, "BLOCK_ENTRIES", entries)
         # 11 steps: the last delay segment ends after 3 of its 4 steps
-        traj = integrate(config, datum, 2.75, IntegratorSpec(Method.RK4_STEPS, dt))
+        traj = integrate(config, datum, 2.75, IntegratorSpec(dt))
         steps = range(q, traj.grid.size - 1)
         # one call for the derivative at t = 0
         assert len(delayed[0]) == 1 and np.array_equal(delayed[0][0], datum.at(-1.0))
@@ -385,27 +383,11 @@ def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
 
 def test_dt_must_divide_tau():
     with pytest.raises(InvalidConfig):
-        IntegratorSpec(Method.RK4_STEPS, 0.3).steps_per_delay(1.0)
+        IntegratorSpec(0.3).steps_per_delay(1.0)
     with pytest.raises(InvalidConfig):  # tau / dt overflows
-        IntegratorSpec(Method.RK4_STEPS, 1e-320).steps_per_delay(1.0)
-    assert IntegratorSpec(Method.RK4_STEPS, 0.25).steps_per_delay(1.0) == 4
-    assert IntegratorSpec(Method.RK4_STEPS, 1.0 / 3.0).steps_per_delay(1.0) == 3
-
-
-@pytest.mark.parametrize("tau, horizon", [(0.5, 2.0), (2.0, 200.0)], ids=["converges", "blows_up"])
-def test_integrate_runs_euler_oracle_spec_bit_for_bit(tau, horizon):
-    config = make_config(
-        n_agents=2, tau=tau, delay_kind=DelayKind.REACTION,
-        influence=InfluenceFunction.constant(1.0),
-    )
-    datum = InitialDatum.constant([[0.5], [-0.5]])
-    spec = IntegratorSpec(Method.EULER_ORACLE, tau / 16)
-    via_integrate = integrate(config, datum, horizon, spec)
-    direct = integrate_oracle(config, datum, horizon, spec)
-    assert via_integrate.blow_up_time == direct.blow_up_time
-    assert (direct.blow_up_time is None) == (tau < 1.0)
-    for name in ("grid", "states", "derivs"):
-        assert np.array_equal(getattr(via_integrate, name), getattr(direct, name))
+        IntegratorSpec(1e-320).steps_per_delay(1.0)
+    assert IntegratorSpec(0.25).steps_per_delay(1.0) == 4
+    assert IntegratorSpec(1.0 / 3.0).steps_per_delay(1.0) == 3
 
 
 def test_blow_up_reports_time_and_partial():
@@ -446,16 +428,17 @@ def test_rk4_and_euler_oracle_agree_on_blow_up(offset, tau, blows_up):
         influence=InfluenceFunction.constant(1.0),
     )
     datum = InitialDatum.constant([[offset + 0.5], [offset - 0.5]])
-    for spec in (IntegratorSpec(Method.RK4_STEPS, tau / 16), IntegratorSpec(Method.EULER_ORACLE, tau / 16)):
-        traj = integrate(config, datum, 100.0, spec)
+    spec = IntegratorSpec(tau / 16)
+    for run in (integrate, integrate_oracle):
+        traj = run(config, datum, 100.0, spec)
         if blows_up:
-            assert 0.0 < traj.blow_up_time < 100.0, spec.method
+            assert 0.0 < traj.blow_up_time < 100.0, run.__name__
             assert traj.grid[-1] + spec.dt == traj.blow_up_time
             assert np.all(np.abs(traj.states - offset) <= 1e12)
-            if spec.method is Method.EULER_ORACLE:  # its next step blows up
+            if run is integrate_oracle:  # its next step blows up
                 assert np.abs(traj.states[-1] + spec.dt * traj.derivs[-1] - offset).max() > 1e12
         else:
-            assert traj.blow_up_time is None, spec.method
+            assert traj.blow_up_time is None, run.__name__
             assert traj.grid[-1] == 100.0
 
 
@@ -512,7 +495,7 @@ def test_group_members_equal_solo_runs_bit_for_bit(
             datums.append(InitialDatum.sampled([-tau, -tau / 3, 0.0], offset + rng.normal(size=(3, n, d))))
         else:
             datums.append(InitialDatum.constant(offset + rng.normal(size=(n, d))))
-        specs.append(IntegratorSpec(Method.RK4_STEPS, tau / q))
+        specs.append(IntegratorSpec(tau / q))
         horizons.append(n_fwd * specs[-1].dt)
     run = assert_members_equal_solo_runs(configs, datums, horizons, specs)
     assert run.grid.shape == (len(taus), q + n_fwd + 1)
@@ -642,7 +625,7 @@ def test_rk4_stepper_matches_per_step_loop_bit_for_bit(
 def test_trajectory_csv_round_trip(tmp_path, rng):
     config = make_config(n_agents=3, dim=2, tau=0.5)
     datum = random_datum(rng, 3, 2)
-    traj = integrate(config, datum, 2 * config.tau, IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
+    traj = integrate(config, datum, 2 * config.tau, IntegratorSpec(config.tau / 8))
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path)
     times, states = read_trajectory_csv(path)
@@ -666,7 +649,7 @@ def reference_trajectory_csv(traj, path):
 def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng):
     config = make_config(n_agents=4, dim=3, tau=0.5)
     datum = random_datum(rng, 4, 3, low=-2.0, high=2.0)
-    traj = integrate(config, datum, 2 * config.tau, IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
+    traj = integrate(config, datum, 2 * config.tau, IntegratorSpec(config.tau / 8))
     states = traj.states.copy()
     states[1, 0, 0] = -0.0
     states[2, 1, 1] = 5e-324
@@ -681,7 +664,7 @@ def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng):
     config = make_config(n_agents=2, tau=2.0, delay_kind=DelayKind.REACTION,
                          influence=InfluenceFunction.constant(1.0))
     partial = integrate(config, InitialDatum.constant([[0.5], [-0.5]]), 200.0,
-                        IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
+                        IntegratorSpec(config.tau / 8))
     assert partial.blow_up_time is not None
     trajectory_to_csv(partial, tmp_path / "partial.csv")
     reference_trajectory_csv(partial, tmp_path / "partial_ref.csv")

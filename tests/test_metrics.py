@@ -10,7 +10,6 @@ from hkdelay import (
     InfluenceFunction,
     InitialDatum,
     IntegratorSpec,
-    Method,
     MetricSeries,
     NonPositiveSeries,
     Trajectory,
@@ -175,10 +174,8 @@ def test_lyapunov_quadrature_refines(rng):
     config = make_config(n_agents=4, dim=1, tau=0.4, delay_kind=DelayKind.REACTION,
                          weight_scheme=WeightScheme.CLASSICAL_SCALED)
     datum = random_datum(rng, 4, 1)
-    from hkdelay import IntegratorSpec, Method
-
-    coarse = integrate(config, datum, 3 * config.tau, IntegratorSpec(Method.RK4_STEPS, config.tau / 32))
-    fine = integrate(config, datum, 3 * config.tau, IntegratorSpec(Method.RK4_STEPS, config.tau / 64))
+    coarse = integrate(config, datum, 3 * config.tau, IntegratorSpec(config.tau / 32))
+    fine = integrate(config, datum, 3 * config.tau, IntegratorSpec(config.tau / 64))
     t = 2.5 * config.tau
     l1 = lyapunov(config, coarse, t)
     l2 = lyapunov(config, fine, t)
@@ -337,7 +334,7 @@ def assert_series_identical(got, ref):
 def test_blocked_series_match_per_node_loop(monkeypatch, block_entries, n_agents, kind, scheme):
     config = make_config(n_agents=n_agents, dim=2, tau=0.5, delay_kind=kind, weight_scheme=scheme)
     datum = random_datum(np.random.default_rng(n_agents), n_agents, 2, low=-1.0)
-    traj = integrate(config, datum, 3 * config.tau, IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
+    traj = integrate(config, datum, 3 * config.tau, IntegratorSpec(config.tau / 8))
     monkeypatch.setattr(model, "BLOCK_ENTRIES", block_entries)
     assert_series_identical(compute_metrics(config, traj), reference_metrics(config, traj))
 
@@ -347,7 +344,7 @@ def test_blocked_series_match_per_node_loop_on_blown_up_run(monkeypatch, block_e
     config = make_config(n_agents=2, tau=2.0, delay_kind=DelayKind.REACTION,
                          influence=InfluenceFunction.constant(1.0))
     traj = integrate(config, InitialDatum.constant([[0.5], [-0.5]]), 200.0,
-                     IntegratorSpec(Method.RK4_STEPS, config.tau / 8))
+                     IntegratorSpec(config.tau / 8))
     assert traj.blow_up_time is not None
     monkeypatch.setattr(model, "BLOCK_ENTRIES", block_entries)
     ms = compute_metrics(config, traj)

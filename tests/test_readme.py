@@ -1,8 +1,12 @@
-"""The README's "Library layout" table names only what the package holds."""
+"""The README's "Library layout" table names only what the package holds,
+and its spec example is a spec that the loader accepts."""
 
 import importlib
+import json
 import re
 from pathlib import Path
+
+from hkdelay import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -39,3 +43,12 @@ def test_layout_table_names_resolve_in_their_modules():
             if owner is None:
                 missing.append(f"{module_name}: {name}")
     assert not missing
+
+
+def test_spec_example_loads():
+    # the // comments are the README's, not JSON's
+    block = README.read_text().split("## Experiment spec (JSON)", 1)[1].split("```json\n", 1)[1]
+    doc = json.loads(re.sub(r"//.*", "", block.split("```", 1)[0]))
+    spec = cli.load_spec(doc)
+    assert spec.to_dict()["integrator"] == doc["integrator"]
+    assert spec.horizon == doc["horizon"] and spec.outputs == tuple(doc["outputs"])

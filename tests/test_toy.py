@@ -65,6 +65,13 @@ def test_reaction_root_unstable_for_long_delay():
     assert a[series.times > 25.0].max() > 10.0 * a[(series.times > 0) & (series.times < 5.0)].max()
 
 
+def test_simulate_toy_default_horizon_is_forty_delays():
+    default = simulate_toy(DelayKind.REACTION, 0.3, 1.0)
+    explicit = simulate_toy(DelayKind.REACTION, 0.3, 1.0, horizon=40 * 0.3)
+    assert default.times[-1] == 40 * 0.3
+    assert np.array_equal(default.w, explicit.w)
+
+
 def test_reaction_root_satisfies_rescaled_equation():
     # eta = xi * tau solves eta + 2 tau e^{-eta} = 0 whenever xi solves
     # xi + 2 e^{-xi tau} = 0
