@@ -27,7 +27,7 @@ from .model import (
     config_from_dict,
     datum_from_dict,
     psi_floor,
-    startup_points,
+    require_finite_squares,
 )
 
 DEFAULT_OUTPUTS = ("trajectory", "metrics", "report")
@@ -64,6 +64,7 @@ def _resolve_datum(raw: dict, config: SystemConfig, seed: int) -> InitialDatum:
     if kind == "random_uniform":
         low = _field("datum.low", float, raw.get("low", 0.0))
         high = _field("datum.high", float, raw.get("high", 1.0))
+        require_finite_squares("datum.low/high", [low, high], config.dim)
         rng = np.random.default_rng(seed)
         return InitialDatum.constant(rng.uniform(low, high, (config.n_agents, config.dim)))
     return datum_from_dict(raw)
@@ -101,12 +102,7 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
     config = config_from_dict(_section(doc, "config"))
     seed = _field("seed", int, overrides.get("seed", doc.get("seed", 0)))
     datum = _resolve_datum(_section(doc, "datum"), config, seed)
-    if datum.n_agents != config.n_agents or datum.dim != config.dim:
-        raise SpecError(
-            f"datum: shape ({datum.n_agents}, {datum.dim}) does not match "
-            f"config.n_agents/dim ({config.n_agents}, {config.dim})"
-        )
-    _require_finite_squares(doc["datum"], datum, config.tau)
+    datum.require_fits(config)
     horizon = _field("horizon", float, overrides.get("horizon", doc.get("horizon", 20.0 * config.tau)))
     integ = _section(doc, "integrator", {})
     given = overrides if "dt" in overrides else integ
@@ -129,23 +125,6 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
         outputs=outputs,
         seed=seed,
     )
-
-
-def _require_finite_squares(raw: dict, datum: InitialDatum, tau: float) -> None:
-    """Reject a datum whose squared distances overflow.
-
-    The weights, the diameter and the radius square differences and norms
-    of states; with every startup coordinate at most m in size they stay
-    below 4 d m^2, which must be finite.
-    """
-    states, _ = startup_points(datum, tau)
-    m = max(float(np.abs(s).max()) for s in states)
-    if not math.isfinite(4.0 * datum.dim * m * m):
-        field = {"sampled": "values", "random_uniform": "low/high"}.get(raw.get("kind"), "vectors")
-        raise SpecError(
-            f"datum.{field}: coordinates up to {m:.3g} overflow the squared distances "
-            "between agents; rescale the datum"
-        )
 
 
 def _read_spec_doc(path) -> dict:
@@ -199,7 +178,7 @@ def _fit_c_emp(series: metrics.MetricSeries, r_x0: float):
     if window is None:
         return None
     try:
-        return metrics.fit_decay_rate(series.times, series.d_x, window).c_emp
+        return metrics.fit_decay_rate(series.times, series.d_x, window)
     except NonPositiveSeries:
         return None
 
@@ -253,7 +232,7 @@ def run_experiment(spec: ExperimentSpec, traj=None) -> RunResult:
             "d_x0": series.d_x0,
             "d_x_final": float(series.d_x[-1]),
             "r_x0": precond.r_x0,
-            "X0": float(series.X[np.searchsorted(series.times, -1e-12, side="right")]),
+            "X0": float(series.X[traj.origin]),
             "X_final": float(series.X[-1]),
             "consensus_time": None if blow_up is not None else metrics.consensus_time(series, tol),
             "consensus_tol": tol,

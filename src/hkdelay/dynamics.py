@@ -52,7 +52,7 @@ class IntegratorSpec:
     def steps_per_delay(self, tau: float) -> int:
         ratio = tau / self.dt  # inf for a dt far below tau
         q = round(ratio) if math.isfinite(ratio) else 0
-        if q < 1 or abs(q * self.dt - tau) > 1e-12 * max(1.0, tau):
+        if q < 1 or abs(q * self.dt - tau) > 1e-12 * tau:
             raise InvalidConfig(
                 f"integrator.dt: dt={self.dt:g} must divide tau={tau:g} into an integer step count"
             )
@@ -91,6 +91,11 @@ class Trajectory:
     datum: InitialDatum
     blow_up_time: float | None = None
 
+    @property
+    def origin(self) -> int:
+        """Index of the node at t = 0, which the grid (-q..n) * dt holds exactly."""
+        return int(np.searchsorted(self.grid, 0.0))
+
 
 def velocity_from_states(
     config: SystemConfig, x_now: np.ndarray | None, x_delayed: np.ndarray
@@ -118,15 +123,6 @@ def _grid_shape(config: SystemConfig, horizon: float, spec: IntegratorSpec) -> t
         field = "integrator.dt" if (q + 1) * node_bytes > sys.maxsize else "horizon"
         raise InvalidConfig(f"{field}: {nodes:.4g} grid nodes of {node_bytes} bytes cannot be addressed")
     return q, int(math.ceil(horizon / spec.dt - 1e-9))
-
-
-def _check_datum(config: SystemConfig, datum: InitialDatum) -> None:
-    if datum.n_agents != config.n_agents or datum.dim != config.dim:
-        raise InvalidConfig(
-            f"datum shape ({datum.n_agents}, {datum.dim}) does not match "
-            f"config ({config.n_agents}, {config.dim})"
-        )
-    datum.require_coverage(config.tau)
 
 
 def _allocate(config: SystemConfig, q: int, n_fwd: int, dts):
@@ -303,7 +299,7 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
         raise InvalidConfig("group members must differ only in tau and share q and the step count")
     ((_, q, n_fwd),) = keys
     for c, d in zip(configs, datums):
-        _check_datum(c, d)
+        d.require_fits(c)
     config = configs[0]
     dt = np.array([s.dt for s in specs]).reshape(-1, 1, 1)
     # member-major storage, so each member's trajectory is contiguous; the

@@ -86,8 +86,7 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     S = trajectory.states
     n = g.size
     n_agents = config.n_agents
-    i0 = int(np.searchsorted(g, -1e-12, side="right"))
-    q = i0  # startup nodes 0..i0, with g[i0] == 0
+    i0 = q = trajectory.origin  # startup nodes 0..i0, with g[i0] == 0
 
     # the pairwise squared distances of the block S[a:b] give d_x[a:b] and,
     # as delayed states, the dissipation D[a + q : b + q]
@@ -129,13 +128,7 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     return MetricSeries(g, d_x, r_x, drift, X, D, L)
 
 
-@dataclass(frozen=True)
-class RateFit:
-    c_emp: float
-    r2: float
-
-
-def fit_decay_rate(times, series, window) -> RateFit:
+def fit_decay_rate(times, series, window) -> float:
     """Least-squares slope of -log(series) against t on [t_a, t_b]."""
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -150,12 +143,8 @@ def fit_decay_rate(times, series, window) -> RateFit:
     t_c = t - t.mean()
     denom = float((t_c * t_c).sum())
     if denom == 0.0:
-        return RateFit(0.0, 1.0)
-    slope = float((t_c * (y - y.mean())).sum() / denom)
-    resid = y - (y.mean() + slope * t_c)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot <= 1e-300 else 1.0 - float((resid * resid).sum()) / ss_tot
-    return RateFit(slope, r2)
+        return 0.0
+    return float((t_c * (y - y.mean())).sum() / denom)
 
 
 def count_sign_changes(series, atol: float = SIGN_ATOL) -> int:

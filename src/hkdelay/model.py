@@ -11,6 +11,7 @@ most one) or row-normalized weights (row sums exactly one).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -163,14 +164,17 @@ class SystemConfig:
     influence: InfluenceFunction
 
     def __post_init__(self):
-        if int(self.n_agents) != self.n_agents or self.n_agents < 2:
+        n, d = int(self.n_agents), int(self.dim)
+        if n != self.n_agents or n < 2:
             raise InvalidConfig(f"n_agents must be an integer >= 2, got {self.n_agents}")
-        if int(self.dim) != self.dim or self.dim < 1:
+        if d != self.dim or d < 1:
             raise InvalidConfig(f"dim must be an integer >= 1, got {self.dim}")
+        if 8 * n * max(n, d) > sys.maxsize:  # as dynamics._grid_shape refuses grids
+            raise InvalidConfig("n_agents and dim: (N, N) and (N, d) arrays of doubles cannot be addressed")
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise InvalidConfig(f"tau must be a positive real, got {self.tau}")
-        object.__setattr__(self, "n_agents", int(self.n_agents))
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "n_agents", n)
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "delay_kind", DelayKind(self.delay_kind))
         object.__setattr__(self, "weight_scheme", WeightScheme(self.weight_scheme))
@@ -205,6 +209,24 @@ class DatumKind(str, Enum):
     SAMPLED = "sampled"
 
 
+def require_finite_squares(field: str, values, dim: int) -> None:
+    """Refuse coordinates that are not finite or whose squared distances overflow.
+
+    The weights, the diameter and the radius square differences and norms
+    of d-vectors; with every coordinate at most m in size they stay below
+    4 d m^2, which must be finite.  Errors name field.
+    """
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise InvalidDatum(f"{field}: contains non-finite values")
+    m = float(np.abs(v).max())
+    if not math.isfinite(4.0 * dim * m * m):
+        raise InvalidDatum(
+            f"{field}: coordinates up to {m:.3g} overflow the squared distances "
+            "between agents; rescale the datum"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class InitialDatum:
     """Prescribed continuous trajectories on the startup interval.
@@ -224,8 +246,7 @@ class InitialDatum:
         v = np.atleast_2d(np.asarray(vectors, dtype=float))
         if v.size == 0:
             raise InvalidDatum("datum.vectors: a constant datum needs at least one agent vector")
-        if not np.all(np.isfinite(v)):
-            raise InvalidDatum("datum.vectors: contains non-finite values")
+        require_finite_squares("datum.vectors", v, v.shape[-1])
         return cls(DatumKind.CONSTANT_PER_AGENT, values=v)
 
     @classmethod
@@ -240,8 +261,7 @@ class InitialDatum:
             v = v[:, :, None]
         if v.ndim != 3 or v.shape[0] != t.size or v.size == 0:
             raise InvalidDatum("datum.values: must have shape (M, N, d) for M times")
-        if not np.all(np.isfinite(v)):
-            raise InvalidDatum("datum.values: contains non-finite values")
+        require_finite_squares("datum.values", v, v.shape[-1])
         return cls(DatumKind.SAMPLED, values=v[0], times=t, samples=v)
 
     @property
@@ -252,9 +272,17 @@ class InitialDatum:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def require_coverage(self, tau: float) -> None:
+    def require_fits(self, config: SystemConfig) -> None:
+        """Refuse a datum whose (N, d) is not config's, or a sampled datum
+        whose grid does not cover the startup interval [-tau, 0]."""
+        if (self.n_agents, self.dim) != (config.n_agents, config.dim):
+            raise InvalidDatum(
+                f"datum: shape ({self.n_agents}, {self.dim}) does not match "
+                f"config.n_agents/dim ({config.n_agents}, {config.dim})"
+            )
         if self.kind is DatumKind.CONSTANT_PER_AGENT:
             return
+        tau = config.tau
         pad = 1e-9 * (1.0 + tau)
         if self.times[0] > -tau + pad or self.times[-1] < -pad:
             raise InvalidDatum(
@@ -361,7 +389,7 @@ def weights_from_states(
     return w
 
 
-def startup_points(datum: InitialDatum, tau: float) -> tuple[list, list]:
+def startup_points(datum: InitialDatum, config: SystemConfig) -> tuple[list, list]:
     """States and slopes that bound the datum over the startup interval [-tau, 0].
 
     The states are those at -tau, at every datum knot strictly inside
@@ -369,10 +397,10 @@ def startup_points(datum: InitialDatum, tau: float) -> tuple[list, list]:
     overlaps (-tau, 0).  The datum is piecewise linear and diameter and
     radius are convex, so their maxima over [-tau, 0] lie at these states.
     """
-    datum.require_coverage(tau)
+    datum.require_fits(config)
     if datum.kind is DatumKind.CONSTANT_PER_AGENT:
         return [datum.values], []
-    ts = datum.times
+    ts, tau = datum.times, config.tau
     inner = ts[(ts > -tau) & (ts < 0.0)].tolist()
     states = [datum.at(t) for t in [-tau, *inner, 0.0]]
     seg = np.where((ts[:-1] < 0.0) & (ts[1:] > -tau))[0]
@@ -406,7 +434,7 @@ class IcassReport:
 
 def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
     """Check that startup slopes, read by startup_points, do not exceed the startup diameter."""
-    return IcassReport.from_points(*startup_points(datum, config.tau))
+    return IcassReport.from_points(*startup_points(datum, config))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +471,7 @@ def config_from_dict(d: dict) -> SystemConfig:
         )
     except KeyError as exc:  # a field the influence's kind needs
         raise InvalidConfig(f"config.influence.{exc.args[0]}: missing field") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         raise InvalidConfig(f"config: {exc}") from exc
 
 

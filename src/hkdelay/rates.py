@@ -199,7 +199,7 @@ def psi0_lower_bound(config: SystemConfig, datum: InitialDatum) -> float:
 
 def check_preconditions(config: SystemConfig, datum: InitialDatum) -> PreconditionReport:
     """Which consensus theorems cover this configuration, with reasons."""
-    states, slopes = startup_points(datum, config.tau)
+    states, slopes = startup_points(datum, config)
     icass = IcassReport.from_points(states, slopes)
     psi0 = psi0_lower_bound(config, datum)
     r_x0 = max(radius(s) for s in states)

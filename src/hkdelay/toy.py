@@ -24,7 +24,6 @@ from .model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, Wei
 OSCILLATION_THRESHOLD = math.exp(-1.0)  # on 2*tau
 STABILITY_THRESHOLD = math.pi / 2.0  # on 2*tau
 BOUNDARY_TOL = 1e-9
-ROOT_RESIDUAL_TOL = 1e-10
 
 
 class ToyRegime(str, Enum):
@@ -83,7 +82,7 @@ def rightmost_root(delay_kind: DelayKind, tau: float) -> CharRoot:
     delay_kind = DelayKind(delay_kind)
     _require_delay(tau)
     res = np.arange(-10.0, 5.0 + 1e-12, 0.25)
-    ims = np.arange(0.0, 4.0 * math.pi / tau + 1e-12, math.pi / (2.0 * tau))
+    ims = np.arange(9) * (math.pi / (2.0 * tau))
     z = (res[:, None] + 1j * ims[None, :]).ravel()
     with np.errstate(all="ignore"):
         for _ in range(60):
@@ -163,4 +162,4 @@ def fitted_decay_rate(series: ToySeries, t_lo: float | None = None):
     interior = idx[(idx > 0) & (idx < t.size - 1)]
     peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
     fit = peaks if peaks.size >= 4 else idx
-    return fit_decay_rate(t[fit], a[fit], (t[fit[0]], t[fit[-1]])).c_emp
+    return fit_decay_rate(t[fit], a[fit], (t[fit[0]], t[fit[-1]]))

@@ -114,7 +114,7 @@ def integrate_oracle(config, datum, horizon, spec=None):
     if spec is None:
         spec = dynamics.default_spec(config)
     q, n_fwd = dynamics._grid_shape(config, horizon, spec)
-    dynamics._check_datum(config, datum)
+    datum.require_fits(config)
     grid, states, derivs = (a[0] for a in dynamics._allocate(config, q, n_fwd, [spec.dt]))
     dynamics._fill_startup(grid, q, datum, states, derivs)
     center, limit = dynamics._blow_up_bounds(states[q])

@@ -402,6 +402,18 @@ def _set(path, value):
         (["toy", "--tau", "0", "--kind", "reaction"], "tau"),
         (["toy", "--tau=-1", "--kind", "reaction"], "tau"),
         (["toy", "--tau", "nan", "--kind", "transmission"], "tau"),
+        # rng.uniform raised OverflowError on these bounds
+        (_set("datum", {"kind": "random_uniform", "low": "nan"}), "datum.low/high"),
+        (_set("datum", {"kind": "random_uniform", "high": 1e400}), "datum.low/high"),
+        (_set("datum", {"kind": "random_uniform", "low": -1e308, "high": 1e308}), "datum.low/high"),
+        # sizes checked, never allocated: numpy raised on their arrays
+        (_set("config.n_agents", 1e300), "config"),
+        (_set("config.dim", 1e300), "config"),
+        # np.arange over [0, 4 pi/tau + 1e-12] asked for ~6e287 Newton starts
+        (["toy", "--tau", "1e300", "--kind", "reaction"], "integrator.dt"),
+        (["toy", "--tau", "1e300", "--kind", "transmission"], "integrator.dt"),
+        # two steps of 1e-12 are not a delay of 1.5e-12
+        (["toy", "--tau", "1.5e-12", "--dt", "1e-12", "--kind", "reaction"], "integrator.dt"),
     ],
     ids=[
         "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
@@ -411,6 +423,9 @@ def _set(path, value):
         "times_decreasing", "times_short", "values_shape", "dt_default_unaddressable",
         "sweep_dt_default_unaddressable",
         "toy_tau_zero", "toy_tau_negative", "toy_tau_nan",
+        "random_low_nan", "random_high_inf", "random_range_overflows",
+        "n_agents_unaddressable", "dim_unaddressable",
+        "toy_tau_huge_reaction", "toy_tau_huge_transmission", "toy_dt_not_dividing_tiny_tau",
     ],
 )
 def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field):
@@ -428,6 +443,44 @@ def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field)
     if args[0] == "sweep":  # the advice names the one setting a tau sweep keeps
         assert "set --dt in a tau sweep, which drops integrator.dt" in err
     assert not out.exists()
+
+
+def test_datum_of_another_shape_is_refused_before_any_output(tmp_path, capsys):
+    with open(consensus_spec(tmp_path)) as fh:
+        doc = json.load(fh)
+    doc["datum"]["vectors"] = [[0.25, 0.0], [0.25, 0.0], [0.25, 0.0]]
+    out = tmp_path / "out"
+    assert main(["simulate", write_spec(tmp_path / "bad.json", doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: datum: shape (3, 2) does not match config.n_agents/dim (3, 1)\n"
+    )
+    assert not out.exists()
+
+
+def test_tiny_delay_reads_t0_on_its_node(tmp_path):
+    # dt = tau/64 < 1e-12: a search for the first node after t = -1e-12
+    # found t = -9.4e-13, so D was filled and d_x unfrozen at t < 0, and
+    # X0 read X there (0.04099, not 1/24)
+    doc = {
+        "config": {
+            "n_agents": 3, "dim": 1, "tau": 1e-11,
+            "delay_kind": "reaction", "weight_scheme": "classical_scaled",
+            "influence": {"kind": "constant", "c": 1.0},
+        },
+        "datum": {"kind": "sampled", "times": [-1e-11, 0.0],
+                  "values": [[[0.0], [0.3], [0.6]], [[0.1], [0.1], [0.6]]]},
+        "horizon": 5e-11,
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", write_spec(tmp_path / "tiny.json", doc), "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "metrics.csv").read_text().splitlines()[1:]]
+    startup = [row for row in rows if float(row[0]) <= 0.0]
+    assert len(startup) == 65
+    assert [row[5] for row in rows].count("") == 64  # D is defined from t = 0 on
+    assert all(row[5] == "" for row in startup[:-1]) and startup[-1][5] != ""
+    assert all(row[1] == "0.59999999999999998" for row in startup)  # d_x frozen at d_x0
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics_summary"]["X0"] == float(startup[-1][4]) == pytest.approx(1.0 / 24.0)
 
 
 def test_startup_diameter_reads_datum_knots_between_grid_nodes(tmp_path):
@@ -607,6 +660,15 @@ def test_sweep_fails_on_a_bad_value_before_integrating(tmp_path, capsys, monkeyp
         assert err == f"error: sweep value for N must be an integer, got {shown}\n", bad
         assert calls == []
         assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_over_an_unaddressable_n_is_refused(tmp_path, capsys):
+    # the (N, d) draw of the random datum raised ValueError past main
+    out = tmp_path / "out"
+    code = main(["sweep", prop_rate_spec(tmp_path), "--param", "N", "--values", "1e300", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: config: n_agents and dim: ")
+    assert not out.exists()
 
 
 def test_sweep_refuses_a_value_that_is_not_a_number(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hkdelay import (
     InitialDatum,
     IntegratorSpec,
     InvalidConfig,
+    InvalidDatum,
     OutOfRange,
     Trajectory,
     WeightScheme,
@@ -388,6 +389,17 @@ def test_dt_must_divide_tau():
         IntegratorSpec(1e-320).steps_per_delay(1.0)
     assert IntegratorSpec(0.25).steps_per_delay(1.0) == 4
     assert IntegratorSpec(1.0 / 3.0).steps_per_delay(1.0) == 3
+    # the tolerance is relative to tau: 33 steps of 3e-13 fall 1 % short of 1e-11
+    with pytest.raises(InvalidConfig, match="^integrator.dt: "):
+        IntegratorSpec(3e-13).steps_per_delay(1e-11)
+    assert IntegratorSpec(1e-11 / 64).steps_per_delay(1e-11) == 64
+
+
+def test_integrate_refuses_a_datum_of_another_shape():
+    config = make_config(n_agents=3, dim=1)
+    for datum in (consensus_datum(2, 1), consensus_datum(3, 2)):
+        with pytest.raises(InvalidDatum, match="^datum: shape .* does not match"):
+            integrate(config, datum, 2 * config.tau)
 
 
 def test_blow_up_reports_time_and_partial():

@@ -327,6 +327,25 @@ def test_datum_coverage_required():
         check_icass(datum, config)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: InitialDatum.constant([[0.0], [1e200], [-1e200]]), "datum.vectors"),
+        (lambda: InitialDatum.constant([[5e153, 0.0, 0.0, 0.0, 0.0]]), "datum.vectors"),
+        # the overflowing sample lies outside [-tau, 0] for any tau < 1: every sample counts
+        (lambda: InitialDatum.sampled([-2.0, -1.0, 0.0], [[[1e160], [0.0]], [[0.0], [1.0]],
+                                                          [[0.0], [1.0]]]), "datum.values"),
+    ],
+    ids=["vectors", "vectors_dim_5", "sampled_outside_startup"],
+)
+def test_datum_whose_squared_distances_overflow_is_refused(build, field):
+    # 4 d m^2 bounds every squared distance and norm: m = 5e153 passes at
+    # d = 1 and overflows at d = 5
+    with pytest.raises(InvalidDatum, match=f"^{field}: "):
+        build()
+    InitialDatum.constant([[5e153], [-5e153]])
+
+
 # ---------------------------------------------------------------------------
 # config validation and JSON codecs
 
@@ -338,6 +357,12 @@ def test_config_validation():
         SystemConfig(3, 0, 0.5, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, psi)
     with pytest.raises(InvalidConfig):
         SystemConfig(3, 1, 0.0, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, psi)
+    # (N, N) or (N, d) arrays of this size cannot be addressed; checked, never allocated
+    for n, d in ((1e300, 1), (2, 1e300)):
+        with pytest.raises(InvalidConfig, match="cannot be addressed"):
+            SystemConfig(n, d, 0.5, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, psi)
+    with pytest.raises(InvalidConfig, match="^config: "):  # int(inf) overflows
+        config_from_dict({**make_config().to_dict(), "n_agents": float("inf")})
 
 
 def test_config_dict_round_trip():
