@@ -21,9 +21,11 @@ from .model import (
     SystemConfig,
     WeightScheme,
     check_icass,
+    diameter,
     has_symmetric_weights,
     pair_sq,
     psi_floor,
+    radius,
     weights_from_states,
 )
 from .dynamics import (
@@ -39,9 +41,7 @@ from .metrics import (
     compute_metrics,
     consensus_time,
     count_sign_changes,
-    diameter,
     fit_decay_rate,
-    radius,
 )
 from .rates import (
     HalanayProblem,
@@ -52,6 +52,7 @@ from .rates import (
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
     solve_halanay,
+    theorem_rates,
 )
 from .toy import (
     CharRoot,

@@ -26,7 +26,6 @@ from .model import (
     SystemConfig,
     config_from_dict,
     datum_from_dict,
-    psi_floor,
     require_finite_squares,
 )
 
@@ -183,33 +182,6 @@ def _fit_c_emp(series: metrics.MetricSeries, r_x0: float):
         return None
 
 
-def _theoretical_rates(spec: ExperimentSpec, report: rates.PreconditionReport):
-    """Theorem rates that apply, and the reasons for those that were skipped.
-
-    A rate is skipped where its rate equation has no positive solution to
-    certify: with two agents (alpha = beta) or when its certified influence
-    floor underflows to 0.
-    """
-    out: dict = {}
-    skipped: dict = {}
-    config = spec.config
-    if report.transmission_normalized.applies and config.n_agents == 2:
-        skipped["transmission_normalized"] = "n_agents = 2 gives alpha = beta = 1, so no rate C > 0"
-    elif report.transmission_normalized.applies:
-        psi_low = psi_floor(config.influence, 2.0 * report.r_x0)
-        if psi_low > 0.0:
-            res = rates.rate_transmission_normalized(config.n_agents, psi_low, config.tau)
-            out["transmission_normalized"] = {"psi_lower": psi_low, **res.to_dict()}
-        else:
-            skipped["transmission_normalized"] = (
-                f"psi floor over [0, 2*r_x0={2.0 * report.r_x0:g}] underflows to 0"
-            )
-    if report.reaction_small_delay.applies:
-        res = rates.rate_reaction_nonsymmetric(report.psi0_lower, config.tau)
-        out["reaction_small_delay"] = {"psi0_lower": report.psi0_lower, **res.to_dict()}
-    return out, skipped
-
-
 def run_experiment(spec: ExperimentSpec, traj=None) -> RunResult:
     """Integrate spec, unless a sweep passes the trajectory that its group
     gave, and evaluate the metrics, preconditions and report.
@@ -225,13 +197,13 @@ def run_experiment(spec: ExperimentSpec, traj=None) -> RunResult:
     try:
         series = metrics.compute_metrics(spec.config, traj)
         precond = rates.check_preconditions(spec.config, spec.datum)
-        theoretical, skipped = _theoretical_rates(spec, precond)
-        c_emp = None if blow_up is not None else _fit_c_emp(series, precond.r_x0)
-        tol = max(CONSENSUS_REL_TOL * max(series.d_x0, 1e-300), _rounding_floor(precond.r_x0))
+        theoretical, skipped = rates.theorem_rates(spec.config, precond)
+        c_emp = None if blow_up is not None else _fit_c_emp(series, precond.icass.r_x0)
+        tol = max(CONSENSUS_REL_TOL * max(series.d_x0, 1e-300), _rounding_floor(precond.icass.r_x0))
         summary = {
             "d_x0": series.d_x0,
             "d_x_final": float(series.d_x[-1]),
-            "r_x0": precond.r_x0,
+            "r_x0": precond.icass.r_x0,
             "X0": float(series.X[traj.origin]),
             "X_final": float(series.X[-1]),
             "consensus_time": None if blow_up is not None else metrics.consensus_time(series, tol),

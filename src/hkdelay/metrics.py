@@ -5,7 +5,7 @@ diameter d_x, radius r_x, mean drift, quadratic fluctuation X, dissipation
 D and Lyapunov functional L.  Conventions: the diameter series is frozen
 at its startup maximum for t <= 0; fluctuation and the Lyapunov functional
 subtract the mean at t = 0 (it is conserved for symmetric reaction
-weights).  diameter and radius also act on one state.
+weights).
 """
 
 from __future__ import annotations
@@ -21,19 +21,12 @@ from .model import (
     SystemConfig,
     block_length,
     check_icass,
-    diameter,
     has_symmetric_weights,
     pair_sq,
     weights_from_states,
 )
 
 SIGN_ATOL = 1e-10
-
-
-def radius(state: np.ndarray) -> float:
-    """Maximum Euclidean norm over agents."""
-    state = np.atleast_2d(np.asarray(state, dtype=float))
-    return float(np.sqrt((state * state).sum(axis=1)).max())
 
 
 def _dissipation_from_states(config, x_now, x_delayed, sq) -> np.ndarray:

@@ -77,6 +77,8 @@ class InfluenceFunction:
             p = np.asarray(self.knots_psi, dtype=float)
             if s.ndim != 1 or s.size < 2 or p.shape != s.shape:
                 raise InvalidConfig("influence.table needs >= 2 (s, psi) pairs")
+            if not (np.all(np.isfinite(s)) and np.all(np.isfinite(p))):
+                raise InvalidConfig("influence.table knots must be finite")
             if s[0] != 0.0 or np.any(np.diff(s) <= 0.0):
                 raise InvalidConfig("influence.table grid must start at 0 and increase")
             if np.any(p <= 0.0) or np.any(p > 1.0):
@@ -283,20 +285,26 @@ class InitialDatum:
         if self.kind is DatumKind.CONSTANT_PER_AGENT:
             return
         tau = config.tau
-        pad = 1e-9 * (1.0 + tau)
-        if self.times[0] > -tau + pad or self.times[-1] < -pad:
+        if not (self._reaches(-tau) and self._reaches(0.0)):
             raise InvalidDatum(
                 f"datum.times: sampled datum spans [{self.times[0]:g}, {self.times[-1]:g}], "
                 f"needs [-{tau:g}, 0]"
             )
+
+    def _reaches(self, t: float) -> bool:
+        """Whether the sample grid reaches t, up to 1e-9 of the largest of t
+        and the grid's end times: on [-tau, 0] the slack scales with tau,
+        however small tau is."""
+        ts = self.times
+        pad = 1e-9 * max(abs(t), abs(ts[0]), abs(ts[-1]))
+        return ts[0] - pad <= t <= ts[-1] + pad
 
     def at(self, t: float) -> np.ndarray:
         """State (N, d) at time t on the startup interval."""
         if self.kind is DatumKind.CONSTANT_PER_AGENT:
             return self.values
         ts = self.times
-        pad = 1e-9 * (1.0 + abs(t))
-        if t < ts[0] - pad or t > ts[-1] + pad:
+        if not self._reaches(t):
             raise OutOfRange(f"datum sample at t={t:g} outside [{ts[0]:g}, {ts[-1]:g}]")
         t = min(max(t, ts[0]), ts[-1])
         i = int(np.searchsorted(ts, t, side="right")) - 1
@@ -354,6 +362,12 @@ def diameter(state: np.ndarray) -> float:
     return math.sqrt(pair_sq(state, state).max())
 
 
+def radius(state: np.ndarray) -> float:
+    """Maximum Euclidean norm over the rows of an (N, d) array."""
+    state = np.atleast_2d(np.asarray(state, dtype=float))
+    return float(np.sqrt((state * state).sum(axis=1)).max())
+
+
 def weights_from_states(
     config: SystemConfig, x_now: np.ndarray | None, x_delayed: np.ndarray
 ) -> np.ndarray:
@@ -389,40 +403,15 @@ def weights_from_states(
     return w
 
 
-def startup_points(datum: InitialDatum, config: SystemConfig) -> tuple[list, list]:
-    """States and slopes that bound the datum over the startup interval [-tau, 0].
-
-    The states are those at -tau, at every datum knot strictly inside
-    (-tau, 0) and at 0; the slopes are those of every datum segment that
-    overlaps (-tau, 0).  The datum is piecewise linear and diameter and
-    radius are convex, so their maxima over [-tau, 0] lie at these states.
-    """
-    datum.require_fits(config)
-    if datum.kind is DatumKind.CONSTANT_PER_AGENT:
-        return [datum.values], []
-    ts, tau = datum.times, config.tau
-    inner = ts[(ts > -tau) & (ts < 0.0)].tolist()
-    states = [datum.at(t) for t in [-tau, *inner, 0.0]]
-    seg = np.where((ts[:-1] < 0.0) & (ts[1:] > -tau))[0]
-    slopes = [(datum.samples[i + 1] - datum.samples[i]) / (ts[i + 1] - ts[i]) for i in seg]
-    return states, slopes
-
-
 @dataclass(frozen=True)
 class IcassReport:
-    """Startup-interval regularity check: slopes against the initial diameter."""
+    """The datum's largest diameter d_x0, radius r_x0 and slope norm
+    max_slope over [-tau, 0], and the regularity check max_slope <= d_x0."""
 
     satisfied: bool
     max_slope: float
     d_x0: float
-
-    @classmethod
-    def from_points(cls, states: list, slopes: list) -> "IcassReport":
-        """d_x0 is the largest diameter of the states, max_slope the largest
-        per-agent slope norm (zero without slopes)."""
-        d_x0 = max(diameter(s) for s in states)
-        max_slope = max((float(np.sqrt((v * v).sum(axis=1)).max()) for v in slopes), default=0.0)
-        return cls(satisfied=max_slope <= d_x0, max_slope=max_slope, d_x0=d_x0)
+    r_x0: float
 
     def to_dict(self) -> dict:
         return {
@@ -433,8 +422,30 @@ class IcassReport:
 
 
 def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
-    """Check that startup slopes, read by startup_points, do not exceed the startup diameter."""
-    return IcassReport.from_points(*startup_points(datum, config))
+    """Read the startup bounds of a datum that fits config.
+
+    The states are read at -tau, at every datum knot strictly inside
+    (-tau, 0) and at 0; the slopes are those of every datum segment that
+    overlaps (-tau, 0) (none for constant data).  The datum is piecewise
+    linear and diameter and radius are convex, so their maxima over
+    [-tau, 0] lie at these states.
+    """
+    datum.require_fits(config)
+    states, slopes = [datum.values], []
+    if datum.kind is DatumKind.SAMPLED:
+        ts, tau = datum.times, config.tau
+        inner = ts[(ts > -tau) & (ts < 0.0)].tolist()
+        states = [datum.at(t) for t in [-tau, *inner, 0.0]]
+        seg = np.where((ts[:-1] < 0.0) & (ts[1:] > -tau))[0]
+        slopes = [(datum.samples[i + 1] - datum.samples[i]) / (ts[i + 1] - ts[i]) for i in seg]
+    d_x0 = max(diameter(s) for s in states)
+    max_slope = max((radius(v) for v in slopes), default=0.0)
+    return IcassReport(
+        satisfied=max_slope <= d_x0,
+        max_slope=max_slope,
+        d_x0=d_x0,
+        r_x0=max(radius(s) for s in states),
+    )
 
 
 # ---------------------------------------------------------------------------

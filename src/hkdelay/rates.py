@@ -1,9 +1,11 @@
-"""Decay-rate equations and theorem preconditions.
+"""Decay-rate equations and the paper's four consensus theorems.
 
 Solves the Gronwall-Halanay rate equation beta - C = alpha * K(C) for the
 two delay kernels in use (Dirac mass at zero and the uniform density on
-[0, tau]), derives the theorem-specific rates from it, and checks which
-consensus theorems apply to a configuration.
+[0, tau]).  This is the one module that names the paper's four consensus
+theorems, listed in THEOREMS: check_preconditions decides which of them
+cover a configuration and why the others do not, and theorem_rates gives
+the rates of those that carry one, or why a rate was skipped.
 """
 
 from __future__ import annotations
@@ -21,11 +23,17 @@ from .model import (
     InitialDatum,
     SystemConfig,
     WeightScheme,
+    check_icass,
     has_symmetric_weights,
-    startup_points,
+    psi_floor,
     weights_from_states,
 )
-from .metrics import radius
+
+# the paper's theorems: transmission delay with classical and with
+# normalized weights, reaction delay with symmetric and with non-symmetric
+# weights (the last under a small-delay condition)
+THEOREMS = ("transmission_classical", "transmission_normalized",
+            "reaction_symmetric", "reaction_small_delay")
 
 
 class Measure(str, Enum):
@@ -44,13 +52,15 @@ class HalanayProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "measure", Measure(self.measure))
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+        for name in ("alpha", "beta", "tau"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidProblem(f"{name} must be finite ({name}={value})")
+        if not (self.alpha > 0.0):
             raise InvalidProblem(f"alpha > 0 violated (alpha={self.alpha})")
         if not (self.alpha < self.beta):
             raise InvalidProblem(f"alpha < beta violated (alpha={self.alpha}, beta={self.beta})")
-        if not math.isfinite(self.beta):
-            raise InvalidProblem(f"beta must be finite (beta={self.beta})")
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+        if not (self.tau > 0.0):
             raise InvalidProblem(f"tau > 0 violated (tau={self.tau})")
 
     def to_dict(self) -> dict:
@@ -147,44 +157,27 @@ def rate_reaction_nonsymmetric(psi0_lower: float, tau: float) -> RateResult:
 # Theorem preconditions
 
 @dataclass(frozen=True)
-class TheoremCheck:
-    name: str
-    applies: bool
-    reasons: tuple
-
-    def to_dict(self) -> dict:
-        return {"applies": self.applies, "reasons": list(self.reasons)}
-
-
-@dataclass(frozen=True)
 class PreconditionReport:
-    transmission_classical: TheoremCheck
-    transmission_normalized: TheoremCheck
-    reaction_symmetric: TheoremCheck
-    reaction_small_delay: TheoremCheck
+    """The conditions each theorem in THEOREMS violates (none where it
+    applies), psi0_lower and the startup bounds of the datum."""
+
+    violated: dict
     psi0_lower: float
     icass: IcassReport
-    d_x0: float
-    r_x0: float
-
-    def checks(self) -> tuple:
-        return (
-            self.transmission_classical,
-            self.transmission_normalized,
-            self.reaction_symmetric,
-            self.reaction_small_delay,
-        )
 
     def applicable(self) -> tuple:
-        return tuple(c.name for c in self.checks() if c.applies)
+        return tuple(name for name in THEOREMS if not self.violated[name])
 
     def to_dict(self) -> dict:
         return {
-            "theorems": {c.name: c.to_dict() for c in self.checks()},
+            "theorems": {
+                name: {"applies": not reasons, "reasons": list(reasons)}
+                for name, reasons in self.violated.items()
+            },
             "psi0_lower": self.psi0_lower,
             "icass": self.icass.to_dict(),
-            "d_x0": self.d_x0,
-            "r_x0": self.r_x0,
+            "d_x0": self.icass.d_x0,
+            "r_x0": self.icass.r_x0,
         }
 
 
@@ -199,35 +192,53 @@ def psi0_lower_bound(config: SystemConfig, datum: InitialDatum) -> float:
 
 def check_preconditions(config: SystemConfig, datum: InitialDatum) -> PreconditionReport:
     """Which consensus theorems cover this configuration, with reasons."""
-    states, slopes = startup_points(datum, config)
-    icass = IcassReport.from_points(states, slopes)
+    icass = check_icass(datum, config)
     psi0 = psi0_lower_bound(config, datum)
-    r_x0 = max(radius(s) for s in states)
-    transmission = config.delay_kind is DelayKind.TRANSMISSION
-    reaction = not transmission
-    normalized = config.weight_scheme is WeightScheme.NORMALIZED
-    symmetric = has_symmetric_weights(config)
-
-    r1: list = [] if transmission else ["delay kind is not transmission"]
-    tc = TheoremCheck("transmission_classical", not r1, tuple(r1))
-
-    r2 = list(r1)
-    if not normalized:
-        r2.append("weights are not row-normalized")
-    tn = TheoremCheck("transmission_normalized", not r2, tuple(r2))
-
-    r3: list = [] if reaction else ["delay kind is not reaction"]
-    if reaction and not symmetric:
-        r3.append("weights are not symmetric")
-    if config.tau > 0.5:
-        r3.append(f"tau <= 1/2 violated (tau={config.tau:g})")
-    rs = TheoremCheck("reaction_symmetric", not r3, tuple(r3))
-
-    r4: list = [] if reaction else ["delay kind is not reaction"]
+    tau = config.tau
+    violated = {name: [] for name in THEOREMS}
+    if config.delay_kind is DelayKind.TRANSMISSION:
+        violated["reaction_symmetric"].append("delay kind is not reaction")
+        violated["reaction_small_delay"].append("delay kind is not reaction")
+    else:
+        violated["transmission_classical"].append("delay kind is not transmission")
+        violated["transmission_normalized"].append("delay kind is not transmission")
+        if not has_symmetric_weights(config):
+            violated["reaction_symmetric"].append("weights are not symmetric")
+    if config.weight_scheme is not WeightScheme.NORMALIZED:
+        violated["transmission_normalized"].append("weights are not row-normalized")
+    if tau > 0.5:
+        violated["reaction_symmetric"].append(f"tau <= 1/2 violated (tau={tau:g})")
     if not icass.satisfied:
-        r4.append("startup slope bound violated")
-    if 4.0 * config.tau >= psi0:
-        r4.append(f"4*tau < psi0_lower violated (4*tau={4.0 * config.tau:g}, psi0_lower={psi0:g})")
-    rd = TheoremCheck("reaction_small_delay", not r4, tuple(r4))
+        violated["reaction_small_delay"].append("startup slope bound violated")
+    if 4.0 * tau >= psi0:
+        violated["reaction_small_delay"].append(
+            f"4*tau < psi0_lower violated (4*tau={4.0 * tau:g}, psi0_lower={psi0:g})"
+        )
+    return PreconditionReport(violated, psi0, icass)
 
-    return PreconditionReport(tc, tn, rs, rd, psi0, icass, icass.d_x0, r_x0)
+
+def theorem_rates(config: SystemConfig, report: PreconditionReport) -> tuple[dict, dict]:
+    """Rates of the applicable theorems that carry one, and the reasons for
+    those that were skipped.
+
+    A rate is skipped where its rate equation has no positive solution to
+    certify: with two agents (alpha = beta) or when its certified influence
+    floor underflows to 0.
+    """
+    out, skipped = {}, {}
+    applicable = report.applicable()
+    if "transmission_normalized" in applicable:
+        r_x0 = report.icass.r_x0
+        if config.n_agents == 2:
+            skipped["transmission_normalized"] = "n_agents = 2 gives alpha = beta = 1, so no rate C > 0"
+        elif (psi_low := psi_floor(config.influence, 2.0 * r_x0)) > 0.0:
+            res = rate_transmission_normalized(config.n_agents, psi_low, config.tau)
+            out["transmission_normalized"] = {"psi_lower": psi_low, **res.to_dict()}
+        else:
+            skipped["transmission_normalized"] = (
+                f"psi floor over [0, 2*r_x0={2.0 * r_x0:g}] underflows to 0"
+            )
+    if "reaction_small_delay" in applicable:
+        res = rate_reaction_nonsymmetric(report.psi0_lower, config.tau)
+        out["reaction_small_delay"] = {"psi0_lower": report.psi0_lower, **res.to_dict()}
+    return out, skipped

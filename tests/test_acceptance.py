@@ -27,6 +27,7 @@ from hkdelay import (
     rightmost_root,
     simulate_toy,
     solve_halanay,
+    theorem_rates,
 )
 
 from lemmas import convexity_bound_check, shrink_iteration, simulate_equality_case
@@ -116,8 +117,10 @@ def test_transmission_normalized_rate_bound():
     traj = integrate(config, datum, 30.0 * config.tau)
     ms = compute_metrics(config, traj)
     pre = check_preconditions(config, datum)
-    psi_low = psi_floor(config.influence, 2.0 * pre.r_x0)
+    psi_low = psi_floor(config.influence, 2.0 * pre.icass.r_x0)
     rate = rate_transmission_normalized(3, psi_low, config.tau)
+    published, _ = theorem_rates(config, pre)
+    assert published["transmission_normalized"]["C"] == rate.C
     bound = ms.d_x0 * np.exp(-rate.C * ms.times) * (1.0 + 1e-6)
     bound_holds = bool(np.all(ms.d_x <= bound))
     c_emp = fit_decay_rate(ms.times, ms.d_x, (5.0 * config.tau, 25.0 * config.tau))
@@ -185,10 +188,12 @@ def test_reaction_nonsymmetric_rate_bound():
     datum = InitialDatum.constant([[0.0], [0.4], [1.0]])
     pre = check_preconditions(config, datum)
     rate = rate_reaction_nonsymmetric(pre.psi0_lower, config.tau)
+    published, _ = theorem_rates(config, pre)
+    assert published["reaction_small_delay"]["C"] == rate.C
     traj = integrate(config, datum, 40.0 * config.tau)
     ms = compute_metrics(config, traj)
     bound = ms.d_x0 * np.exp(-rate.C * ms.times) * (1.0 + 1e-6)
-    ok = pre.reaction_small_delay.applies and bool(np.all(ms.d_x <= bound))
+    ok = "reaction_small_delay" in pre.applicable() and bool(np.all(ms.d_x <= bound))
     assert _report(
         "reaction nonsymmetric rate bound", ok,
         f"psi0 {pre.psi0_lower:.3f}, C {rate.C:.4f}",

@@ -414,6 +414,14 @@ def _set(path, value):
         (["toy", "--tau", "1e300", "--kind", "transmission"], "integrator.dt"),
         # two steps of 1e-12 are not a delay of 1.5e-12
         (["toy", "--tau", "1.5e-12", "--dt", "1e-12", "--kind", "reaction"], "integrator.dt"),
+        # NaN knots passed every comparison: the run blew up at tau/64, and an
+        # infinite knot ran psi = 1 and wrote Infinity into report.json
+        (_set("config.influence", {"kind": "table", "samples": [[0.0, 1.0], [1.0, float("nan")]]}),
+         "config"),
+        (_set("config.influence", {"kind": "table", "samples": [[0.0, 1.0], [float("nan"), 0.5]]}),
+         "config"),
+        (_set("config.influence", {"kind": "table", "samples": [[0.0, 1.0], [float("inf"), 0.5]]}),
+         "config"),
     ],
     ids=[
         "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
@@ -426,6 +434,7 @@ def _set(path, value):
         "random_low_nan", "random_high_inf", "random_range_overflows",
         "n_agents_unaddressable", "dim_unaddressable",
         "toy_tau_huge_reaction", "toy_tau_huge_transmission", "toy_dt_not_dividing_tiny_tau",
+        "table_psi_nan", "table_s_nan", "table_s_inf",
     ],
 )
 def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field):
@@ -812,6 +821,19 @@ def test_rate_command_rejects_an_infinite_beta(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: beta must be finite (beta=inf)\n"
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [("0.5", "nan", "beta must be finite (beta=nan)"), ("inf", "1", "alpha must be finite (alpha=inf)")],
+)
+def test_rate_command_names_a_non_finite_value(capsys, alpha, beta, message):
+    # the order checks came first: "alpha < beta violated" for a NaN beta,
+    # "alpha > 0 violated (alpha=inf)" for an infinite alpha
+    assert main(["rate", "--alpha", alpha, "--beta", beta]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hkdelay import (
     SystemConfig,
     WeightScheme,
     check_icass,
+    integrate,
     pair_sq,
     psi_floor,
     weights_from_states,
@@ -325,6 +326,20 @@ def test_datum_coverage_required():
     datum = InitialDatum.sampled([-1.0, 0.0], [[[0.0], [1.0]], [[0.0], [2.0]]])
     with pytest.raises(InvalidDatum):
         check_icass(datum, config)
+
+
+def test_datum_coverage_scales_with_a_tiny_delay():
+    # an absolute pad of 1e-9 (1 + tau) let a datum on [-1e-12, 0] stand for
+    # [-1e-11, 0]: the startup nodes before -1e-12 read the first sample
+    config = make_config(n_agents=2, tau=1e-11)
+    short = InitialDatum.sampled([-1e-12, 0.0], [[[1.0], [2.0]], [[0.0], [2.0]]])
+    with pytest.raises(InvalidDatum, match=r"^datum\.times: "):
+        short.require_fits(config)
+    with pytest.raises(InvalidDatum, match=r"^datum\.times: "):
+        integrate(config, short, 1e-10)
+    covering = InitialDatum.sampled([-1e-11, 0.0], [[[1.0], [2.0]], [[0.0], [2.0]]])
+    covering.require_fits(config)
+    assert covering.at(-1e-11)[0, 0] == 1.0
 
 
 @pytest.mark.parametrize(

@@ -303,9 +303,9 @@ def test_preconditions_reaction_symmetric_short_delay():
     )
     datum = InitialDatum.constant([[0.0], [0.5], [1.0], [1.5]])
     rep = check_preconditions(config, datum)
-    assert rep.reaction_symmetric.applies
-    assert not rep.transmission_classical.applies
-    assert not rep.transmission_normalized.applies
+    assert "reaction_symmetric" in rep.applicable()
+    assert "transmission_classical" not in rep.applicable()
+    assert "transmission_normalized" not in rep.applicable()
 
 
 def test_preconditions_reaction_small_delay_fails_arithmetic():
@@ -318,16 +318,16 @@ def test_preconditions_reaction_small_delay_fails_arithmetic():
     datum = InitialDatum.constant([[0.0], [1.0]])
     rep = check_preconditions(config, datum)
     assert rep.psi0_lower == pytest.approx(1.0)
-    assert not rep.reaction_small_delay.applies  # 4 * 0.3 = 1.2 >= 1
-    assert any("4*tau" in r for r in rep.reaction_small_delay.reasons)
+    assert "reaction_small_delay" not in rep.applicable()  # 4 * 0.3 = 1.2 >= 1
+    assert any("4*tau" in r for r in rep.violated["reaction_small_delay"])
 
 
 def test_preconditions_transmission_normalized_unconditional():
     config = make_config(n_agents=5, tau=10.0, weight_scheme=WeightScheme.NORMALIZED)
     datum = InitialDatum.constant(np.linspace(0, 1, 5)[:, None])
     rep = check_preconditions(config, datum)
-    assert rep.transmission_normalized.applies
-    assert rep.transmission_classical.applies
+    assert "transmission_normalized" in rep.applicable()
+    assert "transmission_classical" in rep.applicable()
 
 
 def test_preconditions_normalized_constant_psi_counts_as_symmetric():
@@ -338,14 +338,16 @@ def test_preconditions_normalized_constant_psi_counts_as_symmetric():
         influence=InfluenceFunction.constant(1.0),
     )
     datum = InitialDatum.constant([[0.0], [0.5], [1.0]])
-    assert check_preconditions(config, datum).reaction_symmetric.applies
+    assert "reaction_symmetric" in check_preconditions(config, datum).applicable()
 
 
 def startup_bounds(datum, tau):
-    """check_preconditions' d_x0, r_x0, icass max_slope and icass d_x0 for the datum."""
+    """The d_x0 and r_x0 that check_preconditions reports, icass max_slope
+    and icass d_x0 for the datum."""
     config = make_config(n_agents=datum.n_agents, dim=datum.dim, tau=tau)
     rep = check_preconditions(config, datum)
-    return rep.d_x0, rep.r_x0, rep.icass.max_slope, rep.icass.d_x0
+    reported = rep.to_dict()
+    return reported["d_x0"], reported["r_x0"], rep.icass.max_slope, rep.icass.d_x0
 
 
 def test_startup_bounds_cover_the_datum_between_knots():

@@ -1,4 +1,5 @@
-"""The package exports only what its own code or its scripts use."""
+"""The package exports only what its own code or its scripts use, and its
+modules import one another in one order."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,35 @@ def test_every_export_is_used_by_the_package_or_a_script():
         if name not in found:
             unused.append(name)
     assert not unused
+
+
+# each module may import only modules of earlier layers: the theorem layer
+# rates reads the model alone, not the metric series or the integrator
+LAYERS = (("errors",), ("model",), ("dynamics", "metrics", "rates"), ("toy",), ("cli",))
+
+
+def package_imports(path: Path) -> set:
+    """The package modules that one module imports, by short name, whether
+    relative (from .metrics, from . import metrics) or absolute (from hkdelay.metrics)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 1 or module.startswith("hkdelay"):
+            module = module.removeprefix("hkdelay").lstrip(".")
+            found.update([module] if module else [a.name for a in node.names])
+    return found
+
+
+def test_modules_import_only_earlier_layers():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules == sorted(layer)
+    upward = [
+        f"{module} imports {imported}"
+        for module in modules
+        for imported in sorted(package_imports(PACKAGE / f"{module}.py"))
+        if layer[imported] >= layer[module]
+    ]
+    assert not upward
