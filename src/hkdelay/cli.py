@@ -26,6 +26,7 @@ from .model import (
     SystemConfig,
     config_from_dict,
     datum_from_dict,
+    json_number,
     require_finite_squares,
 )
 
@@ -61,21 +62,12 @@ class ExperimentSpec:
 def _resolve_datum(raw: dict, config: SystemConfig, seed: int) -> InitialDatum:
     kind = raw.get("kind")
     if kind == "random_uniform":
-        low = _field("datum.low", float, raw.get("low", 0.0))
-        high = _field("datum.high", float, raw.get("high", 1.0))
+        low = float(json_number("datum.low", raw.get("low", 0.0)))
+        high = float(json_number("datum.high", raw.get("high", 1.0)))
         require_finite_squares("datum.low/high", [low, high], config.dim)
         rng = np.random.default_rng(seed)
         return InitialDatum.constant(rng.uniform(low, high, (config.n_agents, config.dim)))
     return datum_from_dict(raw)
-
-
-def _field(name: str, convert, value):
-    """convert(value), with a TypeError or ValueError raised as a SpecError
-    that names the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{name}: {exc}") from exc
 
 
 def _section(doc: dict, name: str, default=None) -> dict:
@@ -99,20 +91,22 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
     if not isinstance(doc, dict):
         raise SpecError(f"spec: expected a JSON object, got {type(doc).__name__}")
     config = config_from_dict(_section(doc, "config"))
-    seed = _field("seed", int, overrides.get("seed", doc.get("seed", 0)))
+    seed = json_number("seed", overrides.get("seed", doc.get("seed", 0)), integer=True)
     datum = _resolve_datum(_section(doc, "datum"), config, seed)
     datum.require_fits(config)
-    horizon = _field("horizon", float, overrides.get("horizon", doc.get("horizon", 20.0 * config.tau)))
+    horizon = float(json_number("horizon", overrides.get("horizon", doc.get("horizon", 20.0 * config.tau))))
     integ = _section(doc, "integrator", {})
     given = overrides if "dt" in overrides else integ
     if "dt" in given:  # an explicit dt is judged on its own grid, not the default's
-        dt = _field("integrator.dt", float, given["dt"])
+        dt = float(json_number("integrator.dt", given["dt"]))
     else:
         dt = dynamics.default_spec(config).dt
     method = integ.get("method", dynamics.METHOD)
     if method != dynamics.METHOD:
         raise SpecError(f"integrator.method: the one method is {dynamics.METHOD!r}, got {method!r}")
-    outputs = _field("outputs", tuple, doc.get("outputs", DEFAULT_OUTPUTS))
+    outputs = doc.get("outputs", list(DEFAULT_OUTPUTS))
+    if not isinstance(outputs, list):
+        raise SpecError(f"outputs: expected a JSON list, got {type(outputs).__name__}")
     for name in outputs:
         if name not in KNOWN_OUTPUTS:
             raise SpecError(f"outputs: unknown entry {name!r}")
@@ -121,7 +115,7 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
         datum=datum,
         integrator=dynamics.IntegratorSpec(dt),
         horizon=horizon,
-        outputs=outputs,
+        outputs=tuple(outputs),
         seed=seed,
     )
 

@@ -9,9 +9,9 @@ delayed states are evaluated in stacked calls, and its nodes are summed in
 order from the increments, bit for bit as a step-by-step loop would give.
 A half step reads the prescribed datum on the startup interval and the
 closed-form cubic Hermite midpoint of a computed segment after it.  A
-trajectory stores states and derivatives on the grid nodes only; a run
-that blows up ends before its first blown-up node and records that node's
-time.
+trajectory stores states, derivatives and the dissipation D (from the
+weights of each node's velocity call) on the grid nodes only; a run that
+blows up ends before its first blown-up node and records that node's time.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -79,14 +80,15 @@ def default_spec(config: SystemConfig) -> IntegratorSpec:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Solution history on [-tau, T]: states and derivatives on a uniform
-    grid with grid[0] = -tau, and the datum that prescribed the startup.
+    """Solution history on [-tau, T]: states, derivatives and D (NaN before
+    t = 0) on a uniform grid with grid[0] = -tau, and the startup datum.
     A run that blew up ends before its first blown-up node, whose time is
     blow_up_time (None for a run that reached the horizon)."""
 
     grid: np.ndarray  # (n,)
     states: np.ndarray  # (n, N, d)
     derivs: np.ndarray  # (n, N, d)
+    D: np.ndarray  # (n,)
     config: SystemConfig
     datum: InitialDatum
     blow_up_time: float | None = None
@@ -98,15 +100,23 @@ class Trajectory:
 
 
 def velocity_from_states(
-    config: SystemConfig, x_now: np.ndarray | None, x_delayed: np.ndarray
+    config: SystemConfig, x_now: np.ndarray | None, x_delayed: np.ndarray, D=None
 ) -> np.ndarray:
     """Velocity field from explicit (..., N, d) states; leading axes stack runs.
 
     Transmission: dx_i/dt = sum_j psi_ij (x_delayed_j - x_now_i).
     Reaction:     dx_i/dt = sum_j psi_ij (x_delayed_j - x_delayed_i).
+
+    D, if given, receives the dissipation of the last len(D) stacked states,
+    sum_ij psi_ij |x_delayed_j - x_delayed_i|^2 / (2(N-1)), from these weights.
     """
     w = weights_from_states(config, x_now, x_delayed)
     anchor = x_now if config.delay_kind is DelayKind.TRANSMISSION else x_delayed
+    if D is not None and len(D):
+        k = len(x_delayed) - len(D)
+        sq = pair_sq(x_delayed[k:], x_delayed[k:])
+        sq *= w[k:]
+        D[...] = sq.reshape(sq.shape[:-2] + (-1,)).sum(axis=-1) / (2.0 * (config.n_agents - 1))
     return w @ x_delayed - w.sum(axis=-1)[..., None] * anchor
 
 
@@ -136,12 +146,16 @@ def _allocate(config: SystemConfig, q: int, n_fwd: int, dts):
         raise InvalidConfig(f"horizon: {q + n_fwd + 1} grid nodes cannot be allocated") from exc
 
 
-def _fill_startup(grid, q, datum, states, derivs):
+def _fill_startup(grid, q, datum, states, derivs, tau):
     """Write states and slopes on the startup nodes 0..q; return the datum
-    at the q startup midpoints, which the RK4 half steps read exactly."""
+    at the q startup midpoints, which the RK4 half steps read exactly.
+
+    The datum is read on [-tau, 0], the interval that require_fits checks:
+    grid[0] = -q dt may lie up to 1e-12 tau before -tau, and reads -tau."""
     for m in range(q + 1):
-        states[m] = datum.at(grid[m])
-        derivs[m] = datum.slope_at(grid[m])
+        t = max(grid[m], -tau)
+        states[m] = datum.at(t)
+        derivs[m] = datum.slope_at(t)
     return np.array([datum.at(0.5 * (grid[j] + grid[j + 1])) for j in range(q)])
 
 
@@ -191,7 +205,7 @@ def _blown(nodes, center, limit, lowest):
 
 def rk4_method_of_steps(
     vel, states, derivs, mids, q, dt, reads_now=True, center=0.0, limit=BLOW_UP_THRESHOLD,
-    per_call=None,
+    per_call=None, dissipation=None,
 ):
     """Advance classical RK4 by the method of steps, in place, from node q (t = 0).
 
@@ -213,6 +227,10 @@ def rk4_method_of_steps(
     in order from the increments, so they equal the per-step loop's bit for
     bit.
 
+    Given an (n, B) array dissipation, the call that gives derivs[m] is
+    vel(x_now, x_delayed, rows of dissipation), which writes D[m] there
+    (see velocity_from_states); without it, vel takes two arguments.
+
     Returns one count per member: the number of nodes filled before its
     first blown-up one, whose state is left in states.  The loop ends once
     every member has blown up.
@@ -223,8 +241,12 @@ def rk4_method_of_steps(
     half, sixth, eighth = 0.5 * dt, dt / 6.0, 0.125 * dt
     width = 1 if reads_now else q
     per_call = per_call or 2 * q
+
+    def node(x_now, x_delayed, rows):  # the last stacked x_delayed are those of the nodes rows
+        return vel(x_now, x_delayed) if dissipation is None else vel(x_now, x_delayed, dissipation[rows])
+
     with np.errstate(all="ignore"):
-        derivs[q] = vel(states[q], states[0])
+        derivs[q] = node(states[q], states[0], q)
         for a in range(q, n - 1, width):
             b = min(a + width, n - 1)  # steps a..b-1 fill nodes a+1..b
             xd_half, xd_full = _delayed_nodes(states, derivs, mids, q, a - q, b - q, eighth)
@@ -236,17 +258,21 @@ def rk4_method_of_steps(
                 nodes = (y0 + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[None]
             else:
                 xd = np.concatenate([xd_half, xd_full])
-                chunks = range(0, len(xd), per_call)
-                k = np.concatenate([vel(None, xd[i : i + per_call]) for i in chunks])
-                k2 = k3 = k[: b - a]
-                k4 = k[b - a :]
+                c = b - a
+                row = a + 1 - c  # xd[c:] are the delayed states of nodes a + 1..b: xd[i] is row + i's
+                k = np.concatenate([
+                    node(None, xd[i : i + per_call], slice(row + max(i, c), row + min(i + per_call, 2 * c)))
+                    for i in range(0, 2 * c, per_call)
+                ])
+                k2 = k3 = k[:c]
+                k4 = k[c:]
                 k1 = np.concatenate([derivs[a : a + 1], k4[:-1]])
                 nodes = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 # node m + 1 = node m + increment m, summed in order
                 np.add(states[a : a + 1], nodes[:1], out=nodes[:1])
                 np.cumsum(nodes, axis=0, out=nodes)
             states[a + 1 : b + 1] = nodes
-            derivs[a + 1 : b + 1] = vel(nodes[0], xd_full) if reads_now else k4
+            derivs[a + 1 : b + 1] = node(nodes[0], xd_full, a + 1) if reads_now else k4
             bad = _blown(nodes, center, limit, lowest)
             if bad is not None:
                 hit = bad.any(axis=0) & (n_valid == n)
@@ -308,23 +334,21 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
     B, n = grid.shape
     mids = np.empty((q, B, config.n_agents, config.dim))
     for b in range(B):
-        mids[:, b] = _fill_startup(grid[b], q, datums[b], states[b], derivs[b])
+        mids[:, b] = _fill_startup(grid[b], q, datums[b], states[b], derivs[b], configs[b].tau)
     center, limit = _blow_up_bounds(states[:, q])
 
-    def vel(x_now, x_del):
-        return velocity_from_states(config, x_now, x_del)
-
+    D = np.full(grid.shape, np.nan)
     # reaction velocities read only delayed states; a reaction segment is
     # evaluated in stacks whose (states, B, N, N) pair arrays stay within
     # BLOCK_ENTRIES entries
     transmission = config.delay_kind is DelayKind.TRANSMISSION
     n_valid = rk4_method_of_steps(
-        vel, states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, q, dt,
-        transmission, center, limit, block_length(B * config.n_agents**2),
+        partial(velocity_from_states, config), states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, q, dt,
+        transmission, center, limit, block_length(B * config.n_agents**2), D.swapaxes(0, 1),
     )
     trajectories = tuple(
         Trajectory(
-            grid[b, :m], states[b, :m], derivs[b, :m], configs[b], datums[b],
+            grid[b, :m], states[b, :m], derivs[b, :m], D[b, :m], configs[b], datums[b],
             float(grid[b, m]) if m < n else None,
         )
         for b, m in enumerate(n_valid.tolist())

@@ -1,11 +1,12 @@
 """Diagnostics along trajectories and empirical decay fitting.
 
-compute_metrics evaluates every series on the trajectory grid at once: the
-diameter d_x, radius r_x, mean drift, quadratic fluctuation X, dissipation
-D and Lyapunov functional L.  Conventions: the diameter series is frozen
-at its startup maximum for t <= 0; fluctuation and the Lyapunov functional
-subtract the mean at t = 0 (it is conserved for symmetric reaction
-weights).
+compute_metrics evaluates the state series on the trajectory grid at once:
+the diameter d_x, radius r_x, mean drift and quadratic fluctuation X.  It
+reads the dissipation D that the integrator wrote with each node's
+velocity, forms no weights itself, and builds the Lyapunov functional L
+from X and D.  Conventions: the diameter series is frozen at its startup
+maximum for t <= 0; fluctuation and the Lyapunov functional subtract the
+mean at t = 0 (it is conserved for symmetric reaction weights).
 """
 
 from __future__ import annotations
@@ -16,25 +17,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonPositiveSeries
-from .model import (
-    DelayKind,
-    SystemConfig,
-    block_length,
-    check_icass,
-    has_symmetric_weights,
-    pair_sq,
-    weights_from_states,
-)
+from .model import SystemConfig, block_length, check_icass, has_symmetric_weights, pair_sq
 
 SIGN_ATOL = 1e-10
-
-
-def _dissipation_from_states(config, x_now, x_delayed, sq) -> np.ndarray:
-    """D from explicit (..., N, d) states, one value per leading index, with
-    sq = pair_sq(x_delayed, x_delayed)."""
-    w = weights_from_states(config, x_now, x_delayed)
-    w *= sq
-    return w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1) / (2.0 * (config.n_agents - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +50,9 @@ class MetricSeries:
 
 
 def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
-    """Evaluate all diagnostic series on the trajectory grid, in blocks of nodes
+    """Evaluate the diagnostic series on the trajectory grid, in blocks of nodes
     whose (nodes, N, N) pair arrays and (nodes, q + 1) Lyapunov windows stay
-    within model.BLOCK_ENTRIES entries.
+    within model.BLOCK_ENTRIES entries; D is the trajectory's own.
 
     On the startup nodes d_x is the largest diameter of the datum over
     [-tau, 0], read at its knots (the d_x0 of check_icass).  The Lyapunov
@@ -77,24 +62,16 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     """
     g = trajectory.grid
     S = trajectory.states
+    D = trajectory.D
     n = g.size
     n_agents = config.n_agents
     i0 = q = trajectory.origin  # startup nodes 0..i0, with g[i0] == 0
 
-    # the pairwise squared distances of the block S[a:b] give d_x[a:b] and,
-    # as delayed states, the dissipation D[a + q : b + q]
-    transmission = config.delay_kind is DelayKind.TRANSMISSION
     d_x = np.empty(n)
-    D = np.full(n, np.nan)
     step = block_length(n_agents * n_agents)
     for a in range(0, n, step):
         b = min(a + step, n)
-        sq = pair_sq(S[a:b], S[a:b])
-        d_x[a:b] = sq.max(axis=(-2, -1))
-        c = min(b, n - q)
-        if a < c:
-            x_now = S[a + q : c + q] if transmission else None
-            D[a + q : c + q] = _dissipation_from_states(config, x_now, S[a:c], sq[: c - a])
+        d_x[a:b] = pair_sq(S[a:b], S[a:b]).max(axis=(-2, -1))
     np.sqrt(d_x, out=d_x)
     d_x[: i0 + 1] = check_icass(trajectory.datum, config).d_x0
 

@@ -451,26 +451,39 @@ def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
 # ---------------------------------------------------------------------------
 # JSON codecs (field names mirror the dataclass fields)
 
+def json_number(field: str, value, integer: bool = False):
+    """value if it is a JSON number, or a non-negative integer when integer
+    is set; anything else, a bool or a numeric string among them, raises
+    InvalidConfig naming field."""
+    if integer:
+        ok = isinstance(value, int) and value >= 0
+    else:
+        ok = isinstance(value, (int, float))
+    if isinstance(value, bool) or not ok:
+        kind = "a non-negative integer" if integer else "a number"
+        raise InvalidConfig(f"{field}: expected {kind}, got {value!r}")
+    return value
+
+
 def influence_from_dict(d: dict) -> InfluenceFunction:
     if not isinstance(d, dict):
         raise InvalidConfig(f"influence: expected a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == InfluenceKind.CONSTANT.value:
-        return InfluenceFunction.constant(d.get("c", 1.0))
+        return InfluenceFunction.constant(json_number("influence.c", d.get("c", 1.0)))
     if kind == InfluenceKind.ALGEBRAIC_DECAY.value:
-        return InfluenceFunction.algebraic_decay(d.get("gamma", 1.0))
+        return InfluenceFunction.algebraic_decay(json_number("influence.gamma", d.get("gamma", 1.0)))
     if kind == InfluenceKind.TABLE.value:
         return InfluenceFunction.table(d["samples"])
     raise InvalidConfig(f"influence.kind: unknown value {kind!r}")
 
 
 def config_from_dict(d: dict) -> SystemConfig:
-    for key in ("n_agents", "dim", "tau"):
-        if not isinstance(d.get(key, 0), (int, float)):
-            raise InvalidConfig(f"config.{key}: expected a number, got {d[key]!r}")
     missing = [f.name for f in fields(SystemConfig) if f.name not in d]
     if missing:
         raise InvalidConfig(f"config.{missing[0]}: missing field")
+    for key in ("n_agents", "dim", "tau"):
+        json_number(f"config.{key}", d[key])
     try:
         return SystemConfig(
             n_agents=d["n_agents"],

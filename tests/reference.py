@@ -15,6 +15,10 @@ integrate_oracle is an independent integrator to check the RK4 stepper
 against: explicit Euler, a scalar double loop over agents for the velocity
 and its own linear history lookup.  It shares only the package's grid,
 startup and blow-up scaffolding, so its trajectories end as integrate's do.
+
+blocked_dissipation is the D series as compute_metrics formed it before
+the stepper wrote D with each node's velocity: a second weight evaluation
+over blocks of stored nodes.  Trajectory.D must equal it bit for bit.
 """
 
 import math
@@ -30,6 +34,7 @@ from hkdelay import (
     velocity_from_states,
     weights_from_states,
 )
+from hkdelay.model import block_length, pair_sq
 
 
 def hermite(y0, y1, f0, f1, h, theta):
@@ -116,7 +121,7 @@ def integrate_oracle(config, datum, horizon, spec=None):
     q, n_fwd = dynamics._grid_shape(config, horizon, spec)
     datum.require_fits(config)
     grid, states, derivs = (a[0] for a in dynamics._allocate(config, q, n_fwd, [spec.dt]))
-    dynamics._fill_startup(grid, q, datum, states, derivs)
+    dynamics._fill_startup(grid, q, datum, states, derivs, config.tau)
     center, limit = dynamics._blow_up_bounds(states[q])
     lowest = np.min(limit)
     kept = grid.size
@@ -150,7 +155,25 @@ def integrate_oracle(config, datum, horizon, spec=None):
                 config, states[q + n_fwd], lookup(q + n_fwd + 1, grid[q + n_fwd] - tau)
             )
     blow_up = float(grid[kept]) if kept < grid.size else None
-    return Trajectory(grid[:kept], states[:kept], derivs[:kept], config, datum, blow_up)
+    D = blocked_dissipation(config, states[:kept], q)
+    return Trajectory(grid[:kept], states[:kept], derivs[:kept], D, config, datum, blow_up)
+
+
+def blocked_dissipation(config, states, q):
+    """D on the nodes of (n, N, d) states whose node q is t = 0, NaN before
+    it: in blocks of nodes m, the weights at (x(t_m), x(t_m - tau)) times
+    the pair squares of x(t_m - tau), as compute_metrics formed them."""
+    n = len(states)
+    D = np.full(n, np.nan)
+    transmission = config.delay_kind is DelayKind.TRANSMISSION
+    step = block_length(config.n_agents * config.n_agents)
+    for a in range(0, n - q, step):
+        c = min(a + step, n - q)
+        x_del = states[a:c]
+        w = weights_from_states(config, states[a + q : c + q] if transmission else None, x_del)
+        w *= pair_sq(x_del, x_del)
+        D[a + q : c + q] = w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1) / (2.0 * (config.n_agents - 1))
+    return D
 
 
 def mean(state):

@@ -9,9 +9,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hkdelay import cli
+from hkdelay import InfluenceFunction, InitialDatum, IntegratorSpec, SystemConfig, cli, dynamics, metrics
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -165,3 +166,29 @@ def test_integrate_extra_counts_the_steps_of_every_member(tmp_path, monkeypatch)
     assert cli.main(["sweep", str(spec), "--param", "tau", "--values", *taus,
                      "--out", str(tmp_path / "out")]) == 0
     assert [steps for steps, _ in calls] == [8 * 1280]
+
+
+@pytest.mark.parametrize("kind", ["transmission", "reaction"])
+def test_compute_metrics_forms_no_weights(monkeypatch, kind):
+    # model.weights_calls.metrics counts the calls at metrics' sites: the
+    # weights are formed once per node, by the stepper, which writes D too
+    config = SystemConfig(4, 2, 0.5, kind, "normalized", InfluenceFunction.algebraic_decay(1.0))
+    datum = InitialDatum.constant(np.random.default_rng(3).uniform(size=(4, 2)))
+    calls = record_calls(monkeypatch, [("hkdelay.model", "weights_from_states")])
+    traj = dynamics.integrate(config, datum, 2.0)
+    assert calls  # the recorder sees the stepper's calls
+    calls.clear()
+    metrics.compute_metrics(config, traj)
+    assert calls == []
+
+
+def test_reaction_segments_take_one_velocity_call_each(monkeypatch):
+    # sim_n5_reaction_long: N = 5, q = 64, 400 delay segments.  One call
+    # gives the derivative at t = 0, then one stacked call per segment; D
+    # comes with them, so dynamics.velocity_calls reads 401
+    config = SystemConfig(5, 2, 0.4, "reaction", "classical_scaled", InfluenceFunction.algebraic_decay(1.0))
+    datum = InitialDatum.constant(np.random.default_rng(5).uniform(size=(5, 2)))
+    calls = record_calls(monkeypatch, [("hkdelay.dynamics", "velocity_from_states")])
+    traj = dynamics.integrate(config, datum, 400 * 0.4, IntegratorSpec(0.4 / 64))
+    assert traj.grid.size == 64 + 400 * 64 + 1
+    assert len(calls) == 401

@@ -403,7 +403,7 @@ def _set(path, value):
         (["toy", "--tau=-1", "--kind", "reaction"], "tau"),
         (["toy", "--tau", "nan", "--kind", "transmission"], "tau"),
         # rng.uniform raised OverflowError on these bounds
-        (_set("datum", {"kind": "random_uniform", "low": "nan"}), "datum.low/high"),
+        (_set("datum", {"kind": "random_uniform", "low": float("nan")}), "datum.low/high"),
         (_set("datum", {"kind": "random_uniform", "high": 1e400}), "datum.low/high"),
         (_set("datum", {"kind": "random_uniform", "low": -1e308, "high": 1e308}), "datum.low/high"),
         # sizes checked, never allocated: numpy raised on their arrays
@@ -422,6 +422,23 @@ def _set(path, value):
          "config"),
         (_set("config.influence", {"kind": "table", "samples": [[0.0, 1.0], [float("inf"), 0.5]]}),
          "config"),
+        # a bool is not a number (it ran as 1), nor is a numeric string (it
+        # was parsed), and a seed is a non-negative integer (1.5 ran as seed
+        # 1 and -1 ended in a traceback)
+        (_set("config.tau", True), "config.tau"),
+        (_set("config.dim", True), "config.dim"),
+        (_set("horizon", "5"), "horizon"),
+        (_set("integrator", {"dt": "0.00625"}), "integrator.dt"),
+        (_set("config.influence", {"kind": "constant", "c": "0.5"}), "config"),
+        (_set("config.influence", {"kind": "algebraic_decay", "gamma": True}), "config"),
+        (_set("datum", {"kind": "random_uniform", "low": "0"}), "datum.low"),
+        (_set("seed", 1.5), "seed"),
+        (_set("seed", True), "seed"),
+        (_set("seed", "7"), "seed"),
+        (_set("seed", -1), "seed"),
+        (["simulate", SPEC, "--seed", "-1"], "seed"),
+        # a string was read as its letters: "unknown entry 'r'"
+        (_set("outputs", "report"), "outputs"),
     ],
     ids=[
         "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
@@ -435,6 +452,9 @@ def _set(path, value):
         "n_agents_unaddressable", "dim_unaddressable",
         "toy_tau_huge_reaction", "toy_tau_huge_transmission", "toy_dt_not_dividing_tiny_tau",
         "table_psi_nan", "table_s_nan", "table_s_inf",
+        "tau_bool", "dim_bool", "horizon_string", "dt_string", "c_string", "gamma_bool", "low_string",
+        "seed_fraction", "seed_bool", "seed_string", "seed_negative", "seed_negative_flag",
+        "outputs_string",
     ],
 )
 def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field):
@@ -451,6 +471,17 @@ def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field)
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     if args[0] == "sweep":  # the advice names the one setting a tau sweep keeps
         assert "set --dt in a tau sweep, which drops integrator.dt" in err
+    assert not out.exists()
+
+
+def test_outputs_that_are_not_a_list_are_refused_as_such(tmp_path, capsys):
+    # a string was read as its letters, and refused as "unknown entry 'r'"
+    with open(consensus_spec(tmp_path)) as fh:
+        doc = json.load(fh)
+    doc["outputs"] = "report"
+    out = tmp_path / "out"
+    assert main(["simulate", write_spec(tmp_path / "bad.json", doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: outputs: expected a JSON list, got str\n"
     assert not out.exists()
 
 

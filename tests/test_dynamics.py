@@ -20,7 +20,9 @@ from hkdelay import dynamics, model
 from hkdelay.dynamics import trajectory_to_csv
 
 from conftest import make_config, random_datum
-from reference import dissipation, eval_weights, integrate_oracle, read_trajectory_csv, rhs, sample
+from reference import (
+    blocked_dissipation, dissipation, eval_weights, integrate_oracle, read_trajectory_csv, rhs, sample,
+)
 
 
 def consensus_datum(n, d, value=0.7):
@@ -284,7 +286,7 @@ def test_sample_reproduces_linear_trajectory():
     states = np.array([t * slope for t in grid])
     derivs = np.array([slope for _ in grid])
     datum = InitialDatum.sampled([-1.0, 0.0], [(-1.0) * slope, 0.0 * slope])
-    traj = Trajectory(grid, states, derivs, config, datum)
+    traj = Trajectory(grid, states, derivs, blocked_dissipation(config, states, 4), config, datum)
     for t in (-0.6, 0.125, 0.3751, 0.99):
         assert np.max(np.abs(sample(traj, t) - t * slope)) <= 1e-12
 
@@ -330,9 +332,9 @@ def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
     for entries, per_call in ((model.BLOCK_ENTRIES, 2 * q), (27, 3)):
         delayed = []
 
-        def spy(config, x_now, x_delayed):
+        def spy(config, x_now, x_delayed, D=None):
             delayed.append(np.array(x_delayed))
-            return velocity(config, x_now, x_delayed)
+            return velocity(config, x_now, x_delayed, D)
 
         monkeypatch.setattr(dynamics, "velocity_from_states", spy)
         monkeypatch.setattr(model, "BLOCK_ENTRIES", entries)
@@ -467,8 +469,11 @@ def assert_members_equal_solo_runs(configs, datums, horizons, specs):
         assert member.blow_up_time == traj.blow_up_time
         assert member.grid.size == traj.grid.size  # n_valid
         assert same_bits(run.grid[b, : traj.grid.size], traj.grid)
-        for name in ("grid", "states", "derivs"):
+        for name in ("grid", "states", "derivs", "D"):
             assert same_bits(getattr(member, name), getattr(traj, name)), (b, name)
+        # D, written with each node's velocity, is the series that a second
+        # weight evaluation over the stored nodes gives
+        assert same_bits(member.D, blocked_dissipation(configs[b], member.states, member.origin)), b
     return run
 
 
@@ -513,6 +518,32 @@ def test_group_members_equal_solo_runs_bit_for_bit(
     assert run.grid.shape == (len(taus), q + n_fwd + 1)
     blown = sum(t.blow_up_time is not None for t in run.trajectories)
     event(f"{'no' if blown == 0 else 'all' if blown == len(taus) else 'some'} members blow up")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    d=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(list(DelayKind)),
+    scheme=st.sampled_from(list(WeightScheme)),
+    influence=st.sampled_from(GROUP_INFLUENCES),
+    tau=st.floats(min_value=0.05, max_value=4.0),
+    q=st.sampled_from([1, 3, 8]),
+    sampled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_trajectory_D_equals_the_blocked_series_bit_for_bit(
+    n, d, kind, scheme, influence, tau, q, sampled, seed
+):
+    rng = np.random.default_rng(seed)
+    config = make_config(n, d, tau, kind, scheme, influence)
+    if sampled:
+        datum = InitialDatum.sampled([-tau, -tau / 3, 0.0], rng.normal(size=(3, n, d)))
+    else:
+        datum = InitialDatum.constant(rng.normal(size=(n, d)))
+    traj = integrate(config, datum, 5 * tau, IntegratorSpec(tau / q))
+    assert np.all(np.isnan(traj.D[: traj.origin])) and traj.grid[traj.origin] == 0.0
+    assert same_bits(traj.D, blocked_dissipation(config, traj.states, traj.origin))
 
 
 def test_blown_up_members_keep_their_own_node_counts():
@@ -611,12 +642,13 @@ def test_rk4_stepper_matches_per_step_loop_bit_for_bit(
         limit = limit * 1e-12
     reads_now = kind is DelayKind.TRANSMISSION
 
-    def vel(x_now, x_delayed):
-        return dynamics.velocity_from_states(config, x_now, x_delayed)
+    def vel(x_now, x_delayed, D=None):
+        return dynamics.velocity_from_states(config, x_now, x_delayed, D)
 
     ref_states, ref_derivs = states.copy(), derivs.copy()
+    D = np.full(shape[:2], np.nan)
     got = dynamics.rk4_method_of_steps(
-        vel, states, derivs, mids, q, dt, reads_now, center, limit, per_call
+        vel, states, derivs, mids, q, dt, reads_now, center, limit, per_call, D
     )
     want = per_step_rk4(vel, ref_states, ref_derivs, mids, q, dt, reads_now, center, limit)
     assert np.array_equal(got, want)
@@ -626,6 +658,7 @@ def test_rk4_stepper_matches_per_step_loop_bit_for_bit(
         cut = count + 1 if count < len(states) else count
         assert same_bits(states[:cut, b], ref_states[:cut, b]), b
         assert same_bits(derivs[:count, b], ref_derivs[:count, b]), b
+        assert same_bits(D[:count, b], blocked_dissipation(config, ref_states[:count, b], q)), b
     blown = sum(c < len(states) for c in counts)
     event(f"{'no' if blown == 0 else 'all' if blown == len(counts) else 'some'} members blow up")
     event("horizon ends mid-segment" if n_fwd % q else "horizon ends on a segment")
@@ -668,7 +701,7 @@ def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng):
     states[3, 2, 2] = -1.2345678901234567e300
     states[4, 3, 0] = 1e300
     states[5, 0, 1] = -1e300
-    traj = Trajectory(traj.grid, states, traj.derivs, config, datum)
+    traj = Trajectory(traj.grid, states, traj.derivs, traj.D, config, datum)
     trajectory_to_csv(traj, tmp_path / "new.csv")
     reference_trajectory_csv(traj, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

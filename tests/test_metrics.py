@@ -26,7 +26,7 @@ from hkdelay import model
 from hkdelay.model import has_symmetric_weights, pair_sq, weights_from_states
 
 from conftest import make_config, random_datum
-from reference import dissipation, fluctuation, lyapunov, mean, sample
+from reference import blocked_dissipation, dissipation, fluctuation, lyapunov, mean, sample
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def _frozen_trajectory(config, state, horizon):
     states = np.repeat(state[None], n, axis=0)
     derivs = np.zeros_like(states)
     datum = InitialDatum.constant(state)
-    return Trajectory(grid, states, derivs, config, datum)
+    return Trajectory(grid, states, derivs, blocked_dissipation(config, states, q), config, datum)
 
 
 def test_lyapunov_constant_dissipation_analytic():

@@ -7,6 +7,7 @@ from hkdelay import (
     DelayKind,
     InfluenceFunction,
     InitialDatum,
+    IntegratorSpec,
     InvalidConfig,
     InvalidDatum,
     SystemConfig,
@@ -340,6 +341,22 @@ def test_datum_coverage_scales_with_a_tiny_delay():
     covering = InitialDatum.sampled([-1e-11, 0.0], [[[1.0], [2.0]], [[0.0], [2.0]]])
     covering.require_fits(config)
     assert covering.at(-1e-11)[0, 0] == 1.0
+
+
+def test_startup_reads_the_datum_where_require_fits_checks_it():
+    # a dt that divides tau to the allowed 1e-12 puts the first grid node
+    # 5e-13 before -tau; a datum that reaches -tau within the coverage slack
+    # ran into "OutOfRange: datum sample at t=-1 outside [-1, 0]" there
+    config = make_config(n_agents=2, tau=1.0)
+    spec = IntegratorSpec((1.0 / 64) * (1.0 + 5e-13))
+    values = [[[1.0], [2.0]], [[0.0], [2.0]]]
+    edge = InitialDatum.sampled([-1.0 + 1e-9, 0.0], values)
+    edge.require_fits(config)
+    traj = integrate(config, edge, 1.0, spec)
+    assert traj.grid[0] < -1.0 and np.array_equal(traj.states[0], edge.at(-1.0))
+    beyond = InitialDatum.sampled([-1.0 + 3e-9, 0.0], values)
+    with pytest.raises(InvalidDatum, match=r"^datum\.times: "):
+        integrate(config, beyond, 1.0, spec)
 
 
 @pytest.mark.parametrize(

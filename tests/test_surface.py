@@ -72,3 +72,13 @@ def test_modules_import_only_earlier_layers():
         if layer[imported] >= layer[module]
     ]
     assert not upward
+
+
+def test_metrics_forms_no_weights():
+    # the stepper writes D with each node's velocity, from the weights that
+    # velocity uses; metrics reads that series and has no kernel to call
+    tree = ast.parse((PACKAGE / "metrics.py").read_text())
+    found: set = set()
+    references(tree, "", found)
+    found.update(a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names)
+    assert "weights_from_states" not in found
