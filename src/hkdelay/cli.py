@@ -129,6 +129,8 @@ def _read_spec_doc(path) -> dict:
         raise SpecError(f"spec file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec is not valid JSON (line {exc.lineno}, column {exc.colno})")
+    except ValueError as exc:  # an integer past Python's digit limit, or bytes that are not text
+        raise SpecError(f"spec is not valid JSON ({exc})")
 
 
 def load_spec_file(path, overrides: dict | None = None) -> ExperimentSpec:

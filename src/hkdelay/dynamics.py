@@ -107,17 +107,38 @@ def velocity_from_states(
     Transmission: dx_i/dt = sum_j psi_ij (x_delayed_j - x_now_i).
     Reaction:     dx_i/dt = sum_j psi_ij (x_delayed_j - x_delayed_i).
 
+    With psi_ij = u_ij / n_i (see model.Weights), the velocity is
+    normalized after the product, relative to agent 0 of x_delayed:
+        v_i = (sum_j u_ij (x_j - x_0) - s_i (anchor_i - x_0)) / n_i,
+    anchor = x_now for transmission and x_delayed for reaction, so the
+    velocity at exact consensus is exactly 0 and a datum far from the
+    origin keeps its digits.  The sum is one stacked matmul on a
+    C-contiguous (..., N_i, N_j) copy of u, made for one state as for many,
+    so a state gets the same bits alone as in any stack.
+
     D, if given, receives the dissipation of the last len(D) stacked states,
-    sum_ij psi_ij |x_delayed_j - x_delayed_i|^2 / (2(N-1)), from these weights.
+    sum_i (sum_j u_ij |x_delayed_j - x_delayed_i|^2) / n_i / (2(N-1)), from
+    these weights: the sum over j runs in index order, and the sum over i
+    is numpy's sum of the N terms of one state, a contiguous vector.
+    Reaction reads the pair array that the weights were formed from.
     """
+    x_delayed = np.asarray(x_delayed, dtype=float)
     w = weights_from_states(config, x_now, x_delayed)
-    anchor = x_now if config.delay_kind is DelayKind.TRANSMISSION else x_delayed
     if D is not None and len(D):
-        k = len(x_delayed) - len(D)
-        sq = pair_sq(x_delayed[k:], x_delayed[k:])
-        sq *= w[k:]
-        D[...] = sq.reshape(sq.shape[:-2] + (-1,)).sum(axis=-1) / (2.0 * (config.n_agents - 1))
-    return w @ x_delayed - w.sum(axis=-1)[..., None] * anchor
+        k = len(x_delayed) - len(D)  # the pair arrays' last axis is the first stacked one
+        tail = x_delayed[k:]
+        sq = pair_sq(tail, tail) if w.sq is None else w.sq[..., k:]
+        sq *= w.u[..., k:]
+        r = sq.sum(axis=0)
+        r /= w.norm[..., k:] if w.normalized else w.norm
+        D[...] = np.ascontiguousarray(r.T).sum(axis=-1) / (2.0 * (config.n_agents - 1))
+    x0 = x_delayed[..., :1, :]
+    y = x_delayed - x0
+    rows = w.s.T[..., None]
+    v = np.ascontiguousarray(w.u.T) @ y
+    v -= rows * (x_now - x0 if config.delay_kind is DelayKind.TRANSMISSION else y)
+    v /= rows if w.normalized else w.norm
+    return v
 
 
 def _grid_shape(config: SystemConfig, horizon: float, spec: IntegratorSpec) -> tuple[int, int]:
@@ -152,11 +173,10 @@ def _fill_startup(grid, q, datum, states, derivs, tau):
 
     The datum is read on [-tau, 0], the interval that require_fits checks:
     grid[0] = -q dt may lie up to 1e-12 tau before -tau, and reads -tau."""
-    for m in range(q + 1):
-        t = max(grid[m], -tau)
-        states[m] = datum.at(t)
-        derivs[m] = datum.slope_at(t)
-    return np.array([datum.at(0.5 * (grid[j] + grid[j + 1])) for j in range(q)])
+    t = np.maximum(grid[: q + 1], -tau)
+    states[: q + 1] = datum.at(t)
+    derivs[: q + 1] = datum.slope_at(t)
+    return datum.at(0.5 * (grid[:q] + grid[1 : q + 1]))
 
 
 def _blow_up_bounds(x0):
@@ -169,7 +189,7 @@ def _blow_up_bounds(x0):
     blow up by its position alone.
     """
     center = x0.mean(axis=-2, keepdims=True)
-    d_x0 = np.sqrt(pair_sq(x0, x0).max(axis=(-2, -1)))
+    d_x0 = np.sqrt(pair_sq(x0, x0).max(axis=(0, 1)))
     return center, BLOW_UP_THRESHOLD * np.maximum(1.0, d_x0)[..., None, None]
 
 
@@ -360,12 +380,15 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
 # Export
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write `t,agent,component,value` rows; times round-trip bit-exactly."""
+    """Write `t,agent,component,value` rows; times round-trip bit-exactly.
+    Values become Python floats a block of block_length(N d) nodes at a time."""
     n_nodes, n_agents, dim = traj.states.shape
     # one template per node: "{t}" takes the time, each %.17g one value
     node = "".join([f"{{t}},{i},{k},%.17g\n" for i in range(n_agents) for k in range(dim)])
-    rows = traj.states.reshape(n_nodes, -1).tolist()
+    step = block_length(n_agents * dim)
     with open(path, "w", newline="") as fh:
         fh.write("t,agent,component,value\n")
-        for t, row in zip(traj.grid.tolist(), rows):
-            fh.write(node.replace("{t}", format(t, ".17g")) % tuple(row))
+        for a in range(0, n_nodes, step):
+            rows = traj.states[a : a + step].reshape(-1, n_agents * dim).tolist()
+            for t, row in zip(traj.grid[a : a + step].tolist(), rows):
+                fh.write(node.replace("{t}", format(t, ".17g")) % tuple(row))

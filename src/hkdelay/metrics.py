@@ -39,20 +39,23 @@ class MetricSeries:
         return float(self.d_x[0])
 
     def to_csv(self, path) -> None:
-        """Write one row per grid time; NaN entries are left empty."""
-        cols = [self.d_x, self.r_x, self.mean_drift, self.X, self.D, self.L]
-        rows = np.column_stack([self.times, *cols]).tolist()
+        """Write one row per grid time; NaN entries are left empty.  Rows
+        become Python floats a block of block_length(7) rows at a time."""
+        table = np.column_stack([self.times, self.d_x, self.r_x, self.mean_drift, self.X, self.D, self.L])
+        step = block_length(table.shape[1])
         with open(path, "w", newline="") as fh:
             fh.write("t,d_x,r_x,mean_drift,X,D,L\n")
-            for row in rows:
-                # v != v only for NaN
-                fh.write(",".join(["" if v != v else format(v, ".17g") for v in row]) + "\n")
+            for a in range(0, len(table), step):
+                for row in table[a : a + step].tolist():
+                    # v != v only for NaN
+                    fh.write(",".join(["" if v != v else format(v, ".17g") for v in row]) + "\n")
 
 
 def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     """Evaluate the diagnostic series on the trajectory grid, in blocks of nodes
-    whose (nodes, N, N) pair arrays and (nodes, q + 1) Lyapunov windows stay
-    within model.BLOCK_ENTRIES entries; D is the trajectory's own.
+    whose (N, N, nodes) pair arrays, (nodes, N, d) deviations and
+    (nodes, q + 1) Lyapunov windows stay within model.BLOCK_ENTRIES
+    entries; D is the trajectory's own.
 
     On the startup nodes d_x is the largest diameter of the datum over
     [-tau, 0], read at its knots (the d_x0 of check_icass).  The Lyapunov
@@ -71,16 +74,22 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     step = block_length(n_agents * n_agents)
     for a in range(0, n, step):
         b = min(a + step, n)
-        d_x[a:b] = pair_sq(S[a:b], S[a:b]).max(axis=(-2, -1))
+        d_x[a:b] = pair_sq(S[a:b], S[a:b]).max(axis=(0, 1))
     np.sqrt(d_x, out=d_x)
     d_x[: i0 + 1] = check_icass(trajectory.datum, config).d_x0
 
-    r_x = np.sqrt(np.einsum("tik,tik->ti", S, S)).max(axis=1)
-    dev = S - S[i0, 0]  # relative to one agent, so a far datum keeps its digits
-    xbar = dev.mean(axis=1)
-    drift = np.sqrt(((xbar - xbar[i0]) ** 2).sum(axis=1))
-    dev -= xbar[i0]
-    X = np.einsum("tik,tik->t", dev, dev) / (2.0 * (n_agents - 1))
+    r_x, X, xbar = np.empty(n), np.empty(n), np.empty((n, config.dim))
+    ref = S[i0, 0]  # deviations relative to one agent, so a far datum keeps its digits
+    xbar0 = (S[i0 : i0 + 1] - ref).mean(axis=1)  # the mean at t = 0, as a block computes it
+    step = block_length(n_agents * config.dim)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        r_x[a:b] = np.sqrt(np.einsum("tik,tik->ti", S[a:b], S[a:b])).max(axis=1)
+        dev = S[a:b] - ref
+        xbar[a:b] = dev.mean(axis=1)
+        dev -= xbar0
+        X[a:b] = np.einsum("tik,tik->t", dev, dev) / (2.0 * (n_agents - 1))
+    drift = np.sqrt(((xbar - xbar0) ** 2).sum(axis=1))
 
     L = np.full(n, np.nan)
     if has_symmetric_weights(config):

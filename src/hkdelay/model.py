@@ -6,6 +6,19 @@ compares its *current* state against delayed states of the others, while
 with reaction-type delay the whole comparison happens at the delayed time.
 Each combines with either classical 1/(N-1)-scaled weights (row sums at
 most one) or row-normalized weights (row sums exactly one).
+
+The one pairwise kernel is pair_sq with weights_from_states on it.  States
+are (..., N, d), leading axes stacking independent states.  Pair arrays are
+stack-last, the reverse of the states' axes: (N_j, N_i, ...), so that
+broadcasts and elementwise work run over the stack on numpy's inner loop
+however small N is.  The weights come unnormalized (Weights.u, u_ij for
+agent j in agent i's row) with their row sums s_i; normalization is one
+divide by n_i (s_i, or N - 1 for classical weights) after any product with
+u.  Summation order, the same for a state alone as anywhere in a stack:
+row minima and row sums reduce over the outermost axis j in index order,
+((u_0i + u_1i) + u_2i) + ...; the velocity's sum over j is one BLAS matmul
+per state on a contiguous (..., N_i, N_j) copy of u (see
+dynamics.velocity_from_states, which also documents the order of D).
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -291,35 +305,45 @@ class InitialDatum:
                 f"needs [-{tau:g}, 0]"
             )
 
-    def _reaches(self, t: float) -> bool:
+    def _reaches(self, t):
         """Whether the sample grid reaches t, up to 1e-9 of the largest of t
         and the grid's end times: on [-tau, 0] the slack scales with tau,
-        however small tau is."""
+        however small tau is.  Elementwise for an array of times."""
         ts = self.times
-        pad = 1e-9 * max(abs(t), abs(ts[0]), abs(ts[-1]))
-        return ts[0] - pad <= t <= ts[-1] + pad
+        pad = 1e-9 * np.maximum(np.abs(t), max(abs(ts[0]), abs(ts[-1])))
+        return (ts[0] - pad <= t) & (t <= ts[-1] + pad)
 
-    def at(self, t: float) -> np.ndarray:
-        """State (N, d) at time t on the startup interval."""
-        if self.kind is DatumKind.CONSTANT_PER_AGENT:
-            return self.values
+    def _segment(self, t):
+        """Index i of the grid segment [ts[i], ts[i + 1]] that holds each
+        time t, clamped to the grid."""
         ts = self.times
-        if not self._reaches(t):
-            raise OutOfRange(f"datum sample at t={t:g} outside [{ts[0]:g}, {ts[-1]:g}]")
-        t = min(max(t, ts[0]), ts[-1])
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), ts.size - 2)
-        theta = (t - ts[i]) / (ts[i + 1] - ts[i])
+        i = np.searchsorted(ts, np.clip(t, ts[0], ts[-1]), side="right") - 1
+        return np.clip(i, 0, ts.size - 2)
+
+    def at(self, t) -> np.ndarray:
+        """State (N, d) at time t on the startup interval, or (k, N, d) at
+        each of k times."""
+        t = np.asarray(t, dtype=float)
+        if self.kind is DatumKind.CONSTANT_PER_AGENT:
+            return np.broadcast_to(self.values, t.shape + self.values.shape)
+        ts = self.times
+        outside = ~self._reaches(t)
+        if outside.any():
+            bad = np.atleast_1d(t)[np.atleast_1d(outside)][0]
+            raise OutOfRange(f"datum sample at t={bad:g} outside [{ts[0]:g}, {ts[-1]:g}]")
+        i = self._segment(t)
+        theta = ((np.clip(t, ts[0], ts[-1]) - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
         return (1.0 - theta) * self.samples[i] + theta * self.samples[i + 1]
 
-    def slope_at(self, t: float) -> np.ndarray:
-        """Derivative (N, d) of the interpolant; zero for constant data."""
+    def slope_at(self, t) -> np.ndarray:
+        """Derivative (N, d) of the interpolant at t, or (k, N, d) at each of
+        k times; zero for constant data."""
+        t = np.asarray(t, dtype=float)
         if self.kind is DatumKind.CONSTANT_PER_AGENT:
-            return np.zeros_like(self.values)
+            return np.zeros(t.shape + self.values.shape)
         ts = self.times
-        i = int(np.searchsorted(ts, min(max(t, ts[0]), ts[-1]), side="right")) - 1
-        i = min(max(i, 0), ts.size - 2)
-        return (self.samples[i + 1] - self.samples[i]) / (ts[i + 1] - ts[i])
+        i = self._segment(t)
+        return (self.samples[i + 1] - self.samples[i]) / (ts[i + 1] - ts[i])[..., None, None]
 
     def to_dict(self) -> dict:
         if self.kind is DatumKind.CONSTANT_PER_AGENT:
@@ -332,28 +356,39 @@ class InitialDatum:
 
 
 def pair_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., N, M) squared distances |b_j - a_i|^2 between the rows of a and b.
+    """(N_b, N_a, ...) squared distances |b_j - a_i|^2 between the rows of a and b.
 
-    a is (..., N, d) and b is (..., M, d), with broadcastable leading axes.
-    Accumulates one component at a time, so no (..., N, M, d) temporary is
-    formed; pair_sq(x, x) is exactly symmetric, and a stack of inputs gives
-    the stack of the per-slice results bit for bit.
+    a is (..., N_a, d) and b is (..., N_b, d), with the same leading axes.
+    The pair array is stack-last, the reverse of the states' axes:
+    j outermost, then i, then the stacked states, so that elementwise work
+    runs over the stack on numpy's inner loop, and its .T is the
+    (..., N_a, N_b) array of each state.  One component at a time, b_j is
+    repeated along i and a subtracted in place, so no broadcast runs an
+    inner loop as short as a small stack.  pair_sq(x, x) is exactly
+    symmetric in (j, i), and a stack of inputs gives the stack of the
+    per-state results bit for bit.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = a[..., :, None, 0] - b[..., None, :, 0]
-    out *= out
-    for k in range(1, b.shape[-1]):
-        tmp = a[..., :, None, k] - b[..., None, :, k]
+    at = np.ascontiguousarray(a.T)  # (d, N_a, ...)
+    bt = at if b is a else np.ascontiguousarray(b.T)
+    out = None
+    for k in range(len(bt)):
+        tmp = bt[k, :, None].repeat(at.shape[1], axis=1)
+        tmp -= at[k]
         tmp *= tmp
-        out += tmp
+        if out is None:
+            out = tmp
+        else:
+            out += tmp
     return out
 
 
-def _diagonal(w: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonals of a C-contiguous (..., N, N) array."""
-    n = w.shape[-1]
-    return w.reshape(w.shape[:-2] + (n * n,))[..., :: n + 1]
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable (N, ...) view of the entries j = i of a C-contiguous
+    stack-last (N, N, ...) pair array."""
+    n = len(a)
+    return a.reshape((n * n,) + a.shape[2:])[:: n + 1]
 
 
 def diameter(state: np.ndarray) -> float:
@@ -368,39 +403,64 @@ def radius(state: np.ndarray) -> float:
     return float(np.sqrt((state * state).sum(axis=1)).max())
 
 
+class Weights(NamedTuple):
+    """Stack-last weights of (..., N, d) states (see pair_sq).
+
+    u[j, i, ...] is the unnormalized weight of agent j in agent i's row,
+    zero on the diagonal, and s[i, ...] its row sum over j.  The weights
+    are u_ij / n_i, with n_i = s_i for normalized weights and N - 1 for
+    classical ones, so a product with u is normalized after it.  sq is the
+    pair array that u was formed from when it holds the delayed states' own
+    pairs (reaction delay), and None otherwise.
+    """
+
+    u: np.ndarray  # (N_j, N_i, ...)
+    s: np.ndarray  # (N_i, ...)
+    normalized: bool
+    sq: np.ndarray | None
+
+    @property
+    def norm(self):
+        """The row normalizers n_i: s, or the float N - 1."""
+        return self.s if self.normalized else float(len(self.u) - 1)
+
+    def matrix(self) -> np.ndarray:
+        """(..., N_i, N_j) weight matrices u_ij / n_i, one per stacked state:
+        the one view of the weights in the states' layout."""
+        return (self.u / self.norm).T
+
+
 def weights_from_states(
     config: SystemConfig, x_now: np.ndarray | None, x_delayed: np.ndarray
-) -> np.ndarray:
-    """Raw (..., N, N) weight entries from explicit (..., N, d) states.
+) -> Weights:
+    """Weights of (..., N, d) states, stack-last (see Weights and pair_sq).
 
     Transmission compares x_delayed[j] to x_now[i]; reaction compares
-    x_delayed[j] to x_delayed[i].  The diagonal is zero.  Normalized
-    algebraic weights are formed row-scaled, as
-    ((1 + s_ij^2) / (1 + min_{k != i} s_ik^2))^(-gamma): normalization
-    cancels the row scale, the largest entry of each row is 1, and no row
-    underflows however large gamma or the distances.  Leading axes stack
-    independent evaluations.
+    x_delayed[j] to x_delayed[i].  u is psi of the pair distances, and for
+    normalized algebraic weights the row-scaled
+    ((1 + s_ij^2) / (1 + min_{k != i} s_ik^2))^(-gamma): the largest entry
+    of each row is 1, and no row underflows however large gamma or the
+    distances.  Row minima and row sums reduce over the outermost axis j,
+    which numpy does in index order whatever the stack's size, so a state
+    gets the same bits alone as anywhere in a stack.
     """
     x_delayed = np.asarray(x_delayed, dtype=float)
-    base = x_now if config.delay_kind is DelayKind.TRANSMISSION else x_delayed
-    w = pair_sq(base, x_delayed)
+    reaction = config.delay_kind is DelayKind.REACTION
+    sq = pair_sq(x_delayed if reaction else x_now, x_delayed)
     influence = config.influence
-    if config.weight_scheme is WeightScheme.CLASSICAL_SCALED:
-        w = influence.of_sq(w)
-        _diagonal(w)[...] = 0.0
-        w /= config.n_agents - 1
-        return w
-    if influence.kind is InfluenceKind.ALGEBRAIC_DECAY:
-        w += 1.0
-        _diagonal(w)[...] = np.inf  # excluded from the row minimum; maps to 0
-        np.divide(w.min(axis=-1, keepdims=True), w, out=w)
+    normalized = config.weight_scheme is WeightScheme.NORMALIZED
+    if normalized and influence.kind is InfluenceKind.ALGEBRAIC_DECAY:
+        u = np.add(sq, 1.0, out=None if reaction else sq)  # reaction keeps sq for D
+        diagonal = _diagonal(u)
+        diagonal[...] = np.inf  # excluded from the row minimum
+        np.divide(u.min(axis=0), u, out=u)
         if influence.gamma != 1.0:
-            w **= influence.gamma
+            u **= influence.gamma
     else:
-        w = influence.of_sq(w)
-    _diagonal(w)[...] = 0.0
-    w /= w.sum(axis=-1, keepdims=True)
-    return w
+        u = influence.of_sq(sq)
+        diagonal = _diagonal(u)
+    diagonal[...] = 0.0
+    return Weights(u, u.sum(axis=0), normalized, sq if reaction else None)
 
 
 @dataclass(frozen=True)
@@ -435,7 +495,7 @@ def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
     if datum.kind is DatumKind.SAMPLED:
         ts, tau = datum.times, config.tau
         inner = ts[(ts > -tau) & (ts < 0.0)].tolist()
-        states = [datum.at(t) for t in [-tau, *inner, 0.0]]
+        states = datum.at([-tau, *inner, 0.0])
         seg = np.where((ts[:-1] < 0.0) & (ts[1:] > -tau))[0]
         slopes = [(datum.samples[i + 1] - datum.samples[i]) / (ts[i + 1] - ts[i]) for i in seg]
     d_x0 = max(diameter(s) for s in states)
@@ -452,9 +512,9 @@ def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
 # JSON codecs (field names mirror the dataclass fields)
 
 def json_number(field: str, value, integer: bool = False):
-    """value if it is a JSON number, or a non-negative integer when integer
-    is set; anything else, a bool or a numeric string among them, raises
-    InvalidConfig naming field."""
+    """value if it is a JSON number that converts to a float, or a
+    non-negative integer when integer is set; anything else, a bool or a
+    numeric string among them, raises InvalidConfig naming field."""
     if integer:
         ok = isinstance(value, int) and value >= 0
     else:
@@ -462,7 +522,29 @@ def json_number(field: str, value, integer: bool = False):
     if isinstance(value, bool) or not ok:
         kind = "a non-negative integer" if integer else "a number"
         raise InvalidConfig(f"{field}: expected {kind}, got {value!r}")
+    if not integer:
+        try:
+            float(value)
+        except OverflowError:
+            raise InvalidConfig(f"{field}: expected a number within the float range, got a larger integer") from None
     return value
+
+
+def json_array(field: str, value) -> np.ndarray:
+    """value as a float array, if it is a JSON number or nested lists of
+    them: json_number's rule holds for every element.  Anything else, a
+    ragged array among them, raises InvalidConfig naming field."""
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, list):
+            pending.extend(reversed(v))  # the first bad element is named
+        else:
+            json_number(field, v)
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:  # ragged
+        raise InvalidConfig(f"{field}: {exc}") from exc
 
 
 def influence_from_dict(d: dict) -> InfluenceFunction:
@@ -474,7 +556,7 @@ def influence_from_dict(d: dict) -> InfluenceFunction:
     if kind == InfluenceKind.ALGEBRAIC_DECAY.value:
         return InfluenceFunction.algebraic_decay(json_number("influence.gamma", d.get("gamma", 1.0)))
     if kind == InfluenceKind.TABLE.value:
-        return InfluenceFunction.table(d["samples"])
+        return InfluenceFunction.table(json_array("influence.samples", d["samples"]))
     raise InvalidConfig(f"influence.kind: unknown value {kind!r}")
 
 
@@ -500,13 +582,14 @@ def config_from_dict(d: dict) -> SystemConfig:
 
 
 def _datum_array(d: dict, key: str) -> np.ndarray:
-    """d[key] as a float array, with errors that name the field datum.<key>."""
+    """d[key] as a float array by json_array, with errors that name the
+    field datum.<key>."""
     if key not in d:
         raise InvalidDatum(f"datum.{key}: missing field")
     try:
-        return np.asarray(d[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDatum(f"datum.{key}: {exc}") from exc
+        return json_array(f"datum.{key}", d[key])
+    except InvalidConfig as exc:
+        raise InvalidDatum(str(exc)) from exc
 
 
 def datum_from_dict(d: dict) -> InitialDatum:

@@ -16,9 +16,10 @@ against: explicit Euler, a scalar double loop over agents for the velocity
 and its own linear history lookup.  It shares only the package's grid,
 startup and blow-up scaffolding, so its trajectories end as integrate's do.
 
-blocked_dissipation is the D series as compute_metrics formed it before
-the stepper wrote D with each node's velocity: a second weight evaluation
-over blocks of stored nodes.  Trajectory.D must equal it bit for bit.
+blocked_dissipation is the D series from a second weight evaluation over
+blocks of stored nodes, summed in the order that velocity_from_states
+documents, spelled out in spelled_out_dissipation.  Trajectory.D must
+equal it bit for bit.
 """
 
 import math
@@ -82,7 +83,7 @@ def rhs(config, traj, t):
 
 def eval_weights(config, traj, t):
     """Weight matrix (N, N) at time t."""
-    return weights_from_states(config, *delayed_states(config, traj, t))
+    return weights_from_states(config, *delayed_states(config, traj, t)).matrix()
 
 
 def _oracle_velocity(config, x_now, x_delayed):
@@ -159,10 +160,26 @@ def integrate_oracle(config, datum, horizon, spec=None):
     return Trajectory(grid[:kept], states[:kept], derivs[:kept], D, config, datum, blow_up)
 
 
+def spelled_out_dissipation(config, weights, sq):
+    """D of every state stacked in model.Weights weights, from sq, the pair
+    array of its delayed states, summed as velocity_from_states documents:
+    r_i = (((t_0i + t_1i) + t_2i) + ...) over j in index order, with
+    t_ji = u_ji sq_ji, then numpy's sum of the vector (r_i / n_i)_i of each
+    state on its own, over 2(N - 1)."""
+    t = weights.u * sq  # (N_j, N_i, ...)
+    r = t[0].copy()
+    for row in t[1:]:
+        r += row
+    r /= weights.norm
+    rows = r.reshape(len(r), -1)  # (N_i, states)
+    total = [np.sum(np.array(rows[:, m])) for m in range(rows.shape[1])]
+    return np.array(total) / (2.0 * (config.n_agents - 1))
+
+
 def blocked_dissipation(config, states, q):
     """D on the nodes of (n, N, d) states whose node q is t = 0, NaN before
-    it: in blocks of nodes m, the weights at (x(t_m), x(t_m - tau)) times
-    the pair squares of x(t_m - tau), as compute_metrics formed them."""
+    it: in blocks of nodes m, the weights at (x(t_m), x(t_m - tau)) and the
+    pair squares of x(t_m - tau), summed by spelled_out_dissipation."""
     n = len(states)
     D = np.full(n, np.nan)
     transmission = config.delay_kind is DelayKind.TRANSMISSION
@@ -171,8 +188,7 @@ def blocked_dissipation(config, states, q):
         c = min(a + step, n - q)
         x_del = states[a:c]
         w = weights_from_states(config, states[a + q : c + q] if transmission else None, x_del)
-        w *= pair_sq(x_del, x_del)
-        D[a + q : c + q] = w.reshape(w.shape[:-2] + (-1,)).sum(axis=-1) / (2.0 * (config.n_agents - 1))
+        D[a + q : c + q] = spelled_out_dissipation(config, w, pair_sq(x_del, x_del))
     return D
 
 
@@ -191,7 +207,7 @@ def fluctuation(state, mean_ref):
 def dissipation(config, traj, t):
     """D(t) = sum_ij w_ij |x_j(t - tau) - x_i(t - tau)|^2 / (2(N-1))."""
     x_now, x_delayed = delayed_states(config, traj, t)
-    w = weights_from_states(config, x_now, x_delayed)
+    w = weights_from_states(config, x_now, x_delayed).matrix()
     diff = x_delayed[None, :, :] - x_delayed[:, None, :]
     return float((w * (diff * diff).sum(axis=-1)).sum() / (2.0 * (config.n_agents - 1)))
 

@@ -7,7 +7,7 @@ from hkdelay import DelayKind, dynamics, metrics, rate_transmission_normalized, 
 from hkdelay.errors import InvalidConfig, NoRootFound, OutOfRange, PreconditionViolated
 from hkdelay.cli import load_spec, main
 from hkdelay.dynamics import default_spec
-from hkdelay.toy import simulate_toy
+from hkdelay.toy import classify_regime, simulate_toy
 from hkdelay.model import config_from_dict
 
 from reference import read_trajectory_csv
@@ -172,7 +172,7 @@ def test_simulate_underflowing_influence(tmp_path):
     config = config_from_dict(doc["config"])
     _, states = read_trajectory_csv(out / "trajectory.csv")
     for x in (states[0], states[-1]):
-        w = weights_from_states(config, x, x)
+        w = weights_from_states(config, x, x).matrix()
         assert np.all(np.isfinite(w))
         assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -439,6 +439,23 @@ def _set(path, value):
         (["simulate", SPEC, "--seed", "-1"], "seed"),
         # a string was read as its letters: "unknown entry 'r'"
         (_set("outputs", "report"), "outputs"),
+        # array elements follow the same number rule: np.asarray parsed the
+        # strings and read the bools as 0 and 1, and the run exited 0
+        (_set("datum.vectors", [["0.1"], [0.2], [0.5]]), "datum.vectors"),
+        (_set("datum.vectors", [[0.1], [True], [0.5]]), "datum.vectors"),
+        (_set("datum", {"kind": "sampled", "times": [-0.5, "0"], "values": [[0.0, 1.0, 2.0]] * 2}),
+         "datum.times"),
+        (_set("datum", {"kind": "sampled", "times": [-0.5, 0.0], "values": [[0.0, False, 2.0]] * 2}),
+         "datum.values"),
+        (_set("config.influence", {"kind": "table", "samples": [[0.0, True], [2.0, 0.5]]}),
+         "config: influence.samples"),
+        (_set("config.influence", {"kind": "table", "samples": [[0.0, 1.0], ["2.0", "0.5"]]}),
+         "config: influence.samples"),
+        # an integer beyond any float ended in an OverflowError traceback
+        (_set("datum.vectors", [[0.0], [1.0], [10**400]]), "datum.vectors"),
+        (_set("horizon", 10**400), "horizon"),
+        (_set("integrator", {"dt": -(10**400)}), "integrator.dt"),
+        (_set("datum", {"kind": "random_uniform", "high": 10**400}), "datum.high"),
     ],
     ids=[
         "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
@@ -455,6 +472,8 @@ def _set(path, value):
         "tau_bool", "dim_bool", "horizon_string", "dt_string", "c_string", "gamma_bool", "low_string",
         "seed_fraction", "seed_bool", "seed_string", "seed_negative", "seed_negative_flag",
         "outputs_string",
+        "vectors_string", "vectors_bool", "times_string", "values_bool", "samples_bool", "samples_string",
+        "vectors_huge_int", "horizon_huge_int", "dt_huge_int", "high_huge_int",
     ],
 )
 def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field):
@@ -471,6 +490,19 @@ def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field)
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     if args[0] == "sweep":  # the advice names the one setting a tau sweep keeps
         assert "set --dt in a tau sweep, which drops integrator.dt" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"seed": 1' + "0" * 5000 + "}", "{\"seed\": 1", b"\xff\xfe{"], ids=["long_int", "cut", "bytes"])
+def test_spec_that_is_not_json_exits_with_an_error_line(tmp_path, capsys, text):
+    # an integer past Python's 4300-digit limit raised ValueError from
+    # json.load, and undecodable bytes UnicodeDecodeError: both tracebacks
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "out"
+    assert main(["simulate", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec is not valid JSON (") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -721,23 +753,43 @@ def test_sweep_refuses_a_value_that_is_not_a_number(tmp_path, capsys):
     assert not out.exists()
 
 
-# sweep.csv of the parent's one-value-at-a-time loop, before runs were
-# grouped: the benchmark's tau sweep (seed 11) and a sweep whose last two
-# values blow up
+def per_value_sweep_csv(tmp_path, doc, values):
+    """The sweep.csv of a tau sweep of doc, from one simulate run per value."""
+    lines = ["value,consensus_time,C_emp,regime,preconditions"]
+    for value in values:
+        one = json.loads(json.dumps(doc))
+        one["config"]["tau"] = float(value)
+        out = tmp_path / f"tau_{value}"
+        assert main(["simulate", write_spec(tmp_path / f"tau_{value}.json", one), "--out", str(out)]) in (0, 2)
+        report = json.loads((out / "report.json").read_text())
+        summary = report["metrics_summary"]
+        cells = [format(float(value), ".17g")]
+        cells += ["" if summary[key] is None else format(summary[key], ".17g") for key in ("consensus_time", "C_emp")]
+        regime = ""
+        if one["config"]["n_agents"] == 2:
+            regime = classify_regime(DelayKind(one["config"]["delay_kind"]), float(value)).value
+        theorems = report["preconditions"]["theorems"]
+        cells += [regime, "|".join(name for name in rates.THEOREMS if theorems[name]["applies"])]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+# sweep.csv of one simulate run per value (per_value_sweep_csv): the
+# benchmark's tau sweep (seed 11) and a sweep whose last two values blow up
 BENCH_SWEEP_VECTORS = [
     [0.6047994518655023, -1.2330077890366409], [1.3742132093207848, -1.0881111761158422],
     [1.407433289149106, -0.9427543189085312], [0.520211497039343, -0.943805113913356],
     [1.0879374470097636, -1.107000833028376],
 ]
 BENCH_SWEEP_CSV = """value,consensus_time,C_emp,regime,preconditions
-0.25,3.49609375,2.1079209396010889,,
-0.5,5.234375,1.2821712045813576,,
-0.75,13.18359375,0.48617807398194873,,
+0.25,3.49609375,2.1079209396014411,,
+0.5,5.234375,1.2821712045828808,,
+0.75,13.18359375,0.48617807398194357,,
 1,,0.16129915580506357,,
-1.25,,0.012481750519692235,,
-1.5,,-0.045975799800243529,,
-1.75,,-0.079242057524322812,,
-2,,-0.1170305859813851,,
+1.25,,0.012481750519692409,,
+1.5,,-0.04597579980024355,,
+1.75,,-0.079242057524322798,,
+2,,-0.11703058598138508,,
 """
 BLOW_UP_SWEEP_CSV = """value,consensus_time,C_emp,regime,preconditions
 0.5,9.703125,0.65901872819231,OscillatoryStable,reaction_symmetric
@@ -775,6 +827,7 @@ def test_grouped_tau_sweep_matches_one_value_at_a_time(tmp_path, config, vectors
     assert main(["sweep", write_spec(tmp_path / "s.json", doc), "--param", "tau",
                  "--values", *values, "--out", str(out)]) == 0
     assert (out / "sweep.csv").read_text() == expected
+    assert per_value_sweep_csv(tmp_path, doc, values) == expected
 
 
 def test_simulate_with_euler_oracle_integrator(tmp_path, capsys):

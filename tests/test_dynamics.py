@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -32,15 +34,23 @@ def consensus_datum(n, d, value=0.7):
 # ---------------------------------------------------------------------------
 # velocity field
 
+PSI_KINDS = (
+    InfluenceFunction.constant(0.6),
+    InfluenceFunction.algebraic_decay(1.0),
+    InfluenceFunction.table([[0.0, 0.8], [0.5, 0.7], [2.0, 0.2]]),
+)
+
+
 def test_rhs_zero_at_consensus():
-    for kind in DelayKind:
-        for scheme in WeightScheme:
-            config = make_config(n_agents=4, dim=2, delay_kind=kind, weight_scheme=scheme)
-            traj = integrate(config, consensus_datum(4, 2), 2 * config.tau)
-            m = int(np.searchsorted(traj.grid, config.tau))  # t = tau reads t = 0
-            q = dynamics.STEPS_PER_DELAY
-            v = velocity_from_states(config, traj.states[m], traj.states[m - q])
-            assert np.max(np.abs(v)) == 0.0
+    # the product is taken relative to agent 0, so it is exactly 0 whatever
+    # psi(0): u @ x - s x rounds to about 1e-16 for psi = 0.6
+    for influence, kind, scheme in itertools.product(PSI_KINDS, DelayKind, WeightScheme):
+        config = make_config(n_agents=4, dim=2, delay_kind=kind, weight_scheme=scheme, influence=influence)
+        traj = integrate(config, consensus_datum(4, 2), 2 * config.tau)
+        m = int(np.searchsorted(traj.grid, config.tau))  # t = tau reads t = 0
+        q = dynamics.STEPS_PER_DELAY
+        v = velocity_from_states(config, traj.states[m], traj.states[m - q])
+        assert np.max(np.abs(v)) == 0.0, (influence.kind, kind, scheme)
 
 
 def test_rhs_two_agent_transmission_reduction():
@@ -664,6 +674,52 @@ def test_rk4_stepper_matches_per_step_loop_bit_for_bit(
     event("horizon ends mid-segment" if n_fwd % q else "horizon ends on a segment")
 
 
+KERNEL_INFLUENCES = GROUP_INFLUENCES[1:]  # constant, algebraic (gamma 1 and 2.5) and table psi
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    d=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(list(DelayKind)),
+    scheme=st.sampled_from(list(WeightScheme)),
+    influence=st.sampled_from(KERNEL_INFLUENCES),
+    lead=st.sampled_from([(2,), (5,), (9,), (2, 3), (3, 3), (4, 2)]),
+    offset=st.sampled_from([0.0, 1e13]),
+    bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kernel_gives_a_state_the_same_bits_alone_and_in_any_stack(
+    n, d, kind, scheme, influence, lead, offset, bad, seed
+):
+    # the stack-last kernel reduces over agents in an order that does not
+    # depend on the stack, and copies u into one matmul layout, so a state's
+    # velocity, weights and D are those of the state alone; D is written for
+    # the last states along the first stacked axis, as the stepper asks
+    rng = np.random.default_rng(seed)
+    config = make_config(n, d, 0.5, kind, scheme, influence)
+    x_now = offset + rng.normal(size=lead + (n, d))
+    x_del = offset + rng.normal(size=lead + (n, d))
+    if bad is not None:
+        x_del[tuple(rng.integers(s) for s in x_del.shape)] = bad
+    if kind is DelayKind.REACTION:
+        x_now = None
+    k = lead[0] // 2
+    D = np.full((lead[0] - k,) + lead[1:], -1.0)
+    with np.errstate(all="ignore"):
+        v = velocity_from_states(config, x_now, x_del, D)
+        w = model.weights_from_states(config, x_now, x_del).matrix()
+        for idx in np.ndindex(*lead):
+            now = None if x_now is None else x_now[idx]
+            assert same_bits(velocity_from_states(config, now, x_del[idx]), v[idx]), idx
+            assert same_bits(model.weights_from_states(config, now, x_del[idx]).matrix(), w[idx]), idx
+            one = np.empty(1)
+            velocity_from_states(config, None if now is None else now[None], x_del[idx][None], one)
+            if idx[0] >= k:
+                assert same_bits(one[0], D[(idx[0] - k,) + idx[1:]]), idx
+    event(f"non-finite state: {bad}" if bad is not None else "finite states")
+
+
 # ---------------------------------------------------------------------------
 # export
 
@@ -691,7 +747,7 @@ def reference_trajectory_csv(traj, path):
                     fh.write(f"{ts},{i},{k},{format(float(traj.states[m, i, k]), '.17g')}\n")
 
 
-def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng):
+def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng, monkeypatch):
     config = make_config(n_agents=4, dim=3, tau=0.5)
     datum = random_datum(rng, 4, 3, low=-2.0, high=2.0)
     traj = integrate(config, datum, 2 * config.tau, IntegratorSpec(config.tau / 8))
@@ -711,9 +767,13 @@ def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng):
     partial = integrate(config, InitialDatum.constant([[0.5], [-0.5]]), 200.0,
                         IntegratorSpec(config.tau / 8))
     assert partial.blow_up_time is not None
-    trajectory_to_csv(partial, tmp_path / "partial.csv")
     reference_trajectory_csv(partial, tmp_path / "partial_ref.csv")
-    assert (tmp_path / "partial.csv").read_bytes() == (tmp_path / "partial_ref.csv").read_bytes()
+    # nodes are written in blocks of block_length(N d) nodes: one block, then
+    # blocks of 1 and of 20 nodes
+    for block_entries in (model.BLOCK_ENTRIES, 1, 40):
+        monkeypatch.setattr(model, "BLOCK_ENTRIES", block_entries)
+        trajectory_to_csv(partial, tmp_path / "partial.csv")
+        assert (tmp_path / "partial.csv").read_bytes() == (tmp_path / "partial_ref.csv").read_bytes(), block_entries
 
 
 def test_table_influence_through_integration(rng):

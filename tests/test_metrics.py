@@ -26,7 +26,9 @@ from hkdelay import model
 from hkdelay.model import has_symmetric_weights, pair_sq, weights_from_states
 
 from conftest import make_config, random_datum
-from reference import blocked_dissipation, dissipation, fluctuation, lyapunov, mean, sample
+from reference import (
+    blocked_dissipation, dissipation, fluctuation, lyapunov, mean, sample, spelled_out_dissipation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +318,7 @@ def reference_metrics(config, trajectory):
         d_x[m] = sq.max()
         if m + q < n:
             w = weights_from_states(config, S[m + q] if transmission else None, S[m])
-            w *= sq
-            D[m + q] = float(w.sum() / (2.0 * (n_agents - 1)))
+            D[m + q] = spelled_out_dissipation(config, w, sq)[0]
     np.sqrt(d_x, out=d_x)
     d_x[: i0 + 1] = d_x[: i0 + 1].max()
     r_x = np.sqrt(np.einsum("tik,tik->ti", S, S)).max(axis=1)
@@ -463,7 +464,7 @@ def reference_metrics_csv(ms, path):
             fh.write(",".join(cells) + "\n")
 
 
-def test_metric_series_csv_bytes_match_reference_writer(tmp_path, rng):
+def test_metric_series_csv_bytes_match_reference_writer(tmp_path, rng, monkeypatch):
     config = make_config(n_agents=4, dim=2, tau=0.5, delay_kind=DelayKind.REACTION,
                          weight_scheme=WeightScheme.CLASSICAL_SCALED)
     ms = compute_metrics(config, integrate(config, random_datum(rng, 4, 2), 3 * config.tau))
@@ -473,6 +474,10 @@ def test_metric_series_csv_bytes_match_reference_writer(tmp_path, rng):
     ms.L[-1] = -1.2345678901234567e300
     ms.r_x[4] = np.inf
     assert np.isnan(ms.D).any() and np.isnan(ms.L).any()
-    ms.to_csv(tmp_path / "new.csv")
     reference_metrics_csv(ms, tmp_path / "ref.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # rows are written in blocks of block_length(7) rows: one block, then
+    # blocks of 1 and of 5 rows
+    for block_entries in (model.BLOCK_ENTRIES, 1, 40):
+        monkeypatch.setattr(model, "BLOCK_ENTRIES", block_entries)
+        ms.to_csv(tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), block_entries

@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from hkdelay import (
     psi_floor,
     weights_from_states,
 )
+from hkdelay import dynamics
 from hkdelay.model import config_from_dict, datum_from_dict
 
 from conftest import make_config
@@ -100,7 +103,7 @@ def test_influence_validation():
 def test_two_agents_normalized_weights_are_one():
     config = make_config(n_agents=2, weight_scheme=WeightScheme.NORMALIZED)
     x = np.array([[0.0], [7.3]])
-    w = weights_from_states(config, x, x)
+    w = weights_from_states(config, x, x).matrix()
     assert w[0, 1] == 1.0
     assert w[1, 0] == 1.0
     assert np.all(w.sum(axis=1) == 1.0)
@@ -113,7 +116,7 @@ def test_three_agents_classical_constant_influence():
         influence=InfluenceFunction.constant(1.0),
     )
     x = np.array([[0.0], [1.0], [5.0]])
-    w = weights_from_states(config, x, x)
+    w = weights_from_states(config, x, x).matrix()
     off = w[~np.eye(3, dtype=bool)]
     assert np.allclose(off, 0.5, atol=0.0)
     assert np.all(np.diagonal(w) == 0.0)
@@ -124,7 +127,7 @@ def test_three_agents_normalized_matches_scalar_evaluation():
     # independent scalar evaluation of psi(s) = 1/(1+s^2) at fixed positions
     config = make_config(n_agents=3, dim=1, tau=0.5)
     pos = np.array([[0.0], [1.0], [3.0]])
-    got = weights_from_states(config, pos, pos)
+    got = weights_from_states(config, pos, pos).matrix()
 
     def psi(s):
         return 1.0 / (1.0 + s * s)
@@ -150,7 +153,7 @@ def test_row_sum_contract_random_states(n, d, kind, scheme, seed):
     config = make_config(n_agents=n, dim=d, delay_kind=kind, weight_scheme=scheme)
     x_now = rng.normal(size=(n, d))
     x_del = rng.normal(size=(n, d))
-    w = weights_from_states(config, x_now, x_del)
+    w = weights_from_states(config, x_now, x_del).matrix()
     sums = w.sum(axis=1)
     assert np.all(np.diagonal(w) == 0.0)
     if scheme is WeightScheme.NORMALIZED:
@@ -166,8 +169,8 @@ def test_normalized_weights_scale_invariant(rng):
     for c in (0.013, 0.4, 1.0):
         base = make_config(n_agents=n, dim=d, influence=InfluenceFunction.constant(1.0))
         scaled = make_config(n_agents=n, dim=d, influence=InfluenceFunction.constant(c))
-        w1 = weights_from_states(base, x_now, x_del)
-        w2 = weights_from_states(scaled, x_now, x_del)
+        w1 = weights_from_states(base, x_now, x_del).matrix()
+        w2 = weights_from_states(scaled, x_now, x_del).matrix()
         assert np.all(np.abs(w1 - w2) <= 1e-12)
 
 
@@ -179,7 +182,7 @@ def test_classical_reaction_weights_symmetric_exactly(rng):
         weight_scheme=WeightScheme.CLASSICAL_SCALED,
     )
     x_del = rng.normal(size=(6, 3))
-    w = weights_from_states(config, None, x_del)
+    w = weights_from_states(config, None, x_del).matrix()
     assert np.array_equal(w, w.T)
 
 
@@ -220,9 +223,9 @@ def test_kernel_matches_broadcast_reference(n, d, kind, scheme, influence, scale
     x_now = scale * rng.normal(size=(n, d))
     x_del = scale * rng.normal(size=(n, d))
     diff = x_del[None, :, :] - x_now[:, None, :]
-    np.testing.assert_allclose(pair_sq(x_now, x_del), np.einsum("ijk,ijk->ij", diff, diff),
+    np.testing.assert_allclose(pair_sq(x_now, x_del).T, np.einsum("ijk,ijk->ij", diff, diff),
                                rtol=1e-15, atol=0.0)
-    w = weights_from_states(config, x_now, x_del)
+    w = weights_from_states(config, x_now, x_del).matrix()
     ref = broadcast_weights(config, x_now, x_del)
     assert np.max(np.abs(w - ref)) <= 1e-12
     if kind is DelayKind.REACTION and scheme is WeightScheme.CLASSICAL_SCALED:
@@ -245,12 +248,12 @@ def test_kernel_on_stacked_states_matches_per_slice_calls(batch, n, d, kind, sch
                          influence=influence)
     x_now = rng.normal(size=batch + (n, d))
     x_del = rng.normal(size=batch + (n, d))
-    sq = pair_sq(x_now, x_del)
-    w = weights_from_states(config, x_now, x_del)
+    sq = pair_sq(x_now, x_del).T
+    w = weights_from_states(config, x_now, x_del).matrix()
     assert sq.shape == w.shape == batch + (n, n)
     for idx in np.ndindex(*batch):
-        assert np.array_equal(sq[idx], pair_sq(x_now[idx], x_del[idx]))
-        assert np.array_equal(w[idx], weights_from_states(config, x_now[idx], x_del[idx]))
+        assert np.array_equal(sq[idx], pair_sq(x_now[idx], x_del[idx]).T)
+        assert np.array_equal(w[idx], weights_from_states(config, x_now[idx], x_del[idx]).matrix())
 
 
 def test_normalized_weights_do_not_underflow():
@@ -260,7 +263,7 @@ def test_normalized_weights_do_not_underflow():
     x = np.array([[0.0], [10.0], [20.0]])
     with np.errstate(invalid="ignore"):
         assert np.all(np.isnan(broadcast_weights(config, x, x)))
-    w = weights_from_states(config, x, x)
+    w = weights_from_states(config, x, x).matrix()
     assert np.all(np.isfinite(w))
     assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
     assert w[1, 0] == w[1, 2] == 0.5
@@ -357,6 +360,48 @@ def test_startup_reads_the_datum_where_require_fits_checks_it():
     beyond = InitialDatum.sampled([-1.0 + 3e-9, 0.0], values)
     with pytest.raises(InvalidDatum, match=r"^datum\.times: "):
         integrate(config, beyond, 1.0, spec)
+
+
+def lerp_reads(datum, times):
+    """The datum's states and slopes at each time, one scalar lerp at a
+    time: the per-node reads that the startup fill replaced."""
+    ts = datum.times.tolist()
+    states, slopes = [], []
+    for t in times:
+        t = min(max(t, ts[0]), ts[-1])
+        i = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
+        theta = (t - ts[i]) / (ts[i + 1] - ts[i])
+        states.append((1.0 - theta) * datum.samples[i] + theta * datum.samples[i + 1])
+        slopes.append((datum.samples[i + 1] - datum.samples[i]) / (ts[i + 1] - ts[i]))
+    return np.array(states), np.array(slopes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    knots=st.integers(min_value=2, max_value=9),
+    q=st.integers(min_value=1, max_value=70),
+    early=st.sampled_from([0.0, 5e-13]),
+    scale=st.sampled_from([1.0, 1e13]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_startup_fill_equals_per_node_reads(knots, q, early, scale, seed):
+    # one searchsorted over the startup grid and the same lerp formula give
+    # the bits that one datum read per node gave, the first node read at
+    # -tau however far an explicit dt puts it before -tau
+    rng = np.random.default_rng(seed)
+    tau = float(rng.uniform(0.01, 5.0))
+    times = np.concatenate([[-tau], np.sort(rng.uniform(-tau, 0.0, knots - 2)), [0.0]])
+    if np.any(np.diff(times) <= 0.0):
+        return
+    datum = InitialDatum.sampled(times, scale * rng.normal(size=(knots, 3, 2)))
+    grid = np.arange(-q, 2) * (tau / q) * (1.0 + early)
+    states, derivs = np.empty((2, q + 2, 3, 2))
+    mids = dynamics._fill_startup(grid, q, datum, states, derivs, tau)
+    want_states, want_slopes = lerp_reads(datum, [max(t, -tau) for t in grid[: q + 1].tolist()])
+    want_mids, _ = lerp_reads(datum, (0.5 * (grid[:q] + grid[1 : q + 1])).tolist())
+    assert states[: q + 1].tobytes() == want_states.tobytes()
+    assert derivs[: q + 1].tobytes() == want_slopes.tobytes()
+    assert np.asarray(mids).tobytes() == want_mids.tobytes()
 
 
 @pytest.mark.parametrize(

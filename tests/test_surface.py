@@ -82,3 +82,36 @@ def test_metrics_forms_no_weights():
     references(tree, "", found)
     found.update(a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names)
     assert "weights_from_states" not in found
+
+
+def test_model_holds_the_one_pair_and_weight_kernel():
+    # pair_sq and weights_from_states are the only pairwise routines: the
+    # stepper, the metrics and the theorem layer define none of their own,
+    # nor an outer difference x[:, None] - x[None, :].  dynamics and rates
+    # call weights_from_states by the name they import from model, the
+    # binding that perfbench/child.py patches at every site
+    def has_none_index(node):
+        return isinstance(node, ast.Subscript) and any(
+            isinstance(n, ast.Constant) and n.value is None for n in ast.walk(node.slice)
+        )
+
+    for module in ("dynamics", "metrics", "rates"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        defined = [n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        assert not [name for name in defined if any(w in name.lower() for w in ("pair", "weight", "dist"))], module
+        outer = [
+            n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+            and has_none_index(n.left) and has_none_index(n.right)
+        ]
+        assert not outer, (module, outer)
+    for module in ("dynamics", "rates"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        imported = {
+            a.name for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and n.module == "model" for a in n.names
+        }
+        called = {
+            n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        }
+        assert "weights_from_states" in imported & called, module
