@@ -9,9 +9,11 @@ delayed states are evaluated in stacked calls, and its nodes are summed in
 order from the increments, bit for bit as a step-by-step loop would give.
 A half step reads the prescribed datum on the startup interval and the
 closed-form cubic Hermite midpoint of a computed segment after it.  A
-trajectory stores states, derivatives and the dissipation D (from the
-weights of each node's velocity call) on the grid nodes only; a run that
-blows up ends before its first blown-up node and records that node's time.
+trajectory stores states, derivatives, the dissipation D (from the
+weights of each node's velocity call) and the squared diameters (from the
+pair array of that call's delayed state) on the grid nodes only; a run
+that blows up ends before its first blown-up node and records that node's
+time.
 """
 
 from __future__ import annotations
@@ -80,15 +82,19 @@ def default_spec(config: SystemConfig) -> IntegratorSpec:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Solution history on [-tau, T]: states, derivatives and D (NaN before
-    t = 0) on a uniform grid with grid[0] = -tau, and the startup datum.
-    A run that blew up ends before its first blown-up node, whose time is
-    blow_up_time (None for a run that reached the horizon)."""
+    """Solution history on [-tau, T]: states, derivatives, D (NaN before
+    t = 0) and squared diameters on a uniform grid with grid[0] = -tau, and
+    the startup datum.  The node call at node m, which writes D[m], reads
+    node m - q as its delayed state and writes sq_diameter[m - q]; the
+    nodes that no node call read, the last q or fewer for a run cut short,
+    hold NaN.  A run that blew up ends before its first blown-up node, whose
+    time is blow_up_time (None for a run that reached the horizon)."""
 
     grid: np.ndarray  # (n,)
     states: np.ndarray  # (n, N, d)
     derivs: np.ndarray  # (n, N, d)
     D: np.ndarray  # (n,)
+    sq_diameter: np.ndarray  # (n,)
     config: SystemConfig
     datum: InitialDatum
     blow_up_time: float | None = None
@@ -100,7 +106,7 @@ class Trajectory:
 
 
 def velocity_from_states(
-    config: SystemConfig, x_now: np.ndarray | None, x_delayed: np.ndarray, D=None
+    config: SystemConfig, x_now: np.ndarray | None, x_delayed: np.ndarray, D=None, sq_diameter=None
 ) -> np.ndarray:
     """Velocity field from explicit (..., N, d) states; leading axes stack runs.
 
@@ -112,15 +118,20 @@ def velocity_from_states(
         v_i = (sum_j u_ij (x_j - x_0) - s_i (anchor_i - x_0)) / n_i,
     anchor = x_now for transmission and x_delayed for reaction, so the
     velocity at exact consensus is exactly 0 and a datum far from the
-    origin keeps its digits.  The sum is one stacked matmul on a
-    C-contiguous (..., N_i, N_j) copy of u, made for one state as for many,
-    so a state gets the same bits alone as in any stack.
+    origin keeps its digits.  The states are read transposed, (d, N, ...),
+    the stack-last layout of u, and the product is one einsum that sums
+    over j in index order with no copy of u and no BLAS call, so a state
+    gets the same bits alone as in any stack.  The result is a transposed
+    view of that layout.
 
     D, if given, receives the dissipation of the last len(D) stacked states,
     sum_i (sum_j u_ij |x_delayed_j - x_delayed_i|^2) / n_i / (2(N-1)), from
     these weights: the sum over j runs in index order, and the sum over i
     is numpy's sum of the N terms of one state, a contiguous vector.
     Reaction reads the pair array that the weights were formed from.
+    sq_diameter, if given with D, receives the squared diameters of the
+    same states' x_delayed: the maxima of the pair array that D is formed
+    from.
     """
     x_delayed = np.asarray(x_delayed, dtype=float)
     w = weights_from_states(config, x_now, x_delayed)
@@ -128,17 +139,21 @@ def velocity_from_states(
         k = len(x_delayed) - len(D)  # the pair arrays' last axis is the first stacked one
         tail = x_delayed[k:]
         sq = pair_sq(tail, tail) if w.sq is None else w.sq[..., k:]
+        if sq_diameter is not None:
+            sq_diameter[...] = sq.max(axis=(0, 1)).T
         sq *= w.u[..., k:]
         r = sq.sum(axis=0)
         r /= w.norm[..., k:] if w.normalized else w.norm
         D[...] = np.ascontiguousarray(r.T).sum(axis=-1) / (2.0 * (config.n_agents - 1))
-    x0 = x_delayed[..., :1, :]
-    y = x_delayed - x0
-    rows = w.s.T[..., None]
-    v = np.ascontiguousarray(w.u.T) @ y
-    v -= rows * (x_now - x0 if config.delay_kind is DelayKind.TRANSMISSION else y)
-    v /= rows if w.normalized else w.norm
-    return v
+    xt = np.ascontiguousarray(x_delayed.T)  # (d, N, ...)
+    x0 = xt[:, :1]
+    y = xt - x0
+    v = np.einsum("ji...,kj...->ki...", w.u, y)
+    if config.delay_kind is DelayKind.TRANSMISSION:
+        y = np.ascontiguousarray(x_now.T) - x0  # the anchor x_now, relative to x_0
+    v -= w.s * y
+    v /= w.s if w.normalized else w.norm
+    return v.T
 
 
 def _grid_shape(config: SystemConfig, horizon: float, spec: IntegratorSpec) -> tuple[int, int]:
@@ -225,7 +240,7 @@ def _blown(nodes, center, limit, lowest):
 
 def rk4_method_of_steps(
     vel, states, derivs, mids, q, dt, reads_now=True, center=0.0, limit=BLOW_UP_THRESHOLD,
-    per_call=None, dissipation=None,
+    per_call=None, dissipation=None, sq_diameter=None,
 ):
     """Advance classical RK4 by the method of steps, in place, from node q (t = 0).
 
@@ -237,45 +252,51 @@ def rk4_method_of_steps(
     extra leading axes.  A state blows up where |state - center| exceeds
     limit or is not finite (both broadcast against a state).
 
-    reads_now=True steps one node at a time with four vel calls.
+    reads_now=True steps one node at a time with four vel calls, and takes
+    the delayed states and the blow-up test once per delay segment.
     reads_now=False declares that vel ignores x_now, as reaction-type delay
     does.  Then k3 = k2, k4 is the new node's derivative, and a step reads
-    only history at least one delay old, so the stepper advances the rest
-    of a delay segment, up to q steps, at once: it stacks their delayed
-    states and evaluates them in vel(None, stack) calls of at most per_call
-    states each (default: the whole stack).  Either way the nodes are summed
-    in order from the increments, so they equal the per-step loop's bit for
-    bit.
+    only history at least one delay old, so the stepper advances the rest of
+    a delay segment, up to q steps, at once: it stacks their delayed states
+    and evaluates them in vel(None, stack) calls of at most per_call states
+    each (default: the whole stack).  Either way the nodes are summed in
+    order from the increments, so they equal the per-step loop's bit for bit.
 
-    Given an (n, B) array dissipation, the call that gives derivs[m] is
-    vel(x_now, x_delayed, rows of dissipation), which writes D[m] there
-    (see velocity_from_states); without it, vel takes two arguments.
+    Given (n, B) arrays dissipation and sq_diameter, the call that gives
+    derivs[m] is vel(x_now, x_delayed, rows of dissipation, rows of
+    sq_diameter), which writes D[m] to dissipation[m] and the squared
+    diameter of its delayed state x(t_m - tau), node m - q, to
+    sq_diameter[m] (see velocity_from_states); without them, vel takes two
+    arguments.
 
     Returns one count per member: the number of nodes filled before its
-    first blown-up one, whose state is left in states.  The loop ends once
-    every member has blown up.
+    first blown-up one, whose state is left in states.  The loop ends with
+    the delay segment in which the last member blows up.
     """
     n = len(states)
     n_valid = np.full(len(dt), n)
     lowest = np.min(limit)
     half, sixth, eighth = 0.5 * dt, dt / 6.0, 0.125 * dt
-    width = 1 if reads_now else q
     per_call = per_call or 2 * q
 
     def node(x_now, x_delayed, rows):  # the last stacked x_delayed are those of the nodes rows
-        return vel(x_now, x_delayed) if dissipation is None else vel(x_now, x_delayed, dissipation[rows])
+        if dissipation is None:
+            return vel(x_now, x_delayed)
+        return vel(x_now, x_delayed, dissipation[rows], sq_diameter[rows])
 
     with np.errstate(all="ignore"):
         derivs[q] = node(states[q], states[0], q)
-        for a in range(q, n - 1, width):
-            b = min(a + width, n - 1)  # steps a..b-1 fill nodes a+1..b
+        for a in range(q, n - 1, q):
+            b = min(a + q, n - 1)  # steps a..b-1 fill nodes a+1..b
             xd_half, xd_full = _delayed_nodes(states, derivs, mids, q, a - q, b - q, eighth)
-            if reads_now:  # one step, on unstacked states
-                y0, k1, xd_half, xd_full = states[a], derivs[a], xd_half[0], xd_full[0]
-                k2 = vel(y0 + half * k1, xd_half)
-                k3 = vel(y0 + half * k2, xd_half)
-                k4 = vel(y0 + dt * k3, xd_full)
-                nodes = (y0 + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[None]
+            if reads_now:  # one step at a time, on unstacked states; k1 = derivs[m]
+                nodes = states[a + 1 : b + 1]
+                for m, xh, xf in zip(range(a, b), xd_half, xd_full):
+                    k2 = vel(states[m] + half * derivs[m], xh)
+                    k3 = vel(states[m] + half * k2, xh)
+                    k4 = vel(states[m] + dt * k3, xf)
+                    states[m + 1] = states[m] + sixth * (derivs[m] + 2.0 * k2 + 2.0 * k3 + k4)
+                    derivs[m + 1] = node(states[m + 1], xf, m + 1)
             else:
                 xd = np.concatenate([xd_half, xd_full])
                 c = b - a
@@ -291,8 +312,7 @@ def rk4_method_of_steps(
                 # node m + 1 = node m + increment m, summed in order
                 np.add(states[a : a + 1], nodes[:1], out=nodes[:1])
                 np.cumsum(nodes, axis=0, out=nodes)
-            states[a + 1 : b + 1] = nodes
-            derivs[a + 1 : b + 1] = node(nodes[0], xd_full, a + 1) if reads_now else k4
+                states[a + 1 : b + 1], derivs[a + 1 : b + 1] = nodes, k4
             bad = _blown(nodes, center, limit, lowest)
             if bad is not None:
                 hit = bad.any(axis=0) & (n_valid == n)
@@ -358,6 +378,9 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
     center, limit = _blow_up_bounds(states[:, q])
 
     D = np.full(grid.shape, np.nan)
+    # the stepper's row m of squared diameters is node m - q, so node k of a
+    # member is column q + k, and the last q nodes keep NaN
+    sq_diameter = np.full((B, n + q), np.nan)
     # reaction velocities read only delayed states; a reaction segment is
     # evaluated in stacks whose (states, B, N, N) pair arrays stay within
     # BLOCK_ENTRIES entries
@@ -365,11 +388,12 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
     n_valid = rk4_method_of_steps(
         partial(velocity_from_states, config), states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, q, dt,
         transmission, center, limit, block_length(B * config.n_agents**2), D.swapaxes(0, 1),
+        sq_diameter[:, :n].swapaxes(0, 1),
     )
     trajectories = tuple(
         Trajectory(
-            grid[b, :m], states[b, :m], derivs[b, :m], D[b, :m], configs[b], datums[b],
-            float(grid[b, m]) if m < n else None,
+            grid[b, :m], states[b, :m], derivs[b, :m], D[b, :m], sq_diameter[b, q : q + m],
+            configs[b], datums[b], float(grid[b, m]) if m < n else None,
         )
         for b, m in enumerate(n_valid.tolist())
     )

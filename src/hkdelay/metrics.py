@@ -2,11 +2,12 @@
 
 compute_metrics evaluates the state series on the trajectory grid at once:
 the diameter d_x, radius r_x, mean drift and quadratic fluctuation X.  It
-reads the dissipation D that the integrator wrote with each node's
-velocity, forms no weights itself, and builds the Lyapunov functional L
-from X and D.  Conventions: the diameter series is frozen at its startup
-maximum for t <= 0; fluctuation and the Lyapunov functional subtract the
-mean at t = 0 (it is conserved for symmetric reaction weights).
+reads the dissipation D and the squared diameters that the integrator
+wrote with each node's velocity, forms no weights itself, and builds the
+Lyapunov functional L from X and D.  Conventions: the diameter series is
+frozen at its startup maximum for t <= 0; fluctuation and the Lyapunov
+functional subtract the mean at t = 0 (it is conserved for symmetric
+reaction weights).
 """
 
 from __future__ import annotations
@@ -40,55 +41,75 @@ class MetricSeries:
 
     def to_csv(self, path) -> None:
         """Write one row per grid time; NaN entries are left empty.  Rows
-        become Python floats a block of block_length(7) rows at a time."""
+        become Python floats a block of block_length(7) rows at a time, and
+        each is formatted by one template, that of its pattern of NaN cells."""
         table = np.column_stack([self.times, self.d_x, self.r_x, self.mean_drift, self.X, self.D, self.L])
-        step = block_length(table.shape[1])
+        width = table.shape[1]
+        # bit k of a row's pattern: its column k is NaN (seven columns, one
+        # byte); "%.0s" formats a NaN cell as nothing
+        pattern = np.packbits(np.isnan(table), axis=1, bitorder="little")[:, 0]
+        template = {
+            p: ",".join(["%.0s" if p >> k & 1 else "%.17g" for k in range(width)]) + "\n"
+            for p in np.flatnonzero(np.bincount(pattern)).tolist()
+        }
+        step = block_length(width)
         with open(path, "w", newline="") as fh:
             fh.write("t,d_x,r_x,mean_drift,X,D,L\n")
             for a in range(0, len(table), step):
-                for row in table[a : a + step].tolist():
-                    # v != v only for NaN
-                    fh.write(",".join(["" if v != v else format(v, ".17g") for v in row]) + "\n")
+                for p, row in zip(pattern[a : a + step].tolist(), table[a : a + step].tolist()):
+                    fh.write(template[p] % tuple(row))
 
 
 def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     """Evaluate the diagnostic series on the trajectory grid, in blocks of nodes
-    whose (N, N, nodes) pair arrays, (nodes, N, d) deviations and
+    whose (N, N, nodes) pair arrays, (nodes, N d) deviations and
     (nodes, q + 1) Lyapunov windows stay within model.BLOCK_ENTRIES
     entries; D is the trajectory's own.
 
-    On the startup nodes d_x is the largest diameter of the datum over
-    [-tau, 0], read at its knots (the d_x0 of check_icass).  The Lyapunov
-    series, with lam = 1, is computed for reaction systems with symmetric
-    weights (where its decay is meaningful); it is NaN for other systems
-    and before t = tau.
+    The squared diameters come from the trajectory too, written by the node
+    calls from the pair arrays of their delayed states; pairs are formed
+    here only for the nodes that no node call read, the last q nodes or
+    fewer for a run cut short.  On the startup nodes d_x is the largest
+    diameter of the datum over [-tau, 0], read at its knots (the d_x0 of
+    check_icass).  r_x is the square root of the largest |x_i|^2 of a node,
+    reduced over agents node-last.  The Lyapunov series, with lam = 1, is
+    computed for reaction systems with symmetric weights (where its decay is
+    meaningful); it is NaN for other systems and before t = tau.
     """
     g = trajectory.grid
     S = trajectory.states
     D = trajectory.D
     n = g.size
-    n_agents = config.n_agents
+    n_agents, dim = config.n_agents, config.dim
     i0 = q = trajectory.origin  # startup nodes 0..i0, with g[i0] == 0
 
-    d_x = np.empty(n)
+    d_x = trajectory.sq_diameter.copy()
+    tail = i0 + 1 + np.flatnonzero(np.isnan(d_x[i0 + 1 :]))
     step = block_length(n_agents * n_agents)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        d_x[a:b] = pair_sq(S[a:b], S[a:b]).max(axis=(0, 1))
+    for a in range(0, len(tail), step):
+        nodes = tail[a : a + step]
+        x = S[nodes]
+        d_x[nodes] = pair_sq(x, x).max(axis=(0, 1))
     np.sqrt(d_x, out=d_x)
     d_x[: i0 + 1] = check_icass(trajectory.datum, config).d_x0
 
-    r_x, X, xbar = np.empty(n), np.empty(n), np.empty((n, config.dim))
+    r_x, X, xbar = np.empty(n), np.empty(n), np.empty((n, dim))
     ref = S[i0, 0]  # deviations relative to one agent, so a far datum keeps its digits
     xbar0 = (S[i0 : i0 + 1] - ref).mean(axis=1)  # the mean at t = 0, as a block computes it
-    step = block_length(n_agents * config.dim)
+    # node-major rows of N d entries, with ref and xbar0 tiled to a row; the
+    # agent means and the drift keep that layout, because numpy's summation
+    # order depends on it (pairwise along a contiguous axis of 8 or more)
+    rows = S.reshape(n, n_agents * dim)
+    ref_row, xbar0_row = np.tile(ref, n_agents), np.tile(xbar0, n_agents)
+    step = block_length(n_agents * dim)
     for a in range(0, n, step):
         b = min(a + step, n)
-        r_x[a:b] = np.sqrt(np.einsum("tik,tik->ti", S[a:b], S[a:b])).max(axis=1)
-        dev = S[a:b] - ref
-        xbar[a:b] = dev.mean(axis=1)
-        dev -= xbar0
-        X[a:b] = np.einsum("tik,tik->t", dev, dev) / (2.0 * (n_agents - 1))
+        r_x[a:b] = np.einsum("tik,tik->ti", S[a:b], S[a:b]).T.copy().max(axis=0)
+        dev = rows[a:b] - ref_row
+        xbar[a:b] = dev.reshape(b - a, n_agents, dim).mean(axis=1)
+        dev -= xbar0_row
+        X[a:b] = np.einsum("tj,tj->t", dev, dev) / (2.0 * (n_agents - 1))
+    np.sqrt(r_x, out=r_x)
     drift = np.sqrt(((xbar - xbar0) ** 2).sum(axis=1))
 
     L = np.full(n, np.nan)

@@ -16,9 +16,10 @@ agent j in agent i's row) with their row sums s_i; normalization is one
 divide by n_i (s_i, or N - 1 for classical weights) after any product with
 u.  Summation order, the same for a state alone as anywhere in a stack:
 row minima and row sums reduce over the outermost axis j in index order,
-((u_0i + u_1i) + u_2i) + ...; the velocity's sum over j is one BLAS matmul
-per state on a contiguous (..., N_i, N_j) copy of u (see
-dynamics.velocity_from_states, which also documents the order of D).
+((u_0i + u_1i) + u_2i) + ...; the velocity's sum over j is one einsum
+on u as it is laid out, which accumulates over j in index order, with no
+copy of u and no BLAS call (see dynamics.velocity_from_states, which also
+documents the order of D).
 """
 
 from __future__ import annotations

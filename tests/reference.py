@@ -19,7 +19,8 @@ startup and blow-up scaffolding, so its trajectories end as integrate's do.
 blocked_dissipation is the D series from a second weight evaluation over
 blocks of stored nodes, summed in the order that velocity_from_states
 documents, spelled out in spelled_out_dissipation.  Trajectory.D must
-equal it bit for bit.
+equal it bit for bit, and Trajectory.sq_diameter, where a node call wrote
+it, must equal blocked_sq_diameter.
 """
 
 import math
@@ -157,7 +158,8 @@ def integrate_oracle(config, datum, horizon, spec=None):
             )
     blow_up = float(grid[kept]) if kept < grid.size else None
     D = blocked_dissipation(config, states[:kept], q)
-    return Trajectory(grid[:kept], states[:kept], derivs[:kept], D, config, datum, blow_up)
+    sq_diameter = np.full(kept, np.nan)  # no node call
+    return Trajectory(grid[:kept], states[:kept], derivs[:kept], D, sq_diameter, config, datum, blow_up)
 
 
 def spelled_out_dissipation(config, weights, sq):
@@ -190,6 +192,17 @@ def blocked_dissipation(config, states, q):
         w = weights_from_states(config, states[a + q : c + q] if transmission else None, x_del)
         D[a + q : c + q] = spelled_out_dissipation(config, w, pair_sq(x_del, x_del))
     return D
+
+
+def blocked_sq_diameter(states):
+    """The squared diameter of each of (n, N, d) states: the maxima of
+    pair_sq over blocks of block_length(N^2) states."""
+    n, n_agents = states.shape[:2]
+    out = np.empty(n)
+    step = block_length(n_agents * n_agents)
+    for a in range(0, n, step):
+        out[a : a + step] = pair_sq(states[a : a + step], states[a : a + step]).max(axis=(0, 1))
+    return out
 
 
 def mean(state):

@@ -783,13 +783,13 @@ BENCH_SWEEP_VECTORS = [
 ]
 BENCH_SWEEP_CSV = """value,consensus_time,C_emp,regime,preconditions
 0.25,3.49609375,2.1079209396014411,,
-0.5,5.234375,1.2821712045828808,,
-0.75,13.18359375,0.48617807398194357,,
+0.5,5.234375,1.2821712045828815,,
+0.75,13.18359375,0.48617807398196317,,
 1,,0.16129915580506357,,
-1.25,,0.012481750519692409,,
-1.5,,-0.04597579980024355,,
-1.75,,-0.079242057524322798,,
-2,,-0.11703058598138508,,
+1.25,,0.012481750519692334,,
+1.5,,-0.045975799800243529,,
+1.75,,-0.07924205752432277,,
+2,,-0.11703058598138506,,
 """
 BLOW_UP_SWEEP_CSV = """value,consensus_time,C_emp,regime,preconditions
 0.5,9.703125,0.65901872819231,OscillatoryStable,reaction_symmetric

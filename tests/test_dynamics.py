@@ -23,7 +23,8 @@ from hkdelay.dynamics import trajectory_to_csv
 
 from conftest import make_config, random_datum
 from reference import (
-    blocked_dissipation, dissipation, eval_weights, integrate_oracle, read_trajectory_csv, rhs, sample,
+    blocked_dissipation, blocked_sq_diameter, dissipation, eval_weights, integrate_oracle, read_trajectory_csv,
+    rhs, sample,
 )
 
 
@@ -296,7 +297,7 @@ def test_sample_reproduces_linear_trajectory():
     states = np.array([t * slope for t in grid])
     derivs = np.array([slope for _ in grid])
     datum = InitialDatum.sampled([-1.0, 0.0], [(-1.0) * slope, 0.0 * slope])
-    traj = Trajectory(grid, states, derivs, blocked_dissipation(config, states, 4), config, datum)
+    traj = Trajectory(grid, states, derivs, blocked_dissipation(config, states, 4), np.full(9, np.nan), config, datum)
     for t in (-0.6, 0.125, 0.3751, 0.99):
         assert np.max(np.abs(sample(traj, t) - t * slope)) <= 1e-12
 
@@ -342,9 +343,9 @@ def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
     for entries, per_call in ((model.BLOCK_ENTRIES, 2 * q), (27, 3)):
         delayed = []
 
-        def spy(config, x_now, x_delayed, D=None):
+        def spy(config, x_now, x_delayed, D=None, sq_diameter=None):
             delayed.append(np.array(x_delayed))
-            return velocity(config, x_now, x_delayed, D)
+            return velocity(config, x_now, x_delayed, D, sq_diameter)
 
         monkeypatch.setattr(dynamics, "velocity_from_states", spy)
         monkeypatch.setattr(model, "BLOCK_ENTRIES", entries)
@@ -484,6 +485,16 @@ def assert_members_equal_solo_runs(configs, datums, horizons, specs):
         # D, written with each node's velocity, is the series that a second
         # weight evaluation over the stored nodes gives
         assert same_bits(member.D, blocked_dissipation(configs[b], member.states, member.origin)), b
+        # the node calls wrote the squared diameter of every node they read,
+        # the blocked pair maximum bit for bit; only the last q nodes, or
+        # fewer for a run cut short, were read by none.  A group runs on
+        # after a member blows up, so its calls may read more of that member
+        full = blocked_sq_diameter(member.states)
+        for t in (member, traj):
+            reached = ~np.isnan(t.sq_diameter)
+            assert reached[: t.grid.size - t.origin].all(), b
+            assert t.blow_up_time is not None or not reached[t.grid.size - t.origin :].any(), b
+            assert same_bits(t.sq_diameter[reached], full[reached]), b
     return run
 
 
@@ -652,13 +663,14 @@ def test_rk4_stepper_matches_per_step_loop_bit_for_bit(
         limit = limit * 1e-12
     reads_now = kind is DelayKind.TRANSMISSION
 
-    def vel(x_now, x_delayed, D=None):
-        return dynamics.velocity_from_states(config, x_now, x_delayed, D)
+    def vel(x_now, x_delayed, D=None, sq_diameter=None):
+        return dynamics.velocity_from_states(config, x_now, x_delayed, D, sq_diameter)
 
     ref_states, ref_derivs = states.copy(), derivs.copy()
     D = np.full(shape[:2], np.nan)
+    sq_diameter = np.full(shape[:2], np.nan)
     got = dynamics.rk4_method_of_steps(
-        vel, states, derivs, mids, q, dt, reads_now, center, limit, per_call, D
+        vel, states, derivs, mids, q, dt, reads_now, center, limit, per_call, D, sq_diameter
     )
     want = per_step_rk4(vel, ref_states, ref_derivs, mids, q, dt, reads_now, center, limit)
     assert np.array_equal(got, want)
@@ -669,6 +681,8 @@ def test_rk4_stepper_matches_per_step_loop_bit_for_bit(
         assert same_bits(states[:cut, b], ref_states[:cut, b]), b
         assert same_bits(derivs[:count, b], ref_derivs[:count, b]), b
         assert same_bits(D[:count, b], blocked_dissipation(config, ref_states[:count, b], q)), b
+        # row m holds the squared diameter of node m - q, node m's delayed state
+        assert same_bits(sq_diameter[q:count, b], blocked_sq_diameter(ref_states[: count - q, b])), b
     blown = sum(c < len(states) for c in counts)
     event(f"{'no' if blown == 0 else 'all' if blown == len(counts) else 'some'} members blow up")
     event("horizon ends mid-segment" if n_fwd % q else "horizon ends on a segment")
@@ -706,17 +720,21 @@ def test_kernel_gives_a_state_the_same_bits_alone_and_in_any_stack(
         x_now = None
     k = lead[0] // 2
     D = np.full((lead[0] - k,) + lead[1:], -1.0)
+    sq_diameter = np.full_like(D, -1.0)
     with np.errstate(all="ignore"):
-        v = velocity_from_states(config, x_now, x_del, D)
+        v = velocity_from_states(config, x_now, x_del, D, sq_diameter)
         w = model.weights_from_states(config, x_now, x_del).matrix()
         for idx in np.ndindex(*lead):
             now = None if x_now is None else x_now[idx]
             assert same_bits(velocity_from_states(config, now, x_del[idx]), v[idx]), idx
             assert same_bits(model.weights_from_states(config, now, x_del[idx]).matrix(), w[idx]), idx
-            one = np.empty(1)
-            velocity_from_states(config, None if now is None else now[None], x_del[idx][None], one)
+            one, one_sq = np.empty(1), np.empty(1)
+            velocity_from_states(config, None if now is None else now[None], x_del[idx][None], one, one_sq)
             if idx[0] >= k:
                 assert same_bits(one[0], D[(idx[0] - k,) + idx[1:]]), idx
+                # the same value; a NaN maximum may differ in its sign bit
+                for want in (sq_diameter[(idx[0] - k,) + idx[1:]], model.pair_sq(x_del[idx], x_del[idx]).max()):
+                    assert np.array_equal(one_sq[0], want, equal_nan=True), idx
     event(f"non-finite state: {bad}" if bad is not None else "finite states")
 
 
@@ -757,7 +775,7 @@ def test_trajectory_csv_bytes_match_reference_writer(tmp_path, rng, monkeypatch)
     states[3, 2, 2] = -1.2345678901234567e300
     states[4, 3, 0] = 1e300
     states[5, 0, 1] = -1e300
-    traj = Trajectory(traj.grid, states, traj.derivs, traj.D, config, datum)
+    traj = Trajectory(traj.grid, states, traj.derivs, traj.D, traj.sq_diameter, config, datum)
     trajectory_to_csv(traj, tmp_path / "new.csv")
     reference_trajectory_csv(traj, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -22,7 +22,7 @@ from hkdelay import (
     integrate,
     radius,
 )
-from hkdelay import model
+from hkdelay import metrics, model
 from hkdelay.model import has_symmetric_weights, pair_sq, weights_from_states
 
 from conftest import make_config, random_datum
@@ -143,7 +143,7 @@ def _frozen_trajectory(config, state, horizon):
     states = np.repeat(state[None], n, axis=0)
     derivs = np.zeros_like(states)
     datum = InitialDatum.constant(state)
-    return Trajectory(grid, states, derivs, blocked_dissipation(config, states, q), config, datum)
+    return Trajectory(grid, states, derivs, blocked_dissipation(config, states, q), np.full(n, np.nan), config, datum)
 
 
 def test_lyapunov_constant_dissipation_analytic():
@@ -371,6 +371,29 @@ def test_blocked_series_match_per_node_loop_on_blown_up_run(monkeypatch, block_e
     ms = compute_metrics(config, traj)
     assert not np.all(np.isnan(ms.L))
     assert_series_identical(ms, reference_metrics(config, traj))
+
+
+@pytest.mark.parametrize("kind", list(DelayKind))
+def test_compute_metrics_forms_pairs_only_for_nodes_no_node_call_read(monkeypatch, kind):
+    # each node call wrote the squared diameter of its delayed state, node
+    # m - q; the last q nodes are no node's delayed state within the horizon
+    taus, q = (0.5, 1.0, 1.5), 8
+    configs = [make_config(n_agents=4, dim=2, tau=tau, delay_kind=kind) for tau in taus]
+    datum = random_datum(np.random.default_rng(7), 4, 2)
+    run = integrate(configs, [datum] * len(taus), [6 * tau for tau in taus], [IntegratorSpec(tau / q) for tau in taus])
+    formed = []
+
+    def spy(a, b):
+        out = pair_sq(a, b)
+        formed.append(out.size // 16)  # nodes: 4 x 4 pairs each
+        return out
+
+    monkeypatch.setattr(metrics, "pair_sq", spy)
+    for config, traj in zip(configs, run.trajectories):
+        assert traj.blow_up_time is None
+        formed.clear()
+        compute_metrics(config, traj)
+        assert 0 < sum(formed) <= q
 
 
 # ---------------------------------------------------------------------------

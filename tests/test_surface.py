@@ -115,3 +115,40 @@ def test_model_holds_the_one_pair_and_weight_kernel():
             n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
         }
         assert "weights_from_states" in imported & called, module
+
+
+def reads_attribute(node, name: str) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))
+
+
+def test_velocity_and_series_read_the_stack_last_arrays_as_they_are():
+    # dynamics forms the velocity's product by einsum on u as the kernel
+    # lays it out, (N_j, N_i, ...): no matmul, which sums in BLAS's order,
+    # and no transposing copy of Weights.u.  metrics forms pairs only in its
+    # loop over the tail nodes, which no node call read
+    tree = ast.parse((PACKAGE / "dynamics.py").read_text())
+    matmul = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult)
+        or isinstance(n, ast.Name) and n.id == "matmul" or isinstance(n, ast.Attribute) and n.attr == "matmul"
+    ]
+    assert not matmul
+    layout = ("T", "mT", "transpose", "swapaxes", "moveaxis", "ascontiguousarray", "asfortranarray", "copy")
+    transposed = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in layout and reads_attribute(n.value, "u")
+        or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in layout
+        and any(reads_attribute(arg, "u") for arg in n.args)
+    ]
+    assert not transposed
+    tree = ast.parse((PACKAGE / "metrics.py").read_text())
+    in_tail = {
+        id(n) for loop in ast.walk(tree)
+        if isinstance(loop, ast.For) and any(isinstance(v, ast.Name) and v.id == "tail" for v in ast.walk(loop.iter))
+        for n in ast.walk(loop)
+    }
+    outside = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "pair_sq" and id(n) not in in_tail
+    ]
+    assert not outside
