@@ -270,14 +270,13 @@ def _apply_sweep_value(doc: dict, param: str, value: float) -> dict:
         if doc["config"]["influence"].get("kind") != "algebraic_decay":
             raise SpecError("sweep over gamma needs an algebraic_decay influence")
         doc["config"]["influence"]["gamma"] = value
-    elif param == "horizon":
+    else:  # horizon; cmd_sweep refuses any other param
         doc["horizon"] = value
-    else:
-        raise SpecError(f"unknown sweep parameter {param!r} (choose from {SWEEP_PARAMS})")
     return doc
 
 
-def _sweep_row(spec: ExperimentSpec, value: float, traj) -> dict:
+def _sweep_row(spec: ExperimentSpec, value: float, traj) -> str:
+    """The sweep.csv line of one value."""
     result = run_experiment(spec, traj)
     if result.error is not None:
         raise result.error
@@ -285,13 +284,9 @@ def _sweep_row(spec: ExperimentSpec, value: float, traj) -> dict:
     if spec.config.n_agents == 2:
         regime = toy.classify_regime(spec.config.delay_kind, spec.config.tau).value
     summary = result.report["metrics_summary"]
-    return {
-        "value": value,
-        "consensus_time": summary["consensus_time"],
-        "C_emp": summary["C_emp"],
-        "regime": regime,
-        "preconditions": "|".join(result.preconditions.applicable()),
-    }
+    numbers = [value, summary["consensus_time"], summary["C_emp"]]
+    cells = ["" if v is None else format(float(v), ".17g") for v in numbers]
+    return ",".join(cells + [regime, "|".join(result.preconditions.applicable())]) + "\n"
 
 
 def cmd_sweep(args) -> int:
@@ -317,14 +312,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         fh.write("value,consensus_time,C_emp,regime,preconditions\n")
-        for row in rows:
-            cells = [format(row["value"], ".17g")]
-            for key in ("consensus_time", "C_emp"):
-                v = row[key]
-                cells.append("" if v is None else format(float(v), ".17g"))
-            cells.append(row["regime"])
-            cells.append(row["preconditions"])
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(rows)
     return 0
 
 

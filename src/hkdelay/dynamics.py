@@ -113,8 +113,8 @@ def velocity_from_states(
     Transmission: dx_i/dt = sum_j psi_ij (x_delayed_j - x_now_i).
     Reaction:     dx_i/dt = sum_j psi_ij (x_delayed_j - x_delayed_i).
 
-    With psi_ij = u_ij / n_i (see model.Weights), the velocity is
-    normalized after the product, relative to agent 0 of x_delayed:
+    With psi_ij = u_ij / n_i, n the row denominator model.Weights.n, the
+    velocity is normalized after the product, relative to agent 0 of x_delayed:
         v_i = (sum_j u_ij (x_j - x_0) - s_i (anchor_i - x_0)) / n_i,
     anchor = x_now for transmission and x_delayed for reaction, so the
     velocity at exact consensus is exactly 0 and a datum far from the
@@ -124,14 +124,14 @@ def velocity_from_states(
     gets the same bits alone as in any stack.  The result is a transposed
     view of that layout.
 
-    D, if given, receives the dissipation of the last len(D) stacked states,
+    D and sq_diameter, given together, receive the dissipation and the
+    squared diameter of each of the last len(D) stacked states.  D is
     sum_i (sum_j u_ij |x_delayed_j - x_delayed_i|^2) / n_i / (2(N-1)), from
     these weights: the sum over j runs in index order, and the sum over i
     is numpy's sum of the N terms of one state, a contiguous vector.
-    Reaction reads the pair array that the weights were formed from.
-    sq_diameter, if given with D, receives the squared diameters of the
-    same states' x_delayed: the maxima of the pair array that D is formed
-    from.
+    Reaction reads the pair array that the weights were formed from.  The
+    squared diameters, of the same states' x_delayed, are the maxima of the
+    pair array that D is formed from.
     """
     x_delayed = np.asarray(x_delayed, dtype=float)
     w = weights_from_states(config, x_now, x_delayed)
@@ -139,11 +139,10 @@ def velocity_from_states(
         k = len(x_delayed) - len(D)  # the pair arrays' last axis is the first stacked one
         tail = x_delayed[k:]
         sq = pair_sq(tail, tail) if w.sq is None else w.sq[..., k:]
-        if sq_diameter is not None:
-            sq_diameter[...] = sq.max(axis=(0, 1)).T
+        sq_diameter[...] = sq.max(axis=(0, 1)).T
         sq *= w.u[..., k:]
         r = sq.sum(axis=0)
-        r /= w.norm[..., k:] if w.normalized else w.norm
+        r /= w.n[..., k:]
         D[...] = np.ascontiguousarray(r.T).sum(axis=-1) / (2.0 * (config.n_agents - 1))
     xt = np.ascontiguousarray(x_delayed.T)  # (d, N, ...)
     x0 = xt[:, :1]
@@ -152,7 +151,7 @@ def velocity_from_states(
     if config.delay_kind is DelayKind.TRANSMISSION:
         y = np.ascontiguousarray(x_now.T) - x0  # the anchor x_now, relative to x_0
     v -= w.s * y
-    v /= w.s if w.normalized else w.norm
+    v /= w.n
     return v.T
 
 

@@ -13,8 +13,9 @@ stack-last, the reverse of the states' axes: (N_j, N_i, ...), so that
 broadcasts and elementwise work run over the stack on numpy's inner loop
 however small N is.  The weights come unnormalized (Weights.u, u_ij for
 agent j in agent i's row) with their row sums s_i; normalization is one
-divide by n_i (s_i, or N - 1 for classical weights) after any product with
-u.  Summation order, the same for a state alone as anywhere in a stack:
+divide by the row denominator Weights.n (s_i, or N - 1 for classical
+weights) after any product with u, so the weight scheme is decided here
+alone.  Summation order, the same for a state alone as anywhere in a stack:
 row minima and row sums reduce over the outermost axis j in index order,
 ((u_0i + u_1i) + u_2i) + ...; the velocity's sum over j is one einsum
 on u as it is laid out, which accumulates over j in index order, with no
@@ -161,12 +162,8 @@ def psi_floor(influence: InfluenceFunction, d: float) -> float:
         return influence.c
     if influence.kind is InfluenceKind.ALGEBRAIC_DECAY:
         return float((1.0 + d * d) ** (-influence.gamma))
-    inside = influence.knots_s <= d
-    candidates = [float(influence(d))]
-    if np.any(inside):
-        candidates.append(float(np.min(influence.knots_psi[inside])))
-    candidates.append(float(influence(0.0)))
-    return min(candidates)
+    # the grid starts at s = 0, so knot 0 is always among those in [0, d]
+    return min(float(influence(d)), float(influence.knots_psi[influence.knots_s <= d].min()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,26 +406,22 @@ class Weights(NamedTuple):
 
     u[j, i, ...] is the unnormalized weight of agent j in agent i's row,
     zero on the diagonal, and s[i, ...] its row sum over j.  The weights
-    are u_ij / n_i, with n_i = s_i for normalized weights and N - 1 for
-    classical ones, so a product with u is normalized after it.  sq is the
-    pair array that u was formed from when it holds the delayed states' own
-    pairs (reaction delay), and None otherwise.
+    are u_ij / n_i, with the row denominator n the array s itself for
+    normalized weights and N - 1 on every row for classical ones, so a
+    product with u is normalized after it and no consumer names the
+    scheme.  sq is the pair array that u was formed from when it holds the
+    delayed states' own pairs (reaction delay), and None otherwise.
     """
 
     u: np.ndarray  # (N_j, N_i, ...)
     s: np.ndarray  # (N_i, ...)
-    normalized: bool
+    n: np.ndarray  # (N_i, ...)
     sq: np.ndarray | None
-
-    @property
-    def norm(self):
-        """The row normalizers n_i: s, or the float N - 1."""
-        return self.s if self.normalized else float(len(self.u) - 1)
 
     def matrix(self) -> np.ndarray:
         """(..., N_i, N_j) weight matrices u_ij / n_i, one per stacked state:
         the one view of the weights in the states' layout."""
-        return (self.u / self.norm).T
+        return (self.u / self.n).T
 
 
 def weights_from_states(
@@ -461,7 +454,9 @@ def weights_from_states(
         u = influence.of_sq(sq)
         diagonal = _diagonal(u)
     diagonal[...] = 0.0
-    return Weights(u, u.sum(axis=0), normalized, sq if reaction else None)
+    s = u.sum(axis=0)
+    n = s if normalized else np.full_like(s, config.n_agents - 1.0)
+    return Weights(u, s, n, sq if reaction else None)
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,7 @@ def spelled_out_dissipation(config, weights, sq):
     r = t[0].copy()
     for row in t[1:]:
         r += row
-    r /= weights.norm
+    r /= weights.n
     rows = r.reshape(len(r), -1)  # (N_i, states)
     total = [np.sum(np.array(rows[:, m])) for m in range(rows.shape[1])]
     return np.array(total) / (2.0 * (config.n_agents - 1))

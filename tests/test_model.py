@@ -142,23 +142,30 @@ def test_three_agents_normalized_matches_scalar_evaluation():
 
 @settings(max_examples=60, deadline=None)
 @given(
+    batch=st.sampled_from([(), (4,), (2, 3)]),
     n=st.integers(min_value=2, max_value=8),
     d=st.integers(min_value=1, max_value=3),
     kind=st.sampled_from(list(DelayKind)),
     scheme=st.sampled_from(list(WeightScheme)),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_row_sum_contract_random_states(n, d, kind, scheme, seed):
+def test_row_sum_contract_random_states(batch, n, d, kind, scheme, seed):
+    # the row denominator Weights.n is s itself for normalized weights and
+    # N - 1 on every row for classical ones, alone and in a stack
     rng = np.random.default_rng(seed)
     config = make_config(n_agents=n, dim=d, delay_kind=kind, weight_scheme=scheme)
-    x_now = rng.normal(size=(n, d))
-    x_del = rng.normal(size=(n, d))
-    w = weights_from_states(config, x_now, x_del).matrix()
-    sums = w.sum(axis=1)
-    assert np.all(np.diagonal(w) == 0.0)
+    x_now = rng.normal(size=batch + (n, d))
+    x_del = rng.normal(size=batch + (n, d))
+    weights = weights_from_states(config, x_now, x_del)
+    w = weights.matrix()
+    sums = w.sum(axis=-1)
+    assert np.all(np.diagonal(w, axis1=-2, axis2=-1) == 0.0)
     if scheme is WeightScheme.NORMALIZED:
+        assert weights.n is weights.s
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
     else:
+        assert weights.n.shape == (n,) + batch[::-1]
+        assert np.all(weights.n == n - 1.0)
         assert np.all(sums <= 1.0 + 1e-12)
 
 

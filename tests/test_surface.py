@@ -152,3 +152,20 @@ def test_velocity_and_series_read_the_stack_last_arrays_as_they_are():
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "pair_sq" and id(n) not in in_tail
     ]
     assert not outside
+
+
+def test_dynamics_and_metrics_do_not_name_the_weight_scheme():
+    # the kernel decides the scheme alone: Weights.n is the row denominator
+    # of either scheme, so the velocity and D divide by it, and neither
+    # dynamics nor metrics reads a scheme flag, enum or config field
+    scheme = {"normalized", "norm", "WeightScheme", "weight_scheme"}
+    for module in ("dynamics", "metrics"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        named = [
+            n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in scheme
+            or isinstance(n, ast.Name) and n.id in scheme
+            or isinstance(n, ast.keyword) and n.arg in scheme
+            or isinstance(n, ast.ImportFrom) and scheme & {a.name for a in n.names}
+        ]
+        assert not named, (module, named)
