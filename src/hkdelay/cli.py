@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, metrics, rates, toy
-from .errors import HKDelayError, NonPositiveSeries, SpecError
+from .errors import HKDelayError, InvalidDatum, NonPositiveSeries, SpecError
 from .model import (
     DelayKind,
     InitialDatum,
@@ -65,6 +65,8 @@ def _resolve_datum(raw: dict, config: SystemConfig, seed: int) -> InitialDatum:
         low = float(json_number("datum.low", raw.get("low", 0.0)))
         high = float(json_number("datum.high", raw.get("high", 1.0)))
         require_finite_squares("datum.low/high", [low, high], config.dim)
+        if low > high:
+            raise InvalidDatum(f"datum.low/high: low {low:g} exceeds high {high:g}")
         rng = np.random.default_rng(seed)
         return InitialDatum.constant(rng.uniform(low, high, (config.n_agents, config.dim)))
     return datum_from_dict(raw)

@@ -32,6 +32,7 @@ from .model import (
     InitialDatum,
     SystemConfig,
     block_length,
+    diameter,
     pair_sq,
     weights_from_states,
 )
@@ -198,13 +199,12 @@ def _blow_up_bounds(x0):
 
     A state x blows up where |x - xbar(0)| exceeds
     BLOW_UP_THRESHOLD * max(1, d_x(0)) or is not finite, with xbar(0) the
-    agent mean and d_x(0) the diameter at t = 0.  The dynamics are
+    agent mean and d_x(0) the model.diameter at t = 0.  The dynamics are
     translation-invariant, so a datum placed far from the origin does not
     blow up by its position alone.
     """
     center = x0.mean(axis=-2, keepdims=True)
-    d_x0 = np.sqrt(pair_sq(x0, x0).max(axis=(0, 1)))
-    return center, BLOW_UP_THRESHOLD * np.maximum(1.0, d_x0)[..., None, None]
+    return center, BLOW_UP_THRESHOLD * np.maximum(1.0, diameter(x0))[..., None, None]
 
 
 def _delayed_nodes(states, derivs, mids, q, j0, j1, eighth):

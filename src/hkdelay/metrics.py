@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonPositiveSeries
-from .model import SystemConfig, block_length, check_icass, has_symmetric_weights, pair_sq
+from .model import SystemConfig, block_length, check_icass, diameter, has_symmetric_weights, radius
 
 SIGN_ATOL = 1e-10
 
@@ -66,15 +66,15 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     (nodes, q + 1) Lyapunov windows stay within model.BLOCK_ENTRIES
     entries; D is the trajectory's own.
 
-    The squared diameters come from the trajectory too, written by the node
-    calls from the pair arrays of their delayed states; pairs are formed
-    here only for the nodes that no node call read, the last q nodes or
-    fewer for a run cut short.  On the startup nodes d_x is the largest
-    diameter of the datum over [-tau, 0], read at its knots (the d_x0 of
-    check_icass).  r_x is the square root of the largest |x_i|^2 of a node,
-    reduced over agents node-last.  The Lyapunov series, with lam = 1, is
-    computed for reaction systems with symmetric weights (where its decay is
-    meaningful); it is NaN for other systems and before t = tau.
+    The diameters come from the trajectory too, the roots of the squared
+    diameters that the node calls wrote; model.diameter fills only the
+    nodes that no node call read, the last q nodes or fewer for a run cut
+    short.  On the startup nodes d_x is check_icass's d_x0, the largest
+    diameter of the datum over [-tau, 0], read at its knots.  r_x is
+    model.radius of each node, as check_icass's r_x0 is of the datum.  The
+    Lyapunov series, with lam = 1, is computed for reaction systems with
+    symmetric weights (where its decay is meaningful); it is NaN for other
+    systems and before t = tau.
     """
     g = trajectory.grid
     S = trajectory.states
@@ -83,14 +83,12 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     n_agents, dim = config.n_agents, config.dim
     i0 = q = trajectory.origin  # startup nodes 0..i0, with g[i0] == 0
 
-    d_x = trajectory.sq_diameter.copy()
+    d_x = np.sqrt(trajectory.sq_diameter)
     tail = i0 + 1 + np.flatnonzero(np.isnan(d_x[i0 + 1 :]))
     step = block_length(n_agents * n_agents)
     for a in range(0, len(tail), step):
         nodes = tail[a : a + step]
-        x = S[nodes]
-        d_x[nodes] = pair_sq(x, x).max(axis=(0, 1))
-    np.sqrt(d_x, out=d_x)
+        d_x[nodes] = diameter(S[nodes])
     d_x[: i0 + 1] = check_icass(trajectory.datum, config).d_x0
 
     r_x, X, xbar = np.empty(n), np.empty(n), np.empty((n, dim))
@@ -104,12 +102,11 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     step = block_length(n_agents * dim)
     for a in range(0, n, step):
         b = min(a + step, n)
-        r_x[a:b] = np.einsum("tik,tik->ti", S[a:b], S[a:b]).T.copy().max(axis=0)
+        r_x[a:b] = radius(S[a:b])
         dev = rows[a:b] - ref_row
         xbar[a:b] = dev.reshape(b - a, n_agents, dim).mean(axis=1)
         dev -= xbar0_row
         X[a:b] = np.einsum("tj,tj->t", dev, dev) / (2.0 * (n_agents - 1))
-    np.sqrt(r_x, out=r_x)
     drift = np.sqrt(((xbar - xbar0) ** 2).sum(axis=1))
 
     L = np.full(n, np.nan)

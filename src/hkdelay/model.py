@@ -151,19 +151,18 @@ class InfluenceFunction:
 def psi_floor(influence: InfluenceFunction, d: float) -> float:
     """Minimum of the influence function over distances [0, d].
 
-    Exact for the constant and algebraic families (monotone, so the
-    minimum sits at an endpoint) and for tabulated profiles (piecewise
-    linear attains extrema at knots), hence usable as a certified lower
-    bound in the rate formulas.
+    The constant and algebraic families are monotone, so their minimum
+    over [0, d] is psi(d) itself; a tabulated profile is piecewise linear,
+    so its minimum is the smaller of psi(d) and the knots in [0, d].  Hence
+    usable as a certified lower bound in the rate formulas.
     """
     if d < 0.0 or not math.isfinite(d):
         raise InvalidConfig(f"psi_floor needs finite d >= 0, got {d}")
-    if influence.kind is InfluenceKind.CONSTANT:
-        return influence.c
-    if influence.kind is InfluenceKind.ALGEBRAIC_DECAY:
-        return float((1.0 + d * d) ** (-influence.gamma))
-    # the grid starts at s = 0, so knot 0 is always among those in [0, d]
-    return min(float(influence(d)), float(influence.knots_psi[influence.knots_s <= d].min()))
+    floor = float(influence(d))
+    if influence.kind is InfluenceKind.TABLE:
+        # the grid starts at s = 0, so knot 0 is always among those in [0, d]
+        floor = min(floor, float(influence.knots_psi[influence.knots_s <= d].min()))
+    return floor
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,10 +266,10 @@ class InitialDatum:
     def sampled(cls, times, values) -> "InitialDatum":
         t = np.asarray(times, dtype=float)
         v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise InvalidDatum("datum.times: a sampled datum grid is empty")
-        if t.size < 2 or np.any(np.diff(t) <= 0.0):
-            raise InvalidDatum("datum.times: a sampled datum needs a strictly increasing grid")
+        with np.errstate(all="ignore"):  # an overflowing spacing is refused below, not warned about
+            spacing = np.diff(t.ravel())
+        if t.ndim != 1 or t.size < 2 or not np.all((0.0 < spacing) & (spacing < math.inf)):
+            raise InvalidDatum("datum.times: a sampled datum needs a strictly increasing grid of finite spacing")
         if v.ndim == 2:  # (M, N) shorthand for d = 1
             v = v[:, :, None]
         if v.ndim != 3 or v.shape[0] != t.size or v.size == 0:
@@ -389,16 +388,17 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape((n * n,) + a.shape[2:])[:: n + 1]
 
 
-def diameter(state: np.ndarray) -> float:
-    """Maximum pairwise Euclidean distance of an (N, d) state."""
-    state = np.atleast_2d(np.asarray(state, dtype=float))
-    return math.sqrt(pair_sq(state, state).max())
+def diameter(states: np.ndarray) -> np.ndarray:
+    """Maximum pairwise Euclidean distance of each stacked (..., N, d) state."""
+    return np.sqrt(pair_sq(states, states).max(axis=(0, 1)).T)
 
 
-def radius(state: np.ndarray) -> float:
-    """Maximum Euclidean norm over the rows of an (N, d) array."""
-    state = np.atleast_2d(np.asarray(state, dtype=float))
-    return float(np.sqrt((state * state).sum(axis=1)).max())
+def radius(states: np.ndarray) -> np.ndarray:
+    """Maximum Euclidean norm over the agents of each stacked (..., N, d)
+    state: |x_i|^2 is one einsum, the same bits alone as in any stack, and
+    the maximum over agents runs node-last."""
+    states = np.asarray(states, dtype=float)
+    return np.sqrt(np.einsum("...ik,...ik->...i", states, states).T.copy().max(axis=0).T)
 
 
 class Weights(NamedTuple):
@@ -481,26 +481,25 @@ def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
     """Read the startup bounds of a datum that fits config.
 
     The states are read at -tau, at every datum knot strictly inside
-    (-tau, 0) and at 0; the slopes are those of every datum segment that
-    overlaps (-tau, 0) (none for constant data).  The datum is piecewise
-    linear and diameter and radius are convex, so their maxima over
-    [-tau, 0] lie at these states.
+    (-tau, 0) and at 0 (at 0 alone for constant data), and the slopes by
+    slope_at at the left knot of every datum segment that overlaps
+    (-tau, 0).  The datum is piecewise linear and diameter and radius are
+    convex, so their maxima over [-tau, 0] lie at these states.
     """
     datum.require_fits(config)
-    states, slopes = [datum.values], []
+    ts, tau = datum.times, config.tau
+    times, max_slope = [0.0], 0.0
     if datum.kind is DatumKind.SAMPLED:
-        ts, tau = datum.times, config.tau
-        inner = ts[(ts > -tau) & (ts < 0.0)].tolist()
-        states = datum.at([-tau, *inner, 0.0])
-        seg = np.where((ts[:-1] < 0.0) & (ts[1:] > -tau))[0]
-        slopes = [(datum.samples[i + 1] - datum.samples[i]) / (ts[i + 1] - ts[i]) for i in seg]
-    d_x0 = max(diameter(s) for s in states)
-    max_slope = max((radius(v) for v in slopes), default=0.0)
+        times = [-tau, *ts[(ts > -tau) & (ts < 0.0)].tolist(), 0.0]
+        left = ts[:-1][(ts[:-1] < 0.0) & (ts[1:] > -tau)]
+        max_slope = float(radius(datum.slope_at(left)).max(initial=0.0))
+    states = datum.at(times)
+    d_x0 = float(diameter(states).max())
     return IcassReport(
         satisfied=max_slope <= d_x0,
         max_slope=max_slope,
         d_x0=d_x0,
-        r_x0=max(radius(s) for s in states),
+        r_x0=float(radius(states).max()),
     )
 
 

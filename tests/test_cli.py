@@ -456,6 +456,11 @@ def _set(path, value):
         (_set("horizon", 10**400), "horizon"),
         (_set("integrator", {"dt": -(10**400)}), "integrator.dt"),
         (_set("datum", {"kind": "random_uniform", "high": 10**400}), "datum.high"),
+        # rng.uniform raised "high - low < 0"; a knot spacing of inf read the
+        # datum at 0 as its first knot, with overflow warnings, and exited 0
+        (_set("datum", {"kind": "random_uniform", "low": 0.0, "high": -1}), "datum.low/high"),
+        (_set("datum", {"kind": "sampled", "times": [-1e308, 1e308],
+                        "values": [[[0.0], [1.0], [2.0]], [[2.0], [3.0], [4.0]]]}), "datum.times"),
     ],
     ids=[
         "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
@@ -474,6 +479,7 @@ def _set(path, value):
         "outputs_string",
         "vectors_string", "vectors_bool", "times_string", "values_bool", "samples_bool", "samples_string",
         "vectors_huge_int", "horizon_huge_int", "dt_huge_int", "high_huge_int",
+        "random_low_above_high", "times_spacing_overflows",
     ],
 )
 def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field):
@@ -578,6 +584,27 @@ def test_startup_diameter_reads_datum_knots_between_grid_nodes(tmp_path):
     startup = [row.split(",") for row in rows if float(row.split(",")[0]) <= 0.0]
     assert len(startup) == 65
     assert all(row[1] == "2" for row in startup)
+
+
+def test_report_r_x0_is_the_series_r_x_at_t0(tmp_path):
+    # check_icass summed |x_i|^2 in another order than the series: at d = 3
+    # this datum's report read 5.727371343045463 against the CSV's ...462
+    doc = {
+        "config": {
+            "n_agents": 7, "dim": 3, "tau": 1.0,
+            "delay_kind": "reaction", "weight_scheme": "normalized",
+            "influence": {"kind": "algebraic_decay", "gamma": 1.0},
+        },
+        "datum": {"kind": "random_uniform", "low": -3.0, "high": 5.0},
+        "horizon": 2.0,
+        "seed": 2,
+    }
+    out = tmp_path / "out"
+    assert main(["simulate", write_spec(tmp_path / "d3.json", doc), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    rows = [row.split(",") for row in (out / "metrics.csv").read_text().splitlines()[1:]]
+    (r_x,) = [float(row[2]) for row in rows if float(row[0]) == 0.0]
+    assert report["metrics_summary"]["r_x0"] == report["preconditions"]["r_x0"] == r_x
 
 
 def test_simulate_seed_changes_random_datum(tmp_path):

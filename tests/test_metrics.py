@@ -383,12 +383,11 @@ def test_compute_metrics_forms_pairs_only_for_nodes_no_node_call_read(monkeypatc
     run = integrate(configs, [datum] * len(taus), [6 * tau for tau in taus], [IntegratorSpec(tau / q) for tau in taus])
     formed = []
 
-    def spy(a, b):
-        out = pair_sq(a, b)
-        formed.append(out.size // 16)  # nodes: 4 x 4 pairs each
-        return out
+    def spy(states):
+        formed.append(len(states))  # nodes, stacked on the first axis
+        return diameter(states)
 
-    monkeypatch.setattr(metrics, "pair_sq", spy)
+    monkeypatch.setattr(metrics, "diameter", spy)
     for config, traj in zip(configs, run.trajectories):
         assert traj.blow_up_time is None
         formed.clear()

@@ -1,4 +1,5 @@
 import bisect
+import math
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from hkdelay import (
     SystemConfig,
     WeightScheme,
     check_icass,
+    diameter,
     integrate,
     pair_sq,
     psi_floor,
+    radius,
     weights_from_states,
 )
 from hkdelay import dynamics
@@ -243,13 +246,15 @@ def test_kernel_matches_broadcast_reference(n, d, kind, scheme, influence, scale
 @given(
     batch=st.sampled_from([(1,), (4,), (2, 3)]),
     n=st.integers(min_value=2, max_value=9),
-    d=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=1, max_value=8),
     kind=st.sampled_from(list(DelayKind)),
     scheme=st.sampled_from(list(WeightScheme)),
     influence=st.sampled_from(KERNEL_INFLUENCES),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_kernel_on_stacked_states_matches_per_slice_calls(batch, n, d, kind, scheme, influence, seed):
+    # the pair kernel, the weights, the diameter and the radius give each
+    # state the same bits alone as in a stack
     rng = np.random.default_rng(seed)
     config = make_config(n_agents=n, dim=d, delay_kind=kind, weight_scheme=scheme,
                          influence=influence)
@@ -257,10 +262,19 @@ def test_kernel_on_stacked_states_matches_per_slice_calls(batch, n, d, kind, sch
     x_del = rng.normal(size=batch + (n, d))
     sq = pair_sq(x_now, x_del).T
     w = weights_from_states(config, x_now, x_del).matrix()
+    d_x, r_x = diameter(x_del), radius(x_del)
     assert sq.shape == w.shape == batch + (n, n)
+    assert d_x.shape == r_x.shape == batch
+    # the series' d_x and r_x before diameter and radius took stacks: the
+    # pair_sq maximum and the einsum of node-major states, reduced node-last
+    nodes = x_del.reshape(-1, n, d)
+    assert np.array_equal(d_x.ravel(), np.sqrt(pair_sq(nodes, nodes).max(axis=(0, 1))))
+    assert np.array_equal(r_x.ravel(), np.sqrt(np.einsum("tik,tik->ti", nodes, nodes).T.copy().max(axis=0)))
     for idx in np.ndindex(*batch):
         assert np.array_equal(sq[idx], pair_sq(x_now[idx], x_del[idx]).T)
         assert np.array_equal(w[idx], weights_from_states(config, x_now[idx], x_del[idx]).matrix())
+        assert diameter(x_del[idx]) == d_x[idx] == math.sqrt(pair_sq(x_del[idx], x_del[idx]).max())
+        assert radius(x_del[idx]) == r_x[idx]
 
 
 def test_normalized_weights_do_not_underflow():

@@ -1,0 +1,197 @@
+"""Every spec that the loader accepts runs or fails honestly.
+
+Each mutation class below is applied, one field at a time, to every field
+path of three small valid specs, and each document runs through
+`hkdelay simulate` in-process.  A run ends in one of three ways: exit 0
+with every requested output; exit 1 with one `error: <entry>...` line that
+starts with the spec's top-level entry (or `spec`) and no output
+directory; or exit 2, a blow-up, with its partial outputs and
+blow_up_time.  No run raises, prints a traceback or warns, and every JSON
+output parses with NaN and Infinity refused.
+"""
+
+import copy
+import json
+import math
+import re
+import warnings
+
+import pytest
+
+from hkdelay.cli import DEFAULT_OUTPUTS, main
+
+BASES = {
+    "constant": {
+        "config": {
+            "n_agents": 3, "dim": 2, "tau": 0.5,
+            "delay_kind": "transmission", "weight_scheme": "normalized",
+            "influence": {"kind": "algebraic_decay", "gamma": 1.0},
+        },
+        "datum": {"kind": "constant_per_agent", "vectors": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]},
+        "integrator": {"dt": 0.125, "method": "rk4_steps"},
+        "horizon": 2.0,
+        "outputs": ["trajectory", "metrics", "report"],
+        "seed": 0,
+    },
+    "sampled_table": {
+        "config": {
+            "n_agents": 2, "dim": 1, "tau": 0.5,
+            "delay_kind": "reaction", "weight_scheme": "classical_scaled",
+            "influence": {"kind": "table", "samples": [[0.0, 1.0], [1.0, 0.5], [2.0, 0.25]]},
+        },
+        "datum": {"kind": "sampled", "times": [-0.5, -0.25, 0.0], "values": [[[0.0], [1.0]], [[0.5], [1.0]], [[0.0], [2.0]]]},
+        "integrator": {"dt": 0.125, "method": "rk4_steps"},
+        "horizon": 2.0,
+        "outputs": ["trajectory", "metrics", "report"],
+        "seed": 0,
+    },
+    "random_rates": {
+        "config": {
+            "n_agents": 4, "dim": 1, "tau": 0.25,
+            "delay_kind": "reaction", "weight_scheme": "normalized",
+            "influence": {"kind": "constant", "c": 0.5},
+        },
+        "datum": {"kind": "random_uniform", "low": 0.0, "high": 1.0},
+        "integrator": {"dt": 0.0625, "method": "rk4_steps"},
+        "horizon": 1.0,
+        "outputs": ["rates", "report"],
+        "seed": 5,
+    },
+}
+
+TOP_LEVEL = ("config", "datum", "integrator", "horizon", "outputs", "seed", "spec")
+ERROR_LINE = re.compile(rf"error: ({'|'.join(TOP_LEVEL)})\b[^\n]*\n")
+FILES = {"trajectory": "trajectory.csv", "metrics": "metrics.csv", "rates": "rates.json", "report": "report.json"}
+DELETE = object()
+
+
+def field_paths(doc, prefix=()):
+    """Every key path of a JSON object, containers and leaves alike."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+def at_first_number(*mutants):
+    """Put each mutant in place of the field, or of the first element of
+    an array field, so that arrays meet every scalar mutation too."""
+    def mutate(value):
+        out = []
+        for mutant in mutants:
+            if not isinstance(value, list):
+                out.append(mutant)
+                continue
+            array = copy.deepcopy(value)
+            inner = array
+            while isinstance(inner[0], list):
+                inner = inner[0]
+            inner[0] = mutant
+            out.append(array)
+        return out
+    return mutate
+
+
+def ragged(value):
+    """An array whose first row is one element longer than the others, or
+    whose first element became a row."""
+    if isinstance(value, list) and value and isinstance(value[0], list):
+        value = copy.deepcopy(value)
+        value[0] = value[0] + value[0][:1]
+        return [value]
+    if isinstance(value, list) and value:
+        return [[[value[0], value[0]]] + value[1:]]
+    return [[[0.0, 0.0], [0.0]]]
+
+
+def unknown_entry(value):
+    if isinstance(value, dict):
+        return [{**value, "unknown_entry": 1}]
+    if isinstance(value, list):
+        return [value + ["unknown_entry"]]
+    return ["unknown_entry"]
+
+
+MUTATIONS = {
+    "wrong_type": lambda v: [[] if isinstance(v, dict) else {}],
+    "bool": at_first_number(True),
+    "numeric_string": at_first_number("1"),
+    "nan": at_first_number(math.nan),
+    "inf": at_first_number(math.inf, -math.inf),
+    "zero": at_first_number(0),
+    "negative": at_first_number(-1),
+    "huge_tiny": at_first_number(1e300, 1e-300),
+    "empty_array": lambda v: [[]],
+    "ragged_array": ragged,
+    "missing_field": lambda v: [DELETE],
+    "unknown_entry": unknown_entry,
+}
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutated(base, path, mutant):
+    doc = copy.deepcopy(base)
+    parent = value_at(doc, path[:-1])
+    if mutant is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutant
+    return doc
+
+
+def refuse_constant(name):
+    raise ValueError(f"bare {name} in a JSON output")
+
+
+def outcome_faults(doc, work, capsys) -> list:
+    """What in one simulate run of doc breaks the three-outcome contract."""
+    spec, out = work / "spec.json", work / "out"
+    work.mkdir()
+    spec.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(["simulate", str(spec), "--out", str(out)])
+        except BaseException as exc:  # a traceback at the command line
+            return [f"raised {type(exc).__name__}: {exc}"]
+    err = capsys.readouterr().err
+    faults = [f"warned: {w.message}" for w in caught]
+    if "Traceback" in err:
+        faults.append("printed a traceback")
+    if code == 1:
+        if not ERROR_LINE.fullmatch(err):
+            faults.append(f"exit 1 without one error line naming a top-level entry: {err!r}")
+        if out.exists():
+            faults.append("exit 1 left an output directory")
+        return faults
+    if code not in (0, 2):
+        return faults + [f"exit {code}: {err!r}"]
+    missing = [name for name in doc.get("outputs", DEFAULT_OUTPUTS) if not (out / FILES[name]).exists()]
+    if missing:
+        faults.append(f"exit {code} without the outputs {missing}")
+    for path in sorted(out.glob("*.json")):
+        try:
+            report = json.loads(path.read_text(), parse_constant=refuse_constant)
+        except ValueError as exc:
+            faults.append(f"{path.name}: {exc}")
+            continue
+        if path.name == "report.json" and (report["blow_up_time"] is None) != (code == 0):
+            faults.append(f"exit {code} with blow_up_time {report['blow_up_time']}")
+    return faults
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_every_mutated_spec_runs_or_fails_honestly(tmp_path, capsys, base, mutation):
+    faults = []
+    for path in field_paths(BASES[base]):
+        for k, mutant in enumerate(MUTATIONS[mutation](value_at(BASES[base], path))):
+            doc = mutated(BASES[base], path, mutant)
+            work = tmp_path / f"{'.'.join(path)}-{k}"
+            faults += [f"{'.'.join(path)} -> {mutant!r}: {f}" for f in outcome_faults(doc, work, capsys)]
+    assert not faults

@@ -124,8 +124,8 @@ def reads_attribute(node, name: str) -> bool:
 def test_velocity_and_series_read_the_stack_last_arrays_as_they_are():
     # dynamics forms the velocity's product by einsum on u as the kernel
     # lays it out, (N_j, N_i, ...): no matmul, which sums in BLAS's order,
-    # and no transposing copy of Weights.u.  metrics forms pairs only in its
-    # loop over the tail nodes, which no node call read
+    # and no transposing copy of Weights.u.  metrics calls diameter only in
+    # its loop over the tail nodes, which no node call read
     tree = ast.parse((PACKAGE / "dynamics.py").read_text())
     matmul = [
         n.lineno for n in ast.walk(tree)
@@ -149,7 +149,30 @@ def test_velocity_and_series_read_the_stack_last_arrays_as_they_are():
     }
     outside = [
         n.lineno for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "pair_sq" and id(n) not in in_tail
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "diameter" and id(n) not in in_tail
+    ]
+    assert not outside
+
+
+def test_states_reduce_to_d_x_and_r_x_through_model_alone():
+    # model.diameter and model.radius are the one reduction of states to a
+    # diameter or a radius: metrics does not name pair_sq, and dynamics
+    # calls it only in velocity_from_states, whose node call takes d_x^2
+    # from the pair array it forms for D
+    tree = ast.parse((PACKAGE / "metrics.py").read_text())
+    named = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and n.id == "pair_sq" or isinstance(n, ast.Attribute) and n.attr == "pair_sq"
+        or isinstance(n, ast.ImportFrom) and "pair_sq" in {a.name for a in n.names}
+    ]
+    assert not named
+    tree = ast.parse((PACKAGE / "dynamics.py").read_text())
+    (velocity,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "velocity_from_states"]
+    inside = {id(n) for n in ast.walk(velocity)}
+    outside = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))
+        and getattr(n.func, "id", getattr(n.func, "attr", None)) == "pair_sq" and id(n) not in inside
     ]
     assert not outside
 
