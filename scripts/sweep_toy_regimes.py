@@ -12,7 +12,14 @@ from pathlib import Path
 
 from hkdelay.metrics import count_sign_changes
 from hkdelay.model import DelayKind
-from hkdelay.toy import classify_regime, fitted_decay_rate, rightmost_root, simulate_toy
+from hkdelay.toy import (
+    classify_regime,
+    fitted_decay_rate,
+    linear_coefficients,
+    rightmost_root,
+    simulate_toy,
+    two_agent_config,
+)
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -21,9 +28,11 @@ def main() -> int:
     taus = [0.05 * k for k in range(1, 25)]
     rows = []
     for tau in taus:
-        regime = classify_regime(DelayKind.REACTION, tau)
-        root = rightmost_root(DelayKind.REACTION, tau)
-        series = simulate_toy(DelayKind.REACTION, tau, 1.0, horizon=40 * tau, dt=tau / 32)
+        config = two_agent_config(DelayKind.REACTION, tau)
+        a, b = linear_coefficients(config)
+        regime = classify_regime(a, b, tau)
+        root = rightmost_root(a, b, tau)
+        series = simulate_toy(config, 1.0, horizon=40 * tau, dt=tau / 32)
         changes = count_sign_changes(series.w[series.times > 0])
         rate = fitted_decay_rate(series, t_lo=5 * tau)
         rows.append(

@@ -60,8 +60,10 @@ from .toy import (
     ToySeries,
     classify_regime,
     fitted_decay_rate,
+    linear_coefficients,
     rightmost_root,
     simulate_toy,
+    two_agent_config,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ import numpy as np
 from . import dynamics, metrics, rates, toy
 from .errors import HKDelayError, InvalidDatum, NonPositiveSeries, SpecError
 from .model import (
-    DelayKind,
     InitialDatum,
     SystemConfig,
     config_from_dict,
@@ -284,7 +283,7 @@ def _sweep_row(spec: ExperimentSpec, value: float, traj) -> str:
         raise result.error
     regime = ""
     if spec.config.n_agents == 2:
-        regime = toy.classify_regime(spec.config.delay_kind, spec.config.tau).value
+        regime = toy.classify_regime(*toy.linear_coefficients(spec.config), spec.config.tau).value
     summary = result.report["metrics_summary"]
     numbers = [value, summary["consensus_time"], summary["C_emp"]]
     cells = ["" if v is None else format(float(v), ".17g") for v in numbers]
@@ -327,10 +326,11 @@ def cmd_rate(args) -> int:
 
 
 def cmd_toy(args) -> int:
-    kind = DelayKind.TRANSMISSION if args.kind == "transmission" else DelayKind.REACTION
-    regime = toy.classify_regime(kind, args.tau)
-    root = toy.rightmost_root(kind, args.tau)
-    series = toy.simulate_toy(kind, args.tau, w0=1.0, horizon=args.horizon, dt=args.dt)
+    config = toy.two_agent_config(args.kind, args.tau)
+    a, b = toy.linear_coefficients(config)
+    regime = toy.classify_regime(a, b, config.tau)
+    root = toy.rightmost_root(a, b, config.tau)
+    series = toy.simulate_toy(config, w0=1.0, horizon=args.horizon, dt=args.dt)
     forward = series.times > 0.0
     changes = metrics.count_sign_changes(series.w[forward])
     fitted = toy.fitted_decay_rate(series)

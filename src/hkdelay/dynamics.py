@@ -160,8 +160,8 @@ def _grid_shape(config: SystemConfig, horizon: float, spec: IntegratorSpec) -> t
     """(q, n_fwd): steps per delay and forward steps to the horizon.  A grid
     whose states cannot be addressed is refused, naming integrator.dt when
     the startup segment alone is too long."""
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise InvalidConfig(f"horizon: must be positive and finite, got {horizon}")
+    if not (horizon / spec.dt > 1e-9 and math.isfinite(horizon)):  # n_fwd >= 1 below
+        raise InvalidConfig(f"horizon: must be finite and give at least one step of {spec.dt:g}, got {horizon}")
     q = spec.steps_per_delay(config.tau)
     node_bytes = 8 * config.n_agents * config.dim
     nodes = q + horizon / spec.dt + 1

@@ -182,12 +182,12 @@ class PreconditionReport:
 
 
 def psi0_lower_bound(config: SystemConfig, datum: InitialDatum) -> float:
-    """(N-1) times the smallest off-diagonal weight at t = 0."""
+    """(N-1) times the smallest off-diagonal weight at t = 0, capped at 1 against rounding."""
     x0 = datum.at(0.0)
     x_del = datum.at(-config.tau)
     w = weights_from_states(config, x0, x_del).matrix()
     off = w[~np.eye(config.n_agents, dtype=bool)]
-    return float((config.n_agents - 1) * off.min())
+    return min(1.0, float((config.n_agents - 1) * off.min()))
 
 
 def check_preconditions(config: SystemConfig, datum: InitialDatum) -> PreconditionReport:

@@ -21,6 +21,7 @@ from hkdelay import (
     count_sign_changes,
     fit_decay_rate,
     integrate,
+    linear_coefficients,
     psi_floor,
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
@@ -28,6 +29,7 @@ from hkdelay import (
     simulate_toy,
     solve_halanay,
     theorem_rates,
+    two_agent_config,
 )
 
 from lemmas import convexity_bound_check, shrink_iteration, simulate_equality_case
@@ -55,14 +57,14 @@ def test_toy_regime_reproduction():
     timings = []
 
     t0 = time.perf_counter()
-    s = simulate_toy(DelayKind.REACTION, 0.15, 1.0, horizon=40 * 0.15)
+    s = simulate_toy(two_agent_config(DelayKind.REACTION, 0.15), 1.0, horizon=40 * 0.15)
     timings.append(time.perf_counter() - t0)
     fwd = s.times > 0
     checks.append(count_sign_changes(s.w[fwd]) == 0)
     checks.append(abs(s.w[-1]) < 1e-3 * 1.0)
 
     t0 = time.perf_counter()
-    s = simulate_toy(DelayKind.REACTION, 0.5, 1.0, horizon=40 * 0.5)
+    s = simulate_toy(two_agent_config(DelayKind.REACTION, 0.5), 1.0, horizon=40 * 0.5)
     timings.append(time.perf_counter() - t0)
     fwd = s.times > 0
     checks.append(count_sign_changes(s.w[fwd]) >= 3)
@@ -71,7 +73,7 @@ def test_toy_regime_reproduction():
     checks.append(peaks.size >= 3 and bool(np.all(np.diff(a[peaks][1:]) < 0.0)))
 
     t0 = time.perf_counter()
-    s = simulate_toy(DelayKind.REACTION, 1.0, 1.0, horizon=40.0)
+    s = simulate_toy(two_agent_config(DelayKind.REACTION, 1.0), 1.0, horizon=40.0)
     timings.append(time.perf_counter() - t0)
     a = np.abs(s.w)
     late = a[(s.times >= 30.0) & (s.times <= 40.0)].max()
@@ -297,14 +299,16 @@ def test_integrator_trust():
 
 def test_root_regime_consistency():
     ok = True
+    reaction = linear_coefficients(two_agent_config(DelayKind.REACTION, 1.0))
+    transmission = linear_coefficients(two_agent_config(DelayKind.TRANSMISSION, 1.0))
     for k in range(1, 41):
         tau = 0.05 * k
-        regime = classify_regime(DelayKind.REACTION, tau)
+        regime = classify_regime(*reaction, tau)
         if regime is ToyRegime.BOUNDARY:
             continue
-        root = rightmost_root(DelayKind.REACTION, tau)
+        root = rightmost_root(*reaction, tau)
         stable = regime in (ToyRegime.NON_OSCILLATORY_STABLE, ToyRegime.OSCILLATORY_STABLE)
         ok = ok and ((root.re < 0.0) == stable)
-    trans_ok = all(rightmost_root(DelayKind.TRANSMISSION, tau).re < 0.0 for tau in (0.1, 1.0, 10.0))
+    trans_ok = all(rightmost_root(*transmission, tau).re < 0.0 for tau in (0.1, 1.0, 10.0))
     ok = ok and trans_ok
     assert _report("characteristic roots match regimes", ok)

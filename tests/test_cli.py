@@ -7,7 +7,7 @@ from hkdelay import DelayKind, dynamics, metrics, rate_transmission_normalized, 
 from hkdelay.errors import InvalidConfig, NoRootFound, OutOfRange, PreconditionViolated
 from hkdelay.cli import load_spec, main
 from hkdelay.dynamics import default_spec
-from hkdelay.toy import classify_regime, simulate_toy
+from hkdelay.toy import classify_regime, linear_coefficients, simulate_toy, two_agent_config
 from hkdelay.model import config_from_dict
 
 from reference import read_trajectory_csv
@@ -461,6 +461,8 @@ def _set(path, value):
         (_set("datum", {"kind": "random_uniform", "low": 0.0, "high": -1}), "datum.low/high"),
         (_set("datum", {"kind": "sampled", "times": [-1e308, 1e308],
                         "values": [[[0.0], [1.0], [2.0]], [[2.0], [3.0], [4.0]]]}), "datum.times"),
+        # ceil(horizon/dt - 1e-9) took no step: the run stopped at t = 0 and exited 0
+        (_set("horizon", 1e-300), "horizon"),
     ],
     ids=[
         "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
@@ -479,7 +481,7 @@ def _set(path, value):
         "outputs_string",
         "vectors_string", "vectors_bool", "times_string", "values_bool", "samples_bool", "samples_string",
         "vectors_huge_int", "horizon_huge_int", "dt_huge_int", "high_huge_int",
-        "random_low_above_high", "times_spacing_overflows",
+        "random_low_above_high", "times_spacing_overflows", "horizon_tiny",
     ],
 )
 def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field):
@@ -794,7 +796,7 @@ def per_value_sweep_csv(tmp_path, doc, values):
         cells += ["" if summary[key] is None else format(summary[key], ".17g") for key in ("consensus_time", "C_emp")]
         regime = ""
         if one["config"]["n_agents"] == 2:
-            regime = classify_regime(DelayKind(one["config"]["delay_kind"]), float(value)).value
+            regime = classify_regime(*linear_coefficients(config_from_dict(one["config"])), float(value)).value
         theorems = report["preconditions"]["theorems"]
         cells += [regime, "|".join(name for name in rates.THEOREMS if theorems[name]["applies"])]
         lines.append(",".join(cells))
@@ -855,6 +857,25 @@ def test_grouped_tau_sweep_matches_one_value_at_a_time(tmp_path, config, vectors
                  "--values", *values, "--out", str(out)]) == 0
     assert (out / "sweep.csv").read_text() == expected
     assert per_value_sweep_csv(tmp_path, doc, values) == expected
+
+
+def test_two_agent_regime_reads_the_config_coefficients(tmp_path):
+    # classical weights with psi(0) = 0.5 give b = 1.  The rows read the
+    # regimes of the normalized toy's b = 2 instead: OscillatoryStable at
+    # tau = 0.3, where the rightmost root is real and C_emp equals -Re xi*,
+    # and Unstable at tau = 1, which reaches consensus
+    doc = {"config": {"n_agents": 2, "dim": 1, "tau": 1.0, "delay_kind": "reaction",
+                      "weight_scheme": "classical_scaled", "influence": {"kind": "constant", "c": 0.5}},
+           "datum": {"kind": "constant_per_agent", "vectors": [[0.0], [1.0]]}, "seed": 0}
+    out = tmp_path / "out"
+    assert main(["sweep", write_spec(tmp_path / "s.json", doc), "--param", "tau",
+                 "--values", "0.3", "1.0", "--out", str(out)]) == 0
+    text = (out / "sweep.csv").read_text()
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    assert [row[3] for row in rows] == ["NonOscillatoryStable", "OscillatoryStable"]
+    assert float(rows[0][2]) == pytest.approx(1.6313, abs=1e-3)
+    assert rows[1][1] != ""
+    assert text == per_value_sweep_csv(tmp_path, doc, ["0.3", "1.0"])
 
 
 def test_simulate_with_euler_oracle_integrator(tmp_path, capsys):
@@ -1021,8 +1042,8 @@ def test_default_resolution_is_tau_over_64(tmp_path, capsys):
     doc["integrator"] = {"dt": 1e306}
     assert load_spec(doc).integrator.dt == 1e306
     tau = 0.3
-    default = simulate_toy(DelayKind.REACTION, tau, w0=1.0, horizon=2.0)
-    explicit = simulate_toy(DelayKind.REACTION, tau, w0=1.0, horizon=2.0, dt=tau / 64)
+    default = simulate_toy(two_agent_config(DelayKind.REACTION, tau), w0=1.0, horizon=2.0)
+    explicit = simulate_toy(two_agent_config(DelayKind.REACTION, tau), w0=1.0, horizon=2.0, dt=tau / 64)
     assert np.array_equal(default.times, explicit.times)
     assert np.array_equal(default.w, explicit.w)
     assert main(["toy", "--tau", str(tau), "--kind", "reaction", "--horizon", "2"]) == 0

@@ -22,6 +22,7 @@ from hkdelay import (
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
     solve_halanay,
+    theorem_rates,
 )
 
 from conftest import make_config
@@ -339,6 +340,21 @@ def test_preconditions_normalized_constant_psi_counts_as_symmetric():
     )
     datum = InitialDatum.constant([[0.0], [0.5], [1.0]])
     assert "reaction_symmetric" in check_preconditions(config, datum).applicable()
+
+
+def test_equal_normalized_weights_give_psi0_lower_one():
+    # 19 times the rounded weight 0.7/(19 * 0.7) read 1.0000000000000004,
+    # which rate_reaction_nonsymmetric refused: the run exited 1 with
+    # InvalidProblem where reaction_small_delay applies
+    config = make_config(
+        n_agents=20, tau=0.02,
+        delay_kind=DelayKind.REACTION,
+        weight_scheme=WeightScheme.NORMALIZED,
+        influence=InfluenceFunction.constant(0.7),
+    )
+    rep = check_preconditions(config, InitialDatum.constant(np.arange(20.0)[:, None] / 20.0))
+    assert rep.psi0_lower == 1.0
+    assert "reaction_small_delay" in theorem_rates(config, rep)[0]
 
 
 def startup_bounds(datum, tau):

@@ -1,7 +1,7 @@
 """Every spec that the loader accepts runs or fails honestly.
 
 Each mutation class below is applied, one field at a time, to every field
-path of three small valid specs, and each document runs through
+path of four small valid specs, and each document runs through
 `hkdelay simulate` in-process.  A run ends in one of three ways: exit 0
 with every requested output; exit 1 with one `error: <entry>...` line that
 starts with the spec's top-level entry (or `spec`) and no output
@@ -56,6 +56,19 @@ BASES = {
         "horizon": 1.0,
         "outputs": ["rates", "report"],
         "seed": 5,
+    },
+    # b tau = 2 > pi/2: the gap grows and passes the blow-up limit at t = 164.5
+    "blow_up": {
+        "config": {
+            "n_agents": 2, "dim": 1, "tau": 1.0,
+            "delay_kind": "reaction", "weight_scheme": "normalized",
+            "influence": {"kind": "constant", "c": 1.0},
+        },
+        "datum": {"kind": "constant_per_agent", "vectors": [[0.0], [1.0]]},
+        "integrator": {"dt": 0.25, "method": "rk4_steps"},
+        "horizon": 165.0,
+        "outputs": ["metrics", "report"],
+        "seed": 0,
     },
 }
 
@@ -148,8 +161,9 @@ def refuse_constant(name):
     raise ValueError(f"bare {name} in a JSON output")
 
 
-def outcome_faults(doc, work, capsys) -> list:
-    """What in one simulate run of doc breaks the three-outcome contract."""
+def outcome_faults(doc, work, capsys) -> tuple:
+    """The exit code of one simulate run of doc, and what in it breaks the
+    three-outcome contract."""
     spec, out = work / "spec.json", work / "out"
     work.mkdir()
     spec.write_text(json.dumps(doc))
@@ -158,7 +172,7 @@ def outcome_faults(doc, work, capsys) -> list:
         try:
             code = main(["simulate", str(spec), "--out", str(out)])
         except BaseException as exc:  # a traceback at the command line
-            return [f"raised {type(exc).__name__}: {exc}"]
+            return None, [f"raised {type(exc).__name__}: {exc}"]
     err = capsys.readouterr().err
     faults = [f"warned: {w.message}" for w in caught]
     if "Traceback" in err:
@@ -168,9 +182,9 @@ def outcome_faults(doc, work, capsys) -> list:
             faults.append(f"exit 1 without one error line naming a top-level entry: {err!r}")
         if out.exists():
             faults.append("exit 1 left an output directory")
-        return faults
+        return code, faults
     if code not in (0, 2):
-        return faults + [f"exit {code}: {err!r}"]
+        return code, faults + [f"exit {code}: {err!r}"]
     missing = [name for name in doc.get("outputs", DEFAULT_OUTPUTS) if not (out / FILES[name]).exists()]
     if missing:
         faults.append(f"exit {code} without the outputs {missing}")
@@ -182,16 +196,21 @@ def outcome_faults(doc, work, capsys) -> list:
             continue
         if path.name == "report.json" and (report["blow_up_time"] is None) != (code == 0):
             faults.append(f"exit {code} with blow_up_time {report['blow_up_time']}")
-    return faults
+    return code, faults
 
 
 @pytest.mark.parametrize("base", sorted(BASES))
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_every_mutated_spec_runs_or_fails_honestly(tmp_path, capsys, base, mutation):
-    faults = []
+    faults, codes = [], []
     for path in field_paths(BASES[base]):
         for k, mutant in enumerate(MUTATIONS[mutation](value_at(BASES[base], path))):
             doc = mutated(BASES[base], path, mutant)
             work = tmp_path / f"{'.'.join(path)}-{k}"
-            faults += [f"{'.'.join(path)} -> {mutant!r}: {f}" for f in outcome_faults(doc, work, capsys)]
+            code, found = outcome_faults(doc, work, capsys)
+            codes.append(code)
+            faults += [f"{'.'.join(path)} -> {mutant!r}: {f}" for f in found]
     assert not faults
+    if base == "blow_up" and mutation in ("missing_field", "unknown_entry"):
+        # a dropped seed or an ignored entry leaves the run that blows up
+        assert 2 in codes

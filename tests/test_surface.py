@@ -192,3 +192,34 @@ def test_dynamics_and_metrics_do_not_name_the_weight_scheme():
             or isinstance(n, ast.ImportFrom) and scheme & {a.name for a in n.names}
         ]
         assert not named, (module, named)
+
+
+def test_toy_names_delay_kinds_and_schemes_only_in_its_coefficient_map():
+    # one linear equation serves every regime: the delay kind and the weight
+    # scheme enter toy.py only through linear_coefficients and the one
+    # two-agent config, and no threshold or root is written on 2 tau
+    tree = ast.parse((PACKAGE / "toy.py").read_text())
+    allowed = {
+        id(n) for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name in ("linear_coefficients", "two_agent_config")
+        for n in ast.walk(f)
+    }
+    named = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id in ("DelayKind", "WeightScheme") and id(n) not in allowed
+    ]
+    assert not named
+
+    def is_tau(node):
+        return isinstance(node, ast.Name) and node.id == "tau" or isinstance(node, ast.Attribute) and node.attr == "tau"
+
+    def is_two(node):
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 2
+
+    doubled = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+        and (is_two(n.left) and is_tau(n.right) or is_tau(n.left) and is_two(n.right))
+    ]
+    assert not doubled

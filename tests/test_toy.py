@@ -6,35 +6,52 @@ import pytest
 
 from hkdelay import (
     DelayKind,
+    InfluenceFunction,
+    InitialDatum,
+    SystemConfig,
     ToyRegime,
+    WeightScheme,
+    check_icass,
+    check_preconditions,
     classify_regime,
+    compute_metrics,
     count_sign_changes,
     fitted_decay_rate,
+    integrate,
+    linear_coefficients,
     rightmost_root,
     simulate_toy,
+    theorem_rates,
+    two_agent_config,
 )
+from hkdelay.cli import _fit_c_emp
 
 TAU_GRID = [0.05 * k for k in range(1, 41)]
+# (a, b) of the two-agent toy, whose gap obeys w' = -a w(t) - b w(t - tau)
+REACTION = linear_coefficients(two_agent_config(DelayKind.REACTION, 1.0))
+TRANSMISSION = linear_coefficients(two_agent_config(DelayKind.TRANSMISSION, 1.0))
+COEFFICIENTS = {DelayKind.REACTION: REACTION, DelayKind.TRANSMISSION: TRANSMISSION}
 
 
 # ---------------------------------------------------------------------------
 # regime classification
 
 def test_regimes_by_delay_length():
-    assert classify_regime(DelayKind.REACTION, 0.15) is ToyRegime.NON_OSCILLATORY_STABLE
-    assert classify_regime(DelayKind.REACTION, 0.5) is ToyRegime.OSCILLATORY_STABLE
-    assert classify_regime(DelayKind.REACTION, 1.0) is ToyRegime.UNSTABLE
-    assert classify_regime(DelayKind.TRANSMISSION, 0.5) is ToyRegime.ALWAYS_STABLE
-    assert classify_regime(DelayKind.TRANSMISSION, 100.0) is ToyRegime.ALWAYS_STABLE
+    assert (REACTION, TRANSMISSION) == ((0.0, 2.0), (1.0, 1.0))
+    assert classify_regime(*REACTION, 0.15) is ToyRegime.NON_OSCILLATORY_STABLE
+    assert classify_regime(*REACTION, 0.5) is ToyRegime.OSCILLATORY_STABLE
+    assert classify_regime(*REACTION, 1.0) is ToyRegime.UNSTABLE
+    assert classify_regime(*TRANSMISSION, 0.5) is ToyRegime.ALWAYS_STABLE
+    assert classify_regime(*TRANSMISSION, 100.0) is ToyRegime.ALWAYS_STABLE
 
 
 def test_regime_boundary_flags():
     for threshold in (math.exp(-1.0), math.pi / 2.0):
         tau = threshold / 2.0
-        assert classify_regime(DelayKind.REACTION, tau) is ToyRegime.BOUNDARY
-        assert classify_regime(DelayKind.REACTION, tau + 1e-10) is ToyRegime.BOUNDARY
-        assert classify_regime(DelayKind.REACTION, tau + 1e-6) is not ToyRegime.BOUNDARY
-        assert classify_regime(DelayKind.REACTION, tau - 1e-6) is not ToyRegime.BOUNDARY
+        assert classify_regime(*REACTION, tau) is ToyRegime.BOUNDARY
+        assert classify_regime(*REACTION, tau + 1e-10) is ToyRegime.BOUNDARY
+        assert classify_regime(*REACTION, tau + 1e-6) is not ToyRegime.BOUNDARY
+        assert classify_regime(*REACTION, tau - 1e-6) is not ToyRegime.BOUNDARY
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +59,13 @@ def test_regime_boundary_flags():
 
 def test_transmission_roots_always_in_left_half_plane():
     for tau in (0.1, 1.0, 10.0):
-        root = rightmost_root(DelayKind.TRANSMISSION, tau)
+        root = rightmost_root(*TRANSMISSION, tau)
         assert root.re < 0.0
         assert root.residual <= 1e-10
 
 
 def test_reaction_root_real_negative_in_first_regime():
-    root = rightmost_root(DelayKind.REACTION, 0.15)
+    root = rightmost_root(*REACTION, 0.15)
     assert root.im == pytest.approx(0.0, abs=1e-8)
     assert root.re < 0.0
     # verify against the characteristic function directly
@@ -56,18 +73,18 @@ def test_reaction_root_real_negative_in_first_regime():
 
 
 def test_reaction_root_unstable_for_long_delay():
-    root = rightmost_root(DelayKind.REACTION, 1.0)
+    root = rightmost_root(*REACTION, 1.0)
     assert root.re > 0.0
     assert root.residual <= 1e-10
     # growth confirmed by simulation amplitude
-    series = simulate_toy(DelayKind.REACTION, 1.0, 1.0, horizon=30.0)
+    series = simulate_toy(two_agent_config(DelayKind.REACTION, 1.0), 1.0, horizon=30.0)
     a = np.abs(series.w)
     assert a[series.times > 25.0].max() > 10.0 * a[(series.times > 0) & (series.times < 5.0)].max()
 
 
 def test_simulate_toy_default_horizon_is_forty_delays():
-    default = simulate_toy(DelayKind.REACTION, 0.3, 1.0)
-    explicit = simulate_toy(DelayKind.REACTION, 0.3, 1.0, horizon=40 * 0.3)
+    default = simulate_toy(two_agent_config(DelayKind.REACTION, 0.3), 1.0)
+    explicit = simulate_toy(two_agent_config(DelayKind.REACTION, 0.3), 1.0, horizon=40 * 0.3)
     assert default.times[-1] == 40 * 0.3
     assert np.array_equal(default.w, explicit.w)
 
@@ -76,7 +93,7 @@ def test_reaction_root_satisfies_rescaled_equation():
     # eta = xi * tau solves eta + 2 tau e^{-eta} = 0 whenever xi solves
     # xi + 2 e^{-xi tau} = 0
     for tau in (0.15, 0.5, 1.0):
-        root = rightmost_root(DelayKind.REACTION, tau)
+        root = rightmost_root(*REACTION, tau)
         xi = complex(root.re, root.im)
         eta = xi * tau
         assert abs(eta + 2.0 * tau * cmath.exp(-eta)) <= 1e-9
@@ -84,10 +101,10 @@ def test_reaction_root_satisfies_rescaled_equation():
 
 def test_root_regime_consistency_on_grid():
     for tau in TAU_GRID:
-        regime = classify_regime(DelayKind.REACTION, tau)
+        regime = classify_regime(*REACTION, tau)
         if regime is ToyRegime.BOUNDARY:
             continue
-        root = rightmost_root(DelayKind.REACTION, tau)
+        root = rightmost_root(*REACTION, tau)
         if regime is ToyRegime.UNSTABLE:
             assert root.re > 0.0, tau
         else:
@@ -98,13 +115,13 @@ def test_root_regime_consistency_on_grid():
 # simulation
 
 def test_zero_start_stays_zero():
-    series = simulate_toy(DelayKind.REACTION, 0.3, 0.0, horizon=3.0)
+    series = simulate_toy(two_agent_config(DelayKind.REACTION, 0.3), 0.0, horizon=3.0)
     assert np.max(np.abs(series.w)) == 0.0
 
 
 def test_short_delay_never_oscillates():
     tau = 0.15
-    series = simulate_toy(DelayKind.REACTION, tau, 1.0, horizon=20 * tau)
+    series = simulate_toy(two_agent_config(DelayKind.REACTION, tau), 1.0, horizon=20 * tau)
     fwd = series.times > 0
     assert count_sign_changes(series.w[fwd]) == 0
     assert abs(series.w[-1]) < 1e-3
@@ -112,7 +129,7 @@ def test_short_delay_never_oscillates():
 
 def test_intermediate_delay_damped_oscillations():
     tau = 0.5
-    series = simulate_toy(DelayKind.REACTION, tau, 1.0, horizon=40 * tau)
+    series = simulate_toy(two_agent_config(DelayKind.REACTION, tau), 1.0, horizon=40 * tau)
     fwd = series.times > 0
     assert count_sign_changes(series.w[fwd]) >= 3
     a = np.abs(series.w)
@@ -125,10 +142,10 @@ def test_intermediate_delay_damped_oscillations():
 
 def test_oscillation_presence_matches_regime_on_grid():
     for tau in TAU_GRID:
-        regime = classify_regime(DelayKind.REACTION, tau)
+        regime = classify_regime(*REACTION, tau)
         if regime is ToyRegime.BOUNDARY:
             continue
-        series = simulate_toy(DelayKind.REACTION, tau, 1.0, horizon=40 * tau, dt=tau / 32)
+        series = simulate_toy(two_agent_config(DelayKind.REACTION, tau), 1.0, horizon=40 * tau, dt=tau / 32)
         window = (series.times >= 5 * tau) & (series.times <= 40 * tau)
         changes = count_sign_changes(series.w[window])
         if regime is ToyRegime.NON_OSCILLATORY_STABLE:
@@ -139,7 +156,7 @@ def test_oscillation_presence_matches_regime_on_grid():
 
 def test_transmission_amplitude_decays_on_grid():
     for tau in TAU_GRID[::2]:
-        series = simulate_toy(DelayKind.TRANSMISSION, tau, 1.0, horizon=40 * tau, dt=tau / 32)
+        series = simulate_toy(two_agent_config(DelayKind.TRANSMISSION, tau), 1.0, horizon=40 * tau, dt=tau / 32)
         assert abs(series.w[-1]) < 1.0, tau
 
 
@@ -153,8 +170,8 @@ def test_fitted_rate_matches_root_in_stable_regimes():
         (DelayKind.TRANSMISSION, 1.0),
     ]
     for kind, tau in cases:
-        root = rightmost_root(kind, tau)
-        series = simulate_toy(kind, tau, 1.0, horizon=40 * tau)
+        root = rightmost_root(*COEFFICIENTS[kind], tau)
+        series = simulate_toy(two_agent_config(kind, tau), 1.0, horizon=40 * tau)
         rate = fitted_decay_rate(series, t_lo=5 * tau)
         assert rate is not None
         assert rate == pytest.approx(-root.re, rel=0.10), (kind, tau)
@@ -181,12 +198,85 @@ def reference_fitted_rate(series):
 ])
 def test_fitted_rate_equals_its_least_squares_slope_bit_for_bit(kind, tau):
     # hkdelay toy prints this rate with all its digits
-    series = simulate_toy(kind, tau, 1.0, horizon=40 * tau)
+    series = simulate_toy(two_agent_config(kind, tau), 1.0, horizon=40 * tau)
     assert fitted_decay_rate(series) == reference_fitted_rate(series)
 
 
 def test_blow_up_truncates_series():
-    series = simulate_toy(DelayKind.REACTION, 2.0, 1.0, horizon=200.0)
+    series = simulate_toy(two_agent_config(DelayKind.REACTION, 2.0), 1.0, horizon=200.0)
     assert series.blow_up_time is not None
     assert np.all(np.isfinite(series.w))
     assert np.max(np.abs(series.w)) > 1e10
+
+
+# ---------------------------------------------------------------------------
+# the linearization at consensus for every N
+
+@pytest.mark.parametrize("scheme, c", [(WeightScheme.NORMALIZED, 1.0), (WeightScheme.CLASSICAL_SCALED, 0.8)])
+@pytest.mark.parametrize("n", [2, 3, 12])
+def test_linear_coefficients_read_psi_at_zero_and_n(scheme, c, n):
+    # c = psi(0), or 1 for normalized weights; a table starting at 0.8
+    psi = InfluenceFunction.table([[0.0, 0.8], [1.0, 0.4]])
+    reaction = SystemConfig(n, 2, 0.4, DelayKind.REACTION, scheme, psi)
+    transmission = SystemConfig(n, 2, 0.4, DelayKind.TRANSMISSION, scheme, psi)
+    assert linear_coefficients(reaction) == (0.0, c * n / (n - 1))
+    assert linear_coefficients(transmission) == (c, c / (n - 1))
+
+
+def test_two_agent_classical_regime_reads_psi_at_zero():
+    # psi = 0.5 with classical weights halves the toy's b: b tau = 0.3 is
+    # below 1/e, with a real rightmost root, and b tau = 1 below pi/2
+    config = SystemConfig(2, 1, 0.3, DelayKind.REACTION, WeightScheme.CLASSICAL_SCALED,
+                          InfluenceFunction.constant(0.5))
+    a, b = linear_coefficients(config)
+    assert (a, b) == (0.0, 1.0)
+    assert classify_regime(a, b, 0.3) is ToyRegime.NON_OSCILLATORY_STABLE
+    assert classify_regime(a, b, 1.0) is ToyRegime.OSCILLATORY_STABLE
+    root = rightmost_root(a, b, 0.3)
+    assert root.im == 0.0 and root.re == pytest.approx(-1.6313, abs=1e-4)
+    series = simulate_toy(config, 1.0)
+    assert fitted_decay_rate(series) == pytest.approx(-root.re, rel=1e-3)
+
+
+LINEAR_TAUS = (0.1, 0.4, 0.7)
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+@pytest.mark.parametrize("scheme", list(WeightScheme))
+@pytest.mark.parametrize("kind", list(DelayKind))
+def test_c_emp_is_the_linear_rate_where_the_rightmost_root_is_real(kind, scheme, n):
+    # with constant psi the system is linear, so its diameter decays at
+    # C_lin = -Re xi* of the rightmost root of xi + b e^{-xi tau} + a; a
+    # complex root makes d_x oscillate about that line, so only real roots
+    # are compared
+    configs = [SystemConfig(n, 2, tau, kind, scheme, InfluenceFunction.constant(0.7)) for tau in LINEAR_TAUS]
+    datum = InitialDatum.constant(np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2)))
+    group = integrate(configs, [datum] * len(configs), [30.0 * tau for tau in LINEAR_TAUS])
+    compared = 0
+    for config, traj in zip(configs, group.trajectories):
+        root = rightmost_root(*linear_coefficients(config), config.tau)
+        assert root.re < 0.0
+        if root.im == 0.0:
+            c_emp = _fit_c_emp(compute_metrics(config, traj), check_icass(datum, config).r_x0)
+            assert c_emp == pytest.approx(-root.re, rel=0.01), config.tau
+            compared += 1
+    assert compared >= 1
+
+
+def test_theorem_rates_do_not_exceed_the_linear_rate():
+    # a theorem rate bounds the decay of every datum it admits, so it is at
+    # most C_lin, the decay of data near consensus
+    rng = np.random.default_rng(3)
+    checked = 0
+    for n in (3, 5, 20):
+        datum = InitialDatum.constant(rng.uniform(-1.0, 1.0, (n, 2)))
+        for tau in np.geomspace(0.02, 3.0, 15):
+            for kind in DelayKind:
+                for psi in (InfluenceFunction.constant(0.7), InfluenceFunction.algebraic_decay(1.0)):
+                    config = SystemConfig(n, 2, tau, kind, WeightScheme.NORMALIZED, psi)
+                    theoretical, _ = theorem_rates(config, check_preconditions(config, datum))
+                    root = rightmost_root(*linear_coefficients(config), tau)
+                    for name, rate in theoretical.items():
+                        assert rate["C"] <= -root.re, (name, n, tau, kind, psi.kind)
+                        checked += 1
+    assert checked >= 90
