@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +27,17 @@ from .model import (
     datum_from_dict,
     json_number,
     require_finite_squares,
+    require_known,
 )
 
 DEFAULT_OUTPUTS = ("trajectory", "metrics", "report")
 KNOWN_OUTPUTS = ("trajectory", "metrics", "rates", "report")
+# a run forms the diagnostics that one of its outputs reads, and d_x, the
+# preconditions and the rates always: only metrics.csv reads D (its D and L
+# columns), and metrics.csv and report.json (X0, X_final) the fluctuation
+# series r_x, mean drift, X and L
+READS_D = ("metrics",)
+READS_FLUCTUATION = ("metrics", "report")
 SWEEP_PARAMS = ("tau", "N", "gamma", "horizon")
 CONSENSUS_REL_TOL = 1e-3
 FIT_ROUNDING_ULPS = 64
@@ -61,6 +68,7 @@ class ExperimentSpec:
 def _resolve_datum(raw: dict, config: SystemConfig, seed: int) -> InitialDatum:
     kind = raw.get("kind")
     if kind == "random_uniform":
+        require_known("datum", raw, ("kind", "low", "high"))
         low = float(json_number("datum.low", raw.get("low", 0.0)))
         high = float(json_number("datum.high", raw.get("high", 1.0)))
         require_finite_squares("datum.low/high", [low, high], config.dim)
@@ -86,17 +94,20 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
     """Build a resolved ExperimentSpec from a JSON document.
 
     A malformed field raises a package error whose message starts with the
-    name of the field or of its section.
+    name of the field or of its section, and so does an entry that no
+    section knows.
     """
     overrides = overrides or {}
     if not isinstance(doc, dict):
         raise SpecError(f"spec: expected a JSON object, got {type(doc).__name__}")
+    require_known("spec", doc, [f.name for f in fields(ExperimentSpec)])
     config = config_from_dict(_section(doc, "config"))
     seed = json_number("seed", overrides.get("seed", doc.get("seed", 0)), integer=True)
     datum = _resolve_datum(_section(doc, "datum"), config, seed)
     datum.require_fits(config)
     horizon = float(json_number("horizon", overrides.get("horizon", doc.get("horizon", 20.0 * config.tau))))
     integ = _section(doc, "integrator", {})
+    require_known("integrator", integ, ("method", "dt"))
     given = overrides if "dt" in overrides else integ
     if "dt" in given:  # an explicit dt is judged on its own grid, not the default's
         dt = float(json_number("integrator.dt", given["dt"]))
@@ -179,20 +190,27 @@ def _fit_c_emp(series: metrics.MetricSeries, r_x0: float):
         return None
 
 
+def _reads(spec: ExperimentSpec, readers) -> bool:
+    """Whether one of spec's outputs is among readers."""
+    return any(name in readers for name in spec.outputs)
+
+
 def run_experiment(spec: ExperimentSpec, traj=None) -> RunResult:
     """Integrate spec, unless a sweep passes the trajectory that its group
-    gave, and evaluate the metrics, preconditions and report.
+    gave, and evaluate the metrics, preconditions and report.  Only the
+    diagnostics that spec's outputs read are formed (see READS_D and
+    READS_FLUCTUATION); the summary's X0 and X_final are None without X.
 
     A package error after the integration is kept in the result with what
     was computed before it; its class name is the report's exit_reason.
     """
     if traj is None:
-        traj = dynamics.integrate(spec.config, spec.datum, spec.horizon, spec.integrator)
+        traj = dynamics.integrate(spec.config, spec.datum, spec.horizon, spec.integrator, _reads(spec, READS_D))
     blow_up = traj.blow_up_time
     series = precond = summary = error = None
     theoretical, skipped = {}, {}
     try:
-        series = metrics.compute_metrics(spec.config, traj)
+        series = metrics.compute_metrics(spec.config, traj, _reads(spec, READS_FLUCTUATION))
         precond = rates.check_preconditions(spec.config, spec.datum)
         theoretical, skipped = rates.theorem_rates(spec.config, precond)
         c_emp = None if blow_up is not None else _fit_c_emp(series, precond.icass.r_x0)
@@ -201,8 +219,8 @@ def run_experiment(spec: ExperimentSpec, traj=None) -> RunResult:
             "d_x0": series.d_x0,
             "d_x_final": float(series.d_x[-1]),
             "r_x0": precond.icass.r_x0,
-            "X0": float(series.X[traj.origin]),
-            "X_final": float(series.X[-1]),
+            "X0": None if series.X is None else float(series.X[traj.origin]),
+            "X_final": None if series.X is None else float(series.X[-1]),
             "consensus_time": None if blow_up is not None else metrics.consensus_time(series, tol),
             "consensus_tol": tol,
             "C_emp": c_emp,
@@ -298,8 +316,11 @@ def cmd_sweep(args) -> int:
     doc = _read_spec_doc(args.spec)
     overrides = _overrides(args)
     # every value loads before any integrates, so a bad one fails first;
-    # tau sweeps drop the spec's own dt and horizon; --dt and --horizon still apply
-    specs = [load_spec(_apply_sweep_value(doc, args.param, v), overrides) for v in args.values]
+    # tau sweeps drop the spec's own dt and horizon; --dt and --horizon still
+    # apply.  A value writes no file of its own, so its outputs, checked by
+    # load_spec, are emptied: it forms neither D nor the fluctuation series
+    specs = [replace(load_spec(_apply_sweep_value(doc, args.param, v), overrides), outputs=())
+             for v in args.values]
     groups: dict = {}
     for i, spec in enumerate(specs):
         groups.setdefault(dynamics.group_key(spec.config, spec.horizon, spec.integrator), []).append(i)
@@ -307,7 +328,8 @@ def cmd_sweep(args) -> int:
     for members in groups.values():
         columns = zip(*[(specs[i].config, specs[i].datum, specs[i].horizon, specs[i].integrator)
                         for i in members])
-        for i, traj in zip(members, dynamics.integrate(*columns).trajectories):
+        run = dynamics.integrate(*columns, any(_reads(specs[i], READS_D) for i in members))
+        for i, traj in zip(members, run.trajectories):
             rows[i] = _sweep_row(specs[i], args.values[i], traj)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

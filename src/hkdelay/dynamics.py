@@ -9,9 +9,9 @@ delayed states are evaluated in stacked calls, and its nodes are summed in
 order from the increments, bit for bit as a step-by-step loop would give.
 A half step reads the prescribed datum on the startup interval and the
 closed-form cubic Hermite midpoint of a computed segment after it.  A
-trajectory stores states, derivatives, the dissipation D (from the
-weights of each node's velocity call) and the squared diameters (from the
-pair array of that call's delayed state) on the grid nodes only; a run
+trajectory stores states, derivatives, the squared diameters (from the
+pair array of each node call's delayed state) and, when asked for, the
+dissipation D (from that call's weights) on the grid nodes only; a run
 that blows up ends before its first blown-up node and records that node's
 time.
 """
@@ -84,17 +84,17 @@ def default_spec(config: SystemConfig) -> IntegratorSpec:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Solution history on [-tau, T]: states, derivatives, D (NaN before
-    t = 0) and squared diameters on a uniform grid with grid[0] = -tau, and
-    the startup datum.  The node call at node m, which writes D[m], reads
-    node m - q as its delayed state and writes sq_diameter[m - q]; the
-    nodes that no node call read, the last q or fewer for a run cut short,
-    hold NaN.  A run that blew up ends before its first blown-up node, whose
+    t = 0, or None for a run integrated without it) and squared diameters
+    on a uniform grid with grid[0] = -tau, and the startup datum.  The node
+    call at node m, which writes D[m], reads node m - q as its delayed
+    state and writes sq_diameter[m - q]; the nodes that no node call read,
+    the last q or fewer for a run cut short, hold NaN.  A run that blew up ends before its first blown-up node, whose
     time is blow_up_time (None for a run that reached the horizon)."""
 
     grid: np.ndarray  # (n,)
     states: np.ndarray  # (n, N, d)
     derivs: np.ndarray  # (n, N, d)
-    D: np.ndarray  # (n,)
+    D: np.ndarray | None  # (n,)
     sq_diameter: np.ndarray  # (n,)
     config: SystemConfig
     datum: InitialDatum
@@ -125,26 +125,27 @@ def velocity_from_states(
     gets the same bits alone as in any stack.  The result is a transposed
     view of that layout.
 
-    D and sq_diameter, given together, receive the dissipation and the
-    squared diameter of each of the last len(D) stacked states.  D is
-    sum_i (sum_j u_ij |x_delayed_j - x_delayed_i|^2) / n_i / (2(N-1)), from
-    these weights: the sum over j runs in index order, and the sum over i
-    is numpy's sum of the N terms of one state, a contiguous vector.
-    Reaction reads the pair array that the weights were formed from.  The
-    squared diameters, of the same states' x_delayed, are the maxima of the
-    pair array that D is formed from.
+    sq_diameter, given, receives the squared diameter of x_delayed for each
+    of the last len(sq_diameter) stacked states: the maxima of their own
+    pair array, which reaction reads from the weights' pair array.  D,
+    given with it or left None, receives the dissipation of the same
+    states from that pair array and these weights,
+    sum_i (sum_j u_ij |x_delayed_j - x_delayed_i|^2) / n_i / (2(N-1)): the
+    sum over j runs in index order, and the sum over i is numpy's sum of
+    the N terms of one state, a contiguous vector.
     """
     x_delayed = np.asarray(x_delayed, dtype=float)
     w = weights_from_states(config, x_now, x_delayed)
-    if D is not None and len(D):
-        k = len(x_delayed) - len(D)  # the pair arrays' last axis is the first stacked one
+    if sq_diameter is not None and len(sq_diameter):
+        k = len(x_delayed) - len(sq_diameter)  # the pair arrays' last axis is the first stacked one
         tail = x_delayed[k:]
         sq = pair_sq(tail, tail) if w.sq is None else w.sq[..., k:]
         sq_diameter[...] = sq.max(axis=(0, 1)).T
-        sq *= w.u[..., k:]
-        r = sq.sum(axis=0)
-        r /= w.n[..., k:]
-        D[...] = np.ascontiguousarray(r.T).sum(axis=-1) / (2.0 * (config.n_agents - 1))
+        if D is not None:
+            sq *= w.u[..., k:]
+            r = sq.sum(axis=0)
+            r /= w.n[..., k:]
+            D[...] = np.ascontiguousarray(r.T).sum(axis=-1) / (2.0 * (config.n_agents - 1))
     xt = np.ascontiguousarray(x_delayed.T)  # (d, N, ...)
     x0 = xt[:, :1]
     y = xt - x0
@@ -261,12 +262,12 @@ def rk4_method_of_steps(
     each (default: the whole stack).  Either way the nodes are summed in
     order from the increments, so they equal the per-step loop's bit for bit.
 
-    Given (n, B) arrays dissipation and sq_diameter, the call that gives
-    derivs[m] is vel(x_now, x_delayed, rows of dissipation, rows of
-    sq_diameter), which writes D[m] to dissipation[m] and the squared
-    diameter of its delayed state x(t_m - tau), node m - q, to
-    sq_diameter[m] (see velocity_from_states); without them, vel takes two
-    arguments.
+    Given an (n, B) array sq_diameter, the call that gives derivs[m] is
+    vel(x_now, x_delayed, rows of dissipation, rows of sq_diameter), which
+    writes the squared diameter of its delayed state x(t_m - tau), node
+    m - q, to sq_diameter[m], and D[m] to dissipation[m] if an (n, B) array
+    dissipation is given too, or None in its place (see
+    velocity_from_states); without sq_diameter, vel takes two arguments.
 
     Returns one count per member: the number of nodes filled before its
     first blown-up one, whose state is left in states.  The loop ends with
@@ -279,9 +280,9 @@ def rk4_method_of_steps(
     per_call = per_call or 2 * q
 
     def node(x_now, x_delayed, rows):  # the last stacked x_delayed are those of the nodes rows
-        if dissipation is None:
+        if sq_diameter is None:
             return vel(x_now, x_delayed)
-        return vel(x_now, x_delayed, dissipation[rows], sq_diameter[rows])
+        return vel(x_now, x_delayed, None if dissipation is None else dissipation[rows], sq_diameter[rows])
 
     with np.errstate(all="ignore"):
         derivs[q] = node(states[q], states[0], q)
@@ -337,12 +338,14 @@ def group_key(config: SystemConfig, horizon: float, spec: IntegratorSpec):
     return (rest, *_grid_shape(config, horizon, spec))
 
 
-def integrate(config, datum, horizon, spec=None):
+def integrate(config, datum, horizon, spec=None, dissipation=True):
     """Integrate the delayed system over [0, horizon] by RK4 method of steps.
 
     Returns the Trajectory.  A run that blows up, the expected outcome in
     the unstable reaction regime, returns its nodes before the blown-up one
-    and that node's time as blow_up_time.
+    and that node's time as blow_up_time.  The node calls always write the
+    squared diameters; they write the dissipation D only if dissipation is
+    true, and the trajectory's D is None otherwise.
 
     A group integrates in one stepper call: config, datum, horizon and spec
     are then equal-length sequences, one entry per member (spec may be
@@ -351,14 +354,14 @@ def integrate(config, datum, horizon, spec=None):
     if isinstance(config, SystemConfig):
         if spec is None:
             spec = default_spec(config)
-        return _integrate_group([config], [datum], [horizon], [spec]).trajectories[0]
+        return _integrate_group([config], [datum], [horizon], [spec], dissipation).trajectories[0]
     if spec is None:
         spec = [None] * len(config)
     specs = [default_spec(c) if s is None else s for c, s in zip(config, spec)]
-    return _integrate_group(config, datum, horizon, specs)
+    return _integrate_group(config, datum, horizon, specs, dissipation)
 
 
-def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
+def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
     keys = {group_key(c, h, s) for c, h, s in zip(configs, horizons, specs)}
     if len(keys) != 1:
         raise InvalidConfig("group members must differ only in tau and share q and the step count")
@@ -376,7 +379,7 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
         mids[:, b] = _fill_startup(grid[b], q, datums[b], states[b], derivs[b], configs[b].tau)
     center, limit = _blow_up_bounds(states[:, q])
 
-    D = np.full(grid.shape, np.nan)
+    D = np.full(grid.shape, np.nan) if dissipation else None
     # the stepper's row m of squared diameters is node m - q, so node k of a
     # member is column q + k, and the last q nodes keep NaN
     sq_diameter = np.full((B, n + q), np.nan)
@@ -386,13 +389,13 @@ def _integrate_group(configs, datums, horizons, specs) -> GroupRun:
     transmission = config.delay_kind is DelayKind.TRANSMISSION
     n_valid = rk4_method_of_steps(
         partial(velocity_from_states, config), states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, q, dt,
-        transmission, center, limit, block_length(B * config.n_agents**2), D.swapaxes(0, 1),
-        sq_diameter[:, :n].swapaxes(0, 1),
+        transmission, center, limit, block_length(B * config.n_agents**2),
+        None if D is None else D.swapaxes(0, 1), sq_diameter[:, :n].swapaxes(0, 1),
     )
     trajectories = tuple(
         Trajectory(
-            grid[b, :m], states[b, :m], derivs[b, :m], D[b, :m], sq_diameter[b, q : q + m],
-            configs[b], datums[b], float(grid[b, m]) if m < n else None,
+            grid[b, :m], states[b, :m], derivs[b, :m], None if D is None else D[b, :m],
+            sq_diameter[b, q : q + m], configs[b], datums[b], float(grid[b, m]) if m < n else None,
         )
         for b, m in enumerate(n_valid.tolist())
     )

@@ -1,13 +1,13 @@
 """Diagnostics along trajectories and empirical decay fitting.
 
 compute_metrics evaluates the state series on the trajectory grid at once:
-the diameter d_x, radius r_x, mean drift and quadratic fluctuation X.  It
-reads the dissipation D and the squared diameters that the integrator
-wrote with each node's velocity, forms no weights itself, and builds the
-Lyapunov functional L from X and D.  Conventions: the diameter series is
-frozen at its startup maximum for t <= 0; fluctuation and the Lyapunov
-functional subtract the mean at t = 0 (it is conserved for symmetric
-reaction weights).
+the diameter d_x, and unless told not to, the radius r_x, mean drift and
+quadratic fluctuation X.  It reads the squared diameters and the
+dissipation D that the integrator wrote with each node's velocity, forms
+no weights itself, and builds the Lyapunov functional L from X and D.
+Conventions: the diameter series is frozen at its startup maximum for
+t <= 0; fluctuation and the Lyapunov functional subtract the mean at
+t = 0 (it is conserved for symmetric reaction weights).
 """
 
 from __future__ import annotations
@@ -25,24 +25,26 @@ SIGN_ATOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class MetricSeries:
-    """Per-grid-time diagnostic series; undefined entries are NaN."""
+    """Per-grid-time diagnostic series; undefined entries are NaN, and a
+    series that was not formed is None."""
 
     times: np.ndarray
     d_x: np.ndarray
-    r_x: np.ndarray
-    mean_drift: np.ndarray
-    X: np.ndarray
-    D: np.ndarray
-    L: np.ndarray
+    r_x: np.ndarray | None
+    mean_drift: np.ndarray | None
+    X: np.ndarray | None
+    D: np.ndarray | None
+    L: np.ndarray | None
 
     @property
     def d_x0(self) -> float:
         return float(self.d_x[0])
 
     def to_csv(self, path) -> None:
-        """Write one row per grid time; NaN entries are left empty.  Rows
-        become Python floats a block of block_length(7) rows at a time, and
-        each is formatted by one template, that of its pattern of NaN cells."""
+        """Write one row per grid time of a series with every column formed;
+        NaN entries are left empty.  Rows become Python floats a block of
+        block_length(7) rows at a time, and each is formatted by one
+        template, that of its pattern of NaN cells."""
         table = np.column_stack([self.times, self.d_x, self.r_x, self.mean_drift, self.X, self.D, self.L])
         width = table.shape[1]
         # bit k of a row's pattern: its column k is NaN (seven columns, one
@@ -60,7 +62,7 @@ class MetricSeries:
                     fh.write(template[p] % tuple(row))
 
 
-def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
+def compute_metrics(config: SystemConfig, trajectory, fluctuation=True) -> MetricSeries:
     """Evaluate the diagnostic series on the trajectory grid, in blocks of nodes
     whose (N, N, nodes) pair arrays, (nodes, N d) deviations and
     (nodes, q + 1) Lyapunov windows stay within model.BLOCK_ENTRIES
@@ -75,6 +77,9 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
     Lyapunov series, with lam = 1, is computed for reaction systems with
     symmetric weights (where its decay is meaningful); it is NaN for other
     systems and before t = tau.
+
+    d_x is always formed.  With fluctuation false, r_x, the mean drift, X
+    and L are not, and are None; L is None too for a trajectory without D.
     """
     g = trajectory.grid
     S = trajectory.states
@@ -90,6 +95,8 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
         nodes = tail[a : a + step]
         d_x[nodes] = diameter(S[nodes])
     d_x[: i0 + 1] = check_icass(trajectory.datum, config).d_x0
+    if not fluctuation:
+        return MetricSeries(g, d_x, None, None, None, D, None)
 
     r_x, X, xbar = np.empty(n), np.empty(n), np.empty((n, dim))
     ref = S[i0, 0]  # deviations relative to one agent, so a far datum keeps its digits
@@ -109,8 +116,8 @@ def compute_metrics(config: SystemConfig, trajectory) -> MetricSeries:
         X[a:b] = np.einsum("tj,tj->t", dev, dev) / (2.0 * (n_agents - 1))
     drift = np.sqrt(((xbar - xbar0) ** 2).sum(axis=1))
 
-    L = np.full(n, np.nan)
-    if has_symmetric_weights(config):
+    L = None if D is None else np.full(n, np.nan)
+    if L is not None and has_symmetric_weights(config):
         dt = float(g[1] - g[0])
         # trapezoid of (s - t + tau) D(s) over the q segments ending at m
         wgt = np.arange(q + 1) * dt

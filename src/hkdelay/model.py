@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidDatum, OutOfRange
+from .errors import InvalidConfig, InvalidDatum, OutOfRange, SpecError
 
 # Cap on the entries of one stacked temporary, shared by compute_metrics and
 # the reaction segments of the RK4 stepper: 2**13 doubles, 64 KiB.  glibc
@@ -389,8 +389,12 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
 
 
 def diameter(states: np.ndarray) -> np.ndarray:
-    """Maximum pairwise Euclidean distance of each stacked (..., N, d) state."""
-    return np.sqrt(pair_sq(states, states).max(axis=(0, 1)).T)
+    """Maximum pairwise Euclidean distance of each stacked (..., N, d) state.
+
+    The pair array's maximum reduces j and then i, one axis at a time: a
+    maximum is exact in any order, and one reduction over both axes runs an
+    inner loop as short as the stack, slow for a few large-N states."""
+    return np.sqrt(pair_sq(states, states).max(axis=0).max(axis=0).T)
 
 
 def radius(states: np.ndarray) -> np.ndarray:
@@ -542,20 +546,33 @@ def json_array(field: str, value) -> np.ndarray:
         raise InvalidConfig(f"{field}: {exc}") from exc
 
 
+def require_known(section: str, d: dict, known) -> None:
+    """Refuse the first entry of the JSON object d that is not in known,
+    naming it <section>.<entry>: a misspelled field would otherwise run
+    with its default."""
+    for key in d:
+        if key not in known:
+            raise SpecError(f"{section}.{key}: unknown entry")
+
+
 def influence_from_dict(d: dict) -> InfluenceFunction:
     if not isinstance(d, dict):
         raise InvalidConfig(f"influence: expected a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == InfluenceKind.CONSTANT.value:
+        require_known("influence", d, ("kind", "c"))
         return InfluenceFunction.constant(json_number("influence.c", d.get("c", 1.0)))
     if kind == InfluenceKind.ALGEBRAIC_DECAY.value:
+        require_known("influence", d, ("kind", "gamma"))
         return InfluenceFunction.algebraic_decay(json_number("influence.gamma", d.get("gamma", 1.0)))
     if kind == InfluenceKind.TABLE.value:
+        require_known("influence", d, ("kind", "samples"))
         return InfluenceFunction.table(json_array("influence.samples", d["samples"]))
     raise InvalidConfig(f"influence.kind: unknown value {kind!r}")
 
 
 def config_from_dict(d: dict) -> SystemConfig:
+    require_known("config", d, [f.name for f in fields(SystemConfig)])
     missing = [f.name for f in fields(SystemConfig) if f.name not in d]
     if missing:
         raise InvalidConfig(f"config.{missing[0]}: missing field")
@@ -590,7 +607,9 @@ def _datum_array(d: dict, key: str) -> np.ndarray:
 def datum_from_dict(d: dict) -> InitialDatum:
     kind = d.get("kind")
     if kind == DatumKind.CONSTANT_PER_AGENT.value:
+        require_known("datum", d, ("kind", "vectors"))
         return InitialDatum.constant(_datum_array(d, "vectors"))
     if kind == DatumKind.SAMPLED.value:
+        require_known("datum", d, ("kind", "times", "values"))
         return InitialDatum.sampled(_datum_array(d, "times"), _datum_array(d, "values"))
     raise InvalidDatum(f"datum.kind: unknown value {kind!r}")

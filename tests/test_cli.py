@@ -463,6 +463,16 @@ def _set(path, value):
                         "values": [[[0.0], [1.0], [2.0]], [[2.0], [3.0], [4.0]]]}), "datum.times"),
         # ceil(horizon/dt - 1e-9) took no step: the run stopped at t = 0 and exited 0
         (_set("horizon", 1e-300), "horizon"),
+        # an entry that its section does not know ran with the default of the
+        # field it misspelled, and exited 0
+        (_set("horizn", 5.0), "spec.horizn"),
+        (_set("config.infuence", {"kind": "constant", "c": 0.5}), "config.infuence"),
+        (_set("config.influence", {"kind": "algebraic_decay", "gamma": 1.0, "c": 0.5}), "config: influence.c"),
+        (_set("datum.vector", [[0.0], [1.0], [2.0]]), "datum.vector"),
+        (_set("datum", {"kind": "random_uniform", "low": 0.0, "hi": 2.0}), "datum.hi"),
+        (_set("datum", {"kind": "sampled", "times": [-0.5, 0.0], "values": [[0.0, 1.0, 2.0]] * 2, "t": 0}),
+         "datum.t"),
+        (_set("integrator", {"dt": 0.0625, "step": 0.125}), "integrator.step"),
     ],
     ids=[
         "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
@@ -482,6 +492,8 @@ def _set(path, value):
         "vectors_string", "vectors_bool", "times_string", "values_bool", "samples_bool", "samples_string",
         "vectors_huge_int", "horizon_huge_int", "dt_huge_int", "high_huge_int",
         "random_low_above_high", "times_spacing_overflows", "horizon_tiny",
+        "unknown_top_level", "unknown_config", "unknown_influence", "unknown_constant_datum",
+        "unknown_random_datum", "unknown_sampled_datum", "unknown_integrator",
     ],
 )
 def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field):
@@ -498,6 +510,19 @@ def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field)
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
     if args[0] == "sweep":  # the advice names the one setting a tau sweep keeps
         assert "set --dt in a tau sweep, which drops integrator.dt" in err
+    assert not out.exists()
+
+
+def test_misspelled_entries_are_refused_by_the_first_one_read(tmp_path, capsys):
+    # a top-level "horizn" and a "infuence" in config exited 0 with the
+    # default horizon and the influence the spec also gave
+    with open(consensus_spec(tmp_path)) as fh:
+        doc = json.load(fh)
+    doc["horizn"] = 5.0
+    doc["config"]["infuence"] = {"kind": "constant", "c": 0.5}
+    out = tmp_path / "out"
+    assert main(["simulate", write_spec(tmp_path / "bad.json", doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spec.horizn: unknown entry\n"
     assert not out.exists()
 
 

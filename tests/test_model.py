@@ -277,6 +277,18 @@ def test_kernel_on_stacked_states_matches_per_slice_calls(batch, n, d, kind, sch
         assert radius(x_del[idx]) == r_x[idx]
 
 
+@pytest.mark.parametrize("n", [5, 100])
+@pytest.mark.parametrize("stack", [1, 2, 8, 64])
+def test_stacked_diameters_equal_the_per_state_ones(n, stack):
+    # diameter reduces j and then i; short stacks of large-N states are
+    # where that order is faster, and a maximum has the same bits either way
+    x = np.random.default_rng(n + stack).normal(size=(stack, n, 2))
+    d_x = diameter(x)
+    assert d_x.shape == (stack,)
+    assert np.array_equal(d_x, [diameter(state) for state in x])
+    assert np.array_equal(d_x, np.sqrt(pair_sq(x, x).max(axis=(0, 1))))
+
+
 def test_normalized_weights_do_not_underflow():
     # every psi of a row is below the smallest double, yet the row-scaled
     # form keeps the normalized weights finite, summing to one

@@ -6,7 +6,7 @@ path of four small valid specs, and each document runs through
 with every requested output; exit 1 with one `error: <entry>...` line that
 starts with the spec's top-level entry (or `spec`) and no output
 directory; or exit 2, a blow-up, with its partial outputs and
-blow_up_time.  No run raises, prints a traceback or warns, and every JSON
+blow_up_time.  An entry that its section does not know always exits 1.  No run raises, prints a traceback or warns, and every JSON
 output parses with NaN and Infinity refused.
 """
 
@@ -209,8 +209,10 @@ def test_every_mutated_spec_runs_or_fails_honestly(tmp_path, capsys, base, mutat
             work = tmp_path / f"{'.'.join(path)}-{k}"
             code, found = outcome_faults(doc, work, capsys)
             codes.append(code)
+            if mutation == "unknown_entry" and isinstance(mutant, dict) and code != 1:
+                found.append(f"exit {code} for an unknown entry, expected 1")
             faults += [f"{'.'.join(path)} -> {mutant!r}: {f}" for f in found]
     assert not faults
-    if base == "blow_up" and mutation in ("missing_field", "unknown_entry"):
-        # a dropped seed or an ignored entry leaves the run that blows up
+    if base == "blow_up" and mutation == "missing_field":
+        # a dropped seed leaves the run that blows up
         assert 2 in codes
