@@ -166,12 +166,13 @@ def _rounding_floor(r_x0: float) -> float:
     return FIT_ROUNDING_ULPS * np.finfo(float).eps * r_x0
 
 
-def _fit_window(series: metrics.MetricSeries, r_x0: float):
+def _fit_window(series: metrics.MetricSeries):
     """Fit window for the empirical rate: mid-run, while d_x is resolvable,
-    above 1e-12 d_x0 and above the rounding floor of the states."""
+    above 1e-12 d_x0 and above the rounding floor of the states, both read
+    from the series' startup report."""
     t = series.times
     horizon = float(t[-1])
-    floor = max(series.d_x0 * 1e-12, _rounding_floor(r_x0), 1e-280)
+    floor = max(series.icass.d_x0 * 1e-12, _rounding_floor(series.icass.r_x0), 1e-280)
     ok = (t >= 0.1 * horizon) & (t <= 0.9 * horizon) & (series.d_x > floor)
     if ok.sum() < 8:
         return None
@@ -180,8 +181,8 @@ def _fit_window(series: metrics.MetricSeries, r_x0: float):
     return (lo, hi) if hi > lo else None
 
 
-def _fit_c_emp(series: metrics.MetricSeries, r_x0: float):
-    window = _fit_window(series, r_x0)
+def _fit_c_emp(series: metrics.MetricSeries):
+    window = _fit_window(series)
     if window is None:
         return None
     try:
@@ -211,14 +212,14 @@ def run_experiment(spec: ExperimentSpec, traj=None) -> RunResult:
     theoretical, skipped = {}, {}
     try:
         series = metrics.compute_metrics(spec.config, traj, _reads(spec, READS_FLUCTUATION))
-        precond = rates.check_preconditions(spec.config, spec.datum)
+        precond = rates.check_preconditions(spec.config, spec.datum, series.icass)
         theoretical, skipped = rates.theorem_rates(spec.config, precond)
-        c_emp = None if blow_up is not None else _fit_c_emp(series, precond.icass.r_x0)
-        tol = max(CONSENSUS_REL_TOL * max(series.d_x0, 1e-300), _rounding_floor(precond.icass.r_x0))
+        c_emp = None if blow_up is not None else _fit_c_emp(series)
+        tol = max(CONSENSUS_REL_TOL * max(series.icass.d_x0, 1e-300), _rounding_floor(series.icass.r_x0))
         summary = {
-            "d_x0": series.d_x0,
+            "d_x0": series.icass.d_x0,
             "d_x_final": float(series.d_x[-1]),
-            "r_x0": precond.icass.r_x0,
+            "r_x0": series.icass.r_x0,
             "X0": None if series.X is None else float(series.X[traj.origin]),
             "X_final": None if series.X is None else float(series.X[-1]),
             "consensus_time": None if blow_up is not None else metrics.consensus_time(series, tol),

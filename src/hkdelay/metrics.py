@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonPositiveSeries
-from .model import SystemConfig, block_length, check_icass, diameter, has_symmetric_weights, radius
+from .model import IcassReport, SystemConfig, block_length, check_icass, diameter, has_symmetric_weights, radius
 
 SIGN_ATOL = 1e-10
 
@@ -26,7 +26,9 @@ SIGN_ATOL = 1e-10
 @dataclass(frozen=True, eq=False)
 class MetricSeries:
     """Per-grid-time diagnostic series; undefined entries are NaN, and a
-    series that was not formed is None."""
+    series that was not formed is None.  icass is the run's one startup
+    check, whose d_x0 is d_x on the startup nodes and which the theorem
+    preconditions read too."""
 
     times: np.ndarray
     d_x: np.ndarray
@@ -35,10 +37,7 @@ class MetricSeries:
     X: np.ndarray | None
     D: np.ndarray | None
     L: np.ndarray | None
-
-    @property
-    def d_x0(self) -> float:
-        return float(self.d_x[0])
+    icass: IcassReport
 
     def to_csv(self, path) -> None:
         """Write one row per grid time of a series with every column formed;
@@ -64,14 +63,15 @@ class MetricSeries:
 
 def compute_metrics(config: SystemConfig, trajectory, fluctuation=True) -> MetricSeries:
     """Evaluate the diagnostic series on the trajectory grid, in blocks of nodes
-    whose (N, N, nodes) pair arrays, (nodes, N d) deviations and
-    (nodes, q + 1) Lyapunov windows stay within model.BLOCK_ENTRIES
-    entries; D is the trajectory's own.
+    whose (nodes, N d) deviations and (nodes, q + 1) Lyapunov windows stay
+    within model.BLOCK_ENTRIES entries, as diameter's pair arrays do; D is
+    the trajectory's own.
 
     The diameters come from the trajectory too, the roots of the squared
-    diameters that the node calls wrote; model.diameter fills only the
+    diameters that the node calls wrote; one model.diameter call fills the
     nodes that no node call read, the last q nodes or fewer for a run cut
-    short.  On the startup nodes d_x is check_icass's d_x0, the largest
+    short.  check_icass runs here, once per run, and its report is the
+    series' icass: on the startup nodes d_x is its d_x0, the largest
     diameter of the datum over [-tau, 0], read at its knots.  r_x is
     model.radius of each node, as check_icass's r_x0 is of the datum.  The
     Lyapunov series, with lam = 1, is computed for reaction systems with
@@ -90,13 +90,11 @@ def compute_metrics(config: SystemConfig, trajectory, fluctuation=True) -> Metri
 
     d_x = np.sqrt(trajectory.sq_diameter)
     tail = i0 + 1 + np.flatnonzero(np.isnan(d_x[i0 + 1 :]))
-    step = block_length(n_agents * n_agents)
-    for a in range(0, len(tail), step):
-        nodes = tail[a : a + step]
-        d_x[nodes] = diameter(S[nodes])
-    d_x[: i0 + 1] = check_icass(trajectory.datum, config).d_x0
+    d_x[tail] = diameter(S[tail])
+    icass = check_icass(trajectory.datum, config)
+    d_x[: i0 + 1] = icass.d_x0
     if not fluctuation:
-        return MetricSeries(g, d_x, None, None, None, D, None)
+        return MetricSeries(g, d_x, None, None, None, D, None, icass)
 
     r_x, X, xbar = np.empty(n), np.empty(n), np.empty((n, dim))
     ref = S[i0, 0]  # deviations relative to one agent, so a far datum keeps its digits
@@ -129,7 +127,7 @@ def compute_metrics(config: SystemConfig, trajectory, fluctuation=True) -> Metri
         for a in range(2 * q, n, step):
             b = min(a + step, n)
             L[a:b] = X[a:b] + dt * (windows[a - q : b - q] * cw).sum(axis=-1)
-    return MetricSeries(g, d_x, r_x, drift, X, D, L)
+    return MetricSeries(g, d_x, r_x, drift, X, D, L, icass)
 
 
 def fit_decay_rate(times, series, window) -> float:

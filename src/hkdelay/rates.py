@@ -23,7 +23,6 @@ from .model import (
     InitialDatum,
     SystemConfig,
     WeightScheme,
-    check_icass,
     has_symmetric_weights,
     psi_floor,
     weights_from_states,
@@ -190,9 +189,9 @@ def psi0_lower_bound(config: SystemConfig, datum: InitialDatum) -> float:
     return min(1.0, float((config.n_agents - 1) * off.min()))
 
 
-def check_preconditions(config: SystemConfig, datum: InitialDatum) -> PreconditionReport:
-    """Which consensus theorems cover this configuration, with reasons."""
-    icass = check_icass(datum, config)
+def check_preconditions(config: SystemConfig, datum: InitialDatum, icass: IcassReport) -> PreconditionReport:
+    """Which consensus theorems cover this configuration, with reasons.
+    icass is the datum's startup check, as compute_metrics formed it."""
     psi0 = psi0_lower_bound(config, datum)
     tau = config.tau
     violated = {name: [] for name in THEOREMS}

@@ -15,6 +15,7 @@ from hkdelay import (
     ToyRegime,
     WeightScheme,
     HalanayProblem,
+    check_icass,
     check_preconditions,
     classify_regime,
     compute_metrics,
@@ -103,7 +104,7 @@ def test_transmission_unconditional_consensus():
                 elapsed = time.perf_counter() - t0
                 worst_time = max(worst_time, elapsed)
                 ms = compute_metrics(config, traj)
-                ratio = float(ms.d_x[-1] / ms.d_x0)
+                ratio = float(ms.d_x[-1] / ms.icass.d_x0)
                 ratios.append(ratio)
                 ok = ok and ratio < 1e-3 and elapsed < 10.0
     assert _report(
@@ -118,12 +119,12 @@ def test_transmission_normalized_rate_bound():
     datum = InitialDatum.constant(rng.uniform(0.0, 1.0, (3, 2)))
     traj = integrate(config, datum, 30.0 * config.tau)
     ms = compute_metrics(config, traj)
-    pre = check_preconditions(config, datum)
+    pre = check_preconditions(config, datum, check_icass(datum, config))
     psi_low = psi_floor(config.influence, 2.0 * pre.icass.r_x0)
     rate = rate_transmission_normalized(3, psi_low, config.tau)
     published, _ = theorem_rates(config, pre)
     assert published["transmission_normalized"]["C"] == rate.C
-    bound = ms.d_x0 * np.exp(-rate.C * ms.times) * (1.0 + 1e-6)
+    bound = ms.icass.d_x0 * np.exp(-rate.C * ms.times) * (1.0 + 1e-6)
     bound_holds = bool(np.all(ms.d_x <= bound))
     c_emp = fit_decay_rate(ms.times, ms.d_x, (5.0 * config.tau, 25.0 * config.tau))
     ok = bound_holds and c_emp >= rate.C
@@ -188,13 +189,13 @@ def test_reaction_nonsymmetric_rate_bound():
         3, 1, 0.1, DelayKind.REACTION, WeightScheme.NORMALIZED, InfluenceFunction.constant(1.0)
     )
     datum = InitialDatum.constant([[0.0], [0.4], [1.0]])
-    pre = check_preconditions(config, datum)
+    pre = check_preconditions(config, datum, check_icass(datum, config))
     rate = rate_reaction_nonsymmetric(pre.psi0_lower, config.tau)
     published, _ = theorem_rates(config, pre)
     assert published["reaction_small_delay"]["C"] == rate.C
     traj = integrate(config, datum, 40.0 * config.tau)
     ms = compute_metrics(config, traj)
-    bound = ms.d_x0 * np.exp(-rate.C * ms.times) * (1.0 + 1e-6)
+    bound = ms.icass.d_x0 * np.exp(-rate.C * ms.times) * (1.0 + 1e-6)
     ok = "reaction_small_delay" in pre.applicable() and bool(np.all(ms.d_x <= bound))
     assert _report(
         "reaction nonsymmetric rate bound", ok,

@@ -116,6 +116,21 @@ def test_each_run_calls_the_timed_layers_once(tmp_path, monkeypatch, command):
     }[command]
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_each_run_reads_the_startup_bounds_once(tmp_path, monkeypatch, command):
+    # compute_metrics runs the startup check, and check_preconditions and
+    # the report read its IcassReport from the series: one check_icass call
+    # per simulate and per sweep value, at every site that binds it
+    calls = record_calls(monkeypatch, [("hkdelay.model", "check_icass")])
+    spec = write_spec(tmp_path, "reaction", "normalized")
+    args = ["simulate", spec, "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        args[:1] = ["sweep"]
+        args[2:2] = ["--param", "tau", "--values", "0.25", "0.5", "0.75"]
+    assert cli.main(args) == 0
+    assert calls == ["check_icass"] * (1 if command == "simulate" else 3)
+
+
 def record_integrate_extras(monkeypatch):
     """(extra, result) of each integrate call, with the extra that
     perfbench/child.py's _EXTRA["dynamics.integrate"] computes from it;

@@ -687,9 +687,9 @@ def test_sweep_checks_preconditions_once_per_row(tmp_path, monkeypatch):
     calls = []
     check = rates.check_preconditions
 
-    def counting(config, datum):
+    def counting(config, datum, icass):
         calls.append(config.tau)
-        return check(config, datum)
+        return check(config, datum, icass)
 
     monkeypatch.setattr(rates, "check_preconditions", counting)
     out = tmp_path / "out"

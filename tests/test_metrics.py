@@ -14,6 +14,7 @@ from hkdelay import (
     NonPositiveSeries,
     Trajectory,
     WeightScheme,
+    check_icass,
     compute_metrics,
     consensus_time,
     count_sign_changes,
@@ -194,7 +195,7 @@ def test_metric_series_shapes_and_startup_convention(rng):
     traj = integrate(config, datum, 6 * config.tau)
     ms = compute_metrics(config, traj)
     startup = ms.times <= 0.0
-    assert np.all(ms.d_x[startup] == ms.d_x0)
+    assert np.all(ms.d_x[startup] == ms.icass.d_x0)
     assert np.all(ms.d_x <= 2.0 * ms.r_x + 1e-12)
     assert np.all(ms.d_x >= 0.0) and np.all(ms.X >= 0.0)
     assert np.all(np.isnan(ms.D[ms.times < -1e-12]))
@@ -335,7 +336,7 @@ def reference_metrics(config, trajectory):
         coef[0] = coef[-1] = 0.5
         for m in range(2 * q, n):
             L[m] = X[m] + dt * float(np.sum(coef * wgt * D[m - q : m + 1]))
-    return MetricSeries(g, d_x, r_x, drift, X, D, L)
+    return MetricSeries(g, d_x, r_x, drift, X, D, L, check_icass(trajectory.datum, config))
 
 
 def assert_series_identical(got, ref):
@@ -437,7 +438,7 @@ def test_consensus_time_sustained(rng):
     datum = random_datum(rng, 3, 1)
     traj = integrate(config, datum, 20 * config.tau)
     ms = compute_metrics(config, traj)
-    tol = 1e-3 * ms.d_x0
+    tol = 1e-3 * ms.icass.d_x0
     t_c = consensus_time(ms, tol)
     assert t_c is not None
     after = ms.times >= t_c

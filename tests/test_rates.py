@@ -14,6 +14,7 @@ from hkdelay import (
     Measure,
     PreconditionViolated,
     WeightScheme,
+    check_icass,
     check_preconditions,
     diameter,
     integrate,
@@ -303,7 +304,7 @@ def test_preconditions_reaction_symmetric_short_delay():
         weight_scheme=WeightScheme.CLASSICAL_SCALED,
     )
     datum = InitialDatum.constant([[0.0], [0.5], [1.0], [1.5]])
-    rep = check_preconditions(config, datum)
+    rep = check_preconditions(config, datum, check_icass(datum, config))
     assert "reaction_symmetric" in rep.applicable()
     assert "transmission_classical" not in rep.applicable()
     assert "transmission_normalized" not in rep.applicable()
@@ -317,7 +318,7 @@ def test_preconditions_reaction_small_delay_fails_arithmetic():
         influence=InfluenceFunction.constant(1.0),
     )
     datum = InitialDatum.constant([[0.0], [1.0]])
-    rep = check_preconditions(config, datum)
+    rep = check_preconditions(config, datum, check_icass(datum, config))
     assert rep.psi0_lower == pytest.approx(1.0)
     assert "reaction_small_delay" not in rep.applicable()  # 4 * 0.3 = 1.2 >= 1
     assert any("4*tau" in r for r in rep.violated["reaction_small_delay"])
@@ -326,7 +327,7 @@ def test_preconditions_reaction_small_delay_fails_arithmetic():
 def test_preconditions_transmission_normalized_unconditional():
     config = make_config(n_agents=5, tau=10.0, weight_scheme=WeightScheme.NORMALIZED)
     datum = InitialDatum.constant(np.linspace(0, 1, 5)[:, None])
-    rep = check_preconditions(config, datum)
+    rep = check_preconditions(config, datum, check_icass(datum, config))
     assert "transmission_normalized" in rep.applicable()
     assert "transmission_classical" in rep.applicable()
 
@@ -339,7 +340,7 @@ def test_preconditions_normalized_constant_psi_counts_as_symmetric():
         influence=InfluenceFunction.constant(1.0),
     )
     datum = InitialDatum.constant([[0.0], [0.5], [1.0]])
-    assert "reaction_symmetric" in check_preconditions(config, datum).applicable()
+    assert "reaction_symmetric" in check_preconditions(config, datum, check_icass(datum, config)).applicable()
 
 
 def test_equal_normalized_weights_give_psi0_lower_one():
@@ -352,7 +353,8 @@ def test_equal_normalized_weights_give_psi0_lower_one():
         weight_scheme=WeightScheme.NORMALIZED,
         influence=InfluenceFunction.constant(0.7),
     )
-    rep = check_preconditions(config, InitialDatum.constant(np.arange(20.0)[:, None] / 20.0))
+    datum = InitialDatum.constant(np.arange(20.0)[:, None] / 20.0)
+    rep = check_preconditions(config, datum, check_icass(datum, config))
     assert rep.psi0_lower == 1.0
     assert "reaction_small_delay" in theorem_rates(config, rep)[0]
 
@@ -361,7 +363,7 @@ def startup_bounds(datum, tau):
     """The d_x0 and r_x0 that check_preconditions reports, icass max_slope
     and icass d_x0 for the datum."""
     config = make_config(n_agents=datum.n_agents, dim=datum.dim, tau=tau)
-    rep = check_preconditions(config, datum)
+    rep = check_preconditions(config, datum, check_icass(datum, config))
     reported = rep.to_dict()
     return reported["d_x0"], reported["r_x0"], rep.icass.max_slope, rep.icass.d_x0
 

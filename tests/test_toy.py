@@ -257,7 +257,7 @@ def test_c_emp_is_the_linear_rate_where_the_rightmost_root_is_real(kind, scheme,
         root = rightmost_root(*linear_coefficients(config), config.tau)
         assert root.re < 0.0
         if root.im == 0.0:
-            c_emp = _fit_c_emp(compute_metrics(config, traj), check_icass(datum, config).r_x0)
+            c_emp = _fit_c_emp(compute_metrics(config, traj))
             assert c_emp == pytest.approx(-root.re, rel=0.01), config.tau
             compared += 1
     assert compared >= 1
@@ -274,7 +274,8 @@ def test_theorem_rates_do_not_exceed_the_linear_rate():
             for kind in DelayKind:
                 for psi in (InfluenceFunction.constant(0.7), InfluenceFunction.algebraic_decay(1.0)):
                     config = SystemConfig(n, 2, tau, kind, WeightScheme.NORMALIZED, psi)
-                    theoretical, _ = theorem_rates(config, check_preconditions(config, datum))
+                    report = check_preconditions(config, datum, check_icass(datum, config))
+                    theoretical, _ = theorem_rates(config, report)
                     root = rightmost_root(*linear_coefficients(config), tau)
                     for name, rate in theoretical.items():
                         assert rate["C"] <= -root.re, (name, n, tau, kind, psi.kind)
