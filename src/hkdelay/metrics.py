@@ -63,12 +63,12 @@ class MetricSeries:
 
 def compute_metrics(config: SystemConfig, trajectory, fluctuation=True) -> MetricSeries:
     """Evaluate the diagnostic series on the trajectory grid, in blocks of nodes
-    whose (nodes, N d) deviations and (nodes, q + 1) Lyapunov windows stay
-    within model.BLOCK_ENTRIES entries, as diameter's pair arrays do; D is
-    the trajectory's own.
+    whose (N, N, nodes) pair arrays, (nodes, N d) deviations and
+    (nodes, q + 1) Lyapunov windows stay within model.BLOCK_ENTRIES
+    entries; D is the trajectory's own.
 
     The diameters come from the trajectory too, the roots of the squared
-    diameters that the node calls wrote; one model.diameter call fills the
+    diameters that the node calls wrote; model.diameter fills only the
     nodes that no node call read, the last q nodes or fewer for a run cut
     short.  check_icass runs here, once per run, and its report is the
     series' icass: on the startup nodes d_x is its d_x0, the largest
@@ -90,7 +90,10 @@ def compute_metrics(config: SystemConfig, trajectory, fluctuation=True) -> Metri
 
     d_x = np.sqrt(trajectory.sq_diameter)
     tail = i0 + 1 + np.flatnonzero(np.isnan(d_x[i0 + 1 :]))
-    d_x[tail] = diameter(S[tail])
+    step = block_length(n_agents * n_agents)
+    for a in range(0, len(tail), step):
+        nodes = tail[a : a + step]
+        d_x[nodes] = diameter(S[nodes])
     icass = check_icass(trajectory.datum, config)
     d_x[: i0 + 1] = icass.d_x0
     if not fluctuation:

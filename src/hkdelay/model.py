@@ -35,12 +35,12 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidDatum, OutOfRange, SpecError
 
-# Cap on the entries of one stacked temporary, shared by compute_metrics,
-# diameter and the reaction segments of the RK4 stepper: 2**13 doubles,
-# 64 KiB.  glibc maps temporaries above its default 128 KiB threshold afresh
-# on every call: at 2**16 (six nodes per block at N = 100) the first
-# compute_metrics of a process took 0.27 s, against 0.23 s node by node, on
-# a 2-vCPU Intel Xeon guest.
+# Cap on the entries of one stacked temporary, shared by compute_metrics and
+# the reaction segments of the RK4 stepper: 2**13 doubles, 64 KiB.  glibc
+# maps temporaries above its default 128 KiB threshold afresh on every call:
+# at 2**16 (six nodes per block at N = 100) the first compute_metrics of a
+# process took 0.27 s, against 0.23 s node by node, on a 2-vCPU Intel Xeon
+# guest.
 BLOCK_ENTRIES = 2**13
 
 
@@ -391,21 +391,10 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
 def diameter(states: np.ndarray) -> np.ndarray:
     """Maximum pairwise Euclidean distance of each stacked (..., N, d) state.
 
-    The stack is reduced block_length(N^2) states at a time, so no pair
-    array exceeds BLOCK_ENTRIES entries unless one state's pairs alone do:
-    a short stack of large-N states costs per state what one state does
-    alone, and a stack that fits in one block takes one pair_sq call.  Each
-    block's pair maximum reduces j and then i, one axis at a time: a maximum
-    is exact in any order, and one reduction over both axes runs an inner
-    loop as short as the block.  A state gets the same bits alone as in any
-    stack, whatever the block length."""
-    flat = np.reshape(states, (-1,) + np.shape(states)[-2:])
-    step = block_length(flat.shape[1] ** 2)
-    out = np.empty(len(flat))
-    for a in range(0, len(flat), step):
-        block = flat[a : a + step]
-        out[a : a + step] = pair_sq(block, block).max(axis=0).max(axis=0)
-    return np.sqrt(out.reshape(np.shape(states)[:-2]))
+    The pair array's maximum reduces j and then i, one axis at a time: a
+    maximum is exact in any order, and one reduction over both axes runs an
+    inner loop as short as the stack, slow for a few large-N states."""
+    return np.sqrt(pair_sq(states, states).max(axis=0).max(axis=0).T)
 
 
 def radius(states: np.ndarray) -> np.ndarray:

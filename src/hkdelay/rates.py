@@ -191,7 +191,11 @@ def psi0_lower_bound(config: SystemConfig, datum: InitialDatum) -> float:
 
 def check_preconditions(config: SystemConfig, datum: InitialDatum, icass: IcassReport) -> PreconditionReport:
     """Which consensus theorems cover this configuration, with reasons.
-    icass is the datum's startup check, as compute_metrics formed it."""
+
+    icass must be check_icass(datum, config), as compute_metrics formed it
+    for the run; the datum is still checked against config here, so one
+    that does not fit raises InvalidDatum as the startup check would."""
+    datum.require_fits(config)
     psi0 = psi0_lower_bound(config, datum)
     tau = config.tau
     violated = {name: [] for name in THEOREMS}

@@ -10,6 +10,7 @@ from hkdelay import (
     HalanayProblem,
     InfluenceFunction,
     InitialDatum,
+    InvalidDatum,
     InvalidProblem,
     Measure,
     PreconditionViolated,
@@ -357,6 +358,20 @@ def test_equal_normalized_weights_give_psi0_lower_one():
     rep = check_preconditions(config, datum, check_icass(datum, config))
     assert rep.psi0_lower == 1.0
     assert "reaction_small_delay" in theorem_rates(config, rep)[0]
+
+
+def test_preconditions_refuse_a_datum_that_does_not_fit_the_config():
+    # check_preconditions reads its startup bounds from the report it is
+    # given, yet still checks the datum, so a report formed for another
+    # config does not hide a datum that the run's config cannot read
+    config = make_config(n_agents=3, tau=1.0)
+    datum = InitialDatum.constant([[0.0], [0.5], [1.0]])
+    wide = InitialDatum.constant([[0.0], [0.5], [1.0], [1.5]])
+    short = InitialDatum.sampled([-0.5, 0.0], [[[0.0], [0.5], [1.0]]] * 2)
+    icass = check_icass(datum, config)
+    for other in (wide, short):
+        with pytest.raises(InvalidDatum, match="datum"):
+            check_preconditions(config, other, icass)
 
 
 def startup_bounds(datum, tau):

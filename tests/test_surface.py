@@ -124,8 +124,8 @@ def reads_attribute(node, name: str) -> bool:
 def test_velocity_and_series_read_the_stack_last_arrays_as_they_are():
     # dynamics forms the velocity's product by einsum on u as the kernel
     # lays it out, (N_j, N_i, ...): no matmul, which sums in BLAS's order,
-    # and no transposing copy of Weights.u.  metrics calls diameter once, on
-    # the tail nodes, which no node call read
+    # and no transposing copy of Weights.u.  metrics calls diameter only in
+    # its loop over the tail nodes, which no node call read
     tree = ast.parse((PACKAGE / "dynamics.py").read_text())
     matmul = [
         n.lineno for n in ast.walk(tree)
@@ -142,12 +142,16 @@ def test_velocity_and_series_read_the_stack_last_arrays_as_they_are():
     ]
     assert not transposed
     tree = ast.parse((PACKAGE / "metrics.py").read_text())
-    calls = [
-        n for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "diameter"
+    in_tail = {
+        id(n) for loop in ast.walk(tree)
+        if isinstance(loop, ast.For) and any(isinstance(v, ast.Name) and v.id == "tail" for v in ast.walk(loop.iter))
+        for n in ast.walk(loop)
+    }
+    outside = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "diameter" and id(n) not in in_tail
     ]
-    assert len(calls) == 1
-    assert any(isinstance(v, ast.Name) and v.id == "tail" for v in ast.walk(calls[0]))
+    assert not outside
 
 
 def test_states_reduce_to_d_x_and_r_x_through_model_alone():
