@@ -211,7 +211,7 @@ def run_experiment(spec: ExperimentSpec, traj=None) -> RunResult:
     series = precond = summary = error = None
     theoretical, skipped = {}, {}
     try:
-        series = metrics.compute_metrics(spec.config, traj, _reads(spec, READS_FLUCTUATION))
+        series = metrics.compute_metrics(traj, _reads(spec, READS_FLUCTUATION))
         precond = rates.check_preconditions(spec.config, spec.datum, series.icass)
         theoretical, skipped = rates.theorem_rates(spec.config, precond)
         c_emp = None if blow_up is not None else _fit_c_emp(series)
@@ -277,18 +277,18 @@ def _apply_sweep_value(doc: dict, param: str, value: float) -> dict:
     if param == "tau":
         doc["config"]["tau"] = value
         if doc["datum"].get("kind") == "sampled":
-            raise SpecError("sweep over tau needs a constant or random datum")
+            raise SpecError("datum.kind: sweep over tau needs a constant or random datum, got 'sampled'")
         doc.get("integrator", {}).pop("dt", None)
         doc.pop("horizon", None)  # keep horizon proportional to tau
     elif param == "N":
         if not (math.isfinite(value) and value == int(value)):
             raise SpecError(f"sweep value for N must be an integer, got {value}")
         doc["config"]["n_agents"] = int(value)
-        if doc["datum"].get("kind") != "random_uniform":
-            raise SpecError("sweep over N needs a random_uniform datum")
+        if (kind := doc["datum"].get("kind")) != "random_uniform":
+            raise SpecError(f"datum.kind: sweep over N needs a random_uniform datum, got {kind!r}")
     elif param == "gamma":
-        if doc["config"]["influence"].get("kind") != "algebraic_decay":
-            raise SpecError("sweep over gamma needs an algebraic_decay influence")
+        if (kind := doc["config"]["influence"].get("kind")) != "algebraic_decay":
+            raise SpecError(f"config: influence.kind: sweep over gamma needs an algebraic_decay influence, got {kind!r}")
         doc["config"]["influence"]["gamma"] = value
     else:  # horizon; cmd_sweep refuses any other param
         doc["horizon"] = value
@@ -319,7 +319,8 @@ def cmd_sweep(args) -> int:
     # every value loads before any integrates, so a bad one fails first;
     # tau sweeps drop the spec's own dt and horizon; --dt and --horizon still
     # apply.  A value writes no file of its own, so its outputs, checked by
-    # load_spec, are emptied: it forms neither D nor the fluctuation series
+    # load_spec, are emptied and its group integrates without D: it forms
+    # neither D nor the fluctuation series
     specs = [replace(load_spec(_apply_sweep_value(doc, args.param, v), overrides), outputs=())
              for v in args.values]
     groups: dict = {}
@@ -329,7 +330,7 @@ def cmd_sweep(args) -> int:
     for members in groups.values():
         columns = zip(*[(specs[i].config, specs[i].datum, specs[i].horizon, specs[i].integrator)
                         for i in members])
-        run = dynamics.integrate(*columns, any(_reads(specs[i], READS_D) for i in members))
+        run = dynamics.integrate(*columns, False)
         for i, traj in zip(members, run.trajectories):
             rows[i] = _sweep_row(specs[i], args.values[i], traj)
     out_dir = Path(args.out)

@@ -22,7 +22,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -208,9 +207,10 @@ def _blow_up_bounds(x0):
     return center, BLOW_UP_THRESHOLD * np.maximum(1.0, diameter(x0))[..., None, None]
 
 
-def _delayed_nodes(states, derivs, mids, q, j0, j1, eighth):
+def _delayed_nodes(states, derivs, mids, j0, j1, eighth):
     """(half, full): the delayed states of the half and of the full steps
-    from node j0 + q to node j1 + q, each stacked on the first axis.
+    from node j0 + q to node j1 + q, each stacked on the first axis, where
+    q = len(mids) is the number of steps per delay.
 
     dt divides the delay, so a full step's delayed state is the stored node
     j + 1, and a half step's the startup midpoint j (for j < q) or the
@@ -218,7 +218,7 @@ def _delayed_nodes(states, derivs, mids, q, j0, j1, eighth):
     The steps lie on one side of j = q: j1 <= q or j0 >= q.
     """
     full = states[j0 + 1 : j1 + 1]
-    if j1 <= q:
+    if j1 <= len(mids):
         return mids[j0:j1], full
     return 0.5 * (states[j0:j1] + full) + eighth * (derivs[j0:j1] - derivs[j0 + 1 : j1 + 1]), full
 
@@ -239,18 +239,25 @@ def _blown(nodes, center, limit, lowest):
 
 
 def rk4_method_of_steps(
-    vel, states, derivs, mids, q, dt, reads_now=True, center=0.0, limit=BLOW_UP_THRESHOLD,
-    per_call=None, dissipation=None, sq_diameter=None,
+    vel, states, derivs, mids, dt, reads_now=True, center=0.0, limit=BLOW_UP_THRESHOLD, per_call=None
 ):
     """Advance classical RK4 by the method of steps, in place, from node q (t = 0).
 
     states and derivs hold the history on nodes 0..q and mids at the q
-    startup midpoints.  A state stacks B members on its first axis, and dt
-    is a (B, 1, ..., 1) array that steps member b by dt[b]; every operation
-    acts per member, so one member's values never reach another's.
-    vel(x_now, x_delayed) is the velocity, and it takes states stacked on
-    extra leading axes.  A state blows up where |state - center| exceeds
-    limit or is not finite (both broadcast against a state).
+    startup midpoints, so q = len(mids) is the number of steps per delay.
+    A state stacks B members on its first axis, and dt is a (B, 1, ..., 1)
+    array that steps member b by dt[b]; every operation acts per member, so
+    one member's values never reach another's.  A state blows up where
+    |state - center| exceeds limit or is not finite (both broadcast against
+    a state).
+
+    vel(x_now, x_delayed, rows) is the velocity, and it takes states
+    stacked on extra leading axes.  rows is None for an RK4 stage; for the
+    call that gives derivs[m], the node call, it is the node index m, or
+    the slice of node rows whose delayed states are the last of a stack.
+    Node m's delayed state x(t_m - tau) is node m - q, so a velocity that
+    writes a diagnostic of it, as integrate's writes the squared diameter
+    and D, writes row m.
 
     reads_now=True steps one node at a time with four vel calls, and takes
     the delayed states and the blow-up test once per delay segment.
@@ -258,51 +265,40 @@ def rk4_method_of_steps(
     does.  Then k3 = k2, k4 is the new node's derivative, and a step reads
     only history at least one delay old, so the stepper advances the rest of
     a delay segment, up to q steps, at once: it stacks their delayed states
-    and evaluates them in vel(None, stack) calls of at most per_call states
-    each (default: the whole stack).  Either way the nodes are summed in
-    order from the increments, so they equal the per-step loop's bit for bit.
-
-    Given an (n, B) array sq_diameter, the call that gives derivs[m] is
-    vel(x_now, x_delayed, rows of dissipation, rows of sq_diameter), which
-    writes the squared diameter of its delayed state x(t_m - tau), node
-    m - q, to sq_diameter[m], and D[m] to dissipation[m] if an (n, B) array
-    dissipation is given too, or None in its place (see
-    velocity_from_states); without sq_diameter, vel takes two arguments.
+    and evaluates them in vel(None, stack, rows) calls of at most per_call
+    states each (default: the whole stack).  Either way the nodes are summed
+    in order from the increments, so they equal the per-step loop's bit for
+    bit.
 
     Returns one count per member: the number of nodes filled before its
     first blown-up one, whose state is left in states.  The loop ends with
     the delay segment in which the last member blows up.
     """
-    n = len(states)
+    n, q = len(states), len(mids)
     n_valid = np.full(len(dt), n)
     lowest = np.min(limit)
     half, sixth, eighth = 0.5 * dt, dt / 6.0, 0.125 * dt
     per_call = per_call or 2 * q
 
-    def node(x_now, x_delayed, rows):  # the last stacked x_delayed are those of the nodes rows
-        if sq_diameter is None:
-            return vel(x_now, x_delayed)
-        return vel(x_now, x_delayed, None if dissipation is None else dissipation[rows], sq_diameter[rows])
-
     with np.errstate(all="ignore"):
-        derivs[q] = node(states[q], states[0], q)
+        derivs[q] = vel(states[q], states[0], q)
         for a in range(q, n - 1, q):
             b = min(a + q, n - 1)  # steps a..b-1 fill nodes a+1..b
-            xd_half, xd_full = _delayed_nodes(states, derivs, mids, q, a - q, b - q, eighth)
+            xd_half, xd_full = _delayed_nodes(states, derivs, mids, a - q, b - q, eighth)
             if reads_now:  # one step at a time, on unstacked states; k1 = derivs[m]
                 nodes = states[a + 1 : b + 1]
                 for m, xh, xf in zip(range(a, b), xd_half, xd_full):
-                    k2 = vel(states[m] + half * derivs[m], xh)
-                    k3 = vel(states[m] + half * k2, xh)
-                    k4 = vel(states[m] + dt * k3, xf)
+                    k2 = vel(states[m] + half * derivs[m], xh, None)
+                    k3 = vel(states[m] + half * k2, xh, None)
+                    k4 = vel(states[m] + dt * k3, xf, None)
                     states[m + 1] = states[m] + sixth * (derivs[m] + 2.0 * k2 + 2.0 * k3 + k4)
-                    derivs[m + 1] = node(states[m + 1], xf, m + 1)
+                    derivs[m + 1] = vel(states[m + 1], xf, m + 1)
             else:
                 xd = np.concatenate([xd_half, xd_full])
                 c = b - a
                 row = a + 1 - c  # xd[c:] are the delayed states of nodes a + 1..b: xd[i] is row + i's
                 k = np.concatenate([
-                    node(None, xd[i : i + per_call], slice(row + max(i, c), row + min(i + per_call, 2 * c)))
+                    vel(None, xd[i : i + per_call], slice(row + max(i, c), row + min(i + per_call, 2 * c)))
                     for i in range(0, 2 * c, per_call)
                 ])
                 k2 = k3 = k[:c]
@@ -383,14 +379,21 @@ def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
     # the stepper's row m of squared diameters is node m - q, so node k of a
     # member is column q + k, and the last q nodes keep NaN
     sq_diameter = np.full((B, n + q), np.nan)
+    d_rows = None if D is None else D.swapaxes(0, 1)
+    sq_rows = sq_diameter[:, :n].swapaxes(0, 1)
+
+    def vel(x_now, x_delayed, rows):  # a node call writes its rows of the squared diameters and D
+        if rows is None:
+            return velocity_from_states(config, x_now, x_delayed)
+        return velocity_from_states(config, x_now, x_delayed, None if D is None else d_rows[rows], sq_rows[rows])
+
     # reaction velocities read only delayed states; a reaction segment is
     # evaluated in stacks whose (states, B, N, N) pair arrays stay within
     # BLOCK_ENTRIES entries
     transmission = config.delay_kind is DelayKind.TRANSMISSION
     n_valid = rk4_method_of_steps(
-        partial(velocity_from_states, config), states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, q, dt,
+        vel, states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, dt,
         transmission, center, limit, block_length(B * config.n_agents**2),
-        None if D is None else D.swapaxes(0, 1), sq_diameter[:, :n].swapaxes(0, 1),
     )
     trajectories = tuple(
         Trajectory(

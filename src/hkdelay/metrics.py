@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonPositiveSeries
-from .model import IcassReport, SystemConfig, block_length, check_icass, diameter, has_symmetric_weights, radius
+from .model import IcassReport, block_length, check_icass, diameter, has_symmetric_weights, radius
 
 SIGN_ATOL = 1e-10
 
@@ -61,11 +61,12 @@ class MetricSeries:
                     fh.write(template[p] % tuple(row))
 
 
-def compute_metrics(config: SystemConfig, trajectory, fluctuation=True) -> MetricSeries:
+def compute_metrics(trajectory, fluctuation=True) -> MetricSeries:
     """Evaluate the diagnostic series on the trajectory grid, in blocks of nodes
     whose (N, N, nodes) pair arrays, (nodes, N d) deviations and
     (nodes, q + 1) Lyapunov windows stay within model.BLOCK_ENTRIES
-    entries; D is the trajectory's own.
+    entries.  The config, the datum and D are the trajectory's own, so no
+    series is formed against a config other than the one integrated.
 
     The diameters come from the trajectory too, the roots of the squared
     diameters that the node calls wrote; model.diameter fills only the
@@ -81,11 +82,11 @@ def compute_metrics(config: SystemConfig, trajectory, fluctuation=True) -> Metri
     d_x is always formed.  With fluctuation false, r_x, the mean drift, X
     and L are not, and are None; L is None too for a trajectory without D.
     """
+    config = trajectory.config
     g = trajectory.grid
     S = trajectory.states
     D = trajectory.D
-    n = g.size
-    n_agents, dim = config.n_agents, config.dim
+    n, n_agents, dim = S.shape
     i0 = q = trajectory.origin  # startup nodes 0..i0, with g[i0] == 0
 
     d_x = np.sqrt(trajectory.sq_diameter)

@@ -135,11 +135,12 @@ def simulate_toy(config: SystemConfig, w0: float, horizon: float | None = None,
     constant history w = w0, and return the full series on [-tau, T].
 
     Blow-up is tolerated: the series is truncated and the time recorded.
-    The horizon defaults to 40 tau and dt to the default step.
+    The horizon defaults to 40 tau and dt to the default step.  The gap
+    reads no dissipation, so none is formed.
     """
     horizon = 40.0 * config.tau if horizon is None else horizon
     datum = InitialDatum.constant([[0.5 * w0], [-0.5 * w0]])
-    traj = integrate(config, datum, horizon, None if dt is None else IntegratorSpec(dt))
+    traj = integrate(config, datum, horizon, None if dt is None else IntegratorSpec(dt), False)
     w = traj.states[:, 0, 0] - traj.states[:, 1, 0]
     return ToySeries(times=traj.grid, w=w, blow_up_time=traj.blow_up_time)
 

@@ -169,7 +169,7 @@ def simulate_equality_case(alpha, beta, tau: float, horizon_delays: int = 10):
     u = np.ones((q + horizon_delays * q + 1, 1) + np.broadcast(alpha, beta).shape)
     # the history is constant, so its startup midpoints equal its nodes
     (n_valid,) = rk4_method_of_steps(
-        lambda u_now, u_del: alpha * u_del - beta * u_now,
-        u, np.zeros_like(u), u[:q], q, np.full((1,) * (u.ndim - 1), h),
+        lambda u_now, u_del, rows: alpha * u_del - beta * u_now,
+        u, np.zeros_like(u), u[:q], np.full((1,) * (u.ndim - 1), h),
     )
     return np.arange(n_valid - q) * h, u[q:n_valid, 0]

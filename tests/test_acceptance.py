@@ -103,7 +103,7 @@ def test_transmission_unconditional_consensus():
                 traj = integrate(config, datum, 60.0 * tau)
                 elapsed = time.perf_counter() - t0
                 worst_time = max(worst_time, elapsed)
-                ms = compute_metrics(config, traj)
+                ms = compute_metrics(traj)
                 ratio = float(ms.d_x[-1] / ms.icass.d_x0)
                 ratios.append(ratio)
                 ok = ok and ratio < 1e-3 and elapsed < 10.0
@@ -118,7 +118,7 @@ def test_transmission_normalized_rate_bound():
     config = SystemConfig(3, 2, 1.0, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, ALGEBRAIC)
     datum = InitialDatum.constant(rng.uniform(0.0, 1.0, (3, 2)))
     traj = integrate(config, datum, 30.0 * config.tau)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     pre = check_preconditions(config, datum, check_icass(datum, config))
     psi_low = psi_floor(config.influence, 2.0 * pre.icass.r_x0)
     rate = rate_transmission_normalized(3, psi_low, config.tau)
@@ -172,7 +172,7 @@ def test_reaction_symmetric_lyapunov_decay():
         )
         datum = InitialDatum.constant(rng.uniform(0.0, 1.0, (n, 2)))
         traj = integrate(config, datum, 40.0 * config.tau)
-        ms = compute_metrics(config, traj)
+        ms = compute_metrics(traj)
         i0 = int(np.searchsorted(ms.times, -1e-12, side="right"))
         mean0 = traj.states[i0].mean(axis=0)
         drift_ok = bool(np.all(ms.mean_drift <= 1e-8 * (1.0 + np.linalg.norm(mean0))))
@@ -194,7 +194,7 @@ def test_reaction_nonsymmetric_rate_bound():
     published, _ = theorem_rates(config, pre)
     assert published["reaction_small_delay"]["C"] == rate.C
     traj = integrate(config, datum, 40.0 * config.tau)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     bound = ms.icass.d_x0 * np.exp(-rate.C * ms.times) * (1.0 + 1e-6)
     ok = "reaction_small_delay" in pre.applicable() and bool(np.all(ms.d_x <= bound))
     assert _report(

@@ -193,7 +193,7 @@ def test_compute_metrics_forms_no_weights(monkeypatch, kind):
     traj = dynamics.integrate(config, datum, 2.0)
     assert calls  # the recorder sees the stepper's calls
     calls.clear()
-    metrics.compute_metrics(config, traj)
+    metrics.compute_metrics(traj)
     assert calls == []
 
 

@@ -291,7 +291,9 @@ def _raise(error):
     return fail
 
 
-@pytest.mark.parametrize(
+# a package error injected in a layer after the integration, and the files
+# that a simulate run still writes
+LATE_ERRORS = pytest.mark.parametrize(
     "module, layer, error, written",
     [
         (metrics, "compute_metrics", OutOfRange("no series"), ("trajectory.csv", "report.json")),
@@ -302,6 +304,9 @@ def _raise(error):
     ],
     ids=["compute_metrics", "check_preconditions", "theorem_rate"],
 )
+
+
+@LATE_ERRORS
 def test_package_error_after_integration_writes_partial_outputs(
     tmp_path, capsys, monkeypatch, module, layer, error, written
 ):
@@ -319,6 +324,18 @@ def test_package_error_after_integration_writes_partial_outputs(
     assert report["spec"] == json.loads((tmp_path / "ok" / "report.json").read_text())["spec"]
     assert report["metrics_summary"] is None
     assert report["blow_up_time"] is None
+
+
+@LATE_ERRORS
+def test_package_error_in_a_sweep_value_writes_no_sweep_csv(
+    tmp_path, capsys, monkeypatch, module, layer, error, written
+):
+    # a sweep value writes no file of its own, so its error leaves nothing
+    monkeypatch.setattr(module, layer, _raise(error))
+    out = tmp_path / "out"
+    assert main(["sweep", prop_rate_spec(tmp_path), "--param", "tau", "--values", "0.5", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (out / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -351,6 +368,7 @@ def test_overflowing_datum_is_rejected_before_any_output(tmp_path, capsys, datum
 
 DELETE = object()
 SPEC = object()  # in an argv: the consensus spec, and --out is appended
+MISSING = object()  # in an argv: a spec file that does not exist, and --out is appended
 
 
 def _set(path, value):
@@ -473,6 +491,9 @@ def _set(path, value):
         (_set("datum", {"kind": "sampled", "times": [-0.5, 0.0], "values": [[0.0, 1.0, 2.0]] * 2, "t": 0}),
          "datum.t"),
         (_set("integrator", {"dt": 0.0625, "step": 0.125}), "integrator.step"),
+        # a change may return a new document in place of the spec
+        (lambda doc: [doc], "spec"),
+        (["simulate", MISSING], "spec file not found"),
     ],
     ids=[
         "horizon_text", "horizon_null", "dt_text", "method_unknown", "seed_text",
@@ -494,6 +515,7 @@ def _set(path, value):
         "random_low_above_high", "times_spacing_overflows", "horizon_tiny",
         "unknown_top_level", "unknown_config", "unknown_influence", "unknown_constant_datum",
         "unknown_random_datum", "unknown_sampled_datum", "unknown_integrator",
+        "spec_not_an_object", "spec_missing",
     ],
 )
 def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field):
@@ -501,10 +523,11 @@ def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field)
     if callable(args):
         with open(consensus_spec(tmp_path)) as fh:
             doc = json.load(fh)
-        args(doc)
+        doc = args(doc) or doc
         args = ["simulate", write_spec(tmp_path / "bad.json", doc), "--out", str(out)]
-    elif SPEC in args:
-        args = [consensus_spec(tmp_path) if a is SPEC else a for a in args] + ["--out", str(out)]
+    elif SPEC in args or MISSING in args:
+        paths = {SPEC: consensus_spec(tmp_path), MISSING: str(tmp_path / "missing.json")}
+        args = [paths.get(a, a) for a in args] + ["--out", str(out)]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
@@ -786,6 +809,33 @@ def test_sweep_fails_on_a_bad_value_before_integrating(tmp_path, capsys, monkeyp
         assert err == f"error: sweep value for N must be an integer, got {shown}\n", bad
         assert calls == []
         assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "param, change, message",
+    [
+        ("tau", _set("datum", {"kind": "sampled", "times": [-0.5, 0.0], "values": [[[0.0], [1.0], [2.0]]] * 2}),
+         "datum.kind: sweep over tau needs a constant or random datum, got 'sampled'"),
+        ("N", lambda doc: None,  # the consensus spec's constant datum
+         "datum.kind: sweep over N needs a random_uniform datum, got 'constant_per_agent'"),
+        ("gamma", _set("config.influence", {"kind": "constant", "c": 0.5}),
+         "config: influence.kind: sweep over gamma needs an algebraic_decay influence, got 'constant'"),
+    ],
+    ids=["tau", "N", "gamma"],
+)
+def test_sweep_refuses_a_spec_it_cannot_vary(tmp_path, capsys, monkeypatch, param, change, message):
+    # the refusal names the field, and comes before any integration or output
+    calls = []
+    monkeypatch.setattr(dynamics, "integrate", lambda *args, **kwargs: calls.append(args))
+    with open(consensus_spec(tmp_path)) as fh:
+        doc = json.load(fh)
+    change(doc)
+    out = tmp_path / "out"
+    spec = write_spec(tmp_path / "bad.json", doc)
+    assert main(["sweep", spec, "--param", param, "--values", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert not out.exists()
 
 
 def test_sweep_over_an_unaddressable_n_is_refused(tmp_path, capsys):

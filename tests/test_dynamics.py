@@ -436,7 +436,7 @@ def test_rk4_stepper_stops_at_the_first_blown_up_node():
     states = np.ones((q + 200 + 1, 1, 3))
     derivs = np.zeros_like(states)
     (n_valid,) = dynamics.rk4_method_of_steps(
-        lambda x_now, x_del: 2.0 * x_del, states, derivs, states[:q], q, dt, reads_now=False
+        lambda x_now, x_del, rows: 2.0 * x_del, states, derivs, states[:q], dt, reads_now=False
     )
     assert q < n_valid < len(states)
     assert np.all(np.abs(states[:n_valid]) <= dynamics.BLOW_UP_THRESHOLD)
@@ -663,16 +663,20 @@ def test_rk4_stepper_matches_per_step_loop_bit_for_bit(
         limit = limit * 1e-12
     reads_now = kind is DelayKind.TRANSMISSION
 
-    def vel(x_now, x_delayed, D=None, sq_diameter=None):
-        return dynamics.velocity_from_states(config, x_now, x_delayed, D, sq_diameter)
-
     ref_states, ref_derivs = states.copy(), derivs.copy()
     D = np.full(shape[:2], np.nan)
     sq_diameter = np.full(shape[:2], np.nan)
-    got = dynamics.rk4_method_of_steps(
-        vel, states, derivs, mids, q, dt, reads_now, center, limit, per_call, D, sq_diameter
+
+    def vel(x_now, x_delayed, rows):  # a node call writes its rows of D and the squared diameters
+        if rows is None:
+            return dynamics.velocity_from_states(config, x_now, x_delayed)
+        return dynamics.velocity_from_states(config, x_now, x_delayed, D[rows], sq_diameter[rows])
+
+    got = dynamics.rk4_method_of_steps(vel, states, derivs, mids, dt, reads_now, center, limit, per_call)
+    # the reference forms the velocities alone, by vel's stage form
+    want = per_step_rk4(
+        lambda x_now, x_del: vel(x_now, x_del, None), ref_states, ref_derivs, mids, q, dt, reads_now, center, limit
     )
-    want = per_step_rk4(vel, ref_states, ref_derivs, mids, q, dt, reads_now, center, limit)
     assert np.array_equal(got, want)
     counts = want.tolist()
     for b, count in enumerate(counts):

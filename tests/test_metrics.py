@@ -193,7 +193,7 @@ def test_metric_series_shapes_and_startup_convention(rng):
                          weight_scheme=WeightScheme.CLASSICAL_SCALED)
     datum = random_datum(rng, 4, 2)
     traj = integrate(config, datum, 6 * config.tau)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     startup = ms.times <= 0.0
     assert np.all(ms.d_x[startup] == ms.icass.d_x0)
     assert np.all(ms.d_x <= 2.0 * ms.r_x + 1e-12)
@@ -236,7 +236,7 @@ def test_series_match_pointwise_diameter_and_dissipation(rng, kind, scheme, infl
     else:
         datum = random_datum(rng, 4, 2)
     traj = integrate(config, datum, 4 * config.tau)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     i0 = int(np.searchsorted(traj.grid, 0.0))
     startup_max = max(diameter(s) for s in traj.states[: i0 + 1])
     d_scale = float(np.nanmax(ms.D))
@@ -255,7 +255,7 @@ def test_tiny_delay_series_start_at_the_t0_node():
                          influence=InfluenceFunction.constant(1.0))
     datum = InitialDatum.sampled([-1e-11, 0.0], [[[0.0], [0.3], [0.6]], [[0.1], [0.1], [0.6]]])
     traj = integrate(config, datum, 5e-11)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     i0 = traj.origin
     assert i0 == 64 and traj.grid[i0] == 0.0
     assert np.all(np.isnan(ms.D[:i0])) and not np.any(np.isnan(ms.D[i0:]))
@@ -273,7 +273,7 @@ def test_lyapunov_series_matches_pointwise_op(rng):
                              weight_scheme=WeightScheme.CLASSICAL_SCALED)
         datum = random_datum(rng, n_agents, dim)
         traj = integrate(config, datum, 4 * config.tau)
-        ms = compute_metrics(config, traj)
+        ms = compute_metrics(traj)
         for t in (config.tau, 2.0 * config.tau, 3.5 * config.tau):
             m = int(np.searchsorted(traj.grid, t - 1e-12))
             expect = lyapunov(config, traj, float(traj.grid[m]))
@@ -285,7 +285,7 @@ def test_lyapunov_nonincreasing_for_short_reaction_delay(rng):
                          weight_scheme=WeightScheme.CLASSICAL_SCALED)
     datum = random_datum(rng, 5, 2)
     traj = integrate(config, datum, 40 * config.tau)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     L = ms.L[~np.isnan(ms.L)]
     assert np.all(np.diff(L) <= 1e-6)
     i0 = int(np.searchsorted(ms.times, -1e-12, side="right"))
@@ -298,7 +298,7 @@ def test_dissipation_bounded_by_fluctuation(rng):
                          weight_scheme=WeightScheme.CLASSICAL_SCALED)
     datum = random_datum(rng, 5, 2)
     traj = integrate(config, datum, 10 * config.tau)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     q = int(np.searchsorted(ms.times, -1e-12, side="right"))
     for m in range(q, ms.times.size):
         assert ms.D[m] <= 4.0 * ms.X[m - q] + 1e-12
@@ -358,7 +358,7 @@ def test_blocked_series_match_per_node_loop(monkeypatch, block_entries, n_agents
     datum = random_datum(np.random.default_rng(n_agents), n_agents, 2, low=-1.0)
     traj = integrate(config, datum, 3 * config.tau, IntegratorSpec(config.tau / 8))
     monkeypatch.setattr(model, "BLOCK_ENTRIES", block_entries)
-    assert_series_identical(compute_metrics(config, traj), reference_metrics(config, traj))
+    assert_series_identical(compute_metrics(traj), reference_metrics(config, traj))
 
 
 @pytest.mark.parametrize("block_entries", [1, 40, model.BLOCK_ENTRIES])
@@ -369,7 +369,7 @@ def test_blocked_series_match_per_node_loop_on_blown_up_run(monkeypatch, block_e
                      IntegratorSpec(config.tau / 8))
     assert traj.blow_up_time is not None
     monkeypatch.setattr(model, "BLOCK_ENTRIES", block_entries)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     assert not np.all(np.isnan(ms.L))
     assert_series_identical(ms, reference_metrics(config, traj))
 
@@ -392,7 +392,7 @@ def test_compute_metrics_forms_pairs_only_for_nodes_no_node_call_read(monkeypatc
     for config, traj in zip(configs, run.trajectories):
         assert traj.blow_up_time is None
         formed.clear()
-        compute_metrics(config, traj)
+        compute_metrics(traj)
         assert 0 < sum(formed) <= q
 
 
@@ -437,7 +437,7 @@ def test_consensus_time_sustained(rng):
     config = make_config(n_agents=3, dim=1, tau=0.5)
     datum = random_datum(rng, 3, 1)
     traj = integrate(config, datum, 20 * config.tau)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     tol = 1e-3 * ms.icass.d_x0
     t_c = consensus_time(ms, tol)
     assert t_c is not None
@@ -452,7 +452,7 @@ def test_consensus_time_from_start():
     config = make_config(n_agents=3, dim=1, tau=0.5)
     datum = InitialDatum.constant(np.full((3, 1), 1.0))
     traj = integrate(config, datum, 2 * config.tau)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     assert consensus_time(ms, 1e-6) == 0.0
 
 
@@ -460,7 +460,7 @@ def test_metric_series_csv_format(tmp_path, rng):
     config = make_config(n_agents=3, dim=1, tau=0.5)  # transmission: no L column
     datum = random_datum(rng, 3, 1)
     traj = integrate(config, datum, 2 * config.tau)
-    ms = compute_metrics(config, traj)
+    ms = compute_metrics(traj)
     path = tmp_path / "metrics.csv"
     ms.to_csv(path)
     lines = path.read_text().splitlines()
@@ -490,7 +490,7 @@ def reference_metrics_csv(ms, path):
 def test_metric_series_csv_bytes_match_reference_writer(tmp_path, rng, monkeypatch):
     config = make_config(n_agents=4, dim=2, tau=0.5, delay_kind=DelayKind.REACTION,
                          weight_scheme=WeightScheme.CLASSICAL_SCALED)
-    ms = compute_metrics(config, integrate(config, random_datum(rng, 4, 2), 3 * config.tau))
+    ms = compute_metrics(integrate(config, random_datum(rng, 4, 2), 3 * config.tau))
     # NaN runs in D and L, plus values at the edges of the format
     ms.X[3] = -0.0
     ms.D[-2] = 5e-324

@@ -13,6 +13,7 @@ from hkdelay import (
     IntegratorSpec,
     InvalidConfig,
     InvalidDatum,
+    OutOfRange,
     SystemConfig,
     WeightScheme,
     check_icass,
@@ -360,6 +361,14 @@ def test_datum_interpolates_linearly():
     datum = InitialDatum.sampled([-1.0, 0.0], [[[0.0], [1.0]], [[0.0], [2.0]]])
     assert datum.at(-0.5)[1, 0] == pytest.approx(1.5, abs=1e-15)
     assert np.allclose(datum.slope_at(-0.25)[1], [1.0])
+
+
+def test_datum_read_outside_its_grid_is_out_of_range():
+    datum = InitialDatum.sampled([-1.0, 0.0], [[[0.0], [1.0]], [[0.0], [2.0]]])
+    with pytest.raises(OutOfRange, match=r"^datum sample at t=-2 outside \[-1, 0\]$"):
+        datum.at(-2.0)
+    with pytest.raises(OutOfRange, match=r"^datum sample at t=0.5 outside \[-1, 0\]$"):
+        datum.at([-0.5, 0.5, 1.0])  # the first time outside is named
 
 
 def test_datum_coverage_required():

@@ -166,6 +166,15 @@ def test_sweep_forms_neither_D_nor_the_fluctuation_series(tmp_path, monkeypatch,
     assert formed["radius"] == 0
 
 
+@pytest.mark.parametrize("kind", ["transmission", "reaction"])
+def test_toy_forms_no_D(monkeypatch, capsys, kind):
+    # the toy reads only the gap of its two agents
+    formed = record_diagnostics(monkeypatch)
+    assert main(["toy", "--tau", "0.5", "--kind", kind]) == 0
+    assert formed["D"] and all(D is None for D in formed["D"])
+    assert formed["radius"] == 0
+
+
 @pytest.mark.parametrize(
     "outputs, forms_D, forms_fluctuation",
     [(["trajectory"], False, False), (["rates"], False, False), (["report"], False, True),
@@ -188,9 +197,9 @@ def test_skipped_diagnostics_leave_d_x_as_it_was(kind):
     assert lean.D is None
     assert np.array_equal(lean.states, full.states) and np.array_equal(lean.derivs, full.derivs)
     assert np.array_equal(lean.sq_diameter, full.sq_diameter, equal_nan=True)
-    series = metrics.compute_metrics(config, lean, False)
-    assert np.array_equal(series.d_x, metrics.compute_metrics(config, full).d_x)
+    series = metrics.compute_metrics(lean, False)
+    assert np.array_equal(series.d_x, metrics.compute_metrics(full).d_x)
     assert series.r_x is series.mean_drift is series.X is series.D is series.L is None
     # with the fluctuation series but without D, L alone is missing
-    series = metrics.compute_metrics(config, lean)
+    series = metrics.compute_metrics(lean)
     assert series.X is not None and series.L is None

@@ -257,7 +257,7 @@ def test_c_emp_is_the_linear_rate_where_the_rightmost_root_is_real(kind, scheme,
         root = rightmost_root(*linear_coefficients(config), config.tau)
         assert root.re < 0.0
         if root.im == 0.0:
-            c_emp = _fit_c_emp(compute_metrics(config, traj))
+            c_emp = _fit_c_emp(compute_metrics(traj))
             assert c_emp == pytest.approx(-root.re, rel=0.01), config.tau
             compared += 1
     assert compared >= 1
