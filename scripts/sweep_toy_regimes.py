@@ -10,16 +10,8 @@ import csv
 import sys
 from pathlib import Path
 
-from hkdelay.metrics import count_sign_changes
 from hkdelay.model import DelayKind
-from hkdelay.toy import (
-    classify_regime,
-    fitted_decay_rate,
-    linear_coefficients,
-    rightmost_root,
-    simulate_toy,
-    two_agent_config,
-)
+from hkdelay.toy import toy_record
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -28,27 +20,23 @@ def main() -> int:
     taus = [0.05 * k for k in range(1, 25)]
     rows = []
     for tau in taus:
-        config = two_agent_config(DelayKind.REACTION, tau)
-        a, b = linear_coefficients(config)
-        regime = classify_regime(a, b, tau)
-        root = rightmost_root(a, b, tau)
-        series = simulate_toy(config, 1.0, horizon=40 * tau, dt=tau / 32)
-        changes = count_sign_changes(series.w[series.times > 0])
-        rate = fitted_decay_rate(series, t_lo=5 * tau)
+        record = toy_record(DelayKind.REACTION, tau, horizon=40 * tau, dt=tau / 32, t_lo=5 * tau)
+        regime, root, rate = record["regime"], record["rightmost_root"], record["fitted_rate"]
+        changes = record["sign_changes"]
         rows.append(
             {
                 "tau": round(tau, 4),
-                "regime": regime.value,
-                "root_re": root.re,
-                "root_im": root.im,
+                "regime": regime,
+                "root_re": root["re"],
+                "root_im": root["im"],
                 "sign_changes": changes,
                 "fitted_rate": rate,
             }
         )
         rate_s = "-" if rate is None else f"{rate:+.4f}"
         print(
-            f"tau={tau:5.2f}  {regime.value:22s}  Re(xi)={root.re:+.4f}  "
-            f"Im(xi)={root.im:.4f}  sign_changes={changes:3d}  fitted_rate={rate_s}"
+            f"tau={tau:5.2f}  {regime:22s}  Re(xi)={root['re']:+.4f}  "
+            f"Im(xi)={root['im']:.4f}  sign_changes={changes:3d}  fitted_rate={rate_s}"
         )
     RESULTS.mkdir(parents=True, exist_ok=True)
     path = RESULTS / "toy_sweep.csv"

@@ -6,7 +6,6 @@ from .errors import (
     InvalidConfig,
     InvalidDatum,
     InvalidProblem,
-    NoRootFound,
     NonPositiveSeries,
     OutOfRange,
     PreconditionViolated,

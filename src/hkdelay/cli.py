@@ -79,15 +79,18 @@ def _resolve_datum(raw: dict, config: SystemConfig, seed: int) -> InitialDatum:
     return datum_from_dict(raw)
 
 
+def _json_object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{name}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _section(doc: dict, name: str, default=None) -> dict:
     """The JSON object doc[name], or default if it is absent; an absent
     section without a default is an error."""
     if name not in doc and default is None:
         raise SpecError(f"{name}: missing field")
-    section = doc.get(name, default)
-    if not isinstance(section, dict):
-        raise SpecError(f"{name}: expected a JSON object, got {type(section).__name__}")
-    return section
+    return _json_object(name, doc.get(name, default))
 
 
 def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
@@ -98,8 +101,7 @@ def load_spec(doc: dict, overrides: dict | None = None) -> ExperimentSpec:
     section knows.
     """
     overrides = overrides or {}
-    if not isinstance(doc, dict):
-        raise SpecError(f"spec: expected a JSON object, got {type(doc).__name__}")
+    _json_object("spec", doc)
     require_known("spec", doc, [f.name for f in fields(ExperimentSpec)])
     config = config_from_dict(_section(doc, "config"))
     seed = json_number("seed", overrides.get("seed", doc.get("seed", 0)), integer=True)
@@ -272,24 +274,30 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _apply_sweep_value(doc: dict, param: str, value: float) -> dict:
-    doc = json.loads(json.dumps(doc))  # deep copy
+def _apply_sweep_value(doc, param: str, value: float) -> dict:
+    """A copy of the spec document with param set to value.  The spec and
+    each section that it reads pass the loader's checks first, so a
+    malformed one is refused as simulate refuses it."""
+    doc = json.loads(json.dumps(_json_object("spec", doc)))  # deep copy
+    config = _section(doc, "config")
     if param == "tau":
-        doc["config"]["tau"] = value
-        if doc["datum"].get("kind") == "sampled":
+        config["tau"] = value
+        if _section(doc, "datum").get("kind") == "sampled":
             raise SpecError("datum.kind: sweep over tau needs a constant or random datum, got 'sampled'")
-        doc.get("integrator", {}).pop("dt", None)
+        _section(doc, "integrator", {}).pop("dt", None)
         doc.pop("horizon", None)  # keep horizon proportional to tau
     elif param == "N":
         if not (math.isfinite(value) and value == int(value)):
             raise SpecError(f"sweep value for N must be an integer, got {value}")
-        doc["config"]["n_agents"] = int(value)
-        if (kind := doc["datum"].get("kind")) != "random_uniform":
+        config["n_agents"] = int(value)
+        if (kind := _section(doc, "datum").get("kind")) != "random_uniform":
             raise SpecError(f"datum.kind: sweep over N needs a random_uniform datum, got {kind!r}")
     elif param == "gamma":
-        if (kind := doc["config"]["influence"].get("kind")) != "algebraic_decay":
+        if not isinstance(config.get("influence"), dict):
+            config_from_dict(config)  # refuses the config, naming its influence or an earlier field
+        if (kind := config["influence"].get("kind")) != "algebraic_decay":
             raise SpecError(f"config: influence.kind: sweep over gamma needs an algebraic_decay influence, got {kind!r}")
-        doc["config"]["influence"]["gamma"] = value
+        config["influence"]["gamma"] = value
     else:  # horizon; cmd_sweep refuses any other param
         doc["horizon"] = value
     return doc
@@ -350,26 +358,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_toy(args) -> int:
-    config = toy.two_agent_config(args.kind, args.tau)
-    a, b = toy.linear_coefficients(config)
-    regime = toy.classify_regime(a, b, config.tau)
-    root = toy.rightmost_root(a, b, config.tau)
-    series = toy.simulate_toy(config, w0=1.0, horizon=args.horizon, dt=args.dt)
-    forward = series.times > 0.0
-    changes = metrics.count_sign_changes(series.w[forward])
-    fitted = toy.fitted_decay_rate(series)
-    print(
-        json.dumps(
-            {
-                "tau": args.tau,
-                "regime": regime.value,
-                "rightmost_root": root.to_dict(),
-                "sign_changes": changes,
-                "fitted_rate": fitted,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(toy.toy_record(args.kind, args.tau, args.horizon, args.dt), sort_keys=True))
     return 0
 
 

@@ -29,9 +29,5 @@ class NonPositiveSeries(HKDelayError, ValueError):
     """Decay-rate fitting needs a strictly positive series on the window."""
 
 
-class NoRootFound(HKDelayError):
-    """Characteristic-root search did not converge from any start point."""
-
-
 class SpecError(HKDelayError, ValueError):
     """Experiment spec file is malformed; message names the offending field."""

@@ -2,10 +2,12 @@
 
 Solves the Gronwall-Halanay rate equation beta - C = alpha * K(C) for the
 two delay kernels in use (Dirac mass at zero and the uniform density on
-[0, tau]).  This is the one module that names the paper's four consensus
-theorems, listed in THEOREMS: check_preconditions decides which of them
-cover a configuration and why the others do not, and theorem_rates gives
-the rates of those that carry one, or why a rate was skipped.
+[0, tau]) with bisect, the package's one scalar root finder, which the toy
+module's characteristic root shares.  This is the one module that names
+the paper's four consensus theorems, listed in THEOREMS:
+check_preconditions decides which of them cover a configuration and why
+the others do not, and theorem_rates gives the rates of those that carry
+one, or why a rate was skipped.
 """
 
 from __future__ import annotations
@@ -93,21 +95,11 @@ def _kernel(measure: Measure, c: float, tau: float) -> float:
         return math.inf
 
 
-def solve_halanay(problem: HalanayProblem) -> RateResult:
-    """Unique C in (0, beta - alpha) with beta - C = alpha * K(C).
-
-    The left side decreases and the right side increases, so bisection
-    keeps the root in [lo, hi] until the two are adjacent floats.  It
-    returns lo, where beta - C > alpha * K(C): the rate never exceeds the
-    root, so d_x0 e^{-Ct} stays an upper bound.  hi is returned only if lo
-    is still 0.  iterations counts the halvings.
-    """
-    a, b, tau, meas = problem.alpha, problem.beta, problem.tau, problem.measure
-
-    def f(c: float) -> float:
-        return b - c - a * _kernel(meas, c, tau)
-
-    lo, hi = 0.0, b - a
+def bisect(f, lo: float, hi: float) -> tuple[float, float, int]:
+    """Halve [lo, hi] until its ends are adjacent floats, for an f that is
+    positive left of its one sign change and not right of it: a midpoint
+    where f > 0 becomes lo, any other hi.  Returns lo, hi and the number of
+    halvings."""
     iterations = 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         iterations += 1
@@ -115,6 +107,24 @@ def solve_halanay(problem: HalanayProblem) -> RateResult:
             lo = mid
         else:
             hi = mid
+    return lo, hi, iterations
+
+
+def solve_halanay(problem: HalanayProblem) -> RateResult:
+    """Unique C in (0, beta - alpha) with beta - C = alpha * K(C).
+
+    The left side decreases and the right side increases, so bisect keeps
+    the root in [lo, hi] until the two are adjacent floats.  It returns lo,
+    where beta - C > alpha * K(C): the rate never exceeds the root, so
+    d_x0 e^{-Ct} stays an upper bound.  hi is returned only if lo is still
+    0.  iterations counts the halvings.
+    """
+    a, b, tau, meas = problem.alpha, problem.beta, problem.tau, problem.measure
+
+    def f(c: float) -> float:
+        return b - c - a * _kernel(meas, c, tau)
+
+    lo, hi, iterations = bisect(f, 0.0, b - a)
     c = lo if lo > 0.0 else hi
     return RateResult(C=c, residual=f(c), iterations=iterations)
 

@@ -6,7 +6,9 @@ gives a = 0, b = c N/(N - 1) and transmission a = c, b = c/(N - 1); for
 constant psi it is exact.  a >= b is stable for every tau; for a = 0 the
 rightmost root of xi + b e^{-xi tau} + a leaves the real axis at
 b tau = 1/e and the left half plane at b tau = pi/2 (N. D. Hayes, J. London
-Math. Soc. 25 (1950)).  The toy is the two-agent normalized system on a
+Math. Soc. 25 (1950)).  That root is W0(-b tau e^{a tau})/tau - a, on the
+principal branch of Lambert's W (H. Shinozaki and T. Mori, Automatica 42
+(2006) 1791-1799).  The toy is the two-agent normalized system on a
 line: its gap x_1 - x_2 has (a, b) = (1, 1) for transmission, (0, 2) for
 reaction.
 """
@@ -20,9 +22,10 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import IntegratorSpec, integrate
-from .errors import InvalidConfig, NoRootFound
-from .metrics import fit_decay_rate
+from .errors import InvalidConfig
+from .metrics import count_sign_changes, fit_decay_rate
 from .model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
+from .rates import bisect
 
 OSCILLATION_THRESHOLD = math.exp(-1.0)  # on b*tau
 STABILITY_THRESHOLD = math.pi / 2.0  # on b*tau
@@ -84,42 +87,38 @@ class CharRoot:
         return {"re": self.re, "im": self.im}
 
 
-def _char(a: float, b: float, tau: float, z: np.ndarray):
-    return z + b * np.exp(-z * tau) + a, 1.0 - b * tau * np.exp(-z * tau)
-
-
 def rightmost_root(a: float, b: float, tau: float) -> CharRoot:
-    """Characteristic root with maximal real part, by multistart Newton.
+    """Root of xi + a + b e^{-xi tau} with maximal real part, for a >= 0,
+    b > 0, in closed form.
 
-    Starts cover Re in [-10, 5] (step 0.25) and Im in [0, 4 pi/tau]
-    (step pi/(2 tau)); conjugate symmetry makes the upper half plane
-    sufficient.  Raises NoRootFound if no start converges.
+    With w = (xi + a) tau the equation is w e^w = -r, r = b tau e^{a tau},
+    whose rightmost root is the principal branch of Lambert's W: xi* =
+    W0(-r)/tau - a.  ln r is formed as a sum, so no product under- or
+    overflows, and W0 is bisected.  For r <= 1/e it is real in [-1, 0) and
+    solves ln(-w) + w = ln r.  Otherwise W0 = -y cot y + i y, y in (0, pi),
+    solves ln(y / sin y) - y cot y = ln r; it is bisected on v = cot y, so
+    that a y near pi keeps its digits in 1/sin y = hypot(1, v), and the
+    equation gives xi* = (ln(b tau sin y / y) + i y)/tau, which does not
+    subtract a from w/tau.
     """
     _require_delay(tau)
-    res = np.arange(-10.0, 5.0 + 1e-12, 0.25)
-    ims = np.arange(9) * (0.5 * math.pi / tau)
-    z = (res[:, None] + 1j * ims[None, :]).ravel()
+    log_r = math.log(b) + math.log(tau) + a * tau
+    if log_r <= -1.0:
+        w = bisect(lambda w: math.log(-w) + w - log_r, -1.0, 0.0)[0]
+        root = complex(w / tau - a, 0.0)
+    else:
+        def excess(v):  # ln(y / sin y) - y cot y - ln r at y = arccot v
+            y = math.atan2(1.0, v)
+            return math.log(y) + math.log(math.hypot(1.0, v)) - y * v - log_r
+
+        # excess decreases in v, from positive at -max(ln r, 1) to negative
+        # at (ln r + 1)^(-1/2)
+        v = bisect(excess, -max(log_r, 1.0), 1.0 / math.sqrt(log_r + 1.0))[0]
+        y = math.atan2(1.0, v)
+        root = complex(-math.log(y / b * (math.hypot(1.0, v) / tau)) / tau, y / tau)
     with np.errstate(all="ignore"):
-        for _ in range(60):
-            fz, dfz = _char(a, b, tau, z)
-            step = fz / dfz
-            z = z - np.where(np.isfinite(step), step, 0.0)
-        fz, _ = _char(a, b, tau, z)
-        ok = np.isfinite(z) & (np.abs(fz) <= 1e-11)
-    if not np.any(ok):
-        raise NoRootFound(
-            f"no characteristic root found for a={a:g}, b={b:g}, tau={tau:g} "
-            f"in Re [-10, 5] x Im [0, {4.0 * math.pi / tau:g}]"
-        )
-    cand = z[ok]
-    root = complex(cand[np.argmax(cand.real)])
-    for _ in range(8):  # polish the winner
-        fz, dfz = _char(a, b, tau, np.asarray(root))
-        if abs(complex(fz)) <= 1e-14:
-            break
-        root = root - complex(fz) / complex(dfz)
-    residual = abs(complex(_char(a, b, tau, np.asarray(root))[0]))
-    return CharRoot(re=float(root.real), im=abs(float(root.imag)), residual=residual)
+        residual = float(abs(root + a + b * np.exp(-root * tau)))
+    return CharRoot(re=root.real, im=root.imag, residual=residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,3 +161,21 @@ def fitted_decay_rate(series: ToySeries, t_lo: float | None = None):
     peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
     fit = peaks if peaks.size >= 4 else idx
     return fit_decay_rate(t[fit], a[fit], (t[fit[0]], t[fit[-1]]))
+
+
+def toy_record(delay_kind: DelayKind, tau: float, horizon: float | None = None,
+               dt: float | None = None, t_lo: float | None = None) -> dict:
+    """The two-agent toy at one delay, as `hkdelay toy` prints it: its
+    regime and rightmost root, and the forward sign changes and fitted
+    decay rate of its gap simulated from w0 = 1.  horizon and dt default
+    as in simulate_toy, t_lo as in fitted_decay_rate."""
+    config = two_agent_config(delay_kind, tau)
+    a, b = linear_coefficients(config)
+    series = simulate_toy(config, 1.0, horizon, dt)
+    return {
+        "tau": tau,
+        "regime": classify_regime(a, b, tau).value,
+        "rightmost_root": rightmost_root(a, b, tau).to_dict(),
+        "sign_changes": count_sign_changes(series.w[series.times > 0.0]),
+        "fitted_rate": fitted_decay_rate(series, t_lo),
+    }

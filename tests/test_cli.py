@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hkdelay import DelayKind, dynamics, metrics, rate_transmission_normalized, rates, weights_from_states
-from hkdelay.errors import InvalidConfig, NoRootFound, OutOfRange, PreconditionViolated
+from hkdelay.errors import InvalidConfig, InvalidProblem, OutOfRange, PreconditionViolated
 from hkdelay.cli import load_spec, main
 from hkdelay.dynamics import default_spec
 from hkdelay.toy import classify_regime, linear_coefficients, simulate_toy, two_agent_config
@@ -299,7 +299,7 @@ LATE_ERRORS = pytest.mark.parametrize(
         (metrics, "compute_metrics", OutOfRange("no series"), ("trajectory.csv", "report.json")),
         (rates, "check_preconditions", PreconditionViolated("no check"),
          ("trajectory.csv", "metrics.csv", "report.json")),
-        (rates, "rate_transmission_normalized", NoRootFound("no rate"),
+        (rates, "rate_transmission_normalized", InvalidProblem("no rate"),
          ("trajectory.csv", "metrics.csv", "report.json")),
     ],
     ids=["compute_metrics", "check_preconditions", "theorem_rate"],
@@ -820,8 +820,16 @@ def test_sweep_fails_on_a_bad_value_before_integrating(tmp_path, capsys, monkeyp
          "datum.kind: sweep over N needs a random_uniform datum, got 'constant_per_agent'"),
         ("gamma", _set("config.influence", {"kind": "constant", "c": 0.5}),
          "config: influence.kind: sweep over gamma needs an algebraic_decay influence, got 'constant'"),
+        # a malformed section is refused with the line that simulate prints
+        ("tau", _set("datum", DELETE), "datum: missing field"),
+        ("N", _set("datum", [[0.25], [0.25], [0.25]]), "datum: expected a JSON object, got list"),
+        ("gamma", lambda doc: [1], "spec: expected a JSON object, got list"),
+        ("gamma", _set("config.influence", DELETE), "config.influence: missing field"),
+        ("gamma", _set("config.influence", []), "config: influence: expected a JSON object, got list"),
+        ("tau", _set("config", []), "config: expected a JSON object, got list"),
     ],
-    ids=["tau", "N", "gamma"],
+    ids=["tau", "N", "gamma", "datum_missing", "datum_list", "spec_list", "influence_missing",
+         "influence_list", "config_list"],
 )
 def test_sweep_refuses_a_spec_it_cannot_vary(tmp_path, capsys, monkeypatch, param, change, message):
     # the refusal names the field, and comes before any integration or output
@@ -829,7 +837,7 @@ def test_sweep_refuses_a_spec_it_cannot_vary(tmp_path, capsys, monkeypatch, para
     monkeypatch.setattr(dynamics, "integrate", lambda *args, **kwargs: calls.append(args))
     with open(consensus_spec(tmp_path)) as fh:
         doc = json.load(fh)
-    change(doc)
+    doc = change(doc) or doc
     out = tmp_path / "out"
     spec = write_spec(tmp_path / "bad.json", doc)
     assert main(["sweep", spec, "--param", param, "--values", "3", "--out", str(out)]) == 1

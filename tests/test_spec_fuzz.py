@@ -6,8 +6,12 @@ path of four small valid specs, and each document runs through
 with every requested output; exit 1 with one `error: <entry>...` line that
 starts with the spec's top-level entry (or `spec`) and no output
 directory; or exit 2, a blow-up, with its partial outputs and
-blow_up_time.  An entry that its section does not know always exits 1.  No run raises, prints a traceback or warns, and every JSON
-output parses with NaN and Infinity refused.
+blow_up_time.  An entry that its section does not know always exits 1.
+The mutants of the spec itself and of the sections that `hkdelay sweep`
+reads before the loader also run through a sweep over each parameter,
+which exits 0 with sweep.csv or 1 as above.  No run raises, prints a
+traceback or warns, and every JSON output parses with NaN and Infinity
+refused.
 """
 
 import copy
@@ -18,7 +22,7 @@ import warnings
 
 import pytest
 
-from hkdelay.cli import DEFAULT_OUTPUTS, main
+from hkdelay.cli import DEFAULT_OUTPUTS, SWEEP_PARAMS, main
 
 BASES = {
     "constant": {
@@ -148,6 +152,8 @@ def value_at(doc, path):
 
 
 def mutated(base, path, mutant):
+    if not path:  # the spec itself
+        return mutant
     doc = copy.deepcopy(base)
     parent = value_at(doc, path[:-1])
     if mutant is DELETE:
@@ -161,16 +167,18 @@ def refuse_constant(name):
     raise ValueError(f"bare {name} in a JSON output")
 
 
-def outcome_faults(doc, work, capsys) -> tuple:
-    """The exit code of one simulate run of doc, and what in it breaks the
-    three-outcome contract."""
+def run_faults(doc, work, capsys, command, *flags) -> tuple:
+    """The exit code of one run of `hkdelay <command>` on doc, and what in
+    it breaks the contract that every command keeps: no raise, warning or
+    traceback, and an exit 1 with one error line that names a top-level
+    entry and no output directory."""
     spec, out = work / "spec.json", work / "out"
     work.mkdir()
     spec.write_text(json.dumps(doc))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = main(["simulate", str(spec), "--out", str(out)])
+            code = main([command, str(spec), *flags, "--out", str(out)])
         except BaseException as exc:  # a traceback at the command line
             return None, [f"raised {type(exc).__name__}: {exc}"]
     err = capsys.readouterr().err
@@ -182,9 +190,18 @@ def outcome_faults(doc, work, capsys) -> tuple:
             faults.append(f"exit 1 without one error line naming a top-level entry: {err!r}")
         if out.exists():
             faults.append("exit 1 left an output directory")
+    return code, faults
+
+
+def outcome_faults(doc, work, capsys) -> tuple:
+    """The exit code of one simulate run of doc, and what in it breaks the
+    three-outcome contract."""
+    code, faults = run_faults(doc, work, capsys, "simulate")
+    if code in (None, 1):
         return code, faults
     if code not in (0, 2):
-        return code, faults + [f"exit {code}: {err!r}"]
+        return code, faults + [f"exit {code}"]
+    out = work / "out"
     missing = [name for name in doc.get("outputs", DEFAULT_OUTPUTS) if not (out / FILES[name]).exists()]
     if missing:
         faults.append(f"exit {code} without the outputs {missing}")
@@ -216,3 +233,37 @@ def test_every_mutated_spec_runs_or_fails_honestly(tmp_path, capsys, base, mutat
     if base == "blow_up" and mutation == "missing_field":
         # a dropped seed leaves the run that blows up
         assert 2 in codes
+
+
+# what sweep reads from the document before the loader does: the spec
+# itself and its sections
+SWEPT_PATHS = ((), ("config",), ("config", "influence"), ("datum",), ("integrator",))
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+@pytest.mark.parametrize("param", SWEEP_PARAMS)
+def test_every_mutated_spec_sweeps_or_fails_honestly(tmp_path, capsys, base, param):
+    # a sweep exits 0 with sweep.csv or 1 with one error line; each base is
+    # swept at its own value on its own dt, and horizon but in a horizon
+    # sweep, so that tau sweeps stay on its small grid
+    doc = BASES[base]
+    config = doc["config"]
+    value = {"tau": config["tau"], "N": config["n_agents"], "horizon": doc["horizon"],
+             "gamma": config["influence"].get("gamma", 1.0)}[param]
+    flags = ["--param", param, "--values", str(value), "--dt", str(doc["integrator"]["dt"])]
+    if param != "horizon":
+        flags += ["--horizon", str(doc["horizon"])]
+    faults = []
+    for path in SWEPT_PATHS:
+        for mutation, mutate in sorted(MUTATIONS.items()):
+            for k, mutant in enumerate(mutate(value_at(doc, path))):
+                if mutant is DELETE and not path:
+                    continue
+                work = tmp_path / f"{'.'.join(path) or 'spec'}-{mutation}-{k}"
+                code, found = run_faults(mutated(doc, path, mutant), work, capsys, "sweep", *flags)
+                if code == 0 and not (work / "out" / "sweep.csv").exists():
+                    found.append("exit 0 without sweep.csv")
+                elif code not in (None, 0, 1):
+                    found.append(f"exit {code}")
+                faults += [f"{'.'.join(path) or 'spec'} -> {mutant!r}: {f}" for f in found]
+    assert not faults

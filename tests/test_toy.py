@@ -1,8 +1,12 @@
 import cmath
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hkdelay import (
     DelayKind,
@@ -97,6 +101,56 @@ def test_reaction_root_satisfies_rescaled_equation():
         xi = complex(root.re, root.im)
         eta = xi * tau
         assert abs(eta + 2.0 * tau * cmath.exp(-eta)) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=20.0),
+    b=st.floats(min_value=1e-9, max_value=1e3),
+    tau=st.floats(min_value=1e-9, max_value=1e4),
+)
+def test_rightmost_root_is_the_principal_branch_of_lambert_w(a, b, tau):
+    # xi* = W0(-r)/tau - a with r = b tau e^{a tau}; near r = 1/e, where
+    # W0 and W-1 meet in a double root, no digits are to be had
+    lambertw = pytest.importorskip("scipy.special").lambertw
+    assume(a * tau <= 50.0)
+    r = b * tau * math.exp(a * tau)
+    assume(abs(r * math.e - 1.0) > 1e-6)
+    root = rightmost_root(a, b, tau)
+    expected = complex(lambertw(-r, 0)) / tau - a
+    expected = complex(expected.real, abs(expected.imag))
+    tol = 1e-12 * abs(expected)
+    assert abs(complex(root.re, root.im) - expected) <= tol
+    if r <= math.exp(-1.0):
+        assert root.im == 0.0
+    for k in (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6):
+        # beyond 1/e, W-1(-r) is the conjugate of W0(-r): equal real parts
+        assert root.re >= (complex(lambertw(-r, k)) / tau - a).real - tol, k
+
+
+@pytest.mark.parametrize("n, expected", [
+    # the multistart search returned -0.015379 + 0.261i at N = 100 and
+    # found no root at N = 1000
+    (100, complex(-0.015265974371582983, 0.010436648687093254)),
+    (1000, complex(-0.022945330500666748, 0.0104363719937635)),
+])
+def test_rightmost_root_of_long_normalized_transmission(n, expected):
+    config = SystemConfig(n, 2, 300.0, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, InfluenceFunction.constant(1.0))
+    root = rightmost_root(*linear_coefficients(config), 300.0)
+    assert complex(root.re, root.im) == pytest.approx(expected, rel=1e-12)
+    assert root.residual <= 1e-14
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1e300, 1.7e308])
+@pytest.mark.parametrize("kind", list(DelayKind))
+def test_rightmost_root_at_extreme_delays_is_finite_and_quiet(kind, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = rightmost_root(*COEFFICIENTS[kind], tau)
+    assert math.isfinite(root.re) and math.isfinite(root.im) and math.isfinite(root.residual)
+    # b tau e^{a tau} is 2e-300 at tau = 1e-300: xi* is real, next to -a - b
+    if tau < 1.0:
+        assert root.im == 0.0 and root.re == pytest.approx(-sum(COEFFICIENTS[kind]), rel=1e-12)
 
 
 def test_root_regime_consistency_on_grid():
@@ -265,12 +319,13 @@ def test_c_emp_is_the_linear_rate_where_the_rightmost_root_is_real(kind, scheme,
 
 def test_theorem_rates_do_not_exceed_the_linear_rate():
     # a theorem rate bounds the decay of every datum it admits, so it is at
-    # most C_lin, the decay of data near consensus
+    # most C_lin, the decay of data near consensus; at N = 100 and long
+    # delays the rightmost root lies close to the imaginary axis
     rng = np.random.default_rng(3)
     checked = 0
-    for n in (3, 5, 20):
+    for n in (3, 5, 20, 100):
         datum = InitialDatum.constant(rng.uniform(-1.0, 1.0, (n, 2)))
-        for tau in np.geomspace(0.02, 3.0, 15):
+        for tau in np.geomspace(0.02, 600.0, 25):
             for kind in DelayKind:
                 for psi in (InfluenceFunction.constant(0.7), InfluenceFunction.algebraic_decay(1.0)):
                     config = SystemConfig(n, 2, tau, kind, WeightScheme.NORMALIZED, psi)
