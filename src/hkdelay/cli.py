@@ -80,6 +80,7 @@ def _resolve_datum(raw: dict, config: SystemConfig, seed: int) -> InitialDatum:
 
 
 def _json_object(name: str, value) -> dict:
+    """value, if it is a JSON object; an error naming name otherwise."""
     if not isinstance(value, dict):
         raise SpecError(f"{name}: expected a JSON object, got {type(value).__name__}")
     return value
