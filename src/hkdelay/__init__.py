@@ -41,6 +41,7 @@ from .metrics import (
     consensus_time,
     count_sign_changes,
     fit_decay_rate,
+    fitted_decay_rate,
 )
 from .rates import (
     HalanayProblem,
@@ -58,7 +59,6 @@ from .toy import (
     ToyRegime,
     ToySeries,
     classify_regime,
-    fitted_decay_rate,
     linear_coefficients,
     rightmost_root,
     simulate_toy,

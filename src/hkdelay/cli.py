@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, metrics, rates, toy
-from .errors import HKDelayError, InvalidDatum, NonPositiveSeries, SpecError
+from .errors import HKDelayError, InvalidDatum, SpecError
 from .model import (
     InitialDatum,
     SystemConfig,
@@ -39,8 +39,6 @@ KNOWN_OUTPUTS = ("trajectory", "metrics", "rates", "report")
 READS_D = ("metrics",)
 READS_FLUCTUATION = ("metrics", "report")
 SWEEP_PARAMS = ("tau", "N", "gamma", "horizon")
-CONSENSUS_REL_TOL = 1e-3
-FIT_ROUNDING_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -162,38 +160,6 @@ class RunResult:
     error: HKDelayError | None = None  # raised after the integration
 
 
-def _rounding_floor(r_x0: float) -> float:
-    """The rounding of states of size r_x0, FIT_ROUNDING_ULPS * eps * r_x0:
-    a datum far from the origin stops contracting at a few ulps of its own
-    size, so no diameter below this floor is resolved."""
-    return FIT_ROUNDING_ULPS * np.finfo(float).eps * r_x0
-
-
-def _fit_window(series: metrics.MetricSeries):
-    """Fit window for the empirical rate: mid-run, while d_x is resolvable,
-    above 1e-12 d_x0 and above the rounding floor of the states, both read
-    from the series' startup report."""
-    t = series.times
-    horizon = float(t[-1])
-    floor = max(series.icass.d_x0 * 1e-12, _rounding_floor(series.icass.r_x0), 1e-280)
-    ok = (t >= 0.1 * horizon) & (t <= 0.9 * horizon) & (series.d_x > floor)
-    if ok.sum() < 8:
-        return None
-    lo = float(t[ok][0])
-    hi = float(t[ok][-1])
-    return (lo, hi) if hi > lo else None
-
-
-def _fit_c_emp(series: metrics.MetricSeries):
-    window = _fit_window(series)
-    if window is None:
-        return None
-    try:
-        return metrics.fit_decay_rate(series.times, series.d_x, window)
-    except NonPositiveSeries:
-        return None
-
-
 def _reads(spec: ExperimentSpec, readers) -> bool:
     """Whether one of spec's outputs is among readers."""
     return any(name in readers for name in spec.outputs)
@@ -217,8 +183,8 @@ def run_experiment(spec: ExperimentSpec, traj=None) -> RunResult:
         series = metrics.compute_metrics(traj, _reads(spec, READS_FLUCTUATION))
         precond = rates.check_preconditions(spec.config, spec.datum, series.icass)
         theoretical, skipped = rates.theorem_rates(spec.config, precond)
-        c_emp = None if blow_up is not None else _fit_c_emp(series)
-        tol = max(CONSENSUS_REL_TOL * max(series.icass.d_x0, 1e-300), _rounding_floor(series.icass.r_x0))
+        c_emp = None if blow_up is not None else metrics.fit_c_emp(series)
+        tol = metrics.consensus_tol(series)
         summary = {
             "d_x0": series.icass.d_x0,
             "d_x_final": float(series.d_x[-1]),

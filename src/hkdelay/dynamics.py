@@ -67,17 +67,28 @@ class IntegratorSpec:
 
 def default_spec(config: SystemConfig) -> IntegratorSpec:
     """dt = tau / q with the smallest q >= STEPS_PER_DELAY that keeps dt at
-    or below MAX_DEFAULT_DT.  A tau whose startup segment of q + 1 nodes
-    cannot be addressed at that step is refused here, naming the default."""
-    q = max(STEPS_PER_DELAY, config.tau / MAX_DEFAULT_DT)  # a float: tau / 0.25 may be inf
+    or below MAX_DEFAULT_DT.  A tau that this step cannot serve is refused
+    here, naming the default: one whose startup segment of q + 1 nodes
+    cannot be addressed, and a subnormal one that tau / q, rounded to the
+    subnormal grid, does not divide into q steps."""
+    tau = config.tau
+    q = max(STEPS_PER_DELAY, tau / MAX_DEFAULT_DT)  # a float: tau / 0.25 may be inf
     node_bytes = 8 * config.n_agents * config.dim
     if (q + 1) * node_bytes > sys.maxsize:
-        raise InvalidConfig(
-            f"integrator.dt: the default step keeps dt <= {MAX_DEFAULT_DT:g}, so tau={config.tau:g} "
-            f"needs {q + 1:.4g} startup nodes of {node_bytes} bytes, which cannot be addressed; "
-            "set --dt in a tau sweep, which drops integrator.dt, and elsewhere set integrator.dt or --dt"
-        )
-    return IntegratorSpec(config.tau / math.ceil(q))
+        problem = (f"the default step keeps dt <= {MAX_DEFAULT_DT:g}, so tau={tau:g} needs {q + 1:.4g} "
+                   f"startup nodes of {node_bytes} bytes, which cannot be addressed")
+    else:
+        q = math.ceil(q)
+        try:
+            spec = IntegratorSpec(tau / q)
+            spec.steps_per_delay(tau)
+            return spec
+        except InvalidConfig:
+            problem = f"the default step tau/{q} = {tau / q:g} does not divide tau={tau:g} into {q} steps"
+    raise InvalidConfig(
+        f"integrator.dt: {problem}; set --dt in a tau sweep, which drops integrator.dt, "
+        "and elsewhere set integrator.dt or --dt"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,7 +384,6 @@ def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
     mids = np.empty((q, B, config.n_agents, config.dim))
     for b in range(B):
         mids[:, b] = _fill_startup(grid[b], q, datums[b], states[b], derivs[b], configs[b].tau)
-    center, limit = _blow_up_bounds(states[:, q])
 
     D = np.full(grid.shape, np.nan) if dissipation else None
     # the stepper's row m of squared diameters is node m - q, so node k of a
@@ -391,10 +401,17 @@ def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
     # evaluated in stacks whose (states, B, N, N) pair arrays stay within
     # BLOCK_ENTRIES entries
     transmission = config.delay_kind is DelayKind.TRANSMISSION
-    n_valid = rk4_method_of_steps(
-        vel, states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, dt,
-        transmission, center, limit, block_length(B * config.n_agents**2),
-    )
+    N = config.n_agents
+    try:  # the grid fits, so what cannot be allocated is an (N, N, ...) pair array
+        center, limit = _blow_up_bounds(states[:, q])
+        n_valid = rk4_method_of_steps(
+            vel, states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, dt,
+            transmission, center, limit, block_length(B * N**2),
+        )
+    except MemoryError as exc:
+        raise InvalidConfig(
+            f"config.n_agents: {N} agents need ({N}, {N}) pair arrays, which cannot be allocated"
+        ) from exc
     trajectories = tuple(
         Trajectory(
             grid[b, :m], states[b, :m], derivs[b, :m], None if D is None else D[b, :m],

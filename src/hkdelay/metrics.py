@@ -1,4 +1,5 @@
-"""Diagnostics along trajectories and empirical decay fitting.
+"""Diagnostics along trajectories, empirical decay fitting and the
+consensus threshold.
 
 compute_metrics evaluates the state series on the trajectory grid at once:
 the diameter d_x, and unless told not to, the radius r_x, mean drift and
@@ -8,6 +9,10 @@ no weights itself, and builds the Lyapunov functional L from X and D.
 Conventions: the diameter series is frozen at its startup maximum for
 t <= 0; fluctuation and the Lyapunov functional subtract the mean at
 t = 0 (it is conserved for symmetric reaction weights).
+
+The empirical rates are fitted here alone, C_emp of a run by fit_c_emp and
+the two-agent toy's rate by fitted_decay_rate; both pick their samples
+through _fit_samples, each with its own window and floor.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from .errors import NonPositiveSeries
 from .model import IcassReport, block_length, check_icass, diameter, has_symmetric_weights, radius
 
 SIGN_ATOL = 1e-10
+CONSENSUS_REL_TOL = 1e-3
+FIT_ROUNDING_ULPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +160,59 @@ def fit_decay_rate(times, series, window) -> float:
     return float((t_c * (y - y.mean())).sum() / denom)
 
 
+def _rounding_floor(r_x0: float) -> float:
+    """The rounding of states of size r_x0, FIT_ROUNDING_ULPS * eps * r_x0:
+    a datum far from the origin stops contracting at a few ulps of its own
+    size, so no diameter below this floor is resolved."""
+    return FIT_ROUNDING_ULPS * np.finfo(float).eps * r_x0
+
+
+def _fit_samples(times, values, lo: float, hi: float, floor: float):
+    """Indices of the samples at times in [lo, hi] whose values lie above
+    floor, or None when there are fewer than 8."""
+    idx = np.flatnonzero((times >= lo) & (times <= hi) & (values > floor))
+    return idx if idx.size >= 8 else None
+
+
+def fit_c_emp(series: MetricSeries):
+    """C_emp, the decay rate of d_x, or None if it cannot be fitted.
+
+    The samples are mid-run, in [0.1 T, 0.9 T], where d_x is resolvable:
+    above 1e-12 d_x0, above the rounding floor of the states, both read
+    from the series' startup report, and above 1e-280.  The fit runs over
+    every node from the first of them to the last."""
+    t, d_x = series.times, series.d_x
+    horizon = float(t[-1])
+    floor = max(series.icass.d_x0 * 1e-12, _rounding_floor(series.icass.r_x0), 1e-280)
+    idx = _fit_samples(t, d_x, 0.1 * horizon, 0.9 * horizon, floor)
+    if idx is None:
+        return None
+    try:
+        return fit_decay_rate(t, d_x, (t[idx[0]], t[idx[-1]]))
+    except NonPositiveSeries:
+        return None
+
+
+def fitted_decay_rate(times, w, t_lo: float | None = None):
+    """Empirical decay rate of |w|; positive means decay, None if unfittable.
+
+    The samples are those from t_lo (default: 0.2 of the last time) on with
+    |w| above 1e-13.  Oscillatory signals, with at least 4 peaks among
+    them, are fitted on the log of their peak amplitudes, monotone ones on
+    log |w| at every sample.
+    """
+    a = np.abs(w)
+    if t_lo is None:
+        t_lo = 0.2 * float(times[-1])
+    idx = _fit_samples(times, a, t_lo, np.inf, 1e-13)
+    if idx is None:
+        return None
+    interior = idx[(idx > 0) & (idx < times.size - 1)]
+    peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
+    fit = peaks if peaks.size >= 4 else idx
+    return fit_decay_rate(times[fit], a[fit], (times[fit[0]], times[fit[-1]]))
+
+
 def count_sign_changes(series, atol: float = SIGN_ATOL) -> int:
     """Strict sign alternations, ignoring entries with |value| < atol."""
     v = np.asarray(series, dtype=float)
@@ -161,6 +221,12 @@ def count_sign_changes(series, atol: float = SIGN_ATOL) -> int:
         return 0
     s = np.sign(v)
     return int(np.sum(s[1:] * s[:-1] < 0))
+
+
+def consensus_tol(series: MetricSeries) -> float:
+    """The consensus threshold on d_x: CONSENSUS_REL_TOL times d_x0, and no
+    less than the rounding floor of the states."""
+    return max(CONSENSUS_REL_TOL * max(series.icass.d_x0, 1e-300), _rounding_floor(series.icass.r_x0))
 
 
 def consensus_time(series: MetricSeries, tol: float):

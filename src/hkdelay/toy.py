@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import IntegratorSpec, integrate
 from .errors import InvalidConfig
-from .metrics import count_sign_changes, fit_decay_rate
+from .metrics import count_sign_changes, fitted_decay_rate
 from .model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
 from .rates import bisect
 
@@ -95,8 +95,11 @@ def rightmost_root(a: float, b: float, tau: float) -> CharRoot:
     whose rightmost root is the principal branch of Lambert's W: xi* =
     W0(-r)/tau - a.  ln r is formed as a sum, so no product under- or
     overflows, and W0 is bisected.  For r <= 1/e it is real in [-1, 0) and
-    solves ln(-w) + w = ln r.  Otherwise W0 = -y cot y + i y, y in (0, pi),
-    solves ln(y / sin y) - y cot y = ln r; it is bisected on v = cot y, so
+    solves ln(-w) + w = ln r, and the equation gives xi* = -b e^{a tau - w}
+    - a, which keeps the digits that w loses to the rounding of ln r, or
+    to the subnormal grid at a subnormal tau.  Otherwise W0 = -y cot y +
+    i y, y in (0, pi), solves ln(y / sin y) - y cot y = ln r; it is
+    bisected on v = cot y, so
     that a y near pi keeps its digits in 1/sin y = hypot(1, v), and the
     equation gives xi* = (ln(b tau sin y / y) + i y)/tau, which does not
     subtract a from w/tau.
@@ -105,7 +108,8 @@ def rightmost_root(a: float, b: float, tau: float) -> CharRoot:
     log_r = math.log(b) + math.log(tau) + a * tau
     if log_r <= -1.0:
         w = bisect(lambda w: math.log(-w) + w - log_r, -1.0, 0.0)[0]
-        root = complex(w / tau - a, 0.0)
+        x = a * tau - w  # e^x overflows past x = 709.78, where w/tau serves
+        root = complex((-b * math.exp(x) if x < 709.0 else w / tau) - a, 0.0)
     else:
         def excess(v):  # ln(y / sin y) - y cot y - ln r at y = arccot v
             y = math.atan2(1.0, v)
@@ -144,31 +148,12 @@ def simulate_toy(config: SystemConfig, w0: float, horizon: float | None = None,
     return ToySeries(times=traj.grid, w=w, blow_up_time=traj.blow_up_time)
 
 
-def fitted_decay_rate(series: ToySeries, t_lo: float | None = None):
-    """Empirical decay rate of |w|; positive means decay, None if unfittable.
-
-    Oscillatory signals are fitted on the log of their peak amplitudes,
-    monotone ones on log |w| directly.
-    """
-    t = series.times
-    a = np.abs(series.w)
-    if t_lo is None:
-        t_lo = 0.2 * float(t[-1])
-    idx = np.flatnonzero((t >= t_lo) & (a > 1e-13))
-    if idx.size < 8:
-        return None
-    interior = idx[(idx > 0) & (idx < t.size - 1)]
-    peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
-    fit = peaks if peaks.size >= 4 else idx
-    return fit_decay_rate(t[fit], a[fit], (t[fit[0]], t[fit[-1]]))
-
-
 def toy_record(delay_kind: DelayKind, tau: float, horizon: float | None = None,
                dt: float | None = None, t_lo: float | None = None) -> dict:
     """The two-agent toy at one delay, as `hkdelay toy` prints it: its
     regime and rightmost root, and the forward sign changes and fitted
     decay rate of its gap simulated from w0 = 1.  horizon and dt default
-    as in simulate_toy, t_lo as in fitted_decay_rate."""
+    as in simulate_toy, t_lo as in metrics.fitted_decay_rate."""
     config = two_agent_config(delay_kind, tau)
     a, b = linear_coefficients(config)
     series = simulate_toy(config, 1.0, horizon, dt)
@@ -177,5 +162,5 @@ def toy_record(delay_kind: DelayKind, tau: float, horizon: float | None = None,
         "regime": classify_regime(a, b, tau).value,
         "rightmost_root": rightmost_root(a, b, tau).to_dict(),
         "sign_changes": count_sign_changes(series.w[series.times > 0.0]),
-        "fitted_rate": fitted_decay_rate(series, t_lo),
+        "fitted_rate": fitted_decay_rate(series.times, series.w, t_lo),
     }

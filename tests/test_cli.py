@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +436,13 @@ def _set(path, value):
         (["toy", "--tau", "1e300", "--kind", "transmission"], "integrator.dt"),
         # two steps of 1e-12 are not a delay of 1.5e-12
         (["toy", "--tau", "1.5e-12", "--dt", "1e-12", "--kind", "reaction"], "integrator.dt"),
+        # tau/64 is not exact at a subnormal tau: the default step was refused
+        # as a dt that nobody set, "dt=1.5625e-312 must divide tau=1e-310"
+        # or "must be positive, got 0.0"
+        (["toy", "--tau", "1e-310", "--kind", "transmission"], "integrator.dt"),
+        (["toy", "--tau", "5e-324", "--kind", "reaction"], "integrator.dt"),
+        (_set("config.tau", 1e-310), "integrator.dt"),
+        (["sweep", SPEC, "--param", "tau", "--values", "1e-310"], "integrator.dt"),
         # NaN knots passed every comparison: the run blew up at tau/64, and an
         # infinite knot ran psi = 1 and wrote Infinity into report.json
         (_set("config.influence", {"kind": "table", "samples": [[0.0, 1.0], [1.0, float("nan")]]}),
@@ -506,6 +517,7 @@ def _set(path, value):
         "random_low_nan", "random_high_inf", "random_range_overflows",
         "n_agents_unaddressable", "dim_unaddressable",
         "toy_tau_huge_reaction", "toy_tau_huge_transmission", "toy_dt_not_dividing_tiny_tau",
+        "toy_tau_subnormal_transmission", "toy_tau_smallest_subnormal", "tau_subnormal", "sweep_tau_subnormal",
         "table_psi_nan", "table_s_nan", "table_s_inf",
         "tau_bool", "dim_bool", "horizon_string", "dt_string", "c_string", "gamma_bool", "low_string",
         "seed_fraction", "seed_bool", "seed_string", "seed_negative", "seed_negative_flag",
@@ -524,15 +536,63 @@ def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field)
         with open(consensus_spec(tmp_path)) as fh:
             doc = json.load(fh)
         doc = args(doc) or doc
+        default_step = field == "integrator.dt" and "dt" not in doc.get("integrator", {})
         args = ["simulate", write_spec(tmp_path / "bad.json", doc), "--out", str(out)]
-    elif SPEC in args or MISSING in args:
-        paths = {SPEC: consensus_spec(tmp_path), MISSING: str(tmp_path / "missing.json")}
-        args = [paths.get(a, a) for a in args] + ["--out", str(out)]
+    else:
+        default_step = field == "integrator.dt" and "--dt" not in args
+        if SPEC in args or MISSING in args:
+            paths = {SPEC: consensus_spec(tmp_path), MISSING: str(tmp_path / "missing.json")}
+            args = [paths.get(a, a) for a in args] + ["--out", str(out)]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
-    if args[0] == "sweep":  # the advice names the one setting a tau sweep keeps
-        assert "set --dt in a tau sweep, which drops integrator.dt" in err
+    if default_step:  # a refused default step says so, and names the setting that each command keeps
+        assert err.startswith("error: integrator.dt: the default step ")
+        assert err.endswith(
+            "set --dt in a tau sweep, which drops integrator.dt, and elsewhere set integrator.dt or --dt\n"
+        )
+    assert not out.exists()
+
+
+# run in a child whose address space is capped 4 GiB above what its imports
+# mapped, so that no host allocates or touches an array past the cap,
+# whatever its overcommit policy
+CAPPED_MAIN = """
+import resource, sys
+from hkdelay.cli import main
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (4 << 30), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--param", "N", "--values", "60000"]],
+                         ids=["simulate", "sweep"])
+def test_pair_arrays_that_cannot_be_allocated_exit_with_an_error_line(tmp_path, command):
+    # 60000 agents need a (60000, 60000, 1) pair array of 26.8 GiB: numpy's
+    # MemoryError from model.pair_sq, raised in the blow-up bounds, ended in
+    # a traceback
+    doc = {
+        "config": {
+            "n_agents": 60000, "dim": 1, "tau": 1.0,
+            "delay_kind": "reaction", "weight_scheme": "normalized",
+            "influence": {"kind": "constant", "c": 1.0},
+        },
+        "datum": {"kind": "random_uniform"},
+        "horizon": 1.0 / 64,
+        "outputs": ["report"],
+    }
+    out = tmp_path / "out"
+    argv = [command[0], write_spec(tmp_path / "big.json", doc), *command[1:], "--out", str(out)]
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: config.n_agents: 60000 agents need (60000, 60000) pair arrays, which cannot be allocated\n"
+    )
     assert not out.exists()
 
 
@@ -1124,6 +1184,15 @@ def test_default_resolution_is_tau_over_64(tmp_path, capsys):
     assert load_spec(doc, {"dt": 1e306}).integrator.dt == 1e306
     doc["integrator"] = {"dt": 1e306}
     assert load_spec(doc).integrator.dt == 1e306
+    # tau/64 lies on the subnormal grid, and 64 such steps are not a delay
+    # of 1e-310: the default is refused, and a step of tau runs
+    toy_spec(tmp_path, tau=1e-310)
+    doc = json.loads((tmp_path / "toy.json").read_text())
+    with pytest.raises(InvalidConfig, match="^integrator.dt: the default step tau/64 = .* set integrator.dt or --dt$"):
+        load_spec(doc)
+    assert load_spec(doc, {"dt": 1e-310}).integrator.dt == 1e-310
+    assert main(["toy", "--tau", "5e-324", "--dt", "5e-324", "--kind", "reaction"]) == 0
+    assert json.loads(capsys.readouterr().out)["rightmost_root"] == {"re": -2.0, "im": 0.0}
     tau = 0.3
     default = simulate_toy(two_agent_config(DelayKind.REACTION, tau), w0=1.0, horizon=2.0)
     explicit = simulate_toy(two_agent_config(DelayKind.REACTION, tau), w0=1.0, horizon=2.0, dt=tau / 64)

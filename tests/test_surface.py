@@ -188,6 +188,26 @@ def test_metrics_alone_runs_the_startup_check():
         assert ("check_icass" in found) == (module == "metrics"), module
 
 
+def test_metrics_alone_fits_rates_and_sets_the_consensus_threshold():
+    # C_emp's fit, the toy's fit and the consensus threshold live in
+    # metrics, whose fits share one sample window: no other module calls
+    # fit_decay_rate, and cli and toy define no fit, window, floor or
+    # consensus threshold of their own
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "metrics":
+            continue
+        found: set = set()
+        references(ast.parse(path.read_text()), "", found)
+        assert "fit_decay_rate" not in found, path.stem
+    for module in ("cli", "toy"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        defined = [n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        defined += [t.id for n in ast.walk(tree) if isinstance(n, ast.Assign) for t in n.targets
+                    if isinstance(t, ast.Name)]
+        words = ("fit", "window", "floor", "ulps", "consensus")
+        assert not [name for name in defined if any(w in name.lower() for w in words)], module
+
+
 def test_dynamics_and_metrics_do_not_name_the_weight_scheme():
     # the kernel decides the scheme alone: Weights.n is the row denominator
     # of either scheme, so the velocity and D divide by it, and neither

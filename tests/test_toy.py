@@ -28,7 +28,7 @@ from hkdelay import (
     theorem_rates,
     two_agent_config,
 )
-from hkdelay.cli import _fit_c_emp
+from hkdelay.metrics import fit_c_emp
 
 TAU_GRID = [0.05 * k for k in range(1, 41)]
 # (a, b) of the two-agent toy, whose gap obeys w' = -a w(t) - b w(t - tau)
@@ -141,16 +141,24 @@ def test_rightmost_root_of_long_normalized_transmission(n, expected):
     assert root.residual <= 1e-14
 
 
-@pytest.mark.parametrize("tau", [1e-300, 1e300, 1.7e308])
+@pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e300, 1.7e308])
 @pytest.mark.parametrize("kind", list(DelayKind))
 def test_rightmost_root_at_extreme_delays_is_finite_and_quiet(kind, tau):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         root = rightmost_root(*COEFFICIENTS[kind], tau)
     assert math.isfinite(root.re) and math.isfinite(root.im) and math.isfinite(root.residual)
-    # b tau e^{a tau} is 2e-300 at tau = 1e-300: xi* is real, next to -a - b
+    # b tau e^{a tau} is 2e-300 at tau = 1e-300: xi* is real, -a - b to
+    # 300 digits; w/tau - a read -3.0 at tau = 5e-324
     if tau < 1.0:
-        assert root.im == 0.0 and root.re == pytest.approx(-sum(COEFFICIENTS[kind]), rel=1e-12)
+        assert root.im == 0.0 and root.re == -sum(COEFFICIENTS[kind])
+
+
+def test_rightmost_root_past_the_exponential_range():
+    # a tau - w = 720: e^720 overflows, and xi* = w/tau - a, where
+    # w = -b tau e^{a tau - w} is about -e^(720 - 744.4)
+    root = rightmost_root(720.0, 5e-324, 1.0)
+    assert root.im == 0.0 and root.re == pytest.approx(-720.0 - math.exp(720.0 + math.log(5e-324)), rel=1e-15)
 
 
 def test_root_regime_consistency_on_grid():
@@ -226,7 +234,7 @@ def test_fitted_rate_matches_root_in_stable_regimes():
     for kind, tau in cases:
         root = rightmost_root(*COEFFICIENTS[kind], tau)
         series = simulate_toy(two_agent_config(kind, tau), 1.0, horizon=40 * tau)
-        rate = fitted_decay_rate(series, t_lo=5 * tau)
+        rate = fitted_decay_rate(series.times, series.w, t_lo=5 * tau)
         assert rate is not None
         assert rate == pytest.approx(-root.re, rel=0.10), (kind, tau)
 
@@ -253,7 +261,7 @@ def reference_fitted_rate(series):
 def test_fitted_rate_equals_its_least_squares_slope_bit_for_bit(kind, tau):
     # hkdelay toy prints this rate with all its digits
     series = simulate_toy(two_agent_config(kind, tau), 1.0, horizon=40 * tau)
-    assert fitted_decay_rate(series) == reference_fitted_rate(series)
+    assert fitted_decay_rate(series.times, series.w) == reference_fitted_rate(series)
 
 
 def test_blow_up_truncates_series():
@@ -289,7 +297,7 @@ def test_two_agent_classical_regime_reads_psi_at_zero():
     root = rightmost_root(a, b, 0.3)
     assert root.im == 0.0 and root.re == pytest.approx(-1.6313, abs=1e-4)
     series = simulate_toy(config, 1.0)
-    assert fitted_decay_rate(series) == pytest.approx(-root.re, rel=1e-3)
+    assert fitted_decay_rate(series.times, series.w) == pytest.approx(-root.re, rel=1e-3)
 
 
 LINEAR_TAUS = (0.1, 0.4, 0.7)
@@ -311,7 +319,7 @@ def test_c_emp_is_the_linear_rate_where_the_rightmost_root_is_real(kind, scheme,
         root = rightmost_root(*linear_coefficients(config), config.tau)
         assert root.re < 0.0
         if root.im == 0.0:
-            c_emp = _fit_c_emp(compute_metrics(traj))
+            c_emp = fit_c_emp(compute_metrics(traj))
             assert c_emp == pytest.approx(-root.re, rel=0.01), config.tau
             compared += 1
     assert compared >= 1
