@@ -6,9 +6,7 @@ from .errors import (
     InvalidConfig,
     InvalidDatum,
     InvalidProblem,
-    NonPositiveSeries,
     OutOfRange,
-    PreconditionViolated,
     SpecError,
 )
 from .model import (

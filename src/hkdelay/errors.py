@@ -21,13 +21,5 @@ class InvalidProblem(HKDelayError, ValueError):
     """Rate problem violates 0 < alpha < beta or tau > 0."""
 
 
-class PreconditionViolated(HKDelayError):
-    """A theorem's smallness condition fails for the given parameters."""
-
-
-class NonPositiveSeries(HKDelayError, ValueError):
-    """Decay-rate fitting needs a strictly positive series on the window."""
-
-
 class SpecError(HKDelayError, ValueError):
     """Experiment spec file is malformed; message names the offending field."""

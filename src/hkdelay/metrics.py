@@ -12,7 +12,8 @@ t = 0 (it is conserved for symmetric reaction weights).
 
 The empirical rates are fitted here alone, C_emp of a run by fit_c_emp and
 the two-agent toy's rate by fitted_decay_rate; both pick their samples
-through _fit_samples, each with its own window and floor.
+through _fit_samples, each with its own window and floor, and pass them to
+fit_decay_rate, which fits exactly those and gives None for no rate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NonPositiveSeries
 from .model import IcassReport, block_length, check_icass, diameter, has_symmetric_weights, radius
 
 SIGN_ATOL = 1e-10
@@ -48,24 +48,17 @@ class MetricSeries:
 
     def to_csv(self, path) -> None:
         """Write one row per grid time of a series with every column formed;
-        NaN entries are left empty.  Rows become Python floats a block of
-        block_length(7) rows at a time, and each is formatted by one
-        template, that of its pattern of NaN cells."""
+        NaN entries are left empty.  A block of block_length(7) rows at a
+        time becomes Python floats, is formatted by one %.17g row template,
+        and has its "nan" cells, the only text "nan" in it, blanked."""
         table = np.column_stack([self.times, self.d_x, self.r_x, self.mean_drift, self.X, self.D, self.L])
-        width = table.shape[1]
-        # bit k of a row's pattern: its column k is NaN (seven columns, one
-        # byte); "%.0s" formats a NaN cell as nothing
-        pattern = np.packbits(np.isnan(table), axis=1, bitorder="little")[:, 0]
-        template = {
-            p: ",".join(["%.0s" if p >> k & 1 else "%.17g" for k in range(width)]) + "\n"
-            for p in np.flatnonzero(np.bincount(pattern)).tolist()
-        }
-        step = block_length(width)
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        step = block_length(table.shape[1])
         with open(path, "w", newline="") as fh:
             fh.write("t,d_x,r_x,mean_drift,X,D,L\n")
             for a in range(0, len(table), step):
-                for p, row in zip(pattern[a : a + step].tolist(), table[a : a + step].tolist()):
-                    fh.write(template[p] % tuple(row))
+                block = table[a : a + step]
+                fh.write(((row * len(block)) % tuple(block.ravel().tolist())).replace("nan", ""))
 
 
 def compute_metrics(trajectory, fluctuation=True) -> MetricSeries:
@@ -141,18 +134,15 @@ def compute_metrics(trajectory, fluctuation=True) -> MetricSeries:
     return MetricSeries(g, d_x, r_x, drift, X, D, L, icass)
 
 
-def fit_decay_rate(times, series, window) -> float:
-    """Least-squares slope of -log(series) against t on [t_a, t_b]."""
-    times = np.asarray(times, dtype=float)
-    series = np.asarray(series, dtype=float)
-    t_a, t_b = window
-    mask = (times >= t_a) & (times <= t_b)
-    if mask.sum() < 2:
-        raise NonPositiveSeries("fit window contains fewer than two samples")
-    if np.any(series[mask] <= 0.0) or not np.all(np.isfinite(series[mask])):
-        raise NonPositiveSeries("series must be strictly positive on the fit window")
-    t = times[mask]
-    y = -np.log(series[mask])
+def fit_decay_rate(times, values):
+    """Least-squares slope of -log(values) against times over exactly the
+    samples given, or None when there are fewer than two or one of the
+    values is not positive and finite."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if v.size < 2 or not (np.all(v > 0.0) and np.all(np.isfinite(v))):
+        return None
+    y = -np.log(v)
     t_c = t - t.mean()
     denom = float((t_c * t_c).sum())
     if denom == 0.0:
@@ -187,10 +177,8 @@ def fit_c_emp(series: MetricSeries):
     idx = _fit_samples(t, d_x, 0.1 * horizon, 0.9 * horizon, floor)
     if idx is None:
         return None
-    try:
-        return fit_decay_rate(t, d_x, (t[idx[0]], t[idx[-1]]))
-    except NonPositiveSeries:
-        return None
+    span = slice(idx[0], idx[-1] + 1)
+    return fit_decay_rate(t[span], d_x[span])
 
 
 def fitted_decay_rate(times, w, t_lo: float | None = None):
@@ -210,13 +198,13 @@ def fitted_decay_rate(times, w, t_lo: float | None = None):
     interior = idx[(idx > 0) & (idx < times.size - 1)]
     peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
     fit = peaks if peaks.size >= 4 else idx
-    return fit_decay_rate(times[fit], a[fit], (times[fit[0]], times[fit[-1]]))
+    return fit_decay_rate(times[fit], a[fit])
 
 
-def count_sign_changes(series, atol: float = SIGN_ATOL) -> int:
-    """Strict sign alternations, ignoring entries with |value| < atol."""
+def count_sign_changes(series) -> int:
+    """Strict sign alternations, ignoring entries with |value| < SIGN_ATOL."""
     v = np.asarray(series, dtype=float)
-    v = v[np.abs(v) >= atol]
+    v = v[np.abs(v) >= SIGN_ATOL]
     if v.size < 2:
         return 0
     s = np.sign(v)

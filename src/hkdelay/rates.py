@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidProblem, PreconditionViolated
+from .errors import InvalidProblem
 from .model import (
     DelayKind,
     IcassReport,
@@ -141,24 +141,26 @@ def rate_transmission_normalized(n_agents: int, psi_lower: float, tau: float) ->
         raise InvalidProblem(f"psi_lower must be in (0, 1], got {psi_lower}")
     if int(n_agents) != n_agents or n_agents < 2:
         raise InvalidProblem(f"n_agents must be an integer >= 2, got {n_agents}")
-    alpha = 1.0 - psi_lower * (n_agents - 2) / (n_agents - 1)
-    return solve_halanay(HalanayProblem(alpha, 1.0, tau, Measure.DIRAC_AT_ZERO))
+    return solve_halanay(HalanayProblem(_transmission_alpha(n_agents, psi_lower), 1.0, tau, Measure.DIRAC_AT_ZERO))
+
+
+def _transmission_alpha(n_agents: int, psi_lower: float) -> float:
+    """alpha = 1 - psi_lower (N-2)/(N-1) of the transmission rate equation."""
+    return 1.0 - psi_lower * (n_agents - 2) / (n_agents - 1)
 
 
 def rate_reaction_nonsymmetric(psi0_lower: float, tau: float) -> RateResult:
-    """Rate for reaction delay under the smallness condition 4 tau < psi0.
+    """Rate for reaction delay under the smallness condition 4 tau < psi0,
+    which check_preconditions decides for a run.
 
     Solves psi0 - C = 4 e^{C tau} (e^{C tau} - 1)/C, which is the uniform-
-    kernel rate equation with alpha = 4 tau and beta = psi0.
+    kernel rate equation with alpha = 4 tau and beta = psi0, so a direct
+    call with 4 tau >= psi0 is refused as alpha < beta violated.
     """
     if not (0.0 < psi0_lower <= 1.0):
         raise InvalidProblem(f"psi0_lower must be in (0, 1], got {psi0_lower}")
     if not (tau > 0.0 and math.isfinite(tau)):
         raise InvalidProblem(f"tau > 0 violated (tau={tau})")
-    if 4.0 * tau >= psi0_lower:
-        raise PreconditionViolated(
-            f"4*tau < psi0_lower violated (4*tau={4.0 * tau:g}, psi0_lower={psi0_lower:g})"
-        )
     return solve_halanay(HalanayProblem(4.0 * tau, psi0_lower, tau, Measure.UNIFORM_ON_DELAY))
 
 
@@ -235,8 +237,9 @@ def theorem_rates(config: SystemConfig, report: PreconditionReport) -> tuple[dic
     those that were skipped.
 
     A rate is skipped where its rate equation has no positive solution to
-    certify: with two agents (alpha = beta) or when its certified influence
-    floor underflows to 0.
+    certify: with two agents (alpha = beta), when its certified influence
+    floor underflows to 0, or when that floor is so small that alpha
+    rounds to beta = 1.
     """
     out, skipped = {}, {}
     applicable = report.applicable()
@@ -244,12 +247,14 @@ def theorem_rates(config: SystemConfig, report: PreconditionReport) -> tuple[dic
         r_x0 = report.icass.r_x0
         if config.n_agents == 2:
             skipped["transmission_normalized"] = "n_agents = 2 gives alpha = beta = 1, so no rate C > 0"
-        elif (psi_low := psi_floor(config.influence, 2.0 * r_x0)) > 0.0:
+        elif _transmission_alpha(config.n_agents, psi_low := psi_floor(config.influence, 2.0 * r_x0)) < 1.0:
             res = rate_transmission_normalized(config.n_agents, psi_low, config.tau)
             out["transmission_normalized"] = {"psi_lower": psi_low, **res.to_dict()}
+        elif psi_low == 0.0:
+            skipped["transmission_normalized"] = f"psi floor over [0, 2*r_x0={2.0 * r_x0:g}] underflows to 0"
         else:
             skipped["transmission_normalized"] = (
-                f"psi floor over [0, 2*r_x0={2.0 * r_x0:g}] underflows to 0"
+                f"psi floor {psi_low:g} over [0, 2*r_x0={2.0 * r_x0:g}] rounds alpha to beta = 1, so no rate C > 0"
             )
     if "reaction_small_delay" in applicable:
         res = rate_reaction_nonsymmetric(report.psi0_lower, config.tau)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hkdelay import DelayKind, dynamics, metrics, rate_transmission_normalized, rates, weights_from_states
-from hkdelay.errors import InvalidConfig, InvalidProblem, OutOfRange, PreconditionViolated
+from hkdelay.errors import InvalidConfig, InvalidDatum, InvalidProblem, OutOfRange
 from hkdelay.cli import load_spec, main
 from hkdelay.dynamics import default_spec
 from hkdelay.toy import classify_regime, linear_coefficients, simulate_toy, two_agent_config
@@ -181,6 +181,47 @@ def test_simulate_underflowing_influence(tmp_path):
         assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
 
+ROUNDED_ALPHA = {
+    # psi(2 r_x0) is about 1e-40 at gamma = 20 and 1e-27 near 1e13
+    "gamma20": ({"kind": "random_uniform", "low": 0.0, "high": 5.0}, 20.0),
+    "far": ({"kind": "constant_per_agent", "vectors": [[1e13, 0.0], [1e13 + 1, 1.0], [1e13 + 3, 0.5]]}, 1.0),
+}
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--param", "tau", "--values", "1"]],
+                         ids=["simulate", "sweep"])
+@pytest.mark.parametrize("case", ROUNDED_ALPHA)
+def test_theorem_rate_below_float_resolution_is_skipped(tmp_path, capsys, command, case):
+    # alpha = 1 - psi_lower (N - 2)/(N - 1) rounded to 1: the run integrated
+    # and then exited 1 with "alpha < beta violated", with no summary
+    datum, gamma = ROUNDED_ALPHA[case]
+    doc = {
+        "config": {
+            "n_agents": 5 if case == "gamma20" else 3, "dim": 2, "tau": 1.0,
+            "delay_kind": "transmission", "weight_scheme": "normalized",
+            "influence": {"kind": "algebraic_decay", "gamma": gamma},
+        },
+        "datum": datum,
+        "horizon": 20.0,
+        "seed": 3,
+    }
+    out = tmp_path / "out"
+    assert main([command[0], write_spec(tmp_path / "spec.json", doc), *command[1:], "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if command[0] == "sweep":
+        assert (out / "sweep.csv").read_text().splitlines()[1].endswith(",transmission_classical|transmission_normalized")
+        return
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_reason"] == "ok" and report["metrics_summary"] is not None
+    assert report["rates"] == {}
+    r_x0 = report["metrics_summary"]["r_x0"]
+    psi = (1.0 + (2.0 * r_x0) ** 2) ** -gamma
+    assert 0.0 < psi < 1e-16
+    assert report["rates_skipped"] == {"transmission_normalized": (
+        f"psi floor {psi:g} over [0, 2*r_x0={2.0 * r_x0:g}] rounds alpha to beta = 1, so no rate C > 0"
+    )}
+
+
 def far_spec(tmp_path):
     """Three agents near 1e13, whose states round at about 0.002."""
     return write_spec(
@@ -301,7 +342,7 @@ LATE_ERRORS = pytest.mark.parametrize(
     "module, layer, error, written",
     [
         (metrics, "compute_metrics", OutOfRange("no series"), ("trajectory.csv", "report.json")),
-        (rates, "check_preconditions", PreconditionViolated("no check"),
+        (rates, "check_preconditions", InvalidDatum("no check"),
          ("trajectory.csv", "metrics.csv", "report.json")),
         (rates, "rate_transmission_normalized", InvalidProblem("no rate"),
          ("trajectory.csv", "metrics.csv", "report.json")),

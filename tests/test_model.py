@@ -1,5 +1,9 @@
 import bisect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +350,44 @@ def test_icass_violated_by_steep_ramp():
     rep = check_icass(steep, config)
     assert rep.max_slope == pytest.approx(4.0)
     assert not rep.satisfied
+
+
+ICASS_DATUM = """
+import numpy as np
+from hkdelay import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
+n, knots = {n}, {knots}
+config = SystemConfig(n, 1, 1.0, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, InfluenceFunction.constant(1.0))
+datum = InitialDatum.sampled(np.linspace(-1.0, 0.0, knots), np.random.default_rng(5).uniform(0.0, 1.0, (knots, n, 1)))
+"""
+
+CAPPED_ICASS = """
+import resource
+from hkdelay import check_icass
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (1 << 30), resource.getrlimit(resource.RLIMIT_AS)[1]))
+print(repr(check_icass(datum, config).d_x0))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+def test_icass_of_many_knots_needs_no_pair_array_of_them_all():
+    # the (N, N, K) pair array of all K startup states at once, here 2.4 GiB,
+    # ended in a MemoryError traceback: the states are now reduced
+    # block_length(N^2) at a time, in a child whose address space is capped
+    # 1 GiB above what its imports mapped
+    code = ICASS_DATUM.format(n=400, knots=2000)
+    namespace: dict = {}
+    exec(code, namespace)
+    states = namespace["datum"].at(namespace["datum"].times)
+    # in one dimension |x_j - x_i| rounds exactly as sqrt of its rounded
+    # square, so the largest diameter is the largest spread, bit for bit
+    expected = float((states.max(axis=1) - states.min(axis=1)).max())
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code + CAPPED_ICASS], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == expected
 
 
 def test_sampled_datum_validation():

@@ -13,7 +13,6 @@ from hkdelay import (
     InvalidDatum,
     InvalidProblem,
     Measure,
-    PreconditionViolated,
     WeightScheme,
     check_icass,
     check_preconditions,
@@ -237,7 +236,7 @@ def test_reaction_rate_matches_scan():
 
 
 def test_reaction_rate_precondition():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InvalidProblem, match="alpha < beta"):
         rate_reaction_nonsymmetric(0.5, 0.2)  # 4 tau = 0.8 >= 0.5
 
 

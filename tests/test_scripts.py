@@ -31,6 +31,13 @@ def load_script(name):
              for f in ("trajectory.csv", "metrics.csv", "rates.json", "report.json")],
         ),
         ("sweep_toy_regimes", ["toy_sweep.csv"]),
+        (
+            "output_battery",
+            ["battery/sim_n100_transmission/out/trajectory.csv", "battery/sim_n5_reaction_long/out/metrics.csv",
+             "battery/sweep_tau_n5_reaction/out/sweep.csv", "battery/toy_reaction_1/stdout",
+             "battery/rate_0/stdout", "battery/rate_4/stderr", "battery/run_consensus_experiments/stdout",
+             "battery/sweep_toy_regimes/out/toy_sweep.csv"],
+        ),
     ],
 )
 def test_script_runs_and_writes_its_results(tmp_path, monkeypatch, name, written):
