@@ -8,11 +8,12 @@ with whichever hkdelay package is first on the import path.  Its folder
 under results/battery/ holds the spec it read, the files it wrote (out/),
 its exit code and its stdout and stderr, with this folder's own path
 written as <battery>.  The set covers both benchmark workloads (the N = 100
-simulate cut to a 4 tau horizon), a long N = 5 reaction run and its rerun
-from the spec embedded in its report.json, tau, gamma, N and horizon
-sweeps, a tau sweep with --dt, a blow-up, a sampled datum with a tabulated
-psi, data far from the origin, theorem rates below float resolution,
-refused specs, 9 toys and 5 rate equations.  To compare two trees:
+simulate cut to a 4 tau horizon), a middling N = 30 reaction run, whose
+last squared diameters are reduced 9 states at a time, a long N = 5
+reaction run and its rerun from the spec embedded in its report.json, tau,
+gamma, N and horizon sweeps, a tau sweep with --dt, a blow-up, a sampled
+datum with a tabulated psi, data far from the origin, theorem rates below
+float resolution, refused specs, 9 toys and 5 rate equations.  To compare two trees:
 
     PYTHONPATH=a/src python3 a/scripts/output_battery.py
     PYTHONPATH=b/src python3 b/scripts/output_battery.py
@@ -67,6 +68,8 @@ CASES = [
     ("sim_n100_transmission",
      spec(100, "transmission", "normalized", seed=100, horizon=4.0, integrator={"dt": 1 / 64},
           outputs=["trajectory", "metrics", "report"]), SIM),
+    ("sim_n30_reaction",
+     spec(30, "reaction", "classical_scaled", tau=0.5, seed=30, horizon=3.0, outputs=ALL_OUTPUTS), SIM),
     ("sim_n5_reaction_long",
      spec(5, "reaction", "classical_scaled", tau=0.4, seed=5, horizon=80.0,
           outputs=["metrics", "rates", "report"]), SIM),

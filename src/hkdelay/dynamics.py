@@ -5,15 +5,18 @@ delay (dt divides tau), so every delayed lookup lands on already-computed
 history.  Transmission-type velocities read the current state and step one
 node at a time.  Reaction-type velocities read only states one delay old,
 so a whole delay segment depends only on the segment before it: its
-delayed states are evaluated in stacked calls, and its nodes are summed in
-order from the increments, bit for bit as a step-by-step loop would give.
-A half step reads the prescribed datum on the startup interval and the
-closed-form cubic Hermite midpoint of a computed segment after it.  A
-trajectory stores states, derivatives, the squared diameters (from the
-pair array of each node call's delayed state) and, when asked for, the
-dissipation D (from that call's weights) on the grid nodes only; a run
-that blows up ends before its first blown-up node and records that node's
-time.
+half-step and its full-step delayed states are evaluated in stacked calls,
+and its nodes are summed in order from the increments, bit for bit as a
+step-by-step loop would give.  A half step reads the prescribed datum on
+the startup interval and the closed-form cubic Hermite midpoint of a
+computed segment after it.  A trajectory stores states, derivatives, the
+squared diameter of every node and, when asked for, the dissipation D
+(from each node call's weights) on the grid nodes only.  This module is
+the one writer of the squared diameters: a node call writes them for the
+delayed states it reads, from their pair array, and integrate fills the
+last q nodes of a run, which include every node that no node call read,
+by model.squared_diameter.  A run that blows up ends before its first
+blown-up node and records that node's time.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .model import (
     block_length,
     diameter,
     pair_sq,
+    squared_diameter,
     weights_from_states,
 )
 
@@ -94,12 +98,14 @@ def default_spec(config: SystemConfig) -> IntegratorSpec:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Solution history on [-tau, T]: states, derivatives, D (NaN before
-    t = 0, or None for a run integrated without it) and squared diameters
-    on a uniform grid with grid[0] = -tau, and the startup datum.  The node
-    call at node m, which writes D[m], reads node m - q as its delayed
-    state and writes sq_diameter[m - q]; the nodes that no node call read,
-    the last q or fewer for a run cut short, hold NaN.  A run that blew up ends before its first blown-up node, whose
-    time is blow_up_time (None for a run that reached the horizon)."""
+    t = 0, or None for a run integrated without it) and the squared
+    diameter of every node on a uniform grid with grid[0] = -tau, and the
+    startup datum.  The node call at node m, which writes D[m], reads node
+    m - q as its delayed state and writes sq_diameter[m - q]; integrate
+    writes the last q nodes, which include every node that no node call
+    read, by model.squared_diameter, with the same bits.  A run that blew
+    up ends before its first blown-up node, whose time is blow_up_time
+    (None for a run that reached the horizon)."""
 
     grid: np.ndarray  # (n,)
     states: np.ndarray  # (n, N, d)
@@ -135,26 +141,23 @@ def velocity_from_states(
     gets the same bits alone as in any stack.  The result is a transposed
     view of that layout.
 
-    sq_diameter, given, receives the squared diameter of x_delayed for each
-    of the last len(sq_diameter) stacked states: the maxima of their own
-    pair array, which reaction reads from the weights' pair array.  D,
-    given with it or left None, receives the dissipation of the same
-    states from that pair array and these weights,
+    sq_diameter, given, receives the squared diameter of every stacked
+    x_delayed: the maxima of its own pair array, which reaction reads from
+    the weights' pair array.  D, given with it or left None, receives the
+    dissipation of the same states from that pair array and these weights,
     sum_i (sum_j u_ij |x_delayed_j - x_delayed_i|^2) / n_i / (2(N-1)): the
     sum over j runs in index order, and the sum over i is numpy's sum of
     the N terms of one state, a contiguous vector.
     """
     x_delayed = np.asarray(x_delayed, dtype=float)
     w = weights_from_states(config, x_now, x_delayed)
-    if sq_diameter is not None and len(sq_diameter):
-        k = len(x_delayed) - len(sq_diameter)  # the pair arrays' last axis is the first stacked one
-        tail = x_delayed[k:]
-        sq = pair_sq(tail, tail) if w.sq is None else w.sq[..., k:]
+    if sq_diameter is not None:
+        sq = pair_sq(x_delayed, x_delayed) if w.sq is None else w.sq
         sq_diameter[...] = sq.max(axis=(0, 1)).T
         if D is not None:
-            sq *= w.u[..., k:]
+            sq *= w.u
             r = sq.sum(axis=0)
-            r /= w.n[..., k:]
+            r /= w.n
             D[...] = np.ascontiguousarray(r.T).sum(axis=-1) / (2.0 * (config.n_agents - 1))
     xt = np.ascontiguousarray(x_delayed.T)  # (d, N, ...)
     x0 = xt[:, :1]
@@ -265,21 +268,22 @@ def rk4_method_of_steps(
     vel(x_now, x_delayed, rows) is the velocity, and it takes states
     stacked on extra leading axes.  rows is None for an RK4 stage; for the
     call that gives derivs[m], the node call, it is the node index m, or
-    the slice of node rows whose delayed states are the last of a stack.
-    Node m's delayed state x(t_m - tau) is node m - q, so a velocity that
-    writes a diagnostic of it, as integrate's writes the squared diameter
-    and D, writes row m.
+    the slice of node rows whose delayed states the call stacks, one row
+    per state.  Node m's delayed state x(t_m - tau) is node m - q, so a
+    velocity that writes a diagnostic of it, as integrate's writes the
+    squared diameter and D, writes row m.
 
     reads_now=True steps one node at a time with four vel calls, and takes
     the delayed states and the blow-up test once per delay segment.
     reads_now=False declares that vel ignores x_now, as reaction-type delay
     does.  Then k3 = k2, k4 is the new node's derivative, and a step reads
     only history at least one delay old, so the stepper advances the rest of
-    a delay segment, up to q steps, at once: it stacks their delayed states
-    and evaluates them in vel(None, stack, rows) calls of at most per_call
-    states each (default: the whole stack).  Either way the nodes are summed
-    in order from the increments, so they equal the per-step loop's bit for
-    bit.
+    a delay segment, up to q steps, at once: it stacks the steps' half-step
+    delayed states, and apart from them their full-step ones, and evaluates
+    each stack in calls of at most per_call states (default: q), the
+    half-step chunks as stages and the full-step chunks as the node calls
+    of their nodes.  Either way the nodes are summed in order from the
+    increments, so they equal the per-step loop's bit for bit.
 
     Returns one count per member: the number of nodes filled before its
     first blown-up one, whose state is left in states.  The loop ends with
@@ -289,7 +293,13 @@ def rk4_method_of_steps(
     n_valid = np.full(len(dt), n)
     lowest = np.min(limit)
     half, sixth, eighth = 0.5 * dt, dt / 6.0, 0.125 * dt
-    per_call = per_call or 2 * q
+    per_call = per_call or q
+
+    def stacked(xd, row=None):  # vel on chunks of xd; row: the node row of xd[0], None for stages
+        return np.concatenate([
+            vel(None, xd[i : i + per_call], None if row is None else slice(row + i, row + min(i + per_call, len(xd))))
+            for i in range(0, len(xd), per_call)
+        ])
 
     with np.errstate(all="ignore"):
         derivs[q] = vel(states[q], states[0], q)
@@ -305,15 +315,8 @@ def rk4_method_of_steps(
                     states[m + 1] = states[m] + sixth * (derivs[m] + 2.0 * k2 + 2.0 * k3 + k4)
                     derivs[m + 1] = vel(states[m + 1], xf, m + 1)
             else:
-                xd = np.concatenate([xd_half, xd_full])
-                c = b - a
-                row = a + 1 - c  # xd[c:] are the delayed states of nodes a + 1..b: xd[i] is row + i's
-                k = np.concatenate([
-                    vel(None, xd[i : i + per_call], slice(row + max(i, c), row + min(i + per_call, 2 * c)))
-                    for i in range(0, 2 * c, per_call)
-                ])
-                k2 = k3 = k[:c]
-                k4 = k[c:]
+                k2 = k3 = stacked(xd_half)
+                k4 = stacked(xd_full, a + 1)  # xd_full[i] is node a + 1 + i's delayed state
                 k1 = np.concatenate([derivs[a : a + 1], k4[:-1]])
                 nodes = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 # node m + 1 = node m + increment m, summed in order
@@ -350,9 +353,12 @@ def integrate(config, datum, horizon, spec=None, dissipation=True):
 
     Returns the Trajectory.  A run that blows up, the expected outcome in
     the unstable reaction regime, returns its nodes before the blown-up one
-    and that node's time as blow_up_time.  The node calls always write the
-    squared diameters; they write the dissipation D only if dissipation is
-    true, and the trajectory's D is None otherwise.
+    and that node's time as blow_up_time.  The trajectory holds the squared
+    diameter of every node: the node calls write those of the delayed
+    states they read, and each member's last q nodes, which include every
+    node that none read, are reduced afterwards by model.squared_diameter,
+    block_length(N^2) states per call across the members.  The node calls write the dissipation D only if dissipation
+    is true, and the trajectory's D is None otherwise.
 
     A group integrates in one stepper call: config, datum, horizon and spec
     are then equal-length sequences, one entry per member (spec may be
@@ -387,8 +393,8 @@ def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
 
     D = np.full(grid.shape, np.nan) if dissipation else None
     # the stepper's row m of squared diameters is node m - q, so node k of a
-    # member is column q + k, and the last q nodes keep NaN
-    sq_diameter = np.full((B, n + q), np.nan)
+    # member is column q + k
+    sq_diameter = np.empty((B, n + q))
     d_rows = None if D is None else D.swapaxes(0, 1)
     sq_rows = sq_diameter[:, :n].swapaxes(0, 1)
 
@@ -408,6 +414,13 @@ def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
             vel, states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, dt,
             transmission, center, limit, block_length(B * N**2),
         )
+        # each member's last q nodes: every node that no node call read, and
+        # for a member that blew up, a few that one did, with the same bits
+        members = np.arange(B).repeat(q)
+        nodes = (n_valid[:, None] + np.arange(-q, 0)).ravel()
+        cuts = range(block_length(N**2), B * q, block_length(N**2))
+        for b, k in zip(np.split(members, cuts), np.split(nodes, cuts)):
+            sq_diameter[b, q + k] = squared_diameter(states[b, k])
     except MemoryError as exc:
         raise InvalidConfig(
             f"config.n_agents: {N} agents need ({N}, {N}) pair arrays, which cannot be allocated"

@@ -4,8 +4,9 @@ consensus threshold.
 compute_metrics evaluates the state series on the trajectory grid at once:
 the diameter d_x, and unless told not to, the radius r_x, mean drift and
 quadratic fluctuation X.  It reads the squared diameters and the
-dissipation D that the integrator wrote with each node's velocity, forms
-no weights itself, and builds the Lyapunov functional L from X and D.
+dissipation D that the integrator wrote, forms no weights and no pair
+array of the trajectory itself, and builds the Lyapunov functional L from
+X and D.
 Conventions: the diameter series is frozen at its startup maximum for
 t <= 0; fluctuation and the Lyapunov functional subtract the mean at
 t = 0 (it is conserved for symmetric reaction weights).
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import IcassReport, block_length, check_icass, diameter, has_symmetric_weights, radius
+from .model import IcassReport, block_length, check_icass, has_symmetric_weights, radius
 
 SIGN_ATOL = 1e-10
 CONSENSUS_REL_TOL = 1e-3
@@ -63,21 +64,19 @@ class MetricSeries:
 
 def compute_metrics(trajectory, fluctuation=True) -> MetricSeries:
     """Evaluate the diagnostic series on the trajectory grid, in blocks of nodes
-    whose (N, N, nodes) pair arrays, (nodes, N d) deviations and
-    (nodes, q + 1) Lyapunov windows stay within model.BLOCK_ENTRIES
-    entries.  The config, the datum and D are the trajectory's own, so no
-    series is formed against a config other than the one integrated.
+    whose (nodes, N d) deviations and (nodes, q + 1) Lyapunov windows stay
+    within model.BLOCK_ENTRIES entries.  The config, the datum and D are
+    the trajectory's own, so no series is formed against a config other
+    than the one integrated.
 
-    The diameters come from the trajectory too, the roots of the squared
-    diameters that the node calls wrote; model.diameter fills only the
-    nodes that no node call read, the last q nodes or fewer for a run cut
-    short.  check_icass runs here, once per run, and its report is the
-    series' icass: on the startup nodes d_x is its d_x0, the largest
-    diameter of the datum over [-tau, 0], read at its knots.  r_x is
-    model.radius of each node, as check_icass's r_x0 is of the datum.  The
-    Lyapunov series, with lam = 1, is computed for reaction systems with
-    symmetric weights (where its decay is meaningful); it is NaN for other
-    systems and before t = tau.
+    The diameters come from the trajectory too: d_x is the root of the
+    squared diameter that integrate wrote on every node.  check_icass runs
+    here, once per run, and its report is the series' icass: on the
+    startup nodes d_x is its d_x0, the largest diameter of the datum over
+    [-tau, 0], read at its knots.  r_x is model.radius of each node, as
+    check_icass's r_x0 is of the datum.  The Lyapunov series, with lam = 1,
+    is computed for reaction systems with symmetric weights (where its
+    decay is meaningful); it is NaN for other systems and before t = tau.
 
     d_x is always formed.  With fluctuation false, r_x, the mean drift, X
     and L are not, and are None; L is None too for a trajectory without D.
@@ -90,11 +89,6 @@ def compute_metrics(trajectory, fluctuation=True) -> MetricSeries:
     i0 = q = trajectory.origin  # startup nodes 0..i0, with g[i0] == 0
 
     d_x = np.sqrt(trajectory.sq_diameter)
-    tail = i0 + 1 + np.flatnonzero(np.isnan(d_x[i0 + 1 :]))
-    step = block_length(n_agents * n_agents)
-    for a in range(0, len(tail), step):
-        nodes = tail[a : a + step]
-        d_x[nodes] = diameter(S[nodes])
     icass = check_icass(trajectory.datum, config)
     d_x[: i0 + 1] = icass.d_x0
     if not fluctuation:

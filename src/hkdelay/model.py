@@ -388,13 +388,19 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape((n * n,) + a.shape[2:])[:: n + 1]
 
 
-def diameter(states: np.ndarray) -> np.ndarray:
-    """Maximum pairwise Euclidean distance of each stacked (..., N, d) state.
+def squared_diameter(states: np.ndarray) -> np.ndarray:
+    """Maximum pairwise squared distance of each stacked (..., N, d) state.
 
     The pair array's maximum reduces j and then i, one axis at a time: a
     maximum is exact in any order, and one reduction over both axes runs an
     inner loop as short as the stack, slow for a few large-N states."""
-    return np.sqrt(pair_sq(states, states).max(axis=0).max(axis=0).T)
+    return pair_sq(states, states).max(axis=0).max(axis=0).T
+
+
+def diameter(states: np.ndarray) -> np.ndarray:
+    """Maximum pairwise Euclidean distance of each stacked (..., N, d)
+    state, the root of its squared_diameter."""
+    return np.sqrt(squared_diameter(states))
 
 
 def radius(states: np.ndarray) -> np.ndarray:

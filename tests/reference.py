@@ -19,8 +19,8 @@ startup and blow-up scaffolding, so its trajectories end as integrate's do.
 blocked_dissipation is the D series from a second weight evaluation over
 blocks of stored nodes, summed in the order that velocity_from_states
 documents, spelled out in spelled_out_dissipation.  Trajectory.D must
-equal it bit for bit, and Trajectory.sq_diameter, where a node call wrote
-it, must equal blocked_sq_diameter.
+equal it bit for bit, and Trajectory.sq_diameter, on every node, must
+equal blocked_sq_diameter, which the trajectories built here carry too.
 """
 
 import math
@@ -158,7 +158,7 @@ def integrate_oracle(config, datum, horizon, spec=None):
             )
     blow_up = float(grid[kept]) if kept < grid.size else None
     D = blocked_dissipation(config, states[:kept], q)
-    sq_diameter = np.full(kept, np.nan)  # no node call
+    sq_diameter = blocked_sq_diameter(states[:kept])
     return Trajectory(grid[:kept], states[:kept], derivs[:kept], D, sq_diameter, config, datum, blow_up)
 
 

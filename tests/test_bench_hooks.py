@@ -197,13 +197,14 @@ def test_compute_metrics_forms_no_weights(monkeypatch, kind):
     assert calls == []
 
 
-def test_reaction_segments_take_one_velocity_call_each(monkeypatch):
+def test_reaction_segments_take_two_velocity_calls_each(monkeypatch):
     # sim_n5_reaction_long: N = 5, q = 64, 400 delay segments.  One call
-    # gives the derivative at t = 0, then one stacked call per segment; D
-    # comes with them, so dynamics.velocity_calls reads 401
+    # gives the derivative at t = 0, then per segment one stacked call of
+    # its half-step states and one of its full-step states, which writes D
+    # and the squared diameters too, so dynamics.velocity_calls reads 801
     config = SystemConfig(5, 2, 0.4, "reaction", "classical_scaled", InfluenceFunction.algebraic_decay(1.0))
     datum = InitialDatum.constant(np.random.default_rng(5).uniform(size=(5, 2)))
     calls = record_calls(monkeypatch, [("hkdelay.dynamics", "velocity_from_states")])
     traj = dynamics.integrate(config, datum, 400 * 0.4, IntegratorSpec(0.4 / 64))
     assert traj.grid.size == 64 + 400 * 64 + 1
-    assert len(calls) == 401
+    assert len(calls) == 801

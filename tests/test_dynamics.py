@@ -297,7 +297,9 @@ def test_sample_reproduces_linear_trajectory():
     states = np.array([t * slope for t in grid])
     derivs = np.array([slope for _ in grid])
     datum = InitialDatum.sampled([-1.0, 0.0], [(-1.0) * slope, 0.0 * slope])
-    traj = Trajectory(grid, states, derivs, blocked_dissipation(config, states, 4), np.full(9, np.nan), config, datum)
+    traj = Trajectory(
+        grid, states, derivs, blocked_dissipation(config, states, 4), blocked_sq_diameter(states), config, datum
+    )
     for t in (-0.6, 0.125, 0.3751, 0.99):
         assert np.max(np.abs(sample(traj, t) - t * slope)) <= 1e-12
 
@@ -338,13 +340,15 @@ def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
     datum = InitialDatum.sampled(times, values)
     velocity = dynamics.velocity_from_states
     dt, q = 0.25, 4
-    # 27 entries hold three 3-agent pair arrays, so a reaction segment's
-    # 2q = 8 stacked states take calls of 3, 3 and 2; the default takes one
-    for entries, per_call in ((model.BLOCK_ENTRIES, 2 * q), (27, 3)):
-        delayed = []
+    # 27 entries hold three 3-agent pair arrays, so a reaction segment's q = 4
+    # half-step states take calls of 3 and 1, and so do its full-step
+    # states; by default each stack takes one call
+    for entries, per_call in ((model.BLOCK_ENTRIES, q), (27, 3)):
+        delayed, node_call = [], []
 
         def spy(config, x_now, x_delayed, D=None, sq_diameter=None):
             delayed.append(np.array(x_delayed))
+            node_call.append(sq_diameter is not None)
             return velocity(config, x_now, x_delayed, D, sq_diameter)
 
         monkeypatch.setattr(dynamics, "velocity_from_states", spy)
@@ -353,12 +357,13 @@ def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
         traj = integrate(config, datum, 2.75, IntegratorSpec(dt))
         steps = range(q, traj.grid.size - 1)
         # one call for the derivative at t = 0
-        assert len(delayed[0]) == 1 and np.array_equal(delayed[0][0], datum.at(-1.0))
-        calls = delayed[1:]
+        assert len(delayed[0]) == 1 and np.array_equal(delayed[0][0], datum.at(-1.0)) and node_call[0]
+        calls, node_call = delayed[1:], node_call[1:]
         if kind is DelayKind.TRANSMISSION:
             # per step: k2, k3 (half step), k4 and the new node's derivative
             # (full step), each on the one step's delayed state
             assert len(calls) == 4 * len(steps)
+            assert node_call == [False, False, False, True] * len(steps)
             halves, fulls = [], []
             for step in range(len(steps)):
                 half, full = calls[4 * step : 4 * step + 2], calls[4 * step + 2 : 4 * step + 4]
@@ -367,18 +372,19 @@ def test_rk4_delayed_lookups_match_dense_output(monkeypatch, kind):
                 halves.append(half[0])
                 fulls.append(full[0])
         else:
-            # per delay segment of c steps: its c half-step states, then its
-            # c full-step states, stacked in calls of at most per_call states
+            # per delay segment of c steps: its c half-step states, as
+            # stages, then its c full-step states, as node calls, each stack
+            # in calls of at most per_call states
             halves, fulls, at = [], [], 0
             for a in range(q, traj.grid.size - 1, q):
                 c = min(q, traj.grid.size - 1 - a)
-                sizes = [min(per_call, 2 * c - i) for i in range(0, 2 * c, per_call)]
-                segment = calls[at : at + len(sizes)]
-                at += len(sizes)
-                assert [len(x) for x in segment] == sizes
-                stack = np.concatenate(segment)
-                halves += list(stack[:c])
-                fulls += list(stack[c:])
+                sizes = [min(per_call, c - i) for i in range(0, c, per_call)]
+                for stack, is_node_call in ((halves, False), (fulls, True)):
+                    chunks = calls[at : at + len(sizes)]
+                    assert [len(x) for x in chunks] == sizes
+                    assert node_call[at : at + len(sizes)] == [is_node_call] * len(sizes)
+                    stack += list(np.concatenate(chunks))
+                    at += len(sizes)
             assert at == len(calls)
         assert len(halves) == len(fulls) == len(steps)
         for m, half, full in zip(steps, halves, fulls):
@@ -485,16 +491,11 @@ def assert_members_equal_solo_runs(configs, datums, horizons, specs):
         # D, written with each node's velocity, is the series that a second
         # weight evaluation over the stored nodes gives
         assert same_bits(member.D, blocked_dissipation(configs[b], member.states, member.origin)), b
-        # the node calls wrote the squared diameter of every node they read,
-        # the blocked pair maximum bit for bit; only the last q nodes, or
-        # fewer for a run cut short, were read by none.  A group runs on
-        # after a member blows up, so its calls may read more of that member
+        # every node's squared diameter, written by its node call or by
+        # integrate's tail, is the blocked pair maximum bit for bit
         full = blocked_sq_diameter(member.states)
         for t in (member, traj):
-            reached = ~np.isnan(t.sq_diameter)
-            assert reached[: t.grid.size - t.origin].all(), b
-            assert t.blow_up_time is not None or not reached[t.grid.size - t.origin :].any(), b
-            assert same_bits(t.sq_diameter[reached], full[reached]), b
+            assert same_bits(t.sq_diameter, full), b
     return run
 
 
@@ -582,6 +583,35 @@ def test_blown_up_members_keep_their_own_node_counts():
     )
     assert [t.grid.size for t in run.trajectories] == [1345, 1345, 1345, 1079, 843]
     assert [t.blow_up_time for t in run.trajectories[:3]] == [None, None, None]
+
+
+@pytest.mark.parametrize("kind", list(DelayKind))
+def test_integrate_writes_the_squared_diameter_of_every_node(kind):
+    # node calls write the squared diameters of the delayed states they
+    # read, and integrate the rest: the last q nodes of a run to its
+    # horizon, the nodes after t = 0 of a run shorter than tau, and the
+    # nodes that a run or a group member cut short by a blow-up left
+    def check(traj):
+        assert not np.isnan(traj.sq_diameter).any()
+        assert same_bits(traj.sq_diameter, blocked_sq_diameter(traj.states))
+
+    config = make_config(4, 2, 0.5, kind)
+    datum = random_datum(np.random.default_rng(3), 4, 2)
+    for horizon in (6 * config.tau, 0.3 * config.tau):
+        check(integrate(config, datum, horizon))
+    # two agents with normalized weights: under reaction delay, tau = 16
+    # blows up within 20 tau, and tau = 0.25 and 1 do not
+    taus = (0.25, 1.0, 16.0)
+    configs = [make_config(2, 1, tau, kind, WeightScheme.NORMALIZED) for tau in taus]
+    datums = [InitialDatum.constant([[0.0], [1.0]])] * len(taus)
+    horizons = [20 * tau for tau in taus]
+    solo = integrate(configs[-1], datums[-1], horizons[-1])
+    run = integrate(configs, datums, horizons)
+    blown = [t.blow_up_time is not None for t in run.trajectories]
+    assert blown == [False, False, kind is DelayKind.REACTION]
+    assert (solo.blow_up_time is not None) == blown[-1]
+    for traj in (solo, *run.trajectories):
+        check(traj)
 
 
 def test_group_rejects_members_that_differ_beyond_tau():
@@ -712,8 +742,8 @@ def test_kernel_gives_a_state_the_same_bits_alone_and_in_any_stack(
 ):
     # the stack-last kernel reduces over agents in an order that does not
     # depend on the stack, and copies u into one matmul layout, so a state's
-    # velocity, weights and D are those of the state alone; D is written for
-    # the last states along the first stacked axis, as the stepper asks
+    # velocity, weights and D are those of the state alone; D and the
+    # squared diameter are written for every stacked state
     rng = np.random.default_rng(seed)
     config = make_config(n, d, 0.5, kind, scheme, influence)
     x_now = offset + rng.normal(size=lead + (n, d))
@@ -722,8 +752,7 @@ def test_kernel_gives_a_state_the_same_bits_alone_and_in_any_stack(
         x_del[tuple(rng.integers(s) for s in x_del.shape)] = bad
     if kind is DelayKind.REACTION:
         x_now = None
-    k = lead[0] // 2
-    D = np.full((lead[0] - k,) + lead[1:], -1.0)
+    D = np.full(lead, -1.0)
     sq_diameter = np.full_like(D, -1.0)
     with np.errstate(all="ignore"):
         v = velocity_from_states(config, x_now, x_del, D, sq_diameter)
@@ -734,11 +763,10 @@ def test_kernel_gives_a_state_the_same_bits_alone_and_in_any_stack(
             assert same_bits(model.weights_from_states(config, now, x_del[idx]).matrix(), w[idx]), idx
             one, one_sq = np.empty(1), np.empty(1)
             velocity_from_states(config, None if now is None else now[None], x_del[idx][None], one, one_sq)
-            if idx[0] >= k:
-                assert same_bits(one[0], D[(idx[0] - k,) + idx[1:]]), idx
-                # the same value; a NaN maximum may differ in its sign bit
-                for want in (sq_diameter[(idx[0] - k,) + idx[1:]], model.pair_sq(x_del[idx], x_del[idx]).max()):
-                    assert np.array_equal(one_sq[0], want, equal_nan=True), idx
+            assert same_bits(one[0], D[idx]), idx
+            # the same value; a NaN maximum may differ in its sign bit
+            for want in (sq_diameter[idx], model.pair_sq(x_del[idx], x_del[idx]).max()):
+                assert np.array_equal(one_sq[0], want, equal_nan=True), idx
     event(f"non-finite state: {bad}" if bad is not None else "finite states")
 
 

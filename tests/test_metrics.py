@@ -22,12 +22,13 @@ from hkdelay import (
     integrate,
     radius,
 )
-from hkdelay import metrics, model
+from hkdelay import model
 from hkdelay.model import has_symmetric_weights, pair_sq, weights_from_states
 
 from conftest import make_config, random_datum
 from reference import (
-    blocked_dissipation, dissipation, fluctuation, lyapunov, mean, sample, spelled_out_dissipation,
+    blocked_dissipation, blocked_sq_diameter, dissipation, fluctuation, lyapunov, mean, sample,
+    spelled_out_dissipation,
 )
 
 
@@ -143,7 +144,9 @@ def _frozen_trajectory(config, state, horizon):
     states = np.repeat(state[None], n, axis=0)
     derivs = np.zeros_like(states)
     datum = InitialDatum.constant(state)
-    return Trajectory(grid, states, derivs, blocked_dissipation(config, states, q), np.full(n, np.nan), config, datum)
+    return Trajectory(
+        grid, states, derivs, blocked_dissipation(config, states, q), blocked_sq_diameter(states), config, datum
+    )
 
 
 def test_lyapunov_constant_dissipation_analytic():
@@ -375,24 +378,28 @@ def test_blocked_series_match_per_node_loop_on_blown_up_run(monkeypatch, block_e
 
 @pytest.mark.parametrize("kind", list(DelayKind))
 def test_compute_metrics_forms_pairs_only_for_nodes_no_node_call_read(monkeypatch, kind):
-    # each node call wrote the squared diameter of its delayed state, node
-    # m - q; the last q nodes are no node's delayed state within the horizon
+    # integrate wrote the squared diameter of every node, the last q nodes
+    # too, which no node call read; compute_metrics forms the pair arrays of
+    # its one startup check and of no node of the trajectory
     taus, q = (0.5, 1.0, 1.5), 8
     configs = [make_config(n_agents=4, dim=2, tau=tau, delay_kind=kind) for tau in taus]
     datum = random_datum(np.random.default_rng(7), 4, 2)
     run = integrate(configs, [datum] * len(taus), [6 * tau for tau in taus], [IntegratorSpec(tau / q) for tau in taus])
     formed = []
 
-    def spy(states):
-        formed.append(len(states))  # nodes, stacked on the first axis
-        return diameter(states)
+    def spy(a, b):
+        formed.append(np.shape(a))
+        return pair_sq(a, b)
 
-    monkeypatch.setattr(metrics, "diameter", spy)
+    monkeypatch.setattr(model, "pair_sq", spy)
     for config, traj in zip(configs, run.trajectories):
         assert traj.blow_up_time is None
         formed.clear()
+        model.check_icass(traj.datum, config)
+        startup = list(formed)
+        formed.clear()
         compute_metrics(traj)
-        assert 0 < sum(formed) <= q
+        assert formed == startup == [(1, 4, 2)]
 
 
 # ---------------------------------------------------------------------------

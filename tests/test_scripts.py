@@ -33,7 +33,8 @@ def load_script(name):
         ("sweep_toy_regimes", ["toy_sweep.csv"]),
         (
             "output_battery",
-            ["battery/sim_n100_transmission/out/trajectory.csv", "battery/sim_n5_reaction_long/out/metrics.csv",
+            ["battery/sim_n100_transmission/out/trajectory.csv", "battery/sim_n30_reaction/out/metrics.csv",
+             "battery/sim_n5_reaction_long/out/metrics.csv",
              "battery/sweep_tau_n5_reaction/out/sweep.csv", "battery/toy_reaction_1/stdout",
              "battery/rate_0/stdout", "battery/rate_4/stderr", "battery/run_consensus_experiments/stdout",
              "battery/sweep_toy_regimes/out/toy_sweep.csv"],

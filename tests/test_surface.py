@@ -124,8 +124,9 @@ def reads_attribute(node, name: str) -> bool:
 def test_velocity_and_series_read_the_stack_last_arrays_as_they_are():
     # dynamics forms the velocity's product by einsum on u as the kernel
     # lays it out, (N_j, N_i, ...): no matmul, which sums in BLAS's order,
-    # and no transposing copy of Weights.u.  metrics calls diameter only in
-    # its loop over the tail nodes, which no node call read
+    # and no transposing copy of Weights.u.  metrics reduces no states to a
+    # diameter: integrate wrote the squared diameter of every node, so
+    # metrics names neither diameter nor squared_diameter
     tree = ast.parse((PACKAGE / "dynamics.py").read_text())
     matmul = [
         n.lineno for n in ast.walk(tree)
@@ -142,23 +143,20 @@ def test_velocity_and_series_read_the_stack_last_arrays_as_they_are():
     ]
     assert not transposed
     tree = ast.parse((PACKAGE / "metrics.py").read_text())
-    in_tail = {
-        id(n) for loop in ast.walk(tree)
-        if isinstance(loop, ast.For) and any(isinstance(v, ast.Name) and v.id == "tail" for v in ast.walk(loop.iter))
-        for n in ast.walk(loop)
-    }
-    outside = [
+    reductions = {"diameter", "squared_diameter"}
+    named = [
         n.lineno for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "diameter" and id(n) not in in_tail
+        if isinstance(n, ast.Name) and n.id in reductions or isinstance(n, ast.Attribute) and n.attr in reductions
+        or isinstance(n, ast.ImportFrom) and reductions & {a.name for a in n.names}
     ]
-    assert not outside
+    assert not named
 
 
 def test_states_reduce_to_d_x_and_r_x_through_model_alone():
-    # model.diameter and model.radius are the one reduction of states to a
-    # diameter or a radius: metrics does not name pair_sq, and dynamics
-    # calls it only in velocity_from_states, whose node call takes d_x^2
-    # from the pair array it forms for D
+    # model.squared_diameter, with diameter its root, and model.radius are
+    # the one reduction of states to a diameter or a radius: metrics does
+    # not name pair_sq, and dynamics calls it only in velocity_from_states,
+    # whose node call takes d_x^2 from the pair array it forms for D
     tree = ast.parse((PACKAGE / "metrics.py").read_text())
     named = [
         n.lineno for n in ast.walk(tree)
