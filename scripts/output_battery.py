@@ -13,7 +13,8 @@ last squared diameters are reduced 9 states at a time, a long N = 5
 reaction run and its rerun from the spec embedded in its report.json, tau,
 gamma, N and horizon sweeps, a tau sweep with --dt, a blow-up, a sampled
 datum with a tabulated psi, data far from the origin, theorem rates below
-float resolution, refused specs, 9 toys and 5 rate equations.  To compare two trees:
+float resolution, refused specs, 9 toys at the default horizon and step,
+2 with --horizon and --dt, and 5 rate equations.  To compare two trees:
 
     PYTHONPATH=a/src python3 a/scripts/output_battery.py
     PYTHONPATH=b/src python3 b/scripts/output_battery.py
@@ -105,6 +106,9 @@ CASES = [
       for kind, taus in (("transmission", ("0.1", "16")),
                          ("reaction", ("0.1", "0.15", "0.3", "0.5", "1", "2", "16")))
       for tau in taus],
+    *[(f"toy_reaction_{tau}_horizon_{horizon}", None,
+       ("toy", "--kind", "reaction", "--tau", tau, "--horizon", horizon, "--dt", dt))
+      for tau, horizon, dt in (("0.3", "2", "0.0046875"), ("16", "400", "0.25"))],
     *[(f"rate_{i}", None, ("rate", *args)) for i, args in enumerate([
         ("--alpha", "0.5", "--beta", "1", "--tau", "0.25"),
         ("--alpha", "0.4", "--beta", "0.9", "--tau", "0.1", "--measure", "uniform"),

@@ -55,11 +55,9 @@ from .rates import (
 from .toy import (
     CharRoot,
     ToyRegime,
-    ToySeries,
     classify_regime,
     linear_coefficients,
     rightmost_root,
-    simulate_toy,
     two_agent_config,
 )
 

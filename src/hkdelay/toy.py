@@ -125,42 +125,24 @@ def rightmost_root(a: float, b: float, tau: float) -> CharRoot:
     return CharRoot(re=root.real, im=root.imag, residual=residual)
 
 
-@dataclass(frozen=True, eq=False)
-class ToySeries:
-    times: np.ndarray
-    w: np.ndarray
-    blow_up_time: float | None = None
-
-
-def simulate_toy(config: SystemConfig, w0: float, horizon: float | None = None,
-                 dt: float | None = None) -> ToySeries:
-    """Simulate the gap w = x_1 - x_2 of a two-agent config on a line from
-    constant history w = w0, and return the full series on [-tau, T].
-
-    Blow-up is tolerated: the series is truncated and the time recorded.
-    The horizon defaults to 40 tau and dt to the default step.  The gap
-    reads no dissipation, so none is formed.
-    """
-    horizon = 40.0 * config.tau if horizon is None else horizon
-    datum = InitialDatum.constant([[0.5 * w0], [-0.5 * w0]])
-    traj = integrate(config, datum, horizon, None if dt is None else IntegratorSpec(dt), False)
-    w = traj.states[:, 0, 0] - traj.states[:, 1, 0]
-    return ToySeries(times=traj.grid, w=w, blow_up_time=traj.blow_up_time)
-
-
 def toy_record(delay_kind: DelayKind, tau: float, horizon: float | None = None,
                dt: float | None = None, t_lo: float | None = None) -> dict:
     """The two-agent toy at one delay, as `hkdelay toy` prints it: its
     regime and rightmost root, and the forward sign changes and fitted
-    decay rate of its gap simulated from w0 = 1.  horizon and dt default
-    as in simulate_toy, t_lo as in metrics.fitted_decay_rate."""
+    decay rate of its gap w = x_1 - x_2, integrated from the constant
+    history w = 1 over [0, horizon].  horizon defaults to 40 tau, dt to
+    dynamics.default_spec's step and t_lo as in metrics.fitted_decay_rate.
+    A run that blows up is read up to the node before its blow-up.  The
+    gap reads no dissipation, so none is formed."""
     config = two_agent_config(delay_kind, tau)
     a, b = linear_coefficients(config)
-    series = simulate_toy(config, 1.0, horizon, dt)
+    traj = integrate(config, InitialDatum.constant([[0.5], [-0.5]]), 40.0 * tau if horizon is None else horizon,
+                     None if dt is None else IntegratorSpec(dt), False)
+    w = traj.states[:, 0, 0] - traj.states[:, 1, 0]
     return {
         "tau": tau,
         "regime": classify_regime(a, b, tau).value,
         "rightmost_root": rightmost_root(a, b, tau).to_dict(),
-        "sign_changes": count_sign_changes(series.w[series.times > 0.0]),
-        "fitted_rate": fitted_decay_rate(series.times, series.w, t_lo),
+        "sign_changes": count_sign_changes(w[traj.grid > 0.0]),
+        "fitted_rate": fitted_decay_rate(traj.grid, w, t_lo),
     }

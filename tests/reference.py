@@ -205,6 +205,11 @@ def blocked_sq_diameter(states):
     return out
 
 
+def gap(traj):
+    """x_1 - x_2 on traj.grid, for two agents on a line: the toy's gap."""
+    return traj.states[:, 0, 0] - traj.states[:, 1, 0]
+
+
 def mean(state):
     """Arithmetic mean over agents, a d-vector."""
     return np.atleast_2d(np.asarray(state, dtype=float)).mean(axis=0)

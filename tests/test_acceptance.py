@@ -27,14 +27,13 @@ from hkdelay import (
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
     rightmost_root,
-    simulate_toy,
     solve_halanay,
     theorem_rates,
     two_agent_config,
 )
 
 from lemmas import convexity_bound_check, shrink_iteration, simulate_equality_case
-from reference import integrate_oracle
+from reference import gap, integrate_oracle
 
 ALGEBRAIC = InfluenceFunction.algebraic_decay(1.0)
 
@@ -57,28 +56,30 @@ def test_toy_regime_reproduction():
     checks = []
     timings = []
 
-    t0 = time.perf_counter()
-    s = simulate_toy(two_agent_config(DelayKind.REACTION, 0.15), 1.0, horizon=40 * 0.15)
-    timings.append(time.perf_counter() - t0)
-    fwd = s.times > 0
-    checks.append(count_sign_changes(s.w[fwd]) == 0)
-    checks.append(abs(s.w[-1]) < 1e-3 * 1.0)
+    w0 = InitialDatum.constant([[0.5], [-0.5]])  # the toy's gap starts at 1
 
     t0 = time.perf_counter()
-    s = simulate_toy(two_agent_config(DelayKind.REACTION, 0.5), 1.0, horizon=40 * 0.5)
+    s = integrate(two_agent_config(DelayKind.REACTION, 0.15), w0, 40 * 0.15, None, False)
     timings.append(time.perf_counter() - t0)
-    fwd = s.times > 0
-    checks.append(count_sign_changes(s.w[fwd]) >= 3)
-    a = np.abs(s.w)
+    w = gap(s)
+    checks.append(count_sign_changes(w[s.grid > 0]) == 0)
+    checks.append(abs(w[-1]) < 1e-3 * 1.0)
+
+    t0 = time.perf_counter()
+    s = integrate(two_agent_config(DelayKind.REACTION, 0.5), w0, 40 * 0.5, None, False)
+    timings.append(time.perf_counter() - t0)
+    w = gap(s)
+    checks.append(count_sign_changes(w[s.grid > 0]) >= 3)
+    a = np.abs(w)
     peaks = _peaks(a)
     checks.append(peaks.size >= 3 and bool(np.all(np.diff(a[peaks][1:]) < 0.0)))
 
     t0 = time.perf_counter()
-    s = simulate_toy(two_agent_config(DelayKind.REACTION, 1.0), 1.0, horizon=40.0)
+    s = integrate(two_agent_config(DelayKind.REACTION, 1.0), w0, 40.0, None, False)
     timings.append(time.perf_counter() - t0)
-    a = np.abs(s.w)
-    late = a[(s.times >= 30.0) & (s.times <= 40.0)].max()
-    early = a[(s.times >= 0.0) & (s.times <= 10.0)].max()
+    a = np.abs(gap(s))
+    late = a[(s.grid >= 30.0) & (s.grid <= 40.0)].max()
+    early = a[(s.grid >= 0.0) & (s.grid <= 10.0)].max()
     checks.append(late > 10.0 * early)
 
     checks.append(max(timings) < 1.0)

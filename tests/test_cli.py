@@ -7,14 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hkdelay import DelayKind, dynamics, metrics, rate_transmission_normalized, rates, weights_from_states
+from hkdelay import (DelayKind, InitialDatum, IntegratorSpec, dynamics, integrate, metrics,
+                     rate_transmission_normalized, rates, weights_from_states)
 from hkdelay.errors import InvalidConfig, InvalidDatum, InvalidProblem, OutOfRange
 from hkdelay.cli import load_spec, main
 from hkdelay.dynamics import default_spec
-from hkdelay.toy import classify_regime, linear_coefficients, simulate_toy, two_agent_config
+from hkdelay.toy import classify_regime, linear_coefficients, two_agent_config
 from hkdelay.model import config_from_dict
 
-from reference import read_trajectory_csv
+from reference import gap, read_trajectory_csv
 
 
 def write_spec(path, doc):
@@ -1235,10 +1236,11 @@ def test_default_resolution_is_tau_over_64(tmp_path, capsys):
     assert main(["toy", "--tau", "5e-324", "--dt", "5e-324", "--kind", "reaction"]) == 0
     assert json.loads(capsys.readouterr().out)["rightmost_root"] == {"re": -2.0, "im": 0.0}
     tau = 0.3
-    default = simulate_toy(two_agent_config(DelayKind.REACTION, tau), w0=1.0, horizon=2.0)
-    explicit = simulate_toy(two_agent_config(DelayKind.REACTION, tau), w0=1.0, horizon=2.0, dt=tau / 64)
-    assert np.array_equal(default.times, explicit.times)
-    assert np.array_equal(default.w, explicit.w)
+    w0 = InitialDatum.constant([[0.5], [-0.5]])
+    default = integrate(two_agent_config(DelayKind.REACTION, tau), w0, 2.0, None, False)
+    explicit = integrate(two_agent_config(DelayKind.REACTION, tau), w0, 2.0, IntegratorSpec(tau / 64), False)
+    assert np.array_equal(default.grid, explicit.grid)
+    assert np.array_equal(gap(default), gap(explicit))
     assert main(["toy", "--tau", str(tau), "--kind", "reaction", "--horizon", "2"]) == 0
     without_dt = capsys.readouterr().out
     assert main(["toy", "--tau", str(tau), "--kind", "reaction", "--horizon", "2",

@@ -36,6 +36,7 @@ def load_script(name):
             ["battery/sim_n100_transmission/out/trajectory.csv", "battery/sim_n30_reaction/out/metrics.csv",
              "battery/sim_n5_reaction_long/out/metrics.csv",
              "battery/sweep_tau_n5_reaction/out/sweep.csv", "battery/toy_reaction_1/stdout",
+             "battery/toy_reaction_16_horizon_400/stdout",
              "battery/rate_0/stdout", "battery/rate_4/stderr", "battery/run_consensus_experiments/stdout",
              "battery/sweep_toy_regimes/out/toy_sweep.csv"],
         ),
@@ -47,3 +48,37 @@ def test_script_runs_and_writes_its_results(tmp_path, monkeypatch, name, written
     assert script.main() == 0
     for rel in written:
         assert (tmp_path / rel).stat().st_size > 0, rel
+
+
+FIXTURE = '''"""A module docstring
+on two lines."""
+
+import math  # a trailing comment keeps its line
+
+# a comment line
+
+
+class Point:
+    """A class docstring."""
+
+    x: float = 0.0
+
+    def norm(self):
+        """A function
+        docstring."""
+        text = """a string that is
+not a docstring"""
+        return math.hypot(self.x, len(text))
+'''
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path, capsys):
+    script = load_script("code_lines")
+    (tmp_path / "point.py").write_text(FIXTURE)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "one.py").write_text("# a comment\n\nx = 1\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert script.main([str(tmp_path / "point.py")]) == 0
+    assert capsys.readouterr().out == "7\n"
+    assert script.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "8\n"

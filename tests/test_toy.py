@@ -12,6 +12,7 @@ from hkdelay import (
     DelayKind,
     InfluenceFunction,
     InitialDatum,
+    IntegratorSpec,
     SystemConfig,
     ToyRegime,
     WeightScheme,
@@ -24,17 +25,21 @@ from hkdelay import (
     integrate,
     linear_coefficients,
     rightmost_root,
-    simulate_toy,
     theorem_rates,
     two_agent_config,
 )
 from hkdelay.metrics import fit_c_emp
+from hkdelay.toy import toy_record
+
+from reference import gap
 
 TAU_GRID = [0.05 * k for k in range(1, 41)]
 # (a, b) of the two-agent toy, whose gap obeys w' = -a w(t) - b w(t - tau)
 REACTION = linear_coefficients(two_agent_config(DelayKind.REACTION, 1.0))
 TRANSMISSION = linear_coefficients(two_agent_config(DelayKind.TRANSMISSION, 1.0))
 COEFFICIENTS = {DelayKind.REACTION: REACTION, DelayKind.TRANSMISSION: TRANSMISSION}
+# the toy's constant history, w = x_1 - x_2 = 1
+W0 = InitialDatum.constant([[0.5], [-0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +86,34 @@ def test_reaction_root_unstable_for_long_delay():
     assert root.re > 0.0
     assert root.residual <= 1e-10
     # growth confirmed by simulation amplitude
-    series = simulate_toy(two_agent_config(DelayKind.REACTION, 1.0), 1.0, horizon=30.0)
-    a = np.abs(series.w)
-    assert a[series.times > 25.0].max() > 10.0 * a[(series.times > 0) & (series.times < 5.0)].max()
+    traj = integrate(two_agent_config(DelayKind.REACTION, 1.0), W0, 30.0, None, False)
+    a, t = np.abs(gap(traj)), traj.grid
+    assert a[t > 25.0].max() > 10.0 * a[(t > 0) & (t < 5.0)].max()
 
 
-def test_simulate_toy_default_horizon_is_forty_delays():
-    default = simulate_toy(two_agent_config(DelayKind.REACTION, 0.3), 1.0)
-    explicit = simulate_toy(two_agent_config(DelayKind.REACTION, 0.3), 1.0, horizon=40 * 0.3)
-    assert default.times[-1] == 40 * 0.3
-    assert np.array_equal(default.w, explicit.w)
+@pytest.mark.parametrize("kind, tau", [
+    (DelayKind.REACTION, 0.3),
+    (DelayKind.TRANSMISSION, 0.3),
+    (DelayKind.REACTION, 16.0),  # blows up
+])
+def test_toy_record_integrates_forty_delays_at_the_default_step(kind, tau):
+    record = toy_record(kind, tau)
+    assert record == toy_record(kind, tau, horizon=40 * tau, dt=tau / 64)
+    config = two_agent_config(kind, tau)
+    traj = integrate(config, W0, 40 * tau, IntegratorSpec(tau / 64))
+    w = gap(traj)
+    a, b = linear_coefficients(config)
+    assert record == {
+        "tau": tau,
+        "regime": classify_regime(a, b, tau).value,
+        "rightmost_root": rightmost_root(a, b, tau).to_dict(),
+        "sign_changes": count_sign_changes(w[traj.grid > 0.0]),
+        "fitted_rate": fitted_decay_rate(traj.grid, w),
+    }
+    if tau == 16.0:
+        assert traj.blow_up_time is not None and record["fitted_rate"] < 0.0
+    else:
+        assert traj.blow_up_time is None and traj.grid[-1] == 40 * tau
 
 
 def test_reaction_root_satisfies_rescaled_equation():
@@ -177,24 +200,25 @@ def test_root_regime_consistency_on_grid():
 # simulation
 
 def test_zero_start_stays_zero():
-    series = simulate_toy(two_agent_config(DelayKind.REACTION, 0.3), 0.0, horizon=3.0)
-    assert np.max(np.abs(series.w)) == 0.0
+    traj = integrate(two_agent_config(DelayKind.REACTION, 0.3), InitialDatum.constant([[0.0], [0.0]]), 3.0,
+                     None, False)
+    assert np.max(np.abs(gap(traj))) == 0.0
 
 
 def test_short_delay_never_oscillates():
     tau = 0.15
-    series = simulate_toy(two_agent_config(DelayKind.REACTION, tau), 1.0, horizon=20 * tau)
-    fwd = series.times > 0
-    assert count_sign_changes(series.w[fwd]) == 0
-    assert abs(series.w[-1]) < 1e-3
+    traj = integrate(two_agent_config(DelayKind.REACTION, tau), W0, 20 * tau, None, False)
+    w = gap(traj)
+    assert count_sign_changes(w[traj.grid > 0]) == 0
+    assert abs(w[-1]) < 1e-3
 
 
 def test_intermediate_delay_damped_oscillations():
     tau = 0.5
-    series = simulate_toy(two_agent_config(DelayKind.REACTION, tau), 1.0, horizon=40 * tau)
-    fwd = series.times > 0
-    assert count_sign_changes(series.w[fwd]) >= 3
-    a = np.abs(series.w)
+    traj = integrate(two_agent_config(DelayKind.REACTION, tau), W0, 40 * tau, None, False)
+    w = gap(traj)
+    assert count_sign_changes(w[traj.grid > 0]) >= 3
+    a = np.abs(w)
     interior = np.arange(1, a.size - 1)
     peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
     peaks = peaks[a[peaks] > 1e-12]
@@ -207,9 +231,9 @@ def test_oscillation_presence_matches_regime_on_grid():
         regime = classify_regime(*REACTION, tau)
         if regime is ToyRegime.BOUNDARY:
             continue
-        series = simulate_toy(two_agent_config(DelayKind.REACTION, tau), 1.0, horizon=40 * tau, dt=tau / 32)
-        window = (series.times >= 5 * tau) & (series.times <= 40 * tau)
-        changes = count_sign_changes(series.w[window])
+        traj = integrate(two_agent_config(DelayKind.REACTION, tau), W0, 40 * tau, IntegratorSpec(tau / 32), False)
+        window = (traj.grid >= 5 * tau) & (traj.grid <= 40 * tau)
+        changes = count_sign_changes(gap(traj)[window])
         if regime is ToyRegime.NON_OSCILLATORY_STABLE:
             assert changes < 2, tau
         else:
@@ -218,8 +242,8 @@ def test_oscillation_presence_matches_regime_on_grid():
 
 def test_transmission_amplitude_decays_on_grid():
     for tau in TAU_GRID[::2]:
-        series = simulate_toy(two_agent_config(DelayKind.TRANSMISSION, tau), 1.0, horizon=40 * tau, dt=tau / 32)
-        assert abs(series.w[-1]) < 1.0, tau
+        traj = integrate(two_agent_config(DelayKind.TRANSMISSION, tau), W0, 40 * tau, IntegratorSpec(tau / 32), False)
+        assert abs(gap(traj)[-1]) < 1.0, tau
 
 
 def test_fitted_rate_matches_root_in_stable_regimes():
@@ -233,16 +257,15 @@ def test_fitted_rate_matches_root_in_stable_regimes():
     ]
     for kind, tau in cases:
         root = rightmost_root(*COEFFICIENTS[kind], tau)
-        series = simulate_toy(two_agent_config(kind, tau), 1.0, horizon=40 * tau)
-        rate = fitted_decay_rate(series.times, series.w, t_lo=5 * tau)
+        rate = toy_record(kind, tau, horizon=40 * tau, t_lo=5 * tau)["fitted_rate"]
         assert rate is not None
         assert rate == pytest.approx(-root.re, rel=0.10), (kind, tau)
 
 
-def reference_fitted_rate(series):
+def reference_fitted_rate(traj):
     """The least-squares slope that fitted_decay_rate computed itself before
     it called metrics.fit_decay_rate."""
-    t, a = series.times, np.abs(series.w)
+    t, a = traj.grid, np.abs(gap(traj))
     idx = np.where((t >= 0.2 * float(t[-1])) & (a > 1e-13))[0]
     interior = idx[(idx > 0) & (idx < t.size - 1)]
     peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
@@ -260,15 +283,16 @@ def reference_fitted_rate(series):
 ])
 def test_fitted_rate_equals_its_least_squares_slope_bit_for_bit(kind, tau):
     # hkdelay toy prints this rate with all its digits
-    series = simulate_toy(two_agent_config(kind, tau), 1.0, horizon=40 * tau)
-    assert fitted_decay_rate(series.times, series.w) == reference_fitted_rate(series)
+    traj = integrate(two_agent_config(kind, tau), W0, 40 * tau, None, False)
+    assert toy_record(kind, tau, horizon=40 * tau)["fitted_rate"] == reference_fitted_rate(traj)
 
 
 def test_blow_up_truncates_series():
-    series = simulate_toy(two_agent_config(DelayKind.REACTION, 2.0), 1.0, horizon=200.0)
-    assert series.blow_up_time is not None
-    assert np.all(np.isfinite(series.w))
-    assert np.max(np.abs(series.w)) > 1e10
+    traj = integrate(two_agent_config(DelayKind.REACTION, 2.0), W0, 200.0, None, False)
+    w = gap(traj)
+    assert traj.blow_up_time is not None
+    assert np.all(np.isfinite(w))
+    assert np.max(np.abs(w)) > 1e10
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +320,8 @@ def test_two_agent_classical_regime_reads_psi_at_zero():
     assert classify_regime(a, b, 1.0) is ToyRegime.OSCILLATORY_STABLE
     root = rightmost_root(a, b, 0.3)
     assert root.im == 0.0 and root.re == pytest.approx(-1.6313, abs=1e-4)
-    series = simulate_toy(config, 1.0)
-    assert fitted_decay_rate(series.times, series.w) == pytest.approx(-root.re, rel=1e-3)
+    traj = integrate(config, W0, 40 * config.tau, None, False)
+    assert fitted_decay_rate(traj.grid, gap(traj)) == pytest.approx(-root.re, rel=1e-3)
 
 
 LINEAR_TAUS = (0.1, 0.4, 0.7)
