@@ -5,7 +5,7 @@ docstring.  With no arguments it counts src/hkdelay; otherwise the given
 files and the *.py files under the given folders.  Prints the total.
 
     python3 scripts/code_lines.py
-    python3 scripts/code_lines.py src/hkdelay/toy.py tests
+    python3 scripts/code_lines.py src/hkdelay/rates.py tests
 """
 
 import ast

@@ -11,10 +11,13 @@ written as <battery>.  The set covers both benchmark workloads (the N = 100
 simulate cut to a 4 tau horizon), a middling N = 30 reaction run, whose
 last squared diameters are reduced 9 states at a time, a long N = 5
 reaction run and its rerun from the spec embedded in its report.json, tau,
-gamma, N and horizon sweeps, a tau sweep with --dt, a blow-up, a sampled
-datum with a tabulated psi, data far from the origin, theorem rates below
-float resolution, refused specs, 9 toys at the default horizon and step,
-2 with --horizon and --dt, and 5 rate equations.  To compare two trees:
+gamma, N and horizon sweeps, a tau sweep with --dt, two-agent tau sweeps
+with normalized weights and with classical weights of psi(0) = 1/2, a
+blow-up, a sampled datum with a tabulated psi, data far from the origin,
+theorem rates below float resolution, refused specs, 9 toys at the default
+horizon and step, 2 with --horizon and --dt, and 6 rate equations, the
+last one past the overflow of the uniform kernel's product.  To compare
+two trees:
 
     PYTHONPATH=a/src python3 a/scripts/output_battery.py
     PYTHONPATH=b/src python3 b/scripts/output_battery.py
@@ -93,6 +96,9 @@ CASES = [
      ("sweep", "SPEC", "--param", "tau", "--values", "0.5", "1", "2", "--dt", "0.0625", "--out", "OUT")),
     ("sweep_tau_two_agents_blow_up", spec(2, "reaction", "normalized", dim=1, seed=4),
      ("sweep", "SPEC", "--param", "tau", "--values", "0.25", "1", "16", "--out", "OUT")),
+    ("sweep_tau_two_agents_classical",
+     spec(2, "reaction", "classical_scaled", influence={"kind": "constant", "c": 0.5}, dim=1, seed=9),
+     ("sweep", "SPEC", "--param", "tau", "--values", "0.3", "1", "--out", "OUT")),
     ("sweep_gamma", spec(5, "transmission", "normalized", seed=3, horizon=20.0,
                          datum={"kind": "random_uniform", "low": 0.0, "high": 5.0}),
      ("sweep", "SPEC", "--param", "gamma", "--values", "0.5", "20", "--horizon", "5", "--out", "OUT")),
@@ -115,6 +121,7 @@ CASES = [
         ("--alpha", "1e-300", "--beta", "1", "--tau", "1000"),
         ("--alpha", "0.999999", "--beta", "1", "--tau", "300", "--measure", "uniform"),
         ("--alpha", "1", "--beta", "1"),
+        ("--alpha", "1", "--beta", "1e308", "--tau", "1e308", "--measure", "uniform"),
     ])],
 ]
 

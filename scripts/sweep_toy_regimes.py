@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from hkdelay.model import DelayKind
-from hkdelay.toy import toy_record
+from hkdelay.cli import toy_record
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 

@@ -42,22 +42,20 @@ from .metrics import (
     fitted_decay_rate,
 )
 from .rates import (
+    CharRoot,
     HalanayProblem,
     Measure,
     PreconditionReport,
     RateResult,
-    check_preconditions,
-    rate_reaction_nonsymmetric,
-    rate_transmission_normalized,
-    solve_halanay,
-    theorem_rates,
-)
-from .toy import (
-    CharRoot,
     ToyRegime,
+    check_preconditions,
     classify_regime,
     linear_coefficients,
+    rate_reaction_nonsymmetric,
+    rate_transmission_normalized,
     rightmost_root,
+    solve_halanay,
+    theorem_rates,
     two_agent_config,
 )
 

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, metrics, rates, toy
+from . import dynamics, metrics, rates
 from .errors import HKDelayError, InvalidDatum, SpecError
 from .model import (
+    DelayKind,
     InitialDatum,
     SystemConfig,
     config_from_dict,
@@ -277,7 +278,8 @@ def _sweep_row(spec: ExperimentSpec, value: float, traj) -> str:
         raise result.error
     regime = ""
     if spec.config.n_agents == 2:
-        regime = toy.classify_regime(*toy.linear_coefficients(spec.config), spec.config.tau).value
+        a, b = rates.linear_coefficients(spec.config)
+        regime = rates.classify_regime(a, b, spec.config.tau).value
     summary = result.report["metrics_summary"]
     numbers = [value, summary["consensus_time"], summary["C_emp"]]
     cells = ["" if v is None else format(float(v), ".17g") for v in numbers]
@@ -324,8 +326,32 @@ def cmd_rate(args) -> int:
     return 0
 
 
+def toy_record(delay_kind: DelayKind, tau: float, horizon: float | None = None,
+               dt: float | None = None, t_lo: float | None = None) -> dict:
+    """The two-agent toy at one delay, as `hkdelay toy` prints it: its
+    regime and rightmost root, and the forward sign changes and fitted
+    decay rate of its gap w = x_1 - x_2, integrated from the constant
+    history w = 1 over [0, horizon].  horizon defaults to 40 tau, dt to
+    dynamics.default_spec's step and t_lo as in metrics.fitted_decay_rate.
+    A run that blows up is read up to the node before its blow-up.  The
+    gap reads no dissipation, so none is formed."""
+    config = rates.two_agent_config(delay_kind, tau)
+    a, b = rates.linear_coefficients(config)
+    traj = dynamics.integrate(config, InitialDatum.constant([[0.5], [-0.5]]),
+                              40.0 * tau if horizon is None else horizon,
+                              None if dt is None else dynamics.IntegratorSpec(dt), False)
+    w = traj.states[:, 0, 0] - traj.states[:, 1, 0]
+    return {
+        "tau": tau,
+        "regime": rates.classify_regime(a, b, tau).value,
+        "rightmost_root": rates.rightmost_root(a, b, tau).to_dict(),
+        "sign_changes": metrics.count_sign_changes(w[traj.grid > 0.0]),
+        "fitted_rate": metrics.fitted_decay_rate(traj.grid, w, t_lo),
+    }
+
+
 def cmd_toy(args) -> int:
-    print(json.dumps(toy.toy_record(args.kind, args.tau, args.horizon, args.dt), sort_keys=True))
+    print(json.dumps(toy_record(args.kind, args.tau, args.horizon, args.dt), sort_keys=True))
     return 0
 
 

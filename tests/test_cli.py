@@ -12,7 +12,7 @@ from hkdelay import (DelayKind, InitialDatum, IntegratorSpec, dynamics, integrat
 from hkdelay.errors import InvalidConfig, InvalidDatum, InvalidProblem, OutOfRange
 from hkdelay.cli import load_spec, main
 from hkdelay.dynamics import default_spec
-from hkdelay.toy import classify_regime, linear_coefficients, two_agent_config
+from hkdelay.rates import classify_regime, linear_coefficients, two_agent_config
 from hkdelay.model import config_from_dict
 
 from reference import gap, read_trajectory_csv

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -98,6 +99,25 @@ def test_halanay_certified_side_across_scales(log_tau, beta, frac, measure):
         lo, hi = scan_root(alpha, beta, tau, measure, n=200_001)
     if lo < hi:  # the scan found the sign change
         assert lo <= res.C <= hi
+
+
+def test_halanay_uniform_root_past_the_overflow_of_its_product():
+    # K(C) = e^x (e^x - 1)/x, x = C tau, is finite up to x = 357.7, but the
+    # product e^x expm1(x) overflows from x = 354.9; this root lies between,
+    # at x = 357.5
+    alpha, beta, tau = 1.0, 1e308, 1e308
+    res = solve_halanay(HalanayProblem(alpha, beta, tau, Measure.UNIFORM_ON_DELAY))
+    assert abs(res.residual) <= 1e-12 * beta
+
+    def excess(c):  # ln(beta - C) - ln(alpha K(C)) in 50-digit decimals, at x = C tau as floats round it
+        with localcontext() as ctx:
+            ctx.prec = 50
+            x = Decimal(c * tau)
+            log_k = x + (x.exp() - 1).ln() - x.ln()
+            return (Decimal(beta) - Decimal(c)).ln() - Decimal(alpha).ln() - log_k
+
+    # the bracket that bisect closed, [C, next float], holds the sign change
+    assert excess(res.C) > 0 >= excess(math.nextafter(res.C, math.inf))
 
 
 def test_halanay_monotonicity():

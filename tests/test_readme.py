@@ -30,7 +30,7 @@ def test_layout_table_names_resolve_in_their_modules():
     rows = layout_rows()
     assert [m for m, _ in rows] == [
         "hkdelay.model", "hkdelay.dynamics", "hkdelay.metrics",
-        "hkdelay.rates", "hkdelay.toy", "hkdelay.cli",
+        "hkdelay.rates", "hkdelay.cli",
     ]
     missing = []
     for module_name, names in rows:

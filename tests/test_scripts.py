@@ -35,9 +35,11 @@ def load_script(name):
             "output_battery",
             ["battery/sim_n100_transmission/out/trajectory.csv", "battery/sim_n30_reaction/out/metrics.csv",
              "battery/sim_n5_reaction_long/out/metrics.csv",
-             "battery/sweep_tau_n5_reaction/out/sweep.csv", "battery/toy_reaction_1/stdout",
+             "battery/sweep_tau_n5_reaction/out/sweep.csv", "battery/sweep_tau_two_agents_classical/out/sweep.csv",
+             "battery/toy_reaction_1/stdout",
              "battery/toy_reaction_16_horizon_400/stdout",
-             "battery/rate_0/stdout", "battery/rate_4/stderr", "battery/run_consensus_experiments/stdout",
+             "battery/rate_0/stdout", "battery/rate_4/stderr", "battery/rate_5/stdout",
+             "battery/run_consensus_experiments/stdout",
              "battery/sweep_toy_regimes/out/toy_sweep.csv"],
         ),
     ],

@@ -42,9 +42,9 @@ def test_every_export_is_used_by_the_package_or_a_script():
     assert not unused
 
 
-# each module may import only modules of earlier layers: the theorem layer
+# each module may import only modules of earlier layers: the rate layer
 # rates reads the model alone, not the metric series or the integrator
-LAYERS = (("errors",), ("model",), ("dynamics", "metrics", "rates"), ("toy",), ("cli",))
+LAYERS = (("errors",), ("model",), ("dynamics", "metrics", "rates"), ("cli",))
 
 
 def package_imports(path: Path) -> set:
@@ -189,21 +189,35 @@ def test_metrics_alone_runs_the_startup_check():
 def test_metrics_alone_fits_rates_and_sets_the_consensus_threshold():
     # C_emp's fit, the toy's fit and the consensus threshold live in
     # metrics, whose fits share one sample window: no other module calls
-    # fit_decay_rate, and cli and toy define no fit, window, floor or
-    # consensus threshold of their own
+    # fit_decay_rate, and cli defines no fit, window, floor or consensus
+    # threshold of its own
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "metrics":
             continue
         found: set = set()
         references(ast.parse(path.read_text()), "", found)
         assert "fit_decay_rate" not in found, path.stem
-    for module in ("cli", "toy"):
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-        defined = [n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
-        defined += [t.id for n in ast.walk(tree) if isinstance(n, ast.Assign) for t in n.targets
-                    if isinstance(t, ast.Name)]
-        words = ("fit", "window", "floor", "ulps", "consensus")
-        assert not [name for name in defined if any(w in name.lower() for w in words)], module
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    defined = [n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    defined += [t.id for n in ast.walk(tree) if isinstance(n, ast.Assign) for t in n.targets
+                if isinstance(t, ast.Name)]
+    words = ("fit", "window", "floor", "ulps", "consensus")
+    assert not [name for name in defined if any(w in name.lower() for w in words)]
+
+
+def test_rates_alone_names_the_root_finder():
+    # bisect is the package's one scalar root finder: the rate equations
+    # and the characteristic root call it inside rates, and no other module
+    # names it, so every root the package reports is found in rates
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "rates":
+            continue
+        found: set = set()
+        tree = ast.parse(path.read_text())
+        references(tree, "", found)
+        found.update(a.asname or a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                     for a in n.names)
+        assert "bisect" not in found, path.stem
 
 
 def test_dynamics_and_metrics_do_not_name_the_weight_scheme():
@@ -223,18 +237,20 @@ def test_dynamics_and_metrics_do_not_name_the_weight_scheme():
         assert not named, (module, named)
 
 
-def test_toy_names_delay_kinds_and_schemes_only_in_its_coefficient_map():
+def test_linearization_names_delay_kinds_and_schemes_only_in_its_coefficient_map():
     # one linear equation serves every regime: the delay kind and the weight
-    # scheme enter toy.py only through linear_coefficients and the one
-    # two-agent config, and no threshold or root is written on 2 tau
-    tree = ast.parse((PACKAGE / "toy.py").read_text())
+    # scheme enter the linearization in rates only through
+    # linear_coefficients and the one two-agent config, and no threshold or
+    # root is written on 2 tau
+    names = ("_require_delay", "linear_coefficients", "two_agent_config", "classify_regime", "rightmost_root")
+    tree = ast.parse((PACKAGE / "rates.py").read_text())
+    linearization = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in names]
+    assert len(linearization) == len(names)
     allowed = {
-        id(n) for f in tree.body
-        if isinstance(f, ast.FunctionDef) and f.name in ("linear_coefficients", "two_agent_config")
-        for n in ast.walk(f)
+        id(n) for f in linearization if f.name in ("linear_coefficients", "two_agent_config") for n in ast.walk(f)
     }
     named = [
-        n.lineno for n in ast.walk(tree)
+        n.lineno for f in linearization for n in ast.walk(f)
         if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
         and n.value.id in ("DelayKind", "WeightScheme") and id(n) not in allowed
     ]
@@ -247,7 +263,7 @@ def test_toy_names_delay_kinds_and_schemes_only_in_its_coefficient_map():
         return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 2
 
     doubled = [
-        n.lineno for n in ast.walk(tree)
+        n.lineno for f in linearization for n in ast.walk(f)
         if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
         and (is_two(n.left) and is_tau(n.right) or is_tau(n.left) and is_two(n.right))
     ]

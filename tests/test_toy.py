@@ -29,7 +29,7 @@ from hkdelay import (
     two_agent_config,
 )
 from hkdelay.metrics import fit_c_emp
-from hkdelay.toy import toy_record
+from hkdelay.cli import toy_record
 
 from reference import gap
 
