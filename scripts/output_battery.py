@@ -15,9 +15,9 @@ gamma, N and horizon sweeps, a tau sweep with --dt, two-agent tau sweeps
 with normalized weights and with classical weights of psi(0) = 1/2, a
 blow-up, a sampled datum with a tabulated psi, data far from the origin,
 theorem rates below float resolution, refused specs, 9 toys at the default
-horizon and step, 2 with --horizon and --dt, and 6 rate equations, the
-last one past the overflow of the uniform kernel's product.  To compare
-two trees:
+horizon and step, 2 with --horizon and --dt, and 8 rate equations, the
+last three past the overflow of the uniform kernel's product and the last
+two past the overflow of either kernel itself.  To compare two trees:
 
     PYTHONPATH=a/src python3 a/scripts/output_battery.py
     PYTHONPATH=b/src python3 b/scripts/output_battery.py
@@ -122,6 +122,8 @@ CASES = [
         ("--alpha", "0.999999", "--beta", "1", "--tau", "300", "--measure", "uniform"),
         ("--alpha", "1", "--beta", "1"),
         ("--alpha", "1", "--beta", "1e308", "--tau", "1e308", "--measure", "uniform"),
+        ("--alpha", "1e-300", "--beta", "1e308", "--tau", "1e308"),
+        ("--alpha", "1e-300", "--beta", "1e308", "--tau", "1e308", "--measure", "uniform"),
     ])],
 ]
 

@@ -5,72 +5,50 @@ One run per delay-kind/weight-scheme pairing: transmission with classical
 and with normalized weights (consensus for every delay, rate bound for the
 normalized case), reaction with symmetric classical weights at tau = 0.4
 (Lyapunov route), and reaction with normalized weights at tau = 0.1 (rate
-bound under 4 tau < psi0).  Outputs land in results/<name>/.
+bound under 4 tau < psi0).  Each scenario is a spec document in SCENARIOS,
+keyed by its result folder, which hkdelay.cli.load_spec loads as it loads
+a spec file; outputs land in results/<name>/.
 """
 
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from hkdelay.cli import ExperimentSpec, run_experiment, write_outputs
-from hkdelay.dynamics import default_spec
-from hkdelay.model import (
-    DelayKind,
-    InfluenceFunction,
-    InitialDatum,
-    SystemConfig,
-    WeightScheme,
-)
+from hkdelay.cli import load_spec, run_experiment, write_outputs
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
+ALGEBRAIC = {"kind": "algebraic_decay", "gamma": 1.0}
+# with seed 0, the draw np.random.default_rng(0).uniform(0, 1, (5, 2))
+CLOUD = {"kind": "random_uniform"}
 
-def spec_for(name, config, datum, horizon):
-    return name, ExperimentSpec(
-        config=config,
-        datum=datum,
-        integrator=default_spec(config),
-        horizon=horizon,
-        outputs=("trajectory", "metrics", "rates", "report"),
-        seed=0,
-    )
+
+def scenario(tau, kind, scheme, horizon, dim=2, influence=ALGEBRAIC, datum=CLOUD):
+    """The spec document of a five-agent scenario with seed 0 and every output."""
+    return {
+        "config": {"n_agents": 5, "dim": dim, "tau": tau, "delay_kind": kind,
+                   "weight_scheme": scheme, "influence": influence},
+        "datum": datum,
+        "horizon": horizon,
+        "outputs": ["trajectory", "metrics", "rates", "report"],
+        "seed": 0,
+    }
+
+
+SCENARIOS = {
+    "transmission_classical_tau2": scenario(2.0, "transmission", "classical_scaled", 120.0),
+    "transmission_normalized_tau1": scenario(1.0, "transmission", "normalized", 30.0),
+    "reaction_symmetric_tau04": scenario(0.4, "reaction", "classical_scaled", 16.0),
+    "reaction_normalized_tau01": scenario(
+        0.1, "reaction", "normalized", 8.0, dim=1, influence={"kind": "constant", "c": 1.0},
+        datum={"kind": "constant_per_agent", "vectors": [[0.0], [0.25], [0.5], [0.75], [1.0]]},
+    ),
+}
 
 
 def main() -> int:
-    rng = np.random.default_rng(0)
-    psi = InfluenceFunction.algebraic_decay(1.0)
-    cloud = rng.uniform(0.0, 1.0, (5, 2))
-    runs = [
-        spec_for(
-            "transmission_classical_tau2",
-            SystemConfig(5, 2, 2.0, DelayKind.TRANSMISSION, WeightScheme.CLASSICAL_SCALED, psi),
-            InitialDatum.constant(cloud),
-            60.0 * 2.0,
-        ),
-        spec_for(
-            "transmission_normalized_tau1",
-            SystemConfig(5, 2, 1.0, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, psi),
-            InitialDatum.constant(cloud),
-            30.0,
-        ),
-        spec_for(
-            "reaction_symmetric_tau04",
-            SystemConfig(5, 2, 0.4, DelayKind.REACTION, WeightScheme.CLASSICAL_SCALED, psi),
-            InitialDatum.constant(cloud),
-            16.0,
-        ),
-        spec_for(
-            "reaction_normalized_tau01",
-            SystemConfig(5, 1, 0.1, DelayKind.REACTION, WeightScheme.NORMALIZED,
-                         InfluenceFunction.constant(1.0)),
-            InitialDatum.constant(np.linspace(0.0, 1.0, 5)[:, None]),
-            8.0,
-        ),
-    ]
-    for name, spec in runs:
-        result = run_experiment(spec)
+    for name, doc in SCENARIOS.items():
+        result = run_experiment(load_spec(doc))
         out = RESULTS / name
         write_outputs(result, out)
         summary = result.report["metrics_summary"]

@@ -319,8 +319,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    measure = rates.Measure.DIRAC_AT_ZERO if args.measure == "dirac" else rates.Measure.UNIFORM_ON_DELAY
-    problem = rates.HalanayProblem(args.alpha, args.beta, args.tau, measure)
+    problem = rates.HalanayProblem(args.alpha, args.beta, args.tau, args.measure)
     result = rates.solve_halanay(problem)
     print(json.dumps({**problem.to_dict(), **result.to_dict()}, sort_keys=True))
     return 0

@@ -112,6 +112,22 @@ def _kernel(measure: Measure, c: float, tau: float) -> float:
         return math.inf
 
 
+def _scaled_kernel(alpha: float, measure: Measure, c: float, tau: float) -> float:
+    """alpha * K(C).  Where K overflows, it is exp(ln alpha + ln K), finite
+    while the product is: ln K = x for the Dirac kernel and 2x - ln x +
+    ln(1 - e^-x) for the uniform one, x = C tau."""
+    k = _kernel(measure, c, tau)
+    if k < math.inf:
+        return alpha * k
+    log_k = x = c * tau
+    if measure is Measure.UNIFORM_ON_DELAY and x < math.inf:
+        log_k = 2.0 * x - math.log(x) + math.log(-math.expm1(-x))
+    try:
+        return math.exp(math.log(alpha) + log_k)
+    except OverflowError:
+        return math.inf
+
+
 def bisect(f, lo: float, hi: float) -> tuple[float, float, int]:
     """Halve [lo, hi] until its ends are adjacent floats, for an f that is
     positive left of its one sign change and not right of it: a midpoint
@@ -139,7 +155,7 @@ def solve_halanay(problem: HalanayProblem) -> RateResult:
     a, b, tau, meas = problem.alpha, problem.beta, problem.tau, problem.measure
 
     def f(c: float) -> float:
-        return b - c - a * _kernel(meas, c, tau)
+        return b - c - _scaled_kernel(a, meas, c, tau)
 
     lo, hi, iterations = bisect(f, 0.0, b - a)
     c = lo if lo > 0.0 else hi
@@ -336,7 +352,6 @@ def classify_regime(a: float, b: float, tau: float) -> ToyRegime:
 class CharRoot:
     re: float
     im: float
-    residual: float
 
     def to_dict(self) -> dict:
         return {"re": self.re, "im": self.im}
@@ -375,6 +390,4 @@ def rightmost_root(a: float, b: float, tau: float) -> CharRoot:
         v = bisect(excess, -max(log_r, 1.0), 1.0 / math.sqrt(log_r + 1.0))[0]
         y = math.atan2(1.0, v)
         root = complex(-math.log(y / b * (math.hypot(1.0, v) / tau)) / tau, y / tau)
-    with np.errstate(all="ignore"):
-        residual = float(abs(root + a + b * np.exp(-root * tau)))
-    return CharRoot(re=root.real, im=root.imag, residual=residual)
+    return CharRoot(re=root.real, im=root.imag)

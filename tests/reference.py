@@ -210,6 +210,14 @@ def gap(traj):
     return traj.states[:, 0, 0] - traj.states[:, 1, 0]
 
 
+def char_residual(root, a, b, tau):
+    """|xi + a + b e^{-xi tau}| at the CharRoot xi, with overflow to inf
+    and nan left quiet."""
+    xi = complex(root.re, root.im)
+    with np.errstate(all="ignore"):
+        return float(abs(xi + a + b * np.exp(-xi * tau)))
+
+
 def mean(state):
     """Arithmetic mean over agents, a d-vector."""
     return np.atleast_2d(np.asarray(state, dtype=float)).mean(axis=0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -101,23 +102,47 @@ def test_halanay_certified_side_across_scales(log_tau, beta, frac, measure):
         assert lo <= res.C <= hi
 
 
+def decimal_excess(problem, c):
+    """ln(beta - C) - ln(alpha K(C)) in 50-digit decimals, at x = C tau as
+    floats round it."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(c * problem.tau)
+        log_k = x if problem.measure is Measure.DIRAC_AT_ZERO else x + (x.exp() - 1).ln() - x.ln()
+        return (Decimal(problem.beta) - Decimal(c)).ln() - Decimal(problem.alpha).ln() - log_k
+
+
 def test_halanay_uniform_root_past_the_overflow_of_its_product():
     # K(C) = e^x (e^x - 1)/x, x = C tau, is finite up to x = 357.7, but the
     # product e^x expm1(x) overflows from x = 354.9; this root lies between,
     # at x = 357.5
-    alpha, beta, tau = 1.0, 1e308, 1e308
-    res = solve_halanay(HalanayProblem(alpha, beta, tau, Measure.UNIFORM_ON_DELAY))
-    assert abs(res.residual) <= 1e-12 * beta
-
-    def excess(c):  # ln(beta - C) - ln(alpha K(C)) in 50-digit decimals, at x = C tau as floats round it
-        with localcontext() as ctx:
-            ctx.prec = 50
-            x = Decimal(c * tau)
-            log_k = x + (x.exp() - 1).ln() - x.ln()
-            return (Decimal(beta) - Decimal(c)).ln() - Decimal(alpha).ln() - log_k
-
+    problem = HalanayProblem(1.0, 1e308, 1e308, Measure.UNIFORM_ON_DELAY)
+    res = solve_halanay(problem)
+    assert abs(res.residual) <= 1e-12 * problem.beta
     # the bracket that bisect closed, [C, next float], holds the sign change
-    assert excess(res.C) > 0 >= excess(math.nextafter(res.C, math.inf))
+    assert decimal_excess(problem, res.C) > 0 >= decimal_excess(problem, math.nextafter(res.C, math.inf))
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+def test_halanay_root_past_the_overflow_of_the_kernel(measure):
+    # K(C) overflows from x = C tau = 709.78 (357.7 for the uniform kernel),
+    # but alpha K(C) with alpha = 1e-300 stays finite up to the root near
+    # x = ln(beta/alpha) = 1400
+    problem = HalanayProblem(1e-300, 1e308, 1e308, measure)
+    res = solve_halanay(problem)
+    assert abs(res.residual) <= 1e-12 * problem.beta
+    assert decimal_excess(problem, res.C) > 0 >= decimal_excess(problem, math.nextafter(res.C, math.inf))
+
+
+def test_halanay_residual_on_a_grid_of_scales():
+    # 72 of these 288 problems have a root past the overflow of K(C)
+    for alpha, beta, tau, measure in itertools.product(
+        (1e-300, 1e-100, 1e-10, 0.3, 0.5, 0.999999), (1.0, 2.0, 1e10, 1e308),
+        (1e-3, 0.25, 1.0, 300.0, 1e5, 1e308), list(Measure),
+    ):
+        if alpha < beta:
+            res = solve_halanay(HalanayProblem(alpha, beta, tau, measure))
+            assert abs(res.residual) <= 1e-12 * beta, (alpha, beta, tau, measure)
 
 
 def test_halanay_monotonicity():

@@ -4,7 +4,10 @@ the current package API and writes what its docstring promises."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from hkdelay.cli import load_spec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SCENARIOS = (
@@ -20,6 +23,18 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # defines names only; main() is not called
     return module
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_document_loads_and_reloads_from_its_report_spec(name):
+    # report.json embeds spec.to_dict(), from which the run is reproduced
+    spec = load_spec(load_script("run_consensus_experiments").SCENARIOS[name])
+    assert load_spec(spec.to_dict()).to_dict() == spec.to_dict()
+    # seed 0 resolves each random_uniform cloud to this one draw
+    built = (np.linspace(0.0, 1.0, 5)[:, None] if name == "reaction_normalized_tau01"
+             else np.random.default_rng(0).uniform(0.0, 1.0, (5, 2)))
+    assert np.array_equal(spec.datum.values, built)
+    assert spec.seed == 0 and spec.outputs == ("trajectory", "metrics", "rates", "report")
 
 
 @pytest.mark.parametrize(

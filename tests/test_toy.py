@@ -31,7 +31,7 @@ from hkdelay import (
 from hkdelay.metrics import fit_c_emp
 from hkdelay.cli import toy_record
 
-from reference import gap
+from reference import char_residual, gap
 
 TAU_GRID = [0.05 * k for k in range(1, 41)]
 # (a, b) of the two-agent toy, whose gap obeys w' = -a w(t) - b w(t - tau)
@@ -70,7 +70,7 @@ def test_transmission_roots_always_in_left_half_plane():
     for tau in (0.1, 1.0, 10.0):
         root = rightmost_root(*TRANSMISSION, tau)
         assert root.re < 0.0
-        assert root.residual <= 1e-10
+        assert char_residual(root, *TRANSMISSION, tau) <= 1e-10
 
 
 def test_reaction_root_real_negative_in_first_regime():
@@ -84,7 +84,7 @@ def test_reaction_root_real_negative_in_first_regime():
 def test_reaction_root_unstable_for_long_delay():
     root = rightmost_root(*REACTION, 1.0)
     assert root.re > 0.0
-    assert root.residual <= 1e-10
+    assert char_residual(root, *REACTION, 1.0) <= 1e-10
     # growth confirmed by simulation amplitude
     traj = integrate(two_agent_config(DelayKind.REACTION, 1.0), W0, 30.0, None, False)
     a, t = np.abs(gap(traj)), traj.grid
@@ -161,7 +161,7 @@ def test_rightmost_root_of_long_normalized_transmission(n, expected):
     config = SystemConfig(n, 2, 300.0, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, InfluenceFunction.constant(1.0))
     root = rightmost_root(*linear_coefficients(config), 300.0)
     assert complex(root.re, root.im) == pytest.approx(expected, rel=1e-12)
-    assert root.residual <= 1e-14
+    assert char_residual(root, *linear_coefficients(config), 300.0) <= 1e-14
 
 
 @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e300, 1.7e308])
@@ -170,7 +170,8 @@ def test_rightmost_root_at_extreme_delays_is_finite_and_quiet(kind, tau):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         root = rightmost_root(*COEFFICIENTS[kind], tau)
-    assert math.isfinite(root.re) and math.isfinite(root.im) and math.isfinite(root.residual)
+    residual = char_residual(root, *COEFFICIENTS[kind], tau)
+    assert math.isfinite(root.re) and math.isfinite(root.im) and math.isfinite(residual)
     # b tau e^{a tau} is 2e-300 at tau = 1e-300: xi* is real, -a - b to
     # 300 digits; w/tau - a read -3.0 at tau = 5e-324
     if tau < 1.0:
