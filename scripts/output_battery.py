@@ -14,7 +14,8 @@ reaction run and its rerun from the spec embedded in its report.json, tau,
 gamma, N and horizon sweeps, a tau sweep with --dt, two-agent tau sweeps
 with normalized weights and with classical weights of psi(0) = 1/2, a
 blow-up, a sampled datum with a tabulated psi, data far from the origin,
-theorem rates below float resolution, refused specs, 9 toys at the default
+theorem rates below float resolution, refused specs (among them constant
+vectors of shape (N, 1, 2) in place of (N, d)), 9 toys at the default
 horizon and step, 2 with --horizon and --dt, and 8 rate equations, the
 last three past the overflow of the uniform kernel's product and the last
 two past the overflow of either kernel itself.  To compare two trees:
@@ -88,6 +89,8 @@ CASES = [
                          influence={"kind": "algebraic_decay", "gamma": 20.0},
                          datum={"kind": "random_uniform", "low": 0.0, "high": 5.0}), SIM),
     ("sim_misspelled", spec(3, "transmission", "normalized", horizn=5.0), SIM),
+    ("sim_vectors_3d", spec(2, "transmission", "normalized", dim=1,
+                            datum={"kind": "constant_per_agent", "vectors": [[[0.0, 1.0]], [[1.0, 2.0]]]}), SIM),
     ("sim_no_spec_file", None, ("simulate", "no-such-spec.json", "--out", "OUT")),
     ("sweep_tau_n5_reaction", spec(5, "reaction", "normalized", seed=55),
      ("sweep", "SPEC", "--param", "tau", "--values", "0.25", "0.5", "0.75", "1", "1.25", "1.5", "1.75", "2",

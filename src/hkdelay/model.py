@@ -257,6 +257,8 @@ class InitialDatum:
     @classmethod
     def constant(cls, vectors) -> "InitialDatum":
         v = np.atleast_2d(np.asarray(vectors, dtype=float))
+        if v.ndim != 2:
+            raise InvalidDatum("datum.vectors: must have shape (N, d) for N agents")
         if v.size == 0:
             raise InvalidDatum("datum.vectors: a constant datum needs at least one agent vector")
         require_finite_squares("datum.vectors", v, v.shape[-1])

@@ -303,7 +303,7 @@ STABILITY_THRESHOLD = math.pi / 2.0  # on b*tau
 BOUNDARY_TOL = 1e-9
 
 
-class ToyRegime(str, Enum):
+class Regime(str, Enum):
     ALWAYS_STABLE = "AlwaysStable"
     NON_OSCILLATORY_STABLE = "NonOscillatoryStable"
     OSCILLATORY_STABLE = "OscillatoryStable"
@@ -331,21 +331,21 @@ def two_agent_config(delay_kind: DelayKind, tau: float) -> SystemConfig:
     return SystemConfig(2, 1, tau, delay_kind, WeightScheme.NORMALIZED, InfluenceFunction.constant(1.0))
 
 
-def classify_regime(a: float, b: float, tau: float) -> ToyRegime:
+def classify_regime(a: float, b: float, tau: float) -> Regime:
     """Regime of y' = -a y(t) - b y(t - tau): a >= b is stable for every
     tau; otherwise the thresholds on b tau are those of a = 0, the only
     a < b that linear_coefficients gives.  BOUNDARY within 1e-9 of one."""
     _require_delay(tau)
     if a >= b:
-        return ToyRegime.ALWAYS_STABLE
+        return Regime.ALWAYS_STABLE
     x = b * tau
     if min(abs(x - OSCILLATION_THRESHOLD), abs(x - STABILITY_THRESHOLD)) <= BOUNDARY_TOL:
-        return ToyRegime.BOUNDARY
+        return Regime.BOUNDARY
     if x < OSCILLATION_THRESHOLD:
-        return ToyRegime.NON_OSCILLATORY_STABLE
+        return Regime.NON_OSCILLATORY_STABLE
     if x < STABILITY_THRESHOLD:
-        return ToyRegime.OSCILLATORY_STABLE
-    return ToyRegime.UNSTABLE
+        return Regime.OSCILLATORY_STABLE
+    return Regime.UNSTABLE
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from hkdelay import (
-    DelayKind,
-    InfluenceFunction,
-    InitialDatum,
-    SystemConfig,
-    WeightScheme,
-)
+from hkdelay.model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
 
 
 @pytest.fixture

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hkdelay import InvalidProblem, OutOfRange, diameter
+from hkdelay.errors import InvalidProblem, OutOfRange
+from hkdelay.model import diameter
 from hkdelay.dynamics import MAX_DEFAULT_DT, STEPS_PER_DELAY, rk4_method_of_steps
 
 

@@ -27,16 +27,10 @@ import math
 
 import numpy as np
 
-from hkdelay import (
-    DelayKind,
-    OutOfRange,
-    Trajectory,
-    WeightScheme,
-    dynamics,
-    velocity_from_states,
-    weights_from_states,
-)
-from hkdelay.model import block_length, pair_sq
+from hkdelay import dynamics
+from hkdelay.errors import OutOfRange
+from hkdelay.model import DelayKind, WeightScheme, weights_from_states, block_length, pair_sq
+from hkdelay.dynamics import Trajectory, velocity_from_states
 
 
 def hermite(y0, y1, f0, f1, h, theta):

@@ -5,25 +5,16 @@ import time
 
 import numpy as np
 
-from hkdelay import (
-    DelayKind,
-    InfluenceFunction,
-    InitialDatum,
-    IntegratorSpec,
+from hkdelay.model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme, check_icass, psi_floor
+from hkdelay.dynamics import IntegratorSpec, integrate
+from hkdelay.metrics import compute_metrics, count_sign_changes, fit_decay_rate
+from hkdelay.rates import (
     Measure,
-    SystemConfig,
-    ToyRegime,
-    WeightScheme,
+    Regime,
     HalanayProblem,
-    check_icass,
     check_preconditions,
     classify_regime,
-    compute_metrics,
-    count_sign_changes,
-    fit_decay_rate,
-    integrate,
     linear_coefficients,
-    psi_floor,
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
     rightmost_root,
@@ -307,10 +298,10 @@ def test_root_regime_consistency():
     for k in range(1, 41):
         tau = 0.05 * k
         regime = classify_regime(*reaction, tau)
-        if regime is ToyRegime.BOUNDARY:
+        if regime is Regime.BOUNDARY:
             continue
         root = rightmost_root(*reaction, tau)
-        stable = regime in (ToyRegime.NON_OSCILLATORY_STABLE, ToyRegime.OSCILLATORY_STABLE)
+        stable = regime in (Regime.NON_OSCILLATORY_STABLE, Regime.OSCILLATORY_STABLE)
         ok = ok and ((root.re < 0.0) == stable)
     trans_ok = all(rightmost_root(*transmission, tau).re < 0.0 for tau in (0.1, 1.0, 10.0))
     ok = ok and trans_ok

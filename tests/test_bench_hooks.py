@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hkdelay import InfluenceFunction, InitialDatum, IntegratorSpec, SystemConfig, cli, dynamics, metrics
+from hkdelay import dynamics, metrics, cli
+from hkdelay.model import InfluenceFunction, InitialDatum, SystemConfig
+from hkdelay.dynamics import IntegratorSpec
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 

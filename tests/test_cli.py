@@ -7,13 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hkdelay import (DelayKind, InitialDatum, IntegratorSpec, dynamics, integrate, metrics,
-                     rate_transmission_normalized, rates, weights_from_states)
+from hkdelay import dynamics, metrics, rates
 from hkdelay.errors import InvalidConfig, InvalidDatum, InvalidProblem, OutOfRange
+from hkdelay.model import DelayKind, InitialDatum, weights_from_states, config_from_dict
+from hkdelay.dynamics import IntegratorSpec, integrate, default_spec
+from hkdelay.rates import rate_transmission_normalized, classify_regime, linear_coefficients, two_agent_config
 from hkdelay.cli import load_spec, main
-from hkdelay.dynamics import default_spec
-from hkdelay.rates import classify_regime, linear_coefficients, two_agent_config
-from hkdelay.model import config_from_dict
 
 from reference import gap, read_trajectory_csv
 
@@ -461,6 +460,11 @@ def _set(path, value):
          "datum.times"),
         (_set("datum", {"kind": "sampled", "times": [-0.5, 0.0], "values": [[0.0, 1.0, 2.0]]}),
          "datum.values"),
+        # vectors of shape (N, 1, 2) passed as (N, 1) and ended in a broadcast
+        # ValueError traceback when the startup nodes were filled
+        (_set("datum.vectors", [[[0.0, 1.0]], [[1.0, 2.0]], [[2.0, 3.0]]]), "datum.vectors"),
+        (["sweep", _set("datum.vectors", [[[0.0, 1.0]], [[1.0, 2.0]], [[2.0, 3.0]]]), "--param", "tau",
+          "--values", "1"], "datum.vectors"),
         (_set("config.tau", 1e17), "integrator.dt"),  # 4e17 default steps per delay
         (["sweep", SPEC, "--param", "tau", "--values", "1e17"], "integrator.dt"),
         (["toy", "--tau", "0", "--kind", "reaction"], "tau"),
@@ -553,8 +557,8 @@ def _set(path, value):
         "config_list", "tau_text", "vectors_text", "vectors_missing",
         "influence_list", "table_flat", "table_samples_missing", "horizon_huge", "horizon_unallocatable", "dt_tiny",
         "outputs_number", "dt_not_dividing", "dt_negative", "horizon_negative", "vectors_nan",
-        "times_decreasing", "times_short", "values_shape", "dt_default_unaddressable",
-        "sweep_dt_default_unaddressable",
+        "times_decreasing", "times_short", "values_shape", "vectors_3d", "sweep_vectors_3d",
+        "dt_default_unaddressable", "sweep_dt_default_unaddressable",
         "toy_tau_zero", "toy_tau_negative", "toy_tau_nan",
         "random_low_nan", "random_high_inf", "random_range_overflows",
         "n_agents_unaddressable", "dim_unaddressable",
@@ -575,11 +579,15 @@ def _set(path, value):
 def test_malformed_input_exits_with_an_error_line(tmp_path, capsys, args, field):
     out = tmp_path / "out"
     if callable(args):
+        args = ["simulate", args]
+    change = next((a for a in args if callable(a)), None)
+    if change is not None:  # in an argv: the changed consensus spec, and --out is appended
         with open(consensus_spec(tmp_path)) as fh:
             doc = json.load(fh)
-        doc = args(doc) or doc
+        doc = change(doc) or doc
         default_step = field == "integrator.dt" and "dt" not in doc.get("integrator", {})
-        args = ["simulate", write_spec(tmp_path / "bad.json", doc), "--out", str(out)]
+        spec = write_spec(tmp_path / "bad.json", doc)
+        args = [spec if a is change else a for a in args] + ["--out", str(out)]
     else:
         default_step = field == "integrator.dt" and "--dt" not in args
         if SPEC in args or MISSING in args:

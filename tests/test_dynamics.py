@@ -5,21 +5,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from hkdelay import (
-    DelayKind,
-    InfluenceFunction,
-    InitialDatum,
-    IntegratorSpec,
-    InvalidConfig,
-    InvalidDatum,
-    OutOfRange,
-    Trajectory,
-    WeightScheme,
-    integrate,
-    velocity_from_states,
-)
-from hkdelay import dynamics, model
-from hkdelay.dynamics import trajectory_to_csv
+from hkdelay import model, dynamics
+from hkdelay.errors import InvalidConfig, InvalidDatum, OutOfRange
+from hkdelay.model import DelayKind, InfluenceFunction, InitialDatum, WeightScheme
+from hkdelay.dynamics import IntegratorSpec, Trajectory, integrate, velocity_from_states, trajectory_to_csv
 
 from conftest import make_config, random_datum
 from reference import (

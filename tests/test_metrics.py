@@ -5,25 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkdelay import (
+from hkdelay import model
+from hkdelay.model import (
     DelayKind,
     InfluenceFunction,
     InitialDatum,
-    IntegratorSpec,
-    MetricSeries,
-    Trajectory,
     WeightScheme,
     check_icass,
-    compute_metrics,
-    consensus_time,
-    count_sign_changes,
     diameter,
-    fit_decay_rate,
-    integrate,
     radius,
+    has_symmetric_weights,
+    pair_sq,
+    weights_from_states,
 )
-from hkdelay import model
-from hkdelay.model import has_symmetric_weights, pair_sq, weights_from_states
+from hkdelay.dynamics import IntegratorSpec, Trajectory, integrate
+from hkdelay.metrics import MetricSeries, compute_metrics, consensus_time, count_sign_changes, fit_decay_rate
 
 from conftest import make_config, random_datum
 from reference import (

@@ -10,26 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkdelay import (
+from hkdelay import dynamics
+from hkdelay.errors import InvalidConfig, InvalidDatum, OutOfRange
+from hkdelay.model import (
     DelayKind,
     InfluenceFunction,
     InitialDatum,
-    IntegratorSpec,
-    InvalidConfig,
-    InvalidDatum,
-    OutOfRange,
     SystemConfig,
     WeightScheme,
     check_icass,
     diameter,
-    integrate,
     pair_sq,
     psi_floor,
     radius,
     weights_from_states,
+    config_from_dict,
+    datum_from_dict,
 )
-from hkdelay import dynamics
-from hkdelay.model import config_from_dict, datum_from_dict
+from hkdelay.dynamics import IntegratorSpec, integrate
 
 from conftest import make_config
 
@@ -354,7 +352,7 @@ def test_icass_violated_by_steep_ramp():
 
 ICASS_DATUM = """
 import numpy as np
-from hkdelay import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
+from hkdelay.model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme
 n, knots = {n}, {knots}
 config = SystemConfig(n, 1, 1.0, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, InfluenceFunction.constant(1.0))
 datum = InitialDatum.sampled(np.linspace(-1.0, 0.0, knots), np.random.default_rng(5).uniform(0.0, 1.0, (knots, n, 1)))
@@ -362,7 +360,7 @@ datum = InitialDatum.sampled(np.linspace(-1.0, 0.0, knots), np.random.default_rn
 
 CAPPED_ICASS = """
 import resource
-from hkdelay import check_icass
+from hkdelay.model import check_icass
 with open("/proc/self/statm") as fh:
     mapped = int(fh.read().split()[0]) * resource.getpagesize()
 resource.setrlimit(resource.RLIMIT_AS, (mapped + (1 << 30), resource.getrlimit(resource.RLIMIT_AS)[1]))

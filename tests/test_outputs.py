@@ -15,7 +15,8 @@ import json
 import numpy as np
 import pytest
 
-from hkdelay import InfluenceFunction, InitialDatum, SystemConfig, dynamics, metrics
+from hkdelay import dynamics, metrics
+from hkdelay.model import InfluenceFunction, InitialDatum, SystemConfig
 from hkdelay.cli import main
 
 BASE = {

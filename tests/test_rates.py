@@ -7,21 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkdelay import (
+from hkdelay.errors import InvalidDatum, InvalidProblem
+from hkdelay.model import (
     DelayKind,
-    HalanayProblem,
     InfluenceFunction,
     InitialDatum,
-    InvalidDatum,
-    InvalidProblem,
-    Measure,
     WeightScheme,
     check_icass,
-    check_preconditions,
     diameter,
-    integrate,
     psi_floor,
     radius,
+)
+from hkdelay.dynamics import integrate
+from hkdelay.rates import (
+    HalanayProblem,
+    Measure,
+    check_preconditions,
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
     solve_halanay,
@@ -490,7 +491,7 @@ def test_convexity_bound_identical_weights():
 def test_convexity_bound_mu_zero_is_triangle_case(rng):
     x, eta_i, eta_k, _, i, k = _random_instance(rng)
     chk = convexity_bound_check(x, eta_i, eta_k, 0.0, i=i, k=k)
-    from hkdelay import diameter
+    from hkdelay.model import diameter
 
     assert chk.rhs == pytest.approx(diameter(x))
     assert chk.holds

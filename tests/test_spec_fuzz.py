@@ -121,6 +121,14 @@ def ragged(value):
     return [[[0.0, 0.0], [0.0]]]
 
 
+def deeper_array(value):
+    """An array whose every element is wrapped in a one-element list, or
+    nothing for a field that is not an array."""
+    def deepen(v):
+        return [deepen(x) for x in v] if isinstance(v, list) else [v]
+    return [deepen(value)] if isinstance(value, list) else []
+
+
 def unknown_entry(value):
     if isinstance(value, dict):
         return [{**value, "unknown_entry": 1}]
@@ -140,6 +148,7 @@ MUTATIONS = {
     "huge_tiny": at_first_number(1e300, 1e-300),
     "empty_array": lambda v: [[]],
     "ragged_array": ragged,
+    "deeper_array": deeper_array,
     "missing_field": lambda v: [DELETE],
     "unknown_entry": unknown_entry,
 }

@@ -1,22 +1,37 @@
-"""The package exports only what its own code or its scripts use, and its
+"""Each name of the package has one import path, the module that defines
+it; the package defines only what its own code or its scripts read, and its
 modules import one another in one order."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hkdelay"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def exported_names() -> list:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+def assigned(node) -> set:
+    """The names that an assignment statement binds, or none for another node."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def defined_names(tree) -> set:
+    """The functions, classes and assigned names at the module level of tree."""
+    names = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    return names.union(*(assigned(n) for n in tree.body))
 
 
 def references(node, skip: str, found: set) -> None:
     """Add to found every name that node loads or reads as an attribute,
-    leaving out the body of the definition named skip."""
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+    leaving out the definition or the assignment of the name skip."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip or skip in assigned(node):
         return
     if isinstance(node, ast.Name):
         found.add(node.id)
@@ -26,20 +41,54 @@ def references(node, skip: str, found: set) -> None:
         references(child, skip, found)
 
 
-def test_every_export_is_used_by_the_package_or_a_script():
+def test_package_namespace_imports_nothing():
+    # import hkdelay binds only __version__: every name is imported from the
+    # module that defines it, so no list of names is kept in step twice
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def test_every_module_level_name_is_read_by_the_package_or_a_script():
     # a name that only tests call belongs with them, as tests/reference.py
-    # and tests/lemmas.py hold; the re-exports in __init__.py do not count
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "scripts").glob("*.py"))
-    trees = [ast.parse(p.read_text()) for p in files]
-    unused = []
-    for name in exported_names():
-        found: set = set()
-        for tree in trees:
-            references(tree, name, found)
-        if name not in found:
-            unused.append(name)
-    assert not unused
+    # and tests/lemmas.py hold
+    trees = [ast.parse(p.read_text()) for p in MODULES + sorted((ROOT / "scripts").glob("*.py"))]
+    unread = []
+    for path, tree in zip(MODULES, trees):
+        for name in sorted(defined_names(tree)):
+            found: set = set()
+            for other in trees:
+                references(other, name, found)
+            if name not in found:
+                unread.append(f"{path.stem}.{name}")
+    assert not unread
+
+
+def hkdelay_imports(path: Path) -> list:
+    """Every absolute import from hkdelay in one file, including those in the
+    code strings that it runs in a child interpreter."""
+    trees = [ast.parse(path.read_text())]
+    trees += [
+        ast.parse(n.value) for n in ast.walk(trees[0])
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and re.search(r"^(from|import) hkdelay\b", n.value, re.MULTILINE)
+    ]
+    return [
+        n for tree in trees for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.level == 0 and n.module.split(".")[0] == "hkdelay"
+    ]
+
+
+def test_tests_and_scripts_import_each_name_from_its_module():
+    defined = {p.stem: defined_names(ast.parse(p.read_text())) for p in MODULES}
+    wrong = []
+    for path in sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        for node in hkdelay_imports(path):
+            module = node.module.removeprefix("hkdelay").lstrip(".")
+            wrong += [
+                f"{path.name}:{node.lineno} {node.module}.{a.name}" for a in node.names
+                if a.name not in (defined.get(module, set()) if module else defined)
+            ]
+    assert not wrong
 
 
 # each module may import only modules of earlier layers: the rate layer
@@ -63,7 +112,7 @@ def package_imports(path: Path) -> set:
 
 def test_modules_import_only_earlier_layers():
     layer = {name: i for i, names in enumerate(LAYERS) for name in names}
-    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = [p.stem for p in MODULES]
     assert modules == sorted(layer)
     upward = [
         f"{module} imports {imported}"

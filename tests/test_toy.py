@@ -8,27 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hkdelay import (
-    DelayKind,
-    InfluenceFunction,
-    InitialDatum,
-    IntegratorSpec,
-    SystemConfig,
-    ToyRegime,
-    WeightScheme,
-    check_icass,
+from hkdelay.model import DelayKind, InfluenceFunction, InitialDatum, SystemConfig, WeightScheme, check_icass
+from hkdelay.dynamics import IntegratorSpec, integrate
+from hkdelay.metrics import compute_metrics, count_sign_changes, fitted_decay_rate, fit_c_emp
+from hkdelay.rates import (
+    Regime,
     check_preconditions,
     classify_regime,
-    compute_metrics,
-    count_sign_changes,
-    fitted_decay_rate,
-    integrate,
     linear_coefficients,
     rightmost_root,
     theorem_rates,
     two_agent_config,
 )
-from hkdelay.metrics import fit_c_emp
 from hkdelay.cli import toy_record
 
 from reference import char_residual, gap
@@ -47,20 +38,20 @@ W0 = InitialDatum.constant([[0.5], [-0.5]])
 
 def test_regimes_by_delay_length():
     assert (REACTION, TRANSMISSION) == ((0.0, 2.0), (1.0, 1.0))
-    assert classify_regime(*REACTION, 0.15) is ToyRegime.NON_OSCILLATORY_STABLE
-    assert classify_regime(*REACTION, 0.5) is ToyRegime.OSCILLATORY_STABLE
-    assert classify_regime(*REACTION, 1.0) is ToyRegime.UNSTABLE
-    assert classify_regime(*TRANSMISSION, 0.5) is ToyRegime.ALWAYS_STABLE
-    assert classify_regime(*TRANSMISSION, 100.0) is ToyRegime.ALWAYS_STABLE
+    assert classify_regime(*REACTION, 0.15) is Regime.NON_OSCILLATORY_STABLE
+    assert classify_regime(*REACTION, 0.5) is Regime.OSCILLATORY_STABLE
+    assert classify_regime(*REACTION, 1.0) is Regime.UNSTABLE
+    assert classify_regime(*TRANSMISSION, 0.5) is Regime.ALWAYS_STABLE
+    assert classify_regime(*TRANSMISSION, 100.0) is Regime.ALWAYS_STABLE
 
 
 def test_regime_boundary_flags():
     for threshold in (math.exp(-1.0), math.pi / 2.0):
         tau = threshold / 2.0
-        assert classify_regime(*REACTION, tau) is ToyRegime.BOUNDARY
-        assert classify_regime(*REACTION, tau + 1e-10) is ToyRegime.BOUNDARY
-        assert classify_regime(*REACTION, tau + 1e-6) is not ToyRegime.BOUNDARY
-        assert classify_regime(*REACTION, tau - 1e-6) is not ToyRegime.BOUNDARY
+        assert classify_regime(*REACTION, tau) is Regime.BOUNDARY
+        assert classify_regime(*REACTION, tau + 1e-10) is Regime.BOUNDARY
+        assert classify_regime(*REACTION, tau + 1e-6) is not Regime.BOUNDARY
+        assert classify_regime(*REACTION, tau - 1e-6) is not Regime.BOUNDARY
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +179,10 @@ def test_rightmost_root_past_the_exponential_range():
 def test_root_regime_consistency_on_grid():
     for tau in TAU_GRID:
         regime = classify_regime(*REACTION, tau)
-        if regime is ToyRegime.BOUNDARY:
+        if regime is Regime.BOUNDARY:
             continue
         root = rightmost_root(*REACTION, tau)
-        if regime is ToyRegime.UNSTABLE:
+        if regime is Regime.UNSTABLE:
             assert root.re > 0.0, tau
         else:
             assert root.re < 0.0, tau
@@ -230,12 +221,12 @@ def test_intermediate_delay_damped_oscillations():
 def test_oscillation_presence_matches_regime_on_grid():
     for tau in TAU_GRID:
         regime = classify_regime(*REACTION, tau)
-        if regime is ToyRegime.BOUNDARY:
+        if regime is Regime.BOUNDARY:
             continue
         traj = integrate(two_agent_config(DelayKind.REACTION, tau), W0, 40 * tau, IntegratorSpec(tau / 32), False)
         window = (traj.grid >= 5 * tau) & (traj.grid <= 40 * tau)
         changes = count_sign_changes(gap(traj)[window])
-        if regime is ToyRegime.NON_OSCILLATORY_STABLE:
+        if regime is Regime.NON_OSCILLATORY_STABLE:
             assert changes < 2, tau
         else:
             assert changes >= 2, tau
@@ -317,8 +308,8 @@ def test_two_agent_classical_regime_reads_psi_at_zero():
                           InfluenceFunction.constant(0.5))
     a, b = linear_coefficients(config)
     assert (a, b) == (0.0, 1.0)
-    assert classify_regime(a, b, 0.3) is ToyRegime.NON_OSCILLATORY_STABLE
-    assert classify_regime(a, b, 1.0) is ToyRegime.OSCILLATORY_STABLE
+    assert classify_regime(a, b, 0.3) is Regime.NON_OSCILLATORY_STABLE
+    assert classify_regime(a, b, 1.0) is Regime.OSCILLATORY_STABLE
     root = rightmost_root(a, b, 0.3)
     assert root.im == 0.0 and root.re == pytest.approx(-1.6313, abs=1e-4)
     traj = integrate(config, W0, 40 * config.tau, None, False)
