@@ -11,7 +11,9 @@ written as <battery>.  The set covers both benchmark workloads (the N = 100
 simulate cut to a 4 tau horizon), a middling N = 30 reaction run, whose
 last squared diameters are reduced 9 states at a time, a long N = 5
 reaction run and its rerun from the spec embedded in its report.json, tau,
-gamma, N and horizon sweeps, a tau sweep with --dt, two-agent tau sweeps
+gamma, N and horizon sweeps, a two-value tau group at N = 60 for each delay
+kind (tau 1 and 1 + 2^-10, one group, whose node calls reduce stacked
+large-N pair arrays), a tau sweep with --dt, two-agent tau sweeps
 with normalized weights and with classical weights of psi(0) = 1/2, a
 blow-up, a sampled datum with a tabulated psi, data far from the origin,
 theorem rates below float resolution, refused specs (among them constant
@@ -95,6 +97,9 @@ CASES = [
     ("sweep_tau_n5_reaction", spec(5, "reaction", "normalized", seed=55),
      ("sweep", "SPEC", "--param", "tau", "--values", "0.25", "0.5", "0.75", "1", "1.25", "1.5", "1.75", "2",
       "--out", "OUT")),
+    *[(f"sweep_tau_n60_{kind}_group", spec(60, kind, "normalized", seed=60),
+       ("sweep", "SPEC", "--param", "tau", "--values", "1", "1.0009765625", "--horizon", "2", "--out", "OUT"))
+      for kind in ("transmission", "reaction")],
     ("sweep_tau_dt", spec(3, "reaction", "classical_scaled", seed=1),
      ("sweep", "SPEC", "--param", "tau", "--values", "0.5", "1", "2", "--dt", "0.0625", "--out", "OUT")),
     ("sweep_tau_two_agents_blow_up", spec(2, "reaction", "normalized", dim=1, seed=4),

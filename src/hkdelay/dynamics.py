@@ -35,6 +35,7 @@ from .model import (
     SystemConfig,
     block_length,
     diameter,
+    pair_max,
     pair_sq,
     squared_diameter,
     weights_from_states,
@@ -135,37 +136,37 @@ def velocity_from_states(
         v_i = (sum_j u_ij (x_j - x_0) - s_i (anchor_i - x_0)) / n_i,
     anchor = x_now for transmission and x_delayed for reaction, so the
     velocity at exact consensus is exactly 0 and a datum far from the
-    origin keeps its digits.  The states are read transposed, (d, N, ...),
-    the stack-last layout of u, and the product is one einsum that sums
-    over j in index order with no copy of u and no BLAS call, so a state
-    gets the same bits alone as in any stack.  The result is a transposed
-    view of that layout.
+    origin keeps its digits.  Each input is laid out once, as the
+    contiguous transposed (d, N, ...) array that matches u's stack-last
+    layout; the weights and the pair array take its .T view, which pair_sq
+    lays out with no copy.  The product is one einsum that sums over j in
+    index order with no copy of u and no BLAS call, so a state gets the
+    same bits alone as in any stack.  The result is a transposed view of
+    that layout.
 
     sq_diameter, given, receives the squared diameter of every stacked
-    x_delayed: the maxima of its own pair array, which reaction reads from
-    the weights' pair array.  D, given with it or left None, receives the
-    dissipation of the same states from that pair array and these weights,
+    x_delayed: model.pair_max of its own pair array, which reaction reads
+    from the weights' pair array.  D, given with it or left None, receives
+    the dissipation of the same states from that pair array and these weights,
     sum_i (sum_j u_ij |x_delayed_j - x_delayed_i|^2) / n_i / (2(N-1)): the
     sum over j runs in index order, and the sum over i is numpy's sum of
     the N terms of one state, a contiguous vector.
     """
-    x_delayed = np.asarray(x_delayed, dtype=float)
-    w = weights_from_states(config, x_now, x_delayed)
+    xt = np.ascontiguousarray(np.asarray(x_delayed, dtype=float).T)  # (d, N, ...)
+    anchor = xt if config.delay_kind is DelayKind.REACTION else np.ascontiguousarray(np.asarray(x_now, dtype=float).T)
+    x_delayed = xt.T
+    w = weights_from_states(config, anchor.T, x_delayed)
     if sq_diameter is not None:
         sq = pair_sq(x_delayed, x_delayed) if w.sq is None else w.sq
-        sq_diameter[...] = sq.max(axis=(0, 1)).T
+        sq_diameter[...] = pair_max(sq)
         if D is not None:
             sq *= w.u
             r = sq.sum(axis=0)
             r /= w.n
             D[...] = np.ascontiguousarray(r.T).sum(axis=-1) / (2.0 * (config.n_agents - 1))
-    xt = np.ascontiguousarray(x_delayed.T)  # (d, N, ...)
-    x0 = xt[:, :1]
-    y = xt - x0
+    y = xt - xt[:, :1]
     v = np.einsum("ji...,kj...->ki...", w.u, y)
-    if config.delay_kind is DelayKind.TRANSMISSION:
-        y = np.ascontiguousarray(x_now.T) - x0  # the anchor x_now, relative to x_0
-    v -= w.s * y
+    v -= w.s * (y if anchor is xt else anchor - xt[:, :1])
     v /= w.n
     return v.T
 

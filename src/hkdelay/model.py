@@ -20,7 +20,8 @@ row minima and row sums reduce over the outermost axis j in index order,
 ((u_0i + u_1i) + u_2i) + ...; the velocity's sum over j is one einsum
 on u as it is laid out, which accumulates over j in index order, with no
 copy of u and no BLAS call (see dynamics.velocity_from_states, which also
-documents the order of D).
+documents the order of D).  Every maximum of a pair array is pair_max's,
+over j and then over i.
 """
 
 from __future__ import annotations
@@ -390,13 +391,20 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape((n * n,) + a.shape[2:])[:: n + 1]
 
 
-def squared_diameter(states: np.ndarray) -> np.ndarray:
-    """Maximum pairwise squared distance of each stacked (..., N, d) state.
+def pair_max(sq: np.ndarray) -> np.ndarray:
+    """Maximum of each stacked state's entries in a stack-last
+    (N_j, N_i, ...) pair array (see pair_sq), reduced over j and then over i.
 
-    The pair array's maximum reduces j and then i, one axis at a time: a
-    maximum is exact in any order, and one reduction over both axes runs an
-    inner loop as short as the stack, slow for a few large-N states."""
-    return pair_sq(states, states).max(axis=0).max(axis=0).T
+    A maximum is exact in any order, but one reduction over both axes runs
+    numpy's inner loop only as long as the stack, slow for a few large-N
+    states."""
+    return sq.max(axis=0).max(axis=0).T
+
+
+def squared_diameter(states: np.ndarray) -> np.ndarray:
+    """Maximum pairwise squared distance of each stacked (..., N, d) state,
+    the pair_max of its pair array."""
+    return pair_max(pair_sq(states, states))
 
 
 def diameter(states: np.ndarray) -> np.ndarray:
@@ -450,7 +458,6 @@ def weights_from_states(
     which numpy does in index order whatever the stack's size, so a state
     gets the same bits alone as anywhere in a stack.
     """
-    x_delayed = np.asarray(x_delayed, dtype=float)
     reaction = config.delay_kind is DelayKind.REACTION
     sq = pair_sq(x_delayed if reaction else x_now, x_delayed)
     influence = config.influence

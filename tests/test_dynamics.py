@@ -759,6 +759,36 @@ def test_kernel_gives_a_state_the_same_bits_alone_and_in_any_stack(
     event(f"non-finite state: {bad}" if bad is not None else "finite states")
 
 
+@pytest.mark.parametrize("kind", list(DelayKind))
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["lone", "stack", "member_stack"])
+@pytest.mark.parametrize("node_call", [False, True], ids=["stage", "node"])
+def test_velocity_lays_out_each_state_once(monkeypatch, kind, lead, node_call):
+    # the velocity lays out x_delayed, and x_now for transmission, once as
+    # the contiguous (d, N, ...) arrays its product reads, and hands pair_sq
+    # their .T views, which pair_sq lays out with no copy
+    args, pair_sq = [], model.pair_sq
+
+    def spy(a, b):
+        args.extend((a, b))
+        return pair_sq(a, b)
+
+    rng = np.random.default_rng(33)
+    n, d = 6, 3
+    config = make_config(n, d, 0.5, kind)
+    # member_stack: the stepper's view of member-major storage, (c, B, N, d)
+    x_now, x_del = (rng.normal(size=lead[::-1] + (n, d)).swapaxes(0, 1) if len(lead) == 2
+                    else rng.normal(size=lead + (n, d)) for _ in range(2))
+    buffers = (np.empty(lead), np.empty(lead)) if node_call else ()
+    want = velocity_from_states(config, x_now, x_del, *buffers)
+    monkeypatch.setattr(model, "pair_sq", spy)
+    monkeypatch.setattr(dynamics, "pair_sq", spy)
+    assert same_bits(velocity_from_states(config, x_now, x_del, *buffers), want)
+    # one pair array for the weights, and a node call's own for transmission
+    assert len(args) == 2 * (1 + (node_call and kind is DelayKind.TRANSMISSION))
+    for a in args:
+        assert a.shape == lead + (n, d) and a.T.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # export
 

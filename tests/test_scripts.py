@@ -51,6 +51,8 @@ def test_scenario_document_loads_and_reloads_from_its_report_spec(name):
             ["battery/sim_n100_transmission/out/trajectory.csv", "battery/sim_n30_reaction/out/metrics.csv",
              "battery/sim_n5_reaction_long/out/metrics.csv", "battery/sim_vectors_3d/stderr",
              "battery/sweep_tau_n5_reaction/out/sweep.csv", "battery/sweep_tau_two_agents_classical/out/sweep.csv",
+             "battery/sweep_tau_n60_transmission_group/out/sweep.csv",
+             "battery/sweep_tau_n60_reaction_group/out/sweep.csv",
              "battery/toy_reaction_1/stdout",
              "battery/toy_reaction_16_horizon_400/stdout",
              "battery/rate_0/stdout", "battery/rate_4/stderr", "battery/rate_5/stdout",
