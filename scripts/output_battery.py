@@ -15,7 +15,9 @@ gamma, N and horizon sweeps, a two-value tau group at N = 60 for each delay
 kind (tau 1 and 1 + 2^-10, one group, whose node calls reduce stacked
 large-N pair arrays), a tau sweep with --dt, two-agent tau sweeps
 with normalized weights and with classical weights of psi(0) = 1/2, a
-blow-up, a sampled datum with a tabulated psi, data far from the origin,
+blow-up, a sampled datum with a tabulated psi, a sampled datum at N = 40
+whose startup check reduces its 8 states in blocks of 5 and 3 and whose
+tail fill reduces 64 nodes in 13 blocks, data far from the origin,
 theorem rates below float resolution, refused specs (among them constant
 vectors of shape (N, 1, 2) in place of (N, d)), 9 toys at the default
 horizon and step, 2 with --horizon and --dt, and 8 rate equations, the
@@ -30,6 +32,7 @@ two past the overflow of either kernel itself.  To compare two trees:
 import importlib.util
 import io
 import json
+import math
 import shutil
 import sys
 import traceback
@@ -68,6 +71,16 @@ SAMPLED = {
     "values": [[[0.0, 0.0], [1.0, 0.2], [0.3, 0.9]], [[0.1, 0.0], [0.9, 0.3], [0.3, 0.7]],
                [[0.0, 0.2], [1.1, 0.2], [0.4, 0.8]], [[0.05, 0.1], [1.0, 0.25], [0.35, 0.8]]],
 }
+# 8 knots, 6 of them inside (-1, 0): 40 agents on a circle that turns, and
+# whose radius 1 - t (1 + t) is largest inside the startup interval
+N40_TIMES = [-1.0 + k / 7 for k in range(8)]
+SAMPLED_N40 = {
+    "kind": "sampled",
+    "times": N40_TIMES,
+    "values": [[[(1.0 - t * (1.0 + t)) * math.cos(2.0 * math.pi * i / 40 + t),
+                 (1.0 - t * (1.0 + t)) * math.sin(2.0 * math.pi * i / 40 + t)] for i in range(40)]
+               for t in N40_TIMES],
+}
 TABLE = {"kind": "table", "samples": [[0.0, 1.0], [0.5, 0.8], [1.5, 0.3]]}
 
 # (name, spec document or a function of the battery folder, or None; argv)
@@ -83,6 +96,8 @@ CASES = [
     ("sim_n5_reaction_long_rerun", embedded_spec("sim_n5_reaction_long"), SIM),
     ("sim_sampled_table", spec(3, "reaction", "normalized", influence=TABLE, datum=SAMPLED,
                                horizon=10.0, outputs=ALL_OUTPUTS), SIM),
+    ("sim_sampled_n40", spec(40, "reaction", "normalized", datum=SAMPLED_N40, horizon=3.0,
+                             outputs=ALL_OUTPUTS), SIM),
     ("sim_blow_up", spec(2, "reaction", "normalized", tau=16.0, influence={"kind": "constant", "c": 1.0},
                          outputs=ALL_OUTPUTS), SIM),
     ("sim_far_datum", spec(5, "transmission", "normalized", seed=2, horizon=10.0, outputs=ALL_OUTPUTS,

@@ -34,6 +34,7 @@ from .model import (
     InitialDatum,
     SystemConfig,
     block_length,
+    blocks,
     diameter,
     pair_max,
     pair_sq,
@@ -281,7 +282,8 @@ def rk4_method_of_steps(
     only history at least one delay old, so the stepper advances the rest of
     a delay segment, up to q steps, at once: it stacks the steps' half-step
     delayed states, and apart from them their full-step ones, and evaluates
-    each stack in calls of at most per_call states (default: q), the
+    each stack in the calls of at most per_call states (default: q) that
+    model.blocks cuts, the
     half-step chunks as stages and the full-step chunks as the node calls
     of their nodes.  Either way the nodes are summed in order from the
     increments, so they equal the per-step loop's bit for bit.
@@ -298,14 +300,14 @@ def rk4_method_of_steps(
 
     def stacked(xd, row=None):  # vel on chunks of xd; row: the node row of xd[0], None for stages
         return np.concatenate([
-            vel(None, xd[i : i + per_call], None if row is None else slice(row + i, row + min(i + per_call, len(xd))))
-            for i in range(0, len(xd), per_call)
+            vel(None, xd[s], None if row is None else slice(row + s.start, row + s.stop))
+            for s in blocks(len(xd), per_call)
         ])
 
     with np.errstate(all="ignore"):
         derivs[q] = vel(states[q], states[0], q)
-        for a in range(q, n - 1, q):
-            b = min(a + q, n - 1)  # steps a..b-1 fill nodes a+1..b
+        for segment in blocks(n - 1, q, q):
+            a, b = segment.start, segment.stop  # steps a..b-1 fill nodes a+1..b
             xd_half, xd_full = _delayed_nodes(states, derivs, mids, a - q, b - q, eighth)
             if reads_now:  # one step at a time, on unstacked states; k1 = derivs[m]
                 nodes = states[a + 1 : b + 1]
@@ -358,8 +360,9 @@ def integrate(config, datum, horizon, spec=None, dissipation=True):
     diameter of every node: the node calls write those of the delayed
     states they read, and each member's last q nodes, which include every
     node that none read, are reduced afterwards by model.squared_diameter,
-    block_length(N^2) states per call across the members.  The node calls write the dissipation D only if dissipation
-    is true, and the trajectory's D is None otherwise.
+    in the blocks of block_length(N^2) states across the members that
+    model.blocks cuts.  The node calls write the dissipation D only if
+    dissipation is true, and the trajectory's D is None otherwise.
 
     A group integrates in one stepper call: config, datum, horizon and spec
     are then equal-length sequences, one entry per member (spec may be
@@ -419,9 +422,8 @@ def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
         # for a member that blew up, a few that one did, with the same bits
         members = np.arange(B).repeat(q)
         nodes = (n_valid[:, None] + np.arange(-q, 0)).ravel()
-        cuts = range(block_length(N**2), B * q, block_length(N**2))
-        for b, k in zip(np.split(members, cuts), np.split(nodes, cuts)):
-            sq_diameter[b, q + k] = squared_diameter(states[b, k])
+        for s in blocks(B * q, block_length(N**2)):
+            sq_diameter[members[s], q + nodes[s]] = squared_diameter(states[members[s], nodes[s]])
     except MemoryError as exc:
         raise InvalidConfig(
             f"config.n_agents: {N} agents need ({N}, {N}) pair arrays, which cannot be allocated"
@@ -441,14 +443,14 @@ def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,agent,component,value` rows; times round-trip bit-exactly.
-    Values become Python floats a block of block_length(N d) nodes at a time."""
+    Values become Python floats a block of nodes at a time, in the blocks
+    of block_length(N d) nodes that model.blocks cuts."""
     n_nodes, n_agents, dim = traj.states.shape
     # one template per node: "{t}" takes the time, each %.17g one value
     node = "".join([f"{{t}},{i},{k},%.17g\n" for i in range(n_agents) for k in range(dim)])
-    step = block_length(n_agents * dim)
     with open(path, "w", newline="") as fh:
         fh.write("t,agent,component,value\n")
-        for a in range(0, n_nodes, step):
-            rows = traj.states[a : a + step].reshape(-1, n_agents * dim).tolist()
-            for t, row in zip(traj.grid[a : a + step].tolist(), rows):
+        for s in blocks(n_nodes, block_length(n_agents * dim)):
+            rows = traj.states[s].reshape(-1, n_agents * dim).tolist()
+            for t, row in zip(traj.grid[s].tolist(), rows):
                 fh.write(node.replace("{t}", format(t, ".17g")) % tuple(row))

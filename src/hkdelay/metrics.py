@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import IcassReport, block_length, check_icass, has_symmetric_weights, radius
+from .model import IcassReport, block_length, blocks, check_icass, has_symmetric_weights, radius
 
 SIGN_ATOL = 1e-10
 CONSENSUS_REL_TOL = 1e-3
@@ -49,25 +49,25 @@ class MetricSeries:
 
     def to_csv(self, path) -> None:
         """Write one row per grid time of a series with every column formed;
-        NaN entries are left empty.  A block of block_length(7) rows at a
-        time becomes Python floats, is formatted by one %.17g row template,
-        and has its "nan" cells, the only text "nan" in it, blanked."""
+        NaN entries are left empty.  A block of rows at a time, in the
+        blocks of block_length(7) rows that model.blocks cuts, becomes
+        Python floats, is formatted by one %.17g row template, and has its
+        "nan" cells, the only text "nan" in it, blanked."""
         table = np.column_stack([self.times, self.d_x, self.r_x, self.mean_drift, self.X, self.D, self.L])
         row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        step = block_length(table.shape[1])
         with open(path, "w", newline="") as fh:
             fh.write("t,d_x,r_x,mean_drift,X,D,L\n")
-            for a in range(0, len(table), step):
-                block = table[a : a + step]
+            for s in blocks(len(table), block_length(table.shape[1])):
+                block = table[s]
                 fh.write(((row * len(block)) % tuple(block.ravel().tolist())).replace("nan", ""))
 
 
 def compute_metrics(trajectory, fluctuation=True) -> MetricSeries:
-    """Evaluate the diagnostic series on the trajectory grid, in blocks of nodes
-    whose (nodes, N d) deviations and (nodes, q + 1) Lyapunov windows stay
-    within model.BLOCK_ENTRIES entries.  The config, the datum and D are
-    the trajectory's own, so no series is formed against a config other
-    than the one integrated.
+    """Evaluate the diagnostic series on the trajectory grid, in the blocks
+    of nodes that model.blocks cuts, whose (nodes, N d) deviations and
+    (nodes, q + 1) Lyapunov windows stay within model.BLOCK_ENTRIES
+    entries.  The config, the datum and D are the trajectory's own, so no
+    series is formed against a config other than the one integrated.
 
     The diameters come from the trajectory too: d_x is the root of the
     squared diameter that integrate wrote on every node.  check_icass runs
@@ -102,14 +102,12 @@ def compute_metrics(trajectory, fluctuation=True) -> MetricSeries:
     # order depends on it (pairwise along a contiguous axis of 8 or more)
     rows = S.reshape(n, n_agents * dim)
     ref_row, xbar0_row = np.tile(ref, n_agents), np.tile(xbar0, n_agents)
-    step = block_length(n_agents * dim)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        r_x[a:b] = radius(S[a:b])
-        dev = rows[a:b] - ref_row
-        xbar[a:b] = dev.reshape(b - a, n_agents, dim).mean(axis=1)
+    for s in blocks(n, block_length(n_agents * dim)):
+        r_x[s] = radius(S[s])
+        dev = rows[s] - ref_row
+        xbar[s] = dev.reshape(-1, n_agents, dim).mean(axis=1)
         dev -= xbar0_row
-        X[a:b] = np.einsum("tj,tj->t", dev, dev) / (2.0 * (n_agents - 1))
+        X[s] = np.einsum("tj,tj->t", dev, dev) / (2.0 * (n_agents - 1))
     drift = np.sqrt(((xbar - xbar0) ** 2).sum(axis=1))
 
     L = None if D is None else np.full(n, np.nan)
@@ -121,10 +119,8 @@ def compute_metrics(trajectory, fluctuation=True) -> MetricSeries:
         coef[0] = coef[-1] = 0.5
         cw = coef * wgt
         windows = sliding_window_view(D, q + 1)  # windows[m - q] = D[m - q : m + 1]
-        step = block_length(q + 1)
-        for a in range(2 * q, n, step):
-            b = min(a + step, n)
-            L[a:b] = X[a:b] + dt * (windows[a - q : b - q] * cw).sum(axis=-1)
+        for s in blocks(n, block_length(q + 1), 2 * q):
+            L[s] = X[s] + dt * (windows[s.start - q : s.stop - q] * cw).sum(axis=-1)
     return MetricSeries(g, d_x, r_x, drift, X, D, L, icass)
 
 

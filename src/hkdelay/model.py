@@ -36,8 +36,11 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidDatum, OutOfRange, SpecError
 
-# Cap on the entries of one stacked temporary, shared by compute_metrics and
-# the reaction segments of the RK4 stepper: 2**13 doubles, 64 KiB.  glibc
+# Cap on the entries of one stacked temporary: 2**13 doubles, 64 KiB.
+# block_length turns it into the block size of every blocked loop, and
+# blocks cuts each such loop, as it cuts every stepped loop of the package:
+# integrate's stacked reaction velocity calls and its tail fill of squared
+# diameters, check_icass, compute_metrics and the two CSV writers.  glibc
 # maps temporaries above its default 128 KiB threshold afresh on every call:
 # at 2**16 (six nodes per block at N = 100) the first compute_metrics of a
 # process took 0.27 s, against 0.23 s node by node, on a 2-vCPU Intel Xeon
@@ -48,6 +51,13 @@ BLOCK_ENTRIES = 2**13
 def block_length(entries_per_item: int) -> int:
     """Items stacked per block when each adds entries_per_item to a temporary."""
     return max(1, BLOCK_ENTRIES // entries_per_item)
+
+
+def blocks(stop: int, size: int, start: int = 0):
+    """The consecutive slices that cover start..stop in order, each size
+    items long except the last: the one rule by which the package cuts a
+    stepped loop into blocks."""
+    return (slice(a, min(a + size, stop)) for a in range(start, stop, size))
 
 
 class DelayKind(str, Enum):
@@ -504,8 +514,9 @@ def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
     slope_at at the left knot of every datum segment that overlaps
     (-tau, 0).  The datum is piecewise linear and diameter and radius are
     convex, so their maxima over [-tau, 0] lie at these states.  The
-    diameters are reduced block_length(N^2) states at a time, so no pair
-    array holds more than one block; a maximum is exact in any order.
+    diameters are reduced in the blocks of block_length(N^2) states that
+    blocks cuts, so no pair array holds more than one block; a maximum is
+    exact in any order.
     """
     datum.require_fits(config)
     ts, tau = datum.times, config.tau
@@ -515,8 +526,7 @@ def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
         left = ts[:-1][(ts[:-1] < 0.0) & (ts[1:] > -tau)]
         max_slope = float(radius(datum.slope_at(left)).max(initial=0.0))
     states = datum.at(times)
-    step = block_length(config.n_agents * config.n_agents)
-    d_x0 = max(float(diameter(states[a : a + step]).max()) for a in range(0, len(states), step))
+    d_x0 = max(float(diameter(states[s]).max()) for s in blocks(len(states), block_length(config.n_agents**2)))
     return IcassReport(
         satisfied=max_slope <= d_x0,
         max_slope=max_slope,

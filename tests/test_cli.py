@@ -1128,6 +1128,13 @@ def test_rate_command_tiny_delay(capsys):
     assert doc["measure"] == "dirac"
 
 
+def test_rate_command_at_a_subnormal_delay(capsys):
+    # C tau rounds to 0 for every C below 1/2, where the uniform kernel is 1
+    assert main(["rate", "--alpha", "0.5", "--beta", "1", "--tau", "5e-324", "--measure", "uniform"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["C"] == pytest.approx(0.5, abs=1e-15) and abs(doc["residual"]) <= 2.0**-52
+
+
 def test_rate_command_survives_kernel_overflow(capsys):
     # exp((beta - alpha) tau / 2) overflows at the first midpoint
     assert main(["rate", "--alpha", "0.05", "--beta", "5", "--tau", "1000"]) == 0

@@ -19,7 +19,14 @@ from hkdelay.model import (
     weights_from_states,
 )
 from hkdelay.dynamics import IntegratorSpec, Trajectory, integrate
-from hkdelay.metrics import MetricSeries, compute_metrics, consensus_time, count_sign_changes, fit_decay_rate
+from hkdelay.metrics import (
+    MetricSeries,
+    compute_metrics,
+    consensus_time,
+    count_sign_changes,
+    fit_decay_rate,
+    fitted_decay_rate,
+)
 
 from conftest import make_config, random_datum
 from reference import (
@@ -417,6 +424,16 @@ def test_fit_decay_rate_rejects_nonpositive():
     assert fit_decay_rate(t, np.linspace(1.0, -0.1, 10)) is None
 
 
+def test_fitted_decay_rate_needs_eight_samples_above_its_floor():
+    # the samples from t = 0.2 on are the last 8, and one of them below
+    # 1e-13 leaves 7: too few to fit
+    t = np.linspace(0.0, 1.0, 10)
+    w = np.exp(-2.0 * t)
+    assert fitted_decay_rate(t, w) == pytest.approx(2.0, rel=1e-12)
+    w[-1] = 1e-14
+    assert fitted_decay_rate(t, w) is None
+
+
 def test_count_sign_changes_monotone_and_sine():
     assert count_sign_changes(np.linspace(0.1, 5.0, 100)) == 0
     t = np.arange(0.0, 4.0 * np.pi + 0.01, 0.01)
@@ -433,6 +450,9 @@ def test_count_sign_changes_damped_oscillation():
 def test_count_sign_changes_ignores_noise_floor():
     series = np.array([1.0, 1e-12, -1e-12, 1.0, -1.0])
     assert count_sign_changes(series) == 1
+    # fewer than two entries above SIGN_ATOL alternate nothing
+    assert count_sign_changes(np.array([1e-12, -1.0, -1e-12])) == 0
+    assert count_sign_changes(np.array([])) == 0
 
 
 def test_consensus_time_sustained(rng):

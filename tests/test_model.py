@@ -15,9 +15,11 @@ from hkdelay.errors import InvalidConfig, InvalidDatum, OutOfRange
 from hkdelay.model import (
     DelayKind,
     InfluenceFunction,
+    InfluenceKind,
     InitialDatum,
     SystemConfig,
     WeightScheme,
+    blocks,
     check_icass,
     diameter,
     pair_sq,
@@ -30,6 +32,26 @@ from hkdelay.model import (
 from hkdelay.dynamics import IntegratorSpec, integrate
 
 from conftest import make_config
+
+
+# ---------------------------------------------------------------------------
+# blocks
+
+def test_blocks_tile_start_to_stop_in_order():
+    items = np.arange(12)
+    for start in range(13):
+        for stop in range(start, 13):
+            for size in range(1, 14):
+                cuts = list(blocks(stop, size, start))
+                assert all(isinstance(s, slice) and s.step is None for s in cuts)
+                assert [i for s in cuts for i in range(s.start, s.stop)] == list(range(start, stop))
+                assert [s.stop - s.start for s in cuts[:-1]] == [size] * (len(cuts) - 1)
+                assert (cuts == []) == (start == stop)
+                if cuts:
+                    assert 1 <= cuts[-1].stop - cuts[-1].start <= size
+                    assert np.array_equal(np.concatenate([items[s] for s in cuts]), items[start:stop])
+                if start == 0:
+                    assert list(blocks(stop, size)) == cuts
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +123,16 @@ def test_influence_validation():
         InfluenceFunction.table([(0.5, 1.0), (1.0, 0.5)])  # grid must start at 0
     with pytest.raises(InvalidConfig):
         InfluenceFunction.table([(0.0, 1.0), (1.0, 0.0)])  # psi must stay positive
+    with pytest.raises(InvalidConfig, match="needs >= 2"):  # knot arrays of different shapes
+        InfluenceFunction(InfluenceKind.TABLE, knots_s=np.array([0.0, 1.0]), knots_psi=np.array([1.0, 0.5, 0.2]))
+    with pytest.raises(InvalidConfig, match="unknown influence kind 'gaussian'"):
+        InfluenceFunction("gaussian")
+
+
+@pytest.mark.parametrize("d", [-1.0, -5e-324, math.inf, math.nan])
+def test_psi_floor_needs_a_finite_distance_of_zero_or_more(d):
+    with pytest.raises(InvalidConfig, match="psi_floor needs finite d >= 0"):
+        psi_floor(InfluenceFunction.algebraic_decay(1.0), d)
 
 
 # ---------------------------------------------------------------------------

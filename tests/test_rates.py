@@ -286,6 +286,25 @@ def test_reaction_rate_precondition():
         rate_reaction_nonsymmetric(0.5, 0.2)  # 4 tau = 0.8 >= 0.5
 
 
+@pytest.mark.parametrize(
+    "rate, args, message",
+    [
+        (rate_transmission_normalized, (5, 0.0, 1.0), "psi_lower must be in (0, 1], got 0.0"),
+        (rate_transmission_normalized, (5, 1.5, 1.0), "psi_lower must be in (0, 1], got 1.5"),
+        (rate_transmission_normalized, (2.5, 0.5, 1.0), "n_agents must be an integer >= 2, got 2.5"),
+        (rate_reaction_nonsymmetric, (0.0, 0.1), "psi0_lower must be in (0, 1], got 0.0"),
+        (rate_reaction_nonsymmetric, (1.5, 0.1), "psi0_lower must be in (0, 1], got 1.5"),
+        (rate_reaction_nonsymmetric, (0.5, 0.0), "tau > 0 violated (tau=0.0)"),
+        (rate_reaction_nonsymmetric, (0.5, -1.0), "tau > 0 violated (tau=-1.0)"),
+        (rate_reaction_nonsymmetric, (0.5, math.inf), "tau > 0 violated (tau=inf)"),
+    ],
+)
+def test_theorem_rates_refuse_arguments_outside_their_domain(rate, args, message):
+    with pytest.raises(InvalidProblem) as info:
+        rate(*args)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # shrink factor and iteration
 

@@ -49,7 +49,8 @@ def test_scenario_document_loads_and_reloads_from_its_report_spec(name):
         (
             "output_battery",
             ["battery/sim_n100_transmission/out/trajectory.csv", "battery/sim_n30_reaction/out/metrics.csv",
-             "battery/sim_n5_reaction_long/out/metrics.csv", "battery/sim_vectors_3d/stderr",
+             "battery/sim_n5_reaction_long/out/metrics.csv", "battery/sim_sampled_n40/out/report.json",
+             "battery/sim_vectors_3d/stderr",
              "battery/sweep_tau_n5_reaction/out/sweep.csv", "battery/sweep_tau_two_agents_classical/out/sweep.csv",
              "battery/sweep_tau_n60_transmission_group/out/sweep.csv",
              "battery/sweep_tau_n60_reaction_group/out/sweep.csv",

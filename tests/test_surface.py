@@ -317,3 +317,29 @@ def test_linearization_names_delay_kinds_and_schemes_only_in_its_coefficient_map
         and (is_two(n.left) and is_tau(n.right) or is_tau(n.left) and is_two(n.right))
     ]
     assert not doubled
+
+
+def by_function(node, owner=None):
+    """Every node below node, with the name of the innermost function that
+    holds it, or None at the module level."""
+    for child in ast.iter_child_nodes(node):
+        yield owner, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from by_function(child, inner)
+
+
+def test_blocks_cuts_every_stepped_loop_and_block_length_alone_reads_the_cap():
+    # model.blocks is the one rule that cuts a loop into blocks, so no loop
+    # works out its own slice bounds; block_length turns BLOCK_ENTRIES into
+    # every block size, so no other function reads the cap
+    stepped, readers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, n in by_function(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "range" and len(n.args) == 3:
+                stepped.append(f"{path.stem}.{owner}")
+            if (isinstance(n, ast.Name) and n.id == "BLOCK_ENTRIES" and isinstance(n.ctx, ast.Load)
+                    or isinstance(n, ast.Attribute) and n.attr == "BLOCK_ENTRIES"
+                    or isinstance(n, ast.ImportFrom) and "BLOCK_ENTRIES" in {a.name for a in n.names}):
+                readers.append(f"{path.stem}.{owner}")
+    assert stepped == ["model.blocks"]
+    assert readers == ["model.block_length"]
