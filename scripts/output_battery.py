@@ -3,8 +3,9 @@
 versions of the package can be compared byte for byte.
 
 Each case runs `hkdelay simulate`, `sweep`, `toy` or `rate` in this process,
-through hkdelay.cli.main, or one of the two other scripts beside this one,
-with whichever hkdelay package is first on the import path.  Its folder
+through hkdelay.cli.main, or run_consensus_experiments.py or
+sweep_toy_regimes.py beside this script, with whichever hkdelay package is
+first on the import path.  Its folder
 under results/battery/ holds the spec it read, the files it wrote (out/),
 its exit code and its stdout and stderr, with this folder's own path
 written as <battery>.  The set covers both benchmark workloads (the N = 100
@@ -22,11 +23,8 @@ theorem rates below float resolution, refused specs (among them constant
 vectors of shape (N, 1, 2) in place of (N, d)), 9 toys at the default
 horizon and step, 2 with --horizon and --dt, and 8 rate equations, the
 last three past the overflow of the uniform kernel's product and the last
-two past the overflow of either kernel itself.  To compare two trees:
-
-    PYTHONPATH=a/src python3 a/scripts/output_battery.py
-    PYTHONPATH=b/src python3 b/scripts/output_battery.py
-    diff -r a/results/battery b/results/battery
+two past the overflow of either kernel itself.  scripts/byte_check.py
+runs it in two revisions and compares their batteries.
 """
 
 import importlib.util

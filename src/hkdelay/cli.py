@@ -336,6 +336,7 @@ def toy_record(delay_kind: DelayKind, tau: float, horizon: float | None = None,
     gap reads no dissipation, so none is formed."""
     config = rates.two_agent_config(delay_kind, tau)
     a, b = rates.linear_coefficients(config)
+    root = rates.rightmost_root(a, b, tau)
     traj = dynamics.integrate(config, InitialDatum.constant([[0.5], [-0.5]]),
                               40.0 * tau if horizon is None else horizon,
                               None if dt is None else dynamics.IntegratorSpec(dt), False)
@@ -343,7 +344,7 @@ def toy_record(delay_kind: DelayKind, tau: float, horizon: float | None = None,
     return {
         "tau": tau,
         "regime": rates.classify_regime(a, b, tau).value,
-        "rightmost_root": rates.rightmost_root(a, b, tau).to_dict(),
+        "rightmost_root": {"re": root.real, "im": root.imag},
         "sign_changes": metrics.count_sign_changes(w[traj.grid > 0.0]),
         "fitted_rate": metrics.fitted_decay_rate(traj.grid, w, t_lo),
     }

@@ -348,18 +348,9 @@ def classify_regime(a: float, b: float, tau: float) -> Regime:
     return Regime.UNSTABLE
 
 
-@dataclass(frozen=True)
-class CharRoot:
-    re: float
-    im: float
-
-    def to_dict(self) -> dict:
-        return {"re": self.re, "im": self.im}
-
-
-def rightmost_root(a: float, b: float, tau: float) -> CharRoot:
+def rightmost_root(a: float, b: float, tau: float) -> complex:
     """Root of xi + a + b e^{-xi tau} with maximal real part, for a >= 0,
-    b > 0, in closed form.
+    b > 0, in closed form, as a complex.
 
     With w = (xi + a) tau the equation is w e^w = -r, r = b tau e^{a tau},
     whose rightmost root is the principal branch of Lambert's W: xi* =
@@ -369,25 +360,23 @@ def rightmost_root(a: float, b: float, tau: float) -> CharRoot:
     - a, which keeps the digits that w loses to the rounding of ln r, or
     to the subnormal grid at a subnormal tau.  Otherwise W0 = -y cot y +
     i y, y in (0, pi), solves ln(y / sin y) - y cot y = ln r; it is
-    bisected on v = cot y, so
-    that a y near pi keeps its digits in 1/sin y = hypot(1, v), and the
-    equation gives xi* = (ln(b tau sin y / y) + i y)/tau, which does not
-    subtract a from w/tau.
+    bisected on v = cot y, so that a y near pi keeps its digits in
+    1/sin y = hypot(1, v), and the equation gives xi* = (ln(b tau sin y /
+    y) + i y)/tau, which does not subtract a from w/tau.
     """
     _require_delay(tau)
     log_r = math.log(b) + math.log(tau) + a * tau
     if log_r <= -1.0:
         w = bisect(lambda w: math.log(-w) + w - log_r, -1.0, 0.0)[0]
         x = a * tau - w  # e^x overflows past x = 709.78, where w/tau serves
-        root = complex((-b * math.exp(x) if x < 709.0 else w / tau) - a, 0.0)
-    else:
-        def excess(v):  # ln(y / sin y) - y cot y - ln r at y = arccot v
-            y = math.atan2(1.0, v)
-            return math.log(y) + math.log(math.hypot(1.0, v)) - y * v - log_r
+        return complex((-b * math.exp(x) if x < 709.0 else w / tau) - a, 0.0)
 
-        # excess decreases in v, from positive at -max(ln r, 1) to negative
-        # at (ln r + 1)^(-1/2)
-        v = bisect(excess, -max(log_r, 1.0), 1.0 / math.sqrt(log_r + 1.0))[0]
+    def excess(v):  # ln(y / sin y) - y cot y - ln r at y = arccot v
         y = math.atan2(1.0, v)
-        root = complex(-math.log(y / b * (math.hypot(1.0, v) / tau)) / tau, y / tau)
-    return CharRoot(re=root.real, im=root.imag)
+        return math.log(y) + math.log(math.hypot(1.0, v)) - y * v - log_r
+
+    # excess decreases in v, from positive at -max(ln r, 1) to negative at
+    # (ln r + 1)^(-1/2)
+    v = bisect(excess, -max(log_r, 1.0), 1.0 / math.sqrt(log_r + 1.0))[0]
+    y = math.atan2(1.0, v)
+    return complex(-math.log(y / b * (math.hypot(1.0, v) / tau)) / tau, y / tau)

@@ -204,10 +204,9 @@ def gap(traj):
     return traj.states[:, 0, 0] - traj.states[:, 1, 0]
 
 
-def char_residual(root, a, b, tau):
-    """|xi + a + b e^{-xi tau}| at the CharRoot xi, with overflow to inf
-    and nan left quiet."""
-    xi = complex(root.re, root.im)
+def char_residual(xi, a, b, tau):
+    """|xi + a + b e^{-xi tau}| at the complex xi, with overflow to inf and
+    nan left quiet."""
     with np.errstate(all="ignore"):
         return float(abs(xi + a + b * np.exp(-xi * tau)))
 

@@ -302,7 +302,7 @@ def test_root_regime_consistency():
             continue
         root = rightmost_root(*reaction, tau)
         stable = regime in (Regime.NON_OSCILLATORY_STABLE, Regime.OSCILLATORY_STABLE)
-        ok = ok and ((root.re < 0.0) == stable)
-    trans_ok = all(rightmost_root(*transmission, tau).re < 0.0 for tau in (0.1, 1.0, 10.0))
+        ok = ok and ((root.real < 0.0) == stable)
+    trans_ok = all(rightmost_root(*transmission, tau).real < 0.0 for tau in (0.1, 1.0, 10.0))
     ok = ok and trans_ok
     assert _report("characteristic roots match regimes", ok)

@@ -65,7 +65,7 @@ TIMED = (
 )
 
 
-def write_spec(tmp_path, delay_kind, weight_scheme):
+def two_agent_spec(tmp_path, delay_kind, weight_scheme):
     spec = tmp_path / "spec.json"
     spec.write_text(
         '{"config": {"n_agents": 2, "dim": 1, "tau": 0.5, "delay_kind": "%s",'
@@ -85,7 +85,7 @@ def test_sweep_rows_pass_through_named_hooks(tmp_path, monkeypatch):
         ("hkdelay.cli", "load_spec"), ("hkdelay.cli", "_sweep_row"),
         ("hkdelay.cli", "run_experiment"), ("hkdelay.rates", "check_preconditions"), *TIMED,
     ])
-    spec = write_spec(tmp_path, "reaction", "classical_scaled")
+    spec = two_agent_spec(tmp_path, "reaction", "classical_scaled")
     code = cli.main(["sweep", spec, "--param", "tau", "--values", "0.25", "0.5",
                      "--out", str(tmp_path / "out")])
     assert code == 0
@@ -102,7 +102,7 @@ def test_each_run_calls_the_timed_layers_once(tmp_path, monkeypatch, command):
     # unmeasured.  A tau sweep integrates as one group; --horizon gives its
     # values different step counts, so each integrates alone
     calls = record_calls(monkeypatch, TIMED)
-    spec = write_spec(tmp_path, "transmission", "normalized")
+    spec = two_agent_spec(tmp_path, "transmission", "normalized")
     args = ["simulate", spec, "--out", str(tmp_path / "out")]
     if command != "simulate":
         args[:1] = ["sweep"]
@@ -124,7 +124,7 @@ def test_each_run_reads_the_startup_bounds_once(tmp_path, monkeypatch, command):
     # the report read its IcassReport from the series: one check_icass call
     # per simulate and per sweep value, at every site that binds it
     calls = record_calls(monkeypatch, [("hkdelay.model", "check_icass")])
-    spec = write_spec(tmp_path, "reaction", "normalized")
+    spec = two_agent_spec(tmp_path, "reaction", "normalized")
     args = ["simulate", spec, "--out", str(tmp_path / "out")]
     if command == "sweep":
         args[:1] = ["sweep"]

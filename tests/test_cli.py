@@ -11,15 +11,14 @@ from hkdelay import dynamics, metrics, rates
 from hkdelay.errors import InvalidConfig, InvalidDatum, InvalidProblem, OutOfRange
 from hkdelay.model import DelayKind, InitialDatum, weights_from_states, config_from_dict
 from hkdelay.dynamics import IntegratorSpec, integrate, default_spec
-from hkdelay.rates import rate_transmission_normalized, classify_regime, linear_coefficients, two_agent_config
-from hkdelay.cli import load_spec, main
+from hkdelay.metrics import count_sign_changes, fitted_decay_rate
+from hkdelay.rates import (
+    rate_transmission_normalized, classify_regime, linear_coefficients, rightmost_root, two_agent_config,
+)
+from hkdelay.cli import load_spec, main, toy_record
 
+from conftest import COEFFICIENTS, W0, write_spec
 from reference import gap, read_trajectory_csv
-
-
-def write_spec(path, doc):
-    path.write_text(json.dumps(doc))
-    return str(path)
 
 
 def usage_exit(argv) -> int:
@@ -1261,3 +1260,77 @@ def test_default_resolution_is_tau_over_64(tmp_path, capsys):
     assert main(["toy", "--tau", str(tau), "--kind", "reaction", "--horizon", "2",
                  "--dt", repr(tau / 64)]) == 0
     assert capsys.readouterr().out == without_dt
+
+
+@pytest.mark.parametrize("kind, tau", [
+    (DelayKind.REACTION, 0.3),
+    (DelayKind.TRANSMISSION, 0.3),
+    (DelayKind.REACTION, 16.0),  # blows up
+])
+def test_toy_record_integrates_forty_delays_at_the_default_step(kind, tau):
+    record = toy_record(kind, tau)
+    assert record == toy_record(kind, tau, horizon=40 * tau, dt=tau / 64)
+    config = two_agent_config(kind, tau)
+    traj = integrate(config, W0, 40 * tau, IntegratorSpec(tau / 64))
+    w = gap(traj)
+    a, b = linear_coefficients(config)
+    assert record == {
+        "tau": tau,
+        "regime": classify_regime(a, b, tau).value,
+        "rightmost_root": {"re": rightmost_root(a, b, tau).real, "im": rightmost_root(a, b, tau).imag},
+        "sign_changes": count_sign_changes(w[traj.grid > 0.0]),
+        "fitted_rate": fitted_decay_rate(traj.grid, w),
+    }
+    if tau == 16.0:
+        assert traj.blow_up_time is not None and record["fitted_rate"] < 0.0
+    else:
+        assert traj.blow_up_time is None and traj.grid[-1] == 40 * tau
+
+
+def test_fitted_rate_matches_root_in_stable_regimes():
+    cases = [
+        (DelayKind.REACTION, 0.1),
+        (DelayKind.REACTION, 0.15),
+        (DelayKind.REACTION, 0.5),
+        (DelayKind.REACTION, 0.7),
+        (DelayKind.TRANSMISSION, 0.25),
+        (DelayKind.TRANSMISSION, 1.0),
+    ]
+    for kind, tau in cases:
+        root = rightmost_root(*COEFFICIENTS[kind], tau)
+        rate = toy_record(kind, tau, horizon=40 * tau, t_lo=5 * tau)["fitted_rate"]
+        assert rate is not None
+        assert rate == pytest.approx(-root.real, rel=0.10), (kind, tau)
+
+
+def reference_fitted_rate(traj):
+    """The least-squares slope that fitted_decay_rate computed itself before
+    it called metrics.fit_decay_rate."""
+    t, a = traj.grid, np.abs(gap(traj))
+    idx = np.where((t >= 0.2 * float(t[-1])) & (a > 1e-13))[0]
+    interior = idx[(idx > 0) & (idx < t.size - 1)]
+    peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
+    tt, yy = (t[peaks], np.log(a[peaks])) if peaks.size >= 4 else (t[idx], np.log(a[idx]))
+    tc = tt - tt.mean()
+    return -float((tc * (yy - yy.mean())).sum() / float((tc * tc).sum()))
+
+
+@pytest.mark.parametrize("kind, tau", [
+    (DelayKind.REACTION, 0.1),  # monotone: fitted on log |w|
+    (DelayKind.REACTION, 0.5),  # oscillating: fitted on its peaks
+    (DelayKind.REACTION, 0.9),  # growing
+    (DelayKind.REACTION, 16.0),  # blows up
+    (DelayKind.TRANSMISSION, 2.0),
+])
+def test_fitted_rate_equals_its_least_squares_slope_bit_for_bit(kind, tau):
+    # hkdelay toy prints this rate with all its digits
+    traj = integrate(two_agent_config(kind, tau), W0, 40 * tau, None, False)
+    assert toy_record(kind, tau, horizon=40 * tau)["fitted_rate"] == reference_fitted_rate(traj)
+
+
+@pytest.mark.parametrize("tau", [0.15, 0.5])
+def test_toy_record_prints_the_root_by_its_real_and_imaginary_parts(tau):
+    # b tau = 0.3 gives a real root, b tau = 1 a complex one
+    z = rightmost_root(*COEFFICIENTS[DelayKind.REACTION], tau)
+    assert (z.imag == 0.0) is (tau == 0.15)
+    assert toy_record(DelayKind.REACTION, tau)["rightmost_root"] == {"re": z.real, "im": z.imag}

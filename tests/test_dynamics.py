@@ -9,11 +9,13 @@ from hkdelay import model, dynamics
 from hkdelay.errors import InvalidConfig, InvalidDatum, OutOfRange
 from hkdelay.model import DelayKind, InfluenceFunction, InitialDatum, WeightScheme
 from hkdelay.dynamics import IntegratorSpec, Trajectory, integrate, velocity_from_states, trajectory_to_csv
+from hkdelay.metrics import count_sign_changes
+from hkdelay.rates import two_agent_config
 
-from conftest import make_config, random_datum
+from conftest import TAU_GRID, W0, make_config, random_datum
 from reference import (
-    blocked_dissipation, blocked_sq_diameter, dissipation, eval_weights, integrate_oracle, read_trajectory_csv,
-    rhs, sample,
+    blocked_dissipation, blocked_sq_diameter, dissipation, eval_weights, gap, integrate_oracle,
+    read_trajectory_csv, rhs, sample,
 )
 
 
@@ -179,6 +181,50 @@ def test_two_agent_transmission_decays():
     peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
     peaks = peaks[a[peaks] > 1e-10]
     assert np.all(np.diff(a[peaks]) < 0.0)  # damped envelope
+
+
+# ---------------------------------------------------------------------------
+# two-agent runs
+
+def test_zero_start_stays_zero():
+    traj = integrate(two_agent_config(DelayKind.REACTION, 0.3), InitialDatum.constant([[0.0], [0.0]]), 3.0,
+                     None, False)
+    assert np.max(np.abs(gap(traj))) == 0.0
+
+
+def test_short_delay_never_oscillates():
+    tau = 0.15
+    traj = integrate(two_agent_config(DelayKind.REACTION, tau), W0, 20 * tau, None, False)
+    w = gap(traj)
+    assert count_sign_changes(w[traj.grid > 0]) == 0
+    assert abs(w[-1]) < 1e-3
+
+
+def test_intermediate_delay_damped_oscillations():
+    tau = 0.5
+    traj = integrate(two_agent_config(DelayKind.REACTION, tau), W0, 40 * tau, None, False)
+    w = gap(traj)
+    assert count_sign_changes(w[traj.grid > 0]) >= 3
+    a = np.abs(w)
+    interior = np.arange(1, a.size - 1)
+    peaks = interior[(a[interior] > a[interior - 1]) & (a[interior] >= a[interior + 1])]
+    peaks = peaks[a[peaks] > 1e-12]
+    assert peaks.size >= 3
+    assert np.all(np.diff(a[peaks][1:]) < 0.0)
+
+
+def test_transmission_amplitude_decays_on_grid():
+    for tau in TAU_GRID[::2]:
+        traj = integrate(two_agent_config(DelayKind.TRANSMISSION, tau), W0, 40 * tau, IntegratorSpec(tau / 32), False)
+        assert abs(gap(traj)[-1]) < 1.0, tau
+
+
+def test_blow_up_truncates_series():
+    traj = integrate(two_agent_config(DelayKind.REACTION, 2.0), W0, 200.0, None, False)
+    w = gap(traj)
+    assert traj.blow_up_time is not None
+    assert np.all(np.isfinite(w))
+    assert np.max(np.abs(w)) > 1e10
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from hkdelay import dynamics, metrics
 from hkdelay.model import InfluenceFunction, InitialDatum, SystemConfig
 from hkdelay.cli import main
 
+from conftest import FILES, write_spec
+
 BASE = {
     "config": {"n_agents": 5, "dim": 2, "tau": 1.0, "delay_kind": "reaction", "weight_scheme": "normalized",
                "influence": {"kind": "algebraic_decay", "gamma": 1.0}},
@@ -87,7 +89,6 @@ SIMULATE = {
         "datum": {"kind": "random_uniform"}, "horizon": 5.0, "seed": 7,
     },
 }
-FILES = {"trajectory": "trajectory.csv", "metrics": "metrics.csv", "rates": "rates.json", "report": "report.json"}
 # sha256 of each file; report.json embeds the outputs, so it is keyed by them
 SHA256 = {
     "transmission": {
@@ -111,11 +112,6 @@ SHA256 = {
 }
 SUBSETS = [("trajectory",), ("metrics",), ("report",), ("rates",), ("metrics", "report"),
            ("trajectory", "metrics", "rates", "report")]
-
-
-def write_spec(path, doc):
-    path.write_text(json.dumps(doc))
-    return str(path)
 
 
 def record_diagnostics(monkeypatch):

@@ -1,10 +1,12 @@
+import cmath
 import itertools
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hkdelay.errors import InvalidDatum, InvalidProblem
@@ -12,25 +14,33 @@ from hkdelay.model import (
     DelayKind,
     InfluenceFunction,
     InitialDatum,
+    SystemConfig,
     WeightScheme,
     check_icass,
     diameter,
     psi_floor,
     radius,
 )
-from hkdelay.dynamics import integrate
+from hkdelay.dynamics import IntegratorSpec, integrate
+from hkdelay.metrics import compute_metrics, count_sign_changes, fit_c_emp, fitted_decay_rate
 from hkdelay.rates import (
     HalanayProblem,
     Measure,
+    Regime,
     check_preconditions,
+    classify_regime,
+    linear_coefficients,
     rate_reaction_nonsymmetric,
     rate_transmission_normalized,
+    rightmost_root,
     solve_halanay,
     theorem_rates,
+    two_agent_config,
 )
 
-from conftest import make_config
+from conftest import COEFFICIENTS, REACTION, TAU_GRID, TRANSMISSION, W0, make_config
 from lemmas import convexity_bound_check, shrink_factor, shrink_iteration, simulate_equality_case
+from reference import char_residual, gap
 
 
 def scan_root(alpha, beta, tau, measure, n=2_000_001):
@@ -532,3 +542,225 @@ def test_convexity_bound_validation(rng):
         convexity_bound_check(x, eta * 2.0, eta, 0.0, i=0, k=1)
     with pytest.raises(ValueError, match="exceeds the smallest relevant weight"):
         convexity_bound_check(x, eta, np.roll(eta, 1), 0.9, i=0, k=1)
+
+
+# ---------------------------------------------------------------------------
+# the linearization at consensus
+
+def test_regimes_by_delay_length():
+    assert (REACTION, TRANSMISSION) == ((0.0, 2.0), (1.0, 1.0))
+    assert classify_regime(*REACTION, 0.15) is Regime.NON_OSCILLATORY_STABLE
+    assert classify_regime(*REACTION, 0.5) is Regime.OSCILLATORY_STABLE
+    assert classify_regime(*REACTION, 1.0) is Regime.UNSTABLE
+    assert classify_regime(*TRANSMISSION, 0.5) is Regime.ALWAYS_STABLE
+    assert classify_regime(*TRANSMISSION, 100.0) is Regime.ALWAYS_STABLE
+
+
+def test_regime_boundary_flags():
+    for threshold in (math.exp(-1.0), math.pi / 2.0):
+        tau = threshold / 2.0
+        assert classify_regime(*REACTION, tau) is Regime.BOUNDARY
+        assert classify_regime(*REACTION, tau + 1e-10) is Regime.BOUNDARY
+        assert classify_regime(*REACTION, tau + 1e-6) is not Regime.BOUNDARY
+        assert classify_regime(*REACTION, tau - 1e-6) is not Regime.BOUNDARY
+
+
+@pytest.mark.parametrize("tau, real", [(0.15, True), (0.5, False)])
+def test_rightmost_root_is_a_complex_that_solves_the_characteristic_equation(tau, real):
+    # b tau = 0.3 is below 1/e, where the root is real; b tau = 1 is not
+    root = rightmost_root(*REACTION, tau)
+    assert type(root) is complex
+    assert (root.imag == 0.0) is real
+    assert char_residual(root, *REACTION, tau) <= 1e-12
+
+
+def test_transmission_roots_always_in_left_half_plane():
+    for tau in (0.1, 1.0, 10.0):
+        root = rightmost_root(*TRANSMISSION, tau)
+        assert root.real < 0.0
+        assert char_residual(root, *TRANSMISSION, tau) <= 1e-10
+
+
+def test_reaction_root_real_negative_in_first_regime():
+    root = rightmost_root(*REACTION, 0.15)
+    assert root.imag == pytest.approx(0.0, abs=1e-8)
+    assert root.real < 0.0
+    # verify against the characteristic function directly
+    assert abs(root.real + 2.0 * math.exp(-root.real * 0.15)) <= 1e-9
+
+
+def test_reaction_root_unstable_for_long_delay():
+    root = rightmost_root(*REACTION, 1.0)
+    assert root.real > 0.0
+    assert char_residual(root, *REACTION, 1.0) <= 1e-10
+    # growth confirmed by simulation amplitude
+    traj = integrate(two_agent_config(DelayKind.REACTION, 1.0), W0, 30.0, None, False)
+    a, t = np.abs(gap(traj)), traj.grid
+    assert a[t > 25.0].max() > 10.0 * a[(t > 0) & (t < 5.0)].max()
+
+
+def test_reaction_root_satisfies_rescaled_equation():
+    # eta = xi * tau solves eta + 2 tau e^{-eta} = 0 whenever xi solves
+    # xi + 2 e^{-xi tau} = 0
+    for tau in (0.15, 0.5, 1.0):
+        root = rightmost_root(*REACTION, tau)
+        xi = root
+        eta = xi * tau
+        assert abs(eta + 2.0 * tau * cmath.exp(-eta)) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=20.0),
+    b=st.floats(min_value=1e-9, max_value=1e3),
+    tau=st.floats(min_value=1e-9, max_value=1e4),
+)
+def test_rightmost_root_is_the_principal_branch_of_lambert_w(a, b, tau):
+    # xi* = W0(-r)/tau - a with r = b tau e^{a tau}; near r = 1/e, where
+    # W0 and W-1 meet in a double root, no digits are to be had
+    lambertw = pytest.importorskip("scipy.special").lambertw
+    assume(a * tau <= 50.0)
+    r = b * tau * math.exp(a * tau)
+    assume(abs(r * math.e - 1.0) > 1e-6)
+    root = rightmost_root(a, b, tau)
+    expected = complex(lambertw(-r, 0)) / tau - a
+    expected = complex(expected.real, abs(expected.imag))
+    tol = 1e-12 * abs(expected)
+    assert abs(root - expected) <= tol
+    if r <= math.exp(-1.0):
+        assert root.imag == 0.0
+    for k in (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6):
+        # beyond 1/e, W-1(-r) is the conjugate of W0(-r): equal real parts
+        assert root.real >= (complex(lambertw(-r, k)) / tau - a).real - tol, k
+
+
+@pytest.mark.parametrize("n, expected", [
+    # the multistart search returned -0.015379 + 0.261i at N = 100 and
+    # found no root at N = 1000
+    (100, complex(-0.015265974371582983, 0.010436648687093254)),
+    (1000, complex(-0.022945330500666748, 0.0104363719937635)),
+])
+def test_rightmost_root_of_long_normalized_transmission(n, expected):
+    config = SystemConfig(n, 2, 300.0, DelayKind.TRANSMISSION, WeightScheme.NORMALIZED, InfluenceFunction.constant(1.0))
+    root = rightmost_root(*linear_coefficients(config), 300.0)
+    assert root == pytest.approx(expected, rel=1e-12)
+    assert char_residual(root, *linear_coefficients(config), 300.0) <= 1e-14
+
+
+@pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e300, 1.7e308])
+@pytest.mark.parametrize("kind", list(DelayKind))
+def test_rightmost_root_at_extreme_delays_is_finite_and_quiet(kind, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = rightmost_root(*COEFFICIENTS[kind], tau)
+    residual = char_residual(root, *COEFFICIENTS[kind], tau)
+    assert math.isfinite(root.real) and math.isfinite(root.imag) and math.isfinite(residual)
+    # b tau e^{a tau} is 2e-300 at tau = 1e-300: xi* is real, -a - b to
+    # 300 digits; w/tau - a read -3.0 at tau = 5e-324
+    if tau < 1.0:
+        assert root.imag == 0.0 and root.real == -sum(COEFFICIENTS[kind])
+
+
+def test_rightmost_root_past_the_exponential_range():
+    # a tau - w = 720: e^720 overflows, and xi* = w/tau - a, where
+    # w = -b tau e^{a tau - w} is about -e^(720 - 744.4)
+    root = rightmost_root(720.0, 5e-324, 1.0)
+    assert root.imag == 0.0 and root.real == pytest.approx(-720.0 - math.exp(720.0 + math.log(5e-324)), rel=1e-15)
+
+
+def test_root_regime_consistency_on_grid():
+    for tau in TAU_GRID:
+        regime = classify_regime(*REACTION, tau)
+        if regime is Regime.BOUNDARY:
+            continue
+        root = rightmost_root(*REACTION, tau)
+        if regime is Regime.UNSTABLE:
+            assert root.real > 0.0, tau
+        else:
+            assert root.real < 0.0, tau
+
+
+def test_oscillation_presence_matches_regime_on_grid():
+    for tau in TAU_GRID:
+        regime = classify_regime(*REACTION, tau)
+        if regime is Regime.BOUNDARY:
+            continue
+        traj = integrate(two_agent_config(DelayKind.REACTION, tau), W0, 40 * tau, IntegratorSpec(tau / 32), False)
+        window = (traj.grid >= 5 * tau) & (traj.grid <= 40 * tau)
+        changes = count_sign_changes(gap(traj)[window])
+        if regime is Regime.NON_OSCILLATORY_STABLE:
+            assert changes < 2, tau
+        else:
+            assert changes >= 2, tau
+
+
+@pytest.mark.parametrize("scheme, c", [(WeightScheme.NORMALIZED, 1.0), (WeightScheme.CLASSICAL_SCALED, 0.8)])
+@pytest.mark.parametrize("n", [2, 3, 12])
+def test_linear_coefficients_read_psi_at_zero_and_n(scheme, c, n):
+    # c = psi(0), or 1 for normalized weights; a table starting at 0.8
+    psi = InfluenceFunction.table([[0.0, 0.8], [1.0, 0.4]])
+    reaction = SystemConfig(n, 2, 0.4, DelayKind.REACTION, scheme, psi)
+    transmission = SystemConfig(n, 2, 0.4, DelayKind.TRANSMISSION, scheme, psi)
+    assert linear_coefficients(reaction) == (0.0, c * n / (n - 1))
+    assert linear_coefficients(transmission) == (c, c / (n - 1))
+
+
+def test_two_agent_classical_regime_reads_psi_at_zero():
+    # psi = 0.5 with classical weights halves the toy's b: b tau = 0.3 is
+    # below 1/e, with a real rightmost root, and b tau = 1 below pi/2
+    config = SystemConfig(2, 1, 0.3, DelayKind.REACTION, WeightScheme.CLASSICAL_SCALED,
+                          InfluenceFunction.constant(0.5))
+    a, b = linear_coefficients(config)
+    assert (a, b) == (0.0, 1.0)
+    assert classify_regime(a, b, 0.3) is Regime.NON_OSCILLATORY_STABLE
+    assert classify_regime(a, b, 1.0) is Regime.OSCILLATORY_STABLE
+    root = rightmost_root(a, b, 0.3)
+    assert root.imag == 0.0 and root.real == pytest.approx(-1.6313, abs=1e-4)
+    traj = integrate(config, W0, 40 * config.tau, None, False)
+    assert fitted_decay_rate(traj.grid, gap(traj)) == pytest.approx(-root.real, rel=1e-3)
+
+
+LINEAR_TAUS = (0.1, 0.4, 0.7)
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+@pytest.mark.parametrize("scheme", list(WeightScheme))
+@pytest.mark.parametrize("kind", list(DelayKind))
+def test_c_emp_is_the_linear_rate_where_the_rightmost_root_is_real(kind, scheme, n):
+    # with constant psi the system is linear, so its diameter decays at
+    # C_lin = -Re xi* of the rightmost root of xi + b e^{-xi tau} + a; a
+    # complex root makes d_x oscillate about that line, so only real roots
+    # are compared
+    configs = [SystemConfig(n, 2, tau, kind, scheme, InfluenceFunction.constant(0.7)) for tau in LINEAR_TAUS]
+    datum = InitialDatum.constant(np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2)))
+    group = integrate(configs, [datum] * len(configs), [30.0 * tau for tau in LINEAR_TAUS])
+    compared = 0
+    for config, traj in zip(configs, group.trajectories):
+        root = rightmost_root(*linear_coefficients(config), config.tau)
+        assert root.real < 0.0
+        if root.imag == 0.0:
+            c_emp = fit_c_emp(compute_metrics(traj))
+            assert c_emp == pytest.approx(-root.real, rel=0.01), config.tau
+            compared += 1
+    assert compared >= 1
+
+
+def test_theorem_rates_do_not_exceed_the_linear_rate():
+    # a theorem rate bounds the decay of every datum it admits, so it is at
+    # most C_lin, the decay of data near consensus; at N = 100 and long
+    # delays the rightmost root lies close to the imaginary axis
+    rng = np.random.default_rng(3)
+    checked = 0
+    for n in (3, 5, 20, 100):
+        datum = InitialDatum.constant(rng.uniform(-1.0, 1.0, (n, 2)))
+        for tau in np.geomspace(0.02, 600.0, 25):
+            for kind in DelayKind:
+                for psi in (InfluenceFunction.constant(0.7), InfluenceFunction.algebraic_decay(1.0)):
+                    config = SystemConfig(n, 2, tau, kind, WeightScheme.NORMALIZED, psi)
+                    report = check_preconditions(config, datum, check_icass(datum, config))
+                    theoretical, _ = theorem_rates(config, report)
+                    root = rightmost_root(*linear_coefficients(config), tau)
+                    for name, rate in theoretical.items():
+                        assert rate["C"] <= -root.real, (name, n, tau, kind, psi.kind)
+                        checked += 1
+    assert checked >= 90

@@ -2,6 +2,8 @@
 the current package API and writes what its docstring promises."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -102,3 +104,34 @@ def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path, capsys):
     assert capsys.readouterr().out == "7\n"
     assert script.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "8\n"
+
+
+def battery_tree(root):
+    (root / "case" / "out").mkdir(parents=True)
+    (root / "case" / "exit").write_text("0\n")
+    (root / "case" / "out" / "report.json").write_bytes(b'{"C": 0.5}\n')
+    return root
+
+
+def test_byte_check_names_each_path_that_differs_or_is_on_one_side_only(tmp_path):
+    compare = load_script("byte_check").compare
+    a, b = battery_tree(tmp_path / "a"), battery_tree(tmp_path / "b")
+    assert compare(a, b) == []
+    (b / "case" / "out" / "report.json").write_bytes(b'{"C": 0.6}\n')
+    assert compare(a, b) == ["differs: case/out/report.json"]
+    (a / "case" / "stderr").write_text("")
+    assert compare(a, b) == ["differs: case/out/report.json", "only in parent: case/stderr"]
+    assert compare(b, a) == ["differs: case/out/report.json", "only in change: case/stderr"]
+
+
+def in_git_checkout():
+    if shutil.which("git") is None:
+        return False
+    return subprocess.run(["git", "-C", str(SCRIPTS.parent), "rev-parse", "--verify", "-q", "HEAD"],
+                          capture_output=True).returncode == 0
+
+
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout")
+def test_byte_check_finds_no_difference_between_a_commit_and_itself(capsys):
+    assert load_script("byte_check").main(["HEAD", "HEAD"]) == 0
+    assert capsys.readouterr().out == "identical: 43 cases\n"

@@ -24,6 +24,8 @@ import pytest
 
 from hkdelay.cli import DEFAULT_OUTPUTS, SWEEP_PARAMS, main
 
+from conftest import FILES
+
 BASES = {
     "constant": {
         "config": {
@@ -78,7 +80,6 @@ BASES = {
 
 TOP_LEVEL = ("config", "datum", "integrator", "horizon", "outputs", "seed", "spec")
 ERROR_LINE = re.compile(rf"error: ({'|'.join(TOP_LEVEL)})\b[^\n]*\n")
-FILES = {"trajectory": "trajectory.csv", "metrics": "metrics.csv", "rates": "rates.json", "report": "report.json"}
 DELETE = object()
 
 

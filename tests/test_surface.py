@@ -343,3 +343,15 @@ def test_blocks_cuts_every_stepped_loop_and_block_length_alone_reads_the_cap():
                 readers.append(f"{path.stem}.{owner}")
     assert stepped == ["model.blocks"]
     assert readers == ["model.block_length"]
+
+
+# suites that test no one module but the package across its modules
+CROSS_CUTTING = ("acceptance", "outputs", "surface", "spec_fuzz", "readme", "scripts", "bench_hooks")
+
+
+def test_each_test_file_names_a_module_or_a_cross_cutting_suite():
+    # tests/test_<name>.py tests the module hkdelay.<name>, so a test file
+    # outlives no module that it is named after
+    modules = {p.stem for p in MODULES}
+    names = sorted(p.stem.removeprefix("test_") for p in (ROOT / "tests").glob("test_*.py"))
+    assert [n for n in names if n not in modules and n not in CROSS_CUTTING] == []
