@@ -25,12 +25,23 @@ horizon and step, 2 with --horizon and --dt, and 8 rate equations, the
 last three past the overflow of the uniform kernel's product and the last
 two past the overflow of either kernel itself.  scripts/byte_check.py
 runs it in two revisions and compares their batteries.
+
+    python3 scripts/output_battery.py [--write-manifest]
+
+With --write-manifest it also writes battery_manifest.json beside this
+script: the SHA-256 of every file of the battery, keyed by its path
+relative to the battery folder, and the Python and numpy versions that
+wrote them.  tests/test_scripts.py compares a fresh battery with it, so a
+change that means to alter outputs rewrites it and names the paths that
+moved.
 """
 
+import hashlib
 import importlib.util
 import io
 import json
 import math
+import platform
 import shutil
 import sys
 import traceback
@@ -38,10 +49,13 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
 from hkdelay.cli import main as hkdelay_main
 
 SCRIPTS = Path(__file__).resolve().parent
 RESULTS = SCRIPTS.parent / "results"
+MANIFEST = SCRIPTS / "battery_manifest.json"
 
 ALGEBRAIC = {"kind": "algebraic_decay", "gamma": 1.0}
 ALL_OUTPUTS = ["trajectory", "metrics", "rates", "report"]
@@ -174,7 +188,21 @@ def record(case_dir: Path, root: Path, run) -> None:
         (case_dir / name).write_text(stream.getvalue().replace(str(root), "<battery>"))
 
 
-def main() -> int:
+def manifest(root: Path) -> dict:
+    """The SHA-256 of every file under root, keyed by its path relative to
+    root, and the Python and numpy versions that wrote them."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "files": {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in sorted(root.rglob("*")) if p.is_file()},
+    }
+
+
+def main(args=()) -> int:
+    if list(args) not in ([], ["--write-manifest"]):
+        print("usage: python3 scripts/output_battery.py [--write-manifest]", file=sys.stderr)
+        return 2
     root = RESULTS / "battery"
     shutil.rmtree(root, ignore_errors=True)
     for name, doc, argv in CASES:
@@ -196,8 +224,11 @@ def main() -> int:
         case_dir.mkdir(parents=True)
         record(case_dir, root, script.main)
     print(f"wrote {len(CASES) + 2} cases to {root}")
+    if args:
+        MANIFEST.write_text(json.dumps(manifest(root), indent=1) + "\n")
+        print(f"wrote {MANIFEST.name}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -283,9 +283,8 @@ def rk4_method_of_steps(
     a delay segment, up to q steps, at once: it stacks the steps' half-step
     delayed states, and apart from them their full-step ones, and evaluates
     each stack in the calls of at most per_call states (default: q) that
-    model.blocks cuts, the
-    half-step chunks as stages and the full-step chunks as the node calls
-    of their nodes.  Either way the nodes are summed in order from the
+    model.blocks cuts, the half-step chunks as stages and the full-step
+    chunks as the node calls of their nodes.  Either way the nodes are summed in order from the
     increments, so they equal the per-step loop's bit for bit.
 
     Returns one count per member: the number of nodes filled before its

@@ -162,41 +162,6 @@ def solve_halanay(problem: HalanayProblem) -> RateResult:
     return RateResult(C=c, residual=f(c), iterations=iterations)
 
 
-def rate_transmission_normalized(n_agents: int, psi_lower: float, tau: float) -> RateResult:
-    """Rate for transmission delay with row-normalized weights.
-
-    Solves 1 - C = (1 - psi_lower (N-2)/(N-1)) e^{C tau}; psi_lower is a
-    certified lower bound for the influence values over reachable
-    distances.  N = 2 degenerates to alpha = beta and is rejected by the
-    solver.
-    """
-    if not (0.0 < psi_lower <= 1.0):
-        raise InvalidProblem(f"psi_lower must be in (0, 1], got {psi_lower}")
-    if int(n_agents) != n_agents or n_agents < 2:
-        raise InvalidProblem(f"n_agents must be an integer >= 2, got {n_agents}")
-    return solve_halanay(HalanayProblem(_transmission_alpha(n_agents, psi_lower), 1.0, tau, Measure.DIRAC_AT_ZERO))
-
-
-def _transmission_alpha(n_agents: int, psi_lower: float) -> float:
-    """alpha = 1 - psi_lower (N-2)/(N-1) of the transmission rate equation."""
-    return 1.0 - psi_lower * (n_agents - 2) / (n_agents - 1)
-
-
-def rate_reaction_nonsymmetric(psi0_lower: float, tau: float) -> RateResult:
-    """Rate for reaction delay under the smallness condition 4 tau < psi0,
-    which check_preconditions decides for a run.
-
-    Solves psi0 - C = 4 e^{C tau} (e^{C tau} - 1)/C, which is the uniform-
-    kernel rate equation with alpha = 4 tau and beta = psi0, so a direct
-    call with 4 tau >= psi0 is refused as alpha < beta violated.
-    """
-    if not (0.0 < psi0_lower <= 1.0):
-        raise InvalidProblem(f"psi0_lower must be in (0, 1], got {psi0_lower}")
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise InvalidProblem(f"tau > 0 violated (tau={tau})")
-    return solve_halanay(HalanayProblem(4.0 * tau, psi0_lower, tau, Measure.UNIFORM_ON_DELAY))
-
-
 # ---------------------------------------------------------------------------
 # Theorem preconditions
 
@@ -243,25 +208,20 @@ def check_preconditions(config: SystemConfig, datum: InitialDatum, icass: IcassR
     datum.require_fits(config)
     psi0 = psi0_lower_bound(config, datum)
     tau = config.tau
-    violated = {name: [] for name in THEOREMS}
-    if config.delay_kind is DelayKind.TRANSMISSION:
-        violated["reaction_symmetric"].append("delay kind is not reaction")
-        violated["reaction_small_delay"].append("delay kind is not reaction")
-    else:
-        violated["transmission_classical"].append("delay kind is not transmission")
-        violated["transmission_normalized"].append("delay kind is not transmission")
-        if not has_symmetric_weights(config):
-            violated["reaction_symmetric"].append("weights are not symmetric")
-    if config.weight_scheme is not WeightScheme.NORMALIZED:
-        violated["transmission_normalized"].append("weights are not row-normalized")
-    if tau > 0.5:
-        violated["reaction_symmetric"].append(f"tau <= 1/2 violated (tau={tau:g})")
-    if not icass.satisfied:
-        violated["reaction_small_delay"].append("startup slope bound violated")
-    if 4.0 * tau >= psi0:
-        violated["reaction_small_delay"].append(
-            f"4*tau < psi0_lower violated (4*tau={4.0 * tau:g}, psi0_lower={psi0:g})"
-        )
+    reaction = config.delay_kind is DelayKind.REACTION
+    # each hypothesis once: the theorems it serves, whether it fails, and why
+    hypotheses = (
+        (("reaction_symmetric", "reaction_small_delay"), not reaction, "delay kind is not reaction"),
+        (("transmission_classical", "transmission_normalized"), reaction, "delay kind is not transmission"),
+        (("reaction_symmetric",), reaction and not has_symmetric_weights(config), "weights are not symmetric"),
+        (("transmission_normalized",), config.weight_scheme is not WeightScheme.NORMALIZED,
+         "weights are not row-normalized"),
+        (("reaction_symmetric",), tau > 0.5, f"tau <= 1/2 violated (tau={tau:g})"),
+        (("reaction_small_delay",), not icass.satisfied, "startup slope bound violated"),
+        (("reaction_small_delay",), 4.0 * tau >= psi0,
+         f"4*tau < psi0_lower violated (4*tau={4.0 * tau:g}, psi0_lower={psi0:g})"),
+    )
+    violated = {name: [reason for names, fails, reason in hypotheses if fails and name in names] for name in THEOREMS}
     return PreconditionReport(violated, psi0, icass)
 
 
@@ -269,19 +229,25 @@ def theorem_rates(config: SystemConfig, report: PreconditionReport) -> tuple[dic
     """Rates of the applicable theorems that carry one, and the reasons for
     those that were skipped.
 
-    A rate is skipped where its rate equation has no positive solution to
-    certify: with two agents (alpha = beta), when its certified influence
-    floor underflows to 0, or when that floor is so small that alpha
-    rounds to beta = 1.
+    transmission_normalized solves 1 - C = alpha e^{C tau} on the Dirac
+    kernel, alpha = 1 - psi_lower (N-2)/(N-1), where psi_lower is the
+    certified floor of psi over [0, 2 r_x0].  reaction_small_delay solves
+    psi0 - C = 4 e^{C tau} (e^{C tau} - 1)/C, the uniform kernel with
+    alpha = 4 tau and beta = psi0_lower, which 4 tau < psi0_lower keeps
+    apart.  The transmission rate is skipped where its equation has no
+    positive solution to certify: with two agents (alpha = beta), when the
+    floor underflows to 0, or when it is so small that alpha rounds to
+    beta = 1.
     """
     out, skipped = {}, {}
     applicable = report.applicable()
+    n, tau = config.n_agents, config.tau
     if "transmission_normalized" in applicable:
         r_x0 = report.icass.r_x0
-        if config.n_agents == 2:
+        if n == 2:
             skipped["transmission_normalized"] = "n_agents = 2 gives alpha = beta = 1, so no rate C > 0"
-        elif _transmission_alpha(config.n_agents, psi_low := psi_floor(config.influence, 2.0 * r_x0)) < 1.0:
-            res = rate_transmission_normalized(config.n_agents, psi_low, config.tau)
+        elif (alpha := 1.0 - (psi_low := psi_floor(config.influence, 2.0 * r_x0)) * (n - 2) / (n - 1)) < 1.0:
+            res = solve_halanay(HalanayProblem(alpha, 1.0, tau, Measure.DIRAC_AT_ZERO))
             out["transmission_normalized"] = {"psi_lower": psi_low, **res.to_dict()}
         elif psi_low == 0.0:
             skipped["transmission_normalized"] = f"psi floor over [0, 2*r_x0={2.0 * r_x0:g}] underflows to 0"
@@ -290,8 +256,9 @@ def theorem_rates(config: SystemConfig, report: PreconditionReport) -> tuple[dic
                 f"psi floor {psi_low:g} over [0, 2*r_x0={2.0 * r_x0:g}] rounds alpha to beta = 1, so no rate C > 0"
             )
     if "reaction_small_delay" in applicable:
-        res = rate_reaction_nonsymmetric(report.psi0_lower, config.tau)
-        out["reaction_small_delay"] = {"psi0_lower": report.psi0_lower, **res.to_dict()}
+        psi0 = report.psi0_lower
+        res = solve_halanay(HalanayProblem(4.0 * tau, psi0, tau, Measure.UNIFORM_ON_DELAY))
+        out["reaction_small_delay"] = {"psi0_lower": psi0, **res.to_dict()}
     return out, skipped
 
 

@@ -21,9 +21,15 @@ blocks of stored nodes, summed in the order that velocity_from_states
 documents, spelled out in spelled_out_dissipation.  Trajectory.D must
 equal it bit for bit, and Trajectory.sq_diameter, on every node, must
 equal blocked_sq_diameter, which the trajectories built here carry too.
+
+pure_delay_factor is the closed form of y' = -b y(t - tau) from a constant
+history, in exact rationals: with reaction delay, normalized weights and
+constant psi, every agent's deviation from the conserved mean obeys it,
+so the stepper's true global error can be measured against it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -202,6 +208,19 @@ def blocked_sq_diameter(states):
 def gap(traj):
     """x_1 - x_2 on traj.grid, for two agents on a line: the toy's gap."""
     return traj.states[:, 0, 0] - traj.states[:, 1, 0]
+
+
+def pure_delay_factor(b, tau, t) -> float:
+    """y(t)/y(0) for y' = -b y(t - tau) with y = y(0) on [-tau, 0].
+
+    By the method of steps, on ((m - 1) tau, m tau] it is the sum over
+    k = 0..m of (-b)^k (t - (k - 1) tau)^k / k!.  The terms grow like
+    (b t)^k / k! while the sum stays below 1, so the sum is formed in
+    exact rationals from the exact values of b, tau and t, and rounded once.
+    """
+    b, tau, t = Fraction(b), Fraction(tau), Fraction(t)
+    m = max(math.ceil(t / tau), 0)
+    return float(sum((-b) ** k * (t - (k - 1) * tau) ** k / math.factorial(k) for k in range(m + 1)))
 
 
 def char_residual(xi, a, b, tau):

@@ -15,8 +15,6 @@ from hkdelay.rates import (
     check_preconditions,
     classify_regime,
     linear_coefficients,
-    rate_reaction_nonsymmetric,
-    rate_transmission_normalized,
     rightmost_root,
     solve_halanay,
     theorem_rates,
@@ -113,7 +111,8 @@ def test_transmission_normalized_rate_bound():
     ms = compute_metrics(traj)
     pre = check_preconditions(config, datum, check_icass(datum, config))
     psi_low = psi_floor(config.influence, 2.0 * pre.icass.r_x0)
-    rate = rate_transmission_normalized(3, psi_low, config.tau)
+    # theorem (2): 1 - C = alpha e^{C tau}, alpha = 1 - psi_lower (N-2)/(N-1)
+    rate = solve_halanay(HalanayProblem(1.0 - psi_low * (3 - 2) / (3 - 1), 1.0, config.tau, Measure.DIRAC_AT_ZERO))
     published, _ = theorem_rates(config, pre)
     assert published["transmission_normalized"]["C"] == rate.C
     bound = ms.icass.d_x0 * np.exp(-rate.C * ms.times) * (1.0 + 1e-6)
@@ -183,7 +182,8 @@ def test_reaction_nonsymmetric_rate_bound():
     )
     datum = InitialDatum.constant([[0.0], [0.4], [1.0]])
     pre = check_preconditions(config, datum, check_icass(datum, config))
-    rate = rate_reaction_nonsymmetric(pre.psi0_lower, config.tau)
+    # theorem (4): psi0 - C = 4 e^{C tau} (e^{C tau} - 1)/C, alpha = 4 tau, beta = psi0
+    rate = solve_halanay(HalanayProblem(4.0 * config.tau, pre.psi0_lower, config.tau, Measure.UNIFORM_ON_DELAY))
     published, _ = theorem_rates(config, pre)
     assert published["reaction_small_delay"]["C"] == rate.C
     traj = integrate(config, datum, 40.0 * config.tau)

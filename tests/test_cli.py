@@ -13,7 +13,7 @@ from hkdelay.model import DelayKind, InitialDatum, weights_from_states, config_f
 from hkdelay.dynamics import IntegratorSpec, integrate, default_spec
 from hkdelay.metrics import count_sign_changes, fitted_decay_rate
 from hkdelay.rates import (
-    rate_transmission_normalized, classify_regime, linear_coefficients, rightmost_root, two_agent_config,
+    HalanayProblem, Measure, classify_regime, linear_coefficients, rightmost_root, solve_halanay, two_agent_config,
 )
 from hkdelay.cli import load_spec, main, toy_record
 
@@ -343,7 +343,7 @@ LATE_ERRORS = pytest.mark.parametrize(
         (metrics, "compute_metrics", OutOfRange("no series"), ("trajectory.csv", "report.json")),
         (rates, "check_preconditions", InvalidDatum("no check"),
          ("trajectory.csv", "metrics.csv", "report.json")),
-        (rates, "rate_transmission_normalized", InvalidProblem("no rate"),
+        (rates, "solve_halanay", InvalidProblem("no rate"),
          ("trajectory.csv", "metrics.csv", "report.json")),
     ],
     ids=["compute_metrics", "check_preconditions", "theorem_rate"],
@@ -811,7 +811,8 @@ def test_sweep_n_theoretical_rate_monotone(tmp_path):
     assert len(rows) == 3
     # at fixed psi_lower < 1, alpha = 1 - psi (N-2)/(N-1) shrinks with N,
     # so the theorem rate C grows with N
-    cs = [rate_transmission_normalized(n, 0.5, 0.5).C for n in (3, 5, 10)]
+    cs = [solve_halanay(HalanayProblem(1.0 - 0.5 * (n - 2) / (n - 1), 1.0, 0.5, Measure.DIRAC_AT_ZERO)).C
+          for n in (3, 5, 10)]
     assert cs[0] < cs[1] < cs[2]
 
 

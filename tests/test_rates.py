@@ -13,6 +13,7 @@ from hkdelay.errors import InvalidDatum, InvalidProblem
 from hkdelay.model import (
     DelayKind,
     InfluenceFunction,
+    InfluenceKind,
     InitialDatum,
     SystemConfig,
     WeightScheme,
@@ -27,11 +28,10 @@ from hkdelay.rates import (
     HalanayProblem,
     Measure,
     Regime,
+    THEOREMS,
     check_preconditions,
     classify_regime,
     linear_coefficients,
-    rate_reaction_nonsymmetric,
-    rate_transmission_normalized,
     rightmost_root,
     solve_halanay,
     theorem_rates,
@@ -254,9 +254,21 @@ def test_equality_case_long_delay_runs_to_the_horizon():
 # ---------------------------------------------------------------------------
 # theorem rates
 
+def theorem_rate(theorem, n, c, tau):
+    """What check_preconditions and theorem_rates publish for theorem on a
+    run with normalized weights and constant psi = c, where the theorem
+    applies: its psi_lower is c, and its psi0_lower 1."""
+    kind = DelayKind.TRANSMISSION if theorem.startswith("transmission") else DelayKind.REACTION
+    config = make_config(n_agents=n, tau=tau, delay_kind=kind, influence=InfluenceFunction.constant(c))
+    datum = InitialDatum.constant(np.linspace(0.0, 1.0, n)[:, None])
+    report = check_preconditions(config, datum, check_icass(datum, config))
+    assert theorem in report.applicable()
+    return theorem_rates(config, report)
+
+
 def test_transmission_rate_small_delay_limit():
-    res = rate_transmission_normalized(3, 1.0, 1e-12)
-    assert res.C == pytest.approx(0.5, abs=1e-9)  # alpha = 1/2, beta = 1
+    res = theorem_rate("transmission_normalized", 3, 1.0, 1e-12)[0]["transmission_normalized"]
+    assert res["C"] == pytest.approx(0.5, abs=1e-9)  # alpha = 1/2, beta = 1
 
 
 @pytest.mark.parametrize(
@@ -265,54 +277,114 @@ def test_transmission_rate_small_delay_limit():
 )
 def test_transmission_rate_matches_scan(n, psi_lower, tau):
     alpha = 1.0 - psi_lower * (n - 2) / (n - 1)
-    res = rate_transmission_normalized(n, psi_lower, tau)
+    res = theorem_rate("transmission_normalized", n, psi_lower, tau)[0]["transmission_normalized"]
+    assert res["psi_lower"] == psi_lower
     lo, hi = scan_root(alpha, 1.0, tau, Measure.DIRAC_AT_ZERO)
-    assert lo <= res.C <= hi
+    assert lo <= res["C"] <= hi
     # explicit residual in the theorem's own equation
-    assert abs(1.0 - res.C - alpha * math.exp(res.C * tau)) <= 1e-12
+    assert abs(1.0 - res["C"] - alpha * math.exp(res["C"] * tau)) <= 1e-12
 
 
 def test_transmission_rate_degenerates_for_two_agents():
+    # alpha = 1 - psi_lower (N-2)/(N-1) = beta = 1: no rate to certify
+    out, skipped = theorem_rate("transmission_normalized", 2, 1.0, 0.5)
+    assert out == {}
+    assert skipped == {"transmission_normalized": "n_agents = 2 gives alpha = beta = 1, so no rate C > 0"}
     with pytest.raises(InvalidProblem):
-        rate_transmission_normalized(2, 1.0, 0.5)
+        HalanayProblem(1.0 - 1.0 * (2 - 2) / (2 - 1), 1.0, 0.5, Measure.DIRAC_AT_ZERO)
 
 
 def test_reaction_rate_small_delay_limit():
-    res = rate_reaction_nonsymmetric(1.0, 1e-12)
-    assert res.C == pytest.approx(1.0, abs=1e-6)
+    res = theorem_rate("reaction_small_delay", 3, 1.0, 1e-12)[0]["reaction_small_delay"]
+    assert res["psi0_lower"] == 1.0
+    assert res["C"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_reaction_rate_matches_scan():
-    res = rate_reaction_nonsymmetric(1.0, 0.1)
+    res = theorem_rate("reaction_small_delay", 3, 1.0, 0.1)[0]["reaction_small_delay"]
+    assert res["psi0_lower"] == 1.0
     lo, hi = scan_root(0.4, 1.0, 0.1, Measure.UNIFORM_ON_DELAY)
-    assert lo <= res.C <= hi
+    assert lo <= res["C"] <= hi
     # theorem form: psi0 - C = 4 e^{C tau} (e^{C tau} - 1) / C
-    c = res.C
+    c = res["C"]
     assert abs(1.0 - c - 4.0 * math.exp(0.1 * c) * math.expm1(0.1 * c) / c) <= 1e-11
 
 
 def test_reaction_rate_precondition():
+    # classical weights of constant psi = 1/2 give psi0_lower = 1/2, and
+    # 4 tau = 0.8 >= 1/2: the theorem does not apply, and its rate equation,
+    # alpha = 4 tau against beta = psi0_lower, is refused
+    config = make_config(n_agents=3, tau=0.2, delay_kind=DelayKind.REACTION,
+                         weight_scheme=WeightScheme.CLASSICAL_SCALED, influence=InfluenceFunction.constant(0.5))
+    datum = InitialDatum.constant([[0.0], [0.5], [1.0]])
+    report = check_preconditions(config, datum, check_icass(datum, config))
+    assert report.psi0_lower == 0.5
+    assert report.violated["reaction_small_delay"] == ["4*tau < psi0_lower violated (4*tau=0.8, psi0_lower=0.5)"]
+    assert theorem_rates(config, report) == ({}, {})
     with pytest.raises(InvalidProblem, match="alpha < beta"):
-        rate_reaction_nonsymmetric(0.5, 0.2)  # 4 tau = 0.8 >= 0.5
+        HalanayProblem(4.0 * 0.2, 0.5, 0.2, Measure.UNIFORM_ON_DELAY)
 
 
 @pytest.mark.parametrize(
-    "rate, args, message",
-    [
-        (rate_transmission_normalized, (5, 0.0, 1.0), "psi_lower must be in (0, 1], got 0.0"),
-        (rate_transmission_normalized, (5, 1.5, 1.0), "psi_lower must be in (0, 1], got 1.5"),
-        (rate_transmission_normalized, (2.5, 0.5, 1.0), "n_agents must be an integer >= 2, got 2.5"),
-        (rate_reaction_nonsymmetric, (0.0, 0.1), "psi0_lower must be in (0, 1], got 0.0"),
-        (rate_reaction_nonsymmetric, (1.5, 0.1), "psi0_lower must be in (0, 1], got 1.5"),
-        (rate_reaction_nonsymmetric, (0.5, 0.0), "tau > 0 violated (tau=0.0)"),
-        (rate_reaction_nonsymmetric, (0.5, -1.0), "tau > 0 violated (tau=-1.0)"),
-        (rate_reaction_nonsymmetric, (0.5, math.inf), "tau > 0 violated (tau=inf)"),
-    ],
+    "tau, message",
+    [(0.0, "tau > 0 violated (tau=0.0)"), (-1.0, "tau > 0 violated (tau=-1.0)"),
+     (math.inf, "tau must be finite (tau=inf)")],
+    ids=["zero", "negative", "inf"],
 )
-def test_theorem_rates_refuse_arguments_outside_their_domain(rate, args, message):
+def test_halanay_problem_refuses_a_delay_outside_its_domain(tau, message):
+    # a rate equation, the reaction theorem's among them, needs a positive, finite delay
     with pytest.raises(InvalidProblem) as info:
-        rate(*args)
+        HalanayProblem(0.4, 1.0, tau, Measure.UNIFORM_ON_DELAY)
     assert str(info.value) == message
+
+
+# a sampled datum whose agents all move at speed 5 across [-1, 0], while
+# they lie 1 apart: the startup slope bound max |x'| <= d_x0 fails
+FAST_DATUM = InitialDatum.sampled([-1.0, 0.0], [[[0.0], [0.5], [1.0]], [[5.0], [5.5], [6.0]]])
+
+
+@pytest.mark.parametrize("kind", list(DelayKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("scheme", list(WeightScheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("psi", [InfluenceFunction.constant(0.8), InfluenceFunction.algebraic_decay(1.0)],
+                         ids=["constant", "algebraic"])
+@pytest.mark.parametrize("tau", [0.4, 0.6])
+@pytest.mark.parametrize("datum, slope_bound",
+                         [(InitialDatum.constant([[0.0], [0.5], [1.0]]), True), (FAST_DATUM, False)],
+                         ids=["constant", "fast"])
+def test_preconditions_list_every_violated_hypothesis_in_order(kind, scheme, psi, tau, datum, slope_bound):
+    # the hypotheses of each theorem, in the order that the paper states
+    # them: (1) transmission delay; (2) transmission delay and row-normalized
+    # weights; (3) reaction delay, symmetric weights and tau <= 1/2;
+    # (4) reaction delay, the startup slope bound and 4 tau < psi0_lower.
+    # Reaction weights are symmetric when classical, or normalized with a
+    # constant psi (each then 1/(N-1)); transmission delay already excludes
+    # (3), so its weights are not judged.  4 tau >= 1.6 exceeds every
+    # psi0_lower, which is at most 1
+    config = make_config(n_agents=3, tau=tau, delay_kind=kind, weight_scheme=scheme, influence=psi)
+    report = check_preconditions(config, datum, check_icass(datum, config))
+    assert report.psi0_lower <= 1.0
+    transmission = kind is DelayKind.TRANSMISSION
+    symmetric = scheme is WeightScheme.CLASSICAL_SCALED or psi.kind is InfluenceKind.CONSTANT
+    hypotheses = {
+        "transmission_classical": [(transmission, "delay kind is not transmission")],
+        "transmission_normalized": [
+            (transmission, "delay kind is not transmission"),
+            (scheme is WeightScheme.NORMALIZED, "weights are not row-normalized"),
+        ],
+        "reaction_symmetric": [
+            (not transmission, "delay kind is not reaction"),
+            (transmission or symmetric, "weights are not symmetric"),
+            (tau <= 0.5, f"tau <= 1/2 violated (tau={tau:g})"),
+        ],
+        "reaction_small_delay": [
+            (not transmission, "delay kind is not reaction"),
+            (slope_bound, "startup slope bound violated"),
+            (False, f"4*tau < psi0_lower violated (4*tau={4.0 * tau:g}, psi0_lower={report.psi0_lower:g})"),
+        ],
+    }
+    assert report.violated == {name: [reason for holds, reason in rows if not holds]
+                               for name, rows in hypotheses.items()}
+    assert list(report.violated) == list(THEOREMS)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +492,7 @@ def test_preconditions_normalized_constant_psi_counts_as_symmetric():
 
 def test_equal_normalized_weights_give_psi0_lower_one():
     # 19 times the rounded weight 0.7/(19 * 0.7) read 1.0000000000000004,
-    # which rate_reaction_nonsymmetric refused: the run exited 1 with
+    # which the reaction rate equation refused: the run exited 1 with
     # InvalidProblem where reaction_small_delay applies
     config = make_config(
         n_agents=20, tau=0.02,

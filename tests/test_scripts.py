@@ -2,6 +2,7 @@
 the current package API and writes what its docstring promises."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -70,6 +71,24 @@ def test_script_runs_and_writes_its_results(tmp_path, monkeypatch, name, written
     assert script.main() == 0
     for rel in written:
         assert (tmp_path / rel).stat().st_size > 0, rel
+    if name == "output_battery":
+        assert_battery_matches_manifest(script, tmp_path / "battery")
+
+
+def assert_battery_matches_manifest(script, root):
+    # every battery byte is pinned: a change that means to alter outputs
+    # rewrites the manifest with --write-manifest and names what moved
+    pinned, fresh = json.loads(script.MANIFEST.read_text()), script.manifest(root)
+    for tool in ("python", "numpy"):
+        assert fresh[tool] == pinned[tool], (
+            f"{script.MANIFEST.name} was written with {tool} {pinned[tool]}, this run has {tool} {fresh[tool]}"
+        )
+    old, new = pinned["files"], fresh["files"]
+    moved = [
+        f"{'missing' if path not in new else 'not in manifest' if path not in old else 'differs'}: {path}"
+        for path in sorted(old.keys() | new.keys()) if old.get(path) != new.get(path)
+    ]
+    assert not moved, "\n".join(moved)
 
 
 FIXTURE = '''"""A module docstring

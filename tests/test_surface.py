@@ -6,6 +6,8 @@ import ast
 import re
 from pathlib import Path
 
+from hkdelay.rates import THEOREMS
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hkdelay"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -355,3 +357,30 @@ def test_each_test_file_names_a_module_or_a_cross_cutting_suite():
     modules = {p.stem for p in MODULES}
     names = sorted(p.stem.removeprefix("test_") for p in (ROOT / "tests").glob("test_*.py"))
     assert [n for n in names if n not in modules and n not in CROSS_CUTTING] == []
+
+
+def test_theorem_rates_alone_forms_a_rate_equation_in_rates():
+    # the theorems' two rate equations are built where the rates are
+    # published, so no second function in rates restates alpha or beta
+    tree = ast.parse((PACKAGE / "rates.py").read_text())
+    builders = {
+        owner for owner, n in by_function(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "HalanayProblem"
+    }
+    assert builders == {"theorem_rates"}
+
+
+def test_each_precondition_reason_is_written_once():
+    # check_preconditions states each hypothesis once, however many
+    # theorems it serves: no reason text, plain or formatted, repeats
+    tree = ast.parse((PACKAGE / "rates.py").read_text())
+    (check,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "check_preconditions"]
+    inner = {id(check.body[0].value)}  # the docstring, and the pieces of every f-string
+    inner.update(id(v) for n in ast.walk(check) if isinstance(n, ast.JoinedStr) for v in ast.walk(n) if v is not n)
+    texts = [
+        ast.unparse(n) for n in ast.walk(check)
+        if id(n) not in inner and (isinstance(n, ast.JoinedStr) or isinstance(n, ast.Constant)
+                                   and isinstance(n.value, str) and n.value not in THEOREMS)
+    ]
+    assert texts
+    assert sorted(t for t in set(texts) if texts.count(t) > 1) == []
