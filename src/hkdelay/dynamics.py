@@ -14,9 +14,10 @@ squared diameter of every node and, when asked for, the dissipation D
 (from each node call's weights) on the grid nodes only.  This module is
 the one writer of the squared diameters: a node call writes them for the
 delayed states it reads, from their pair array, and integrate fills the
-last q nodes of a run, which include every node that no node call read,
-by model.squared_diameter.  A run that blows up ends before its first
-blown-up node and records that node's time.
+last q nodes of every member, which include every node that no node call
+read, in one call of model.squared_diameter, the one reduction of stacked
+states to diameters.  A run that blows up ends before its first blown-up
+node and records that node's time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .model import (
     SystemConfig,
     block_length,
     blocks,
-    diameter,
     pair_max,
     pair_sq,
     squared_diameter,
@@ -215,12 +215,12 @@ def _blow_up_bounds(x0):
 
     A state x blows up where |x - xbar(0)| exceeds
     BLOW_UP_THRESHOLD * max(1, d_x(0)) or is not finite, with xbar(0) the
-    agent mean and d_x(0) the model.diameter at t = 0.  The dynamics are
-    translation-invariant, so a datum placed far from the origin does not
-    blow up by its position alone.
+    agent mean and d_x(0) the root of model.squared_diameter at t = 0.  The
+    dynamics are translation-invariant, so a datum placed far from the
+    origin does not blow up by its position alone.
     """
     center = x0.mean(axis=-2, keepdims=True)
-    return center, BLOW_UP_THRESHOLD * np.maximum(1.0, diameter(x0))[..., None, None]
+    return center, BLOW_UP_THRESHOLD * np.maximum(1.0, np.sqrt(squared_diameter(x0)))[..., None, None]
 
 
 def _delayed_nodes(states, derivs, mids, j0, j1, eighth):
@@ -358,10 +358,10 @@ def integrate(config, datum, horizon, spec=None, dissipation=True):
     and that node's time as blow_up_time.  The trajectory holds the squared
     diameter of every node: the node calls write those of the delayed
     states they read, and each member's last q nodes, which include every
-    node that none read, are reduced afterwards by model.squared_diameter,
-    in the blocks of block_length(N^2) states across the members that
-    model.blocks cuts.  The node calls write the dissipation D only if
-    dissipation is true, and the trajectory's D is None otherwise.
+    node that none read, are reduced afterwards in one call of
+    model.squared_diameter across the members, which cuts its own blocks.
+    The node calls write the dissipation D only if dissipation is true,
+    and the trajectory's D is None otherwise.
 
     A group integrates in one stepper call: config, datum, horizon and spec
     are then equal-length sequences, one entry per member (spec may be
@@ -419,10 +419,8 @@ def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
         )
         # each member's last q nodes: every node that no node call read, and
         # for a member that blew up, a few that one did, with the same bits
-        members = np.arange(B).repeat(q)
-        nodes = (n_valid[:, None] + np.arange(-q, 0)).ravel()
-        for s in blocks(B * q, block_length(N**2)):
-            sq_diameter[members[s], q + nodes[s]] = squared_diameter(states[members[s], nodes[s]])
+        members, nodes = np.arange(B)[:, None], n_valid[:, None] + np.arange(-q, 0)
+        sq_diameter[members, q + nodes] = squared_diameter(states[members, nodes])
     except MemoryError as exc:
         raise InvalidConfig(
             f"config.n_agents: {N} agents need ({N}, {N}) pair arrays, which cannot be allocated"

@@ -39,12 +39,13 @@ from .errors import InvalidConfig, InvalidDatum, OutOfRange, SpecError
 # Cap on the entries of one stacked temporary: 2**13 doubles, 64 KiB.
 # block_length turns it into the block size of every blocked loop, and
 # blocks cuts each such loop, as it cuts every stepped loop of the package:
-# integrate's stacked reaction velocity calls and its tail fill of squared
-# diameters, check_icass, compute_metrics and the two CSV writers.  glibc
-# maps temporaries above its default 128 KiB threshold afresh on every call:
-# at 2**16 (six nodes per block at N = 100) the first compute_metrics of a
-# process took 0.27 s, against 0.23 s node by node, on a 2-vCPU Intel Xeon
-# guest.
+# integrate's stacked reaction velocity calls, squared_diameter's pair
+# arrays, compute_metrics' deviations and Lyapunov windows, and the two CSV
+# writers.  glibc maps temporaries above its default 128 KiB threshold
+# afresh on every call: on a 2-vCPU Intel Xeon guest, pinned to one CPU,
+# squared_diameter of 64 states at N = 30 took 255-262 us in blocks of 9
+# and 351-360 us in one 460 KB pair array; of 12 states, 60 us in blocks
+# against 44 us in one.
 BLOCK_ENTRIES = 2**13
 
 
@@ -413,14 +414,16 @@ def pair_max(sq: np.ndarray) -> np.ndarray:
 
 def squared_diameter(states: np.ndarray) -> np.ndarray:
     """Maximum pairwise squared distance of each stacked (..., N, d) state,
-    the pair_max of its pair array."""
-    return pair_max(pair_sq(states, states))
-
-
-def diameter(states: np.ndarray) -> np.ndarray:
-    """Maximum pairwise Euclidean distance of each stacked (..., N, d)
-    state, the root of its squared_diameter."""
-    return np.sqrt(squared_diameter(states))
+    the pair_max of its pair array: a scalar for one state, an array of the
+    stack's shape otherwise.  The stack is reduced in the blocks of
+    block_length(N^2) states that blocks cuts, so no pair array holds more
+    than one block; a state's bits do not depend on its stack.  The
+    diameter d_x is the root of this value."""
+    flat = states.reshape((-1,) + states.shape[-2:])
+    out = np.empty(len(flat))
+    for s in blocks(len(flat), block_length(flat.shape[1] ** 2)):
+        out[s] = pair_max(pair_sq(flat[s], flat[s]))
+    return out.reshape(states.shape[:-2])[()]
 
 
 def radius(states: np.ndarray) -> np.ndarray:
@@ -513,10 +516,9 @@ def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
     (-tau, 0) and at 0 (at 0 alone for constant data), and the slopes by
     slope_at at the left knot of every datum segment that overlaps
     (-tau, 0).  The datum is piecewise linear and diameter and radius are
-    convex, so their maxima over [-tau, 0] lie at these states.  The
-    diameters are reduced in the blocks of block_length(N^2) states that
-    blocks cuts, so no pair array holds more than one block; a maximum is
-    exact in any order.
+    convex, so their maxima over [-tau, 0] lie at these states.  d_x0 is
+    the root of the largest squared_diameter: the root is monotone and
+    correctly rounded, so it is the largest diameter, bit for bit.
     """
     datum.require_fits(config)
     ts, tau = datum.times, config.tau
@@ -526,7 +528,7 @@ def check_icass(datum: InitialDatum, config: SystemConfig) -> IcassReport:
         left = ts[:-1][(ts[:-1] < 0.0) & (ts[1:] > -tau)]
         max_slope = float(radius(datum.slope_at(left)).max(initial=0.0))
     states = datum.at(times)
-    d_x0 = max(float(diameter(states[s]).max()) for s in blocks(len(states), block_length(config.n_agents**2)))
+    d_x0 = float(np.sqrt(squared_diameter(states).max()))
     return IcassReport(
         satisfied=max_slope <= d_x0,
         max_slope=max_slope,

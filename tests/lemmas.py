@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hkdelay.errors import InvalidProblem, OutOfRange
-from hkdelay.model import diameter
+from hkdelay.model import squared_diameter
 from hkdelay.dynamics import MAX_DEFAULT_DT, STEPS_PER_DELAY, rk4_method_of_steps
 
 
@@ -143,7 +143,7 @@ def convexity_bound_check(vectors, eta_i, eta_k, mu: float, i=None, k=None) -> C
     if mu > floor + 1e-12:
         raise ValueError(f"mu={mu:g} exceeds the smallest relevant weight {floor:g}")
     lhs = float(np.linalg.norm(eta_i @ x - eta_k @ x))
-    rhs = (1.0 - (n - 2) * mu) * diameter(x)
+    rhs = (1.0 - (n - 2) * mu) * np.sqrt(squared_diameter(x))
     return ConvexityCheck(lhs, rhs, lhs <= rhs + 1e-12)
 
 

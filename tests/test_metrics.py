@@ -12,7 +12,7 @@ from hkdelay.model import (
     InitialDatum,
     WeightScheme,
     check_icass,
-    diameter,
+    squared_diameter,
     radius,
     has_symmetric_weights,
     pair_sq,
@@ -39,8 +39,8 @@ from reference import (
 # pointwise state functionals
 
 def test_diameter_trivial_cases():
-    assert diameter(np.zeros((4, 3))) == 0.0
-    assert diameter(np.array([[0.0], [3.0]])) == 3.0
+    assert np.sqrt(squared_diameter(np.zeros((4, 3)))) == 0.0
+    assert np.sqrt(squared_diameter(np.array([[0.0], [3.0]]))) == 3.0
 
 
 def test_diameter_against_brute_force(rng):
@@ -49,7 +49,7 @@ def test_diameter_against_brute_force(rng):
     for i in range(50):
         for j in range(50):
             best = max(best, math.dist(pts[i], pts[j]))
-    assert diameter(pts) == pytest.approx(best, rel=1e-14)
+    assert np.sqrt(squared_diameter(pts)) == pytest.approx(best, rel=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,11 +60,11 @@ def test_diameter_against_brute_force(rng):
 def test_diameter_invariances(seed, scale):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(6, 2))
-    d = diameter(pts)
-    assert diameter(pts[rng.permutation(6)]) == d
+    d = np.sqrt(squared_diameter(pts))
+    assert np.sqrt(squared_diameter(pts[rng.permutation(6)])) == d
     shift = rng.normal(size=2)
-    assert diameter(pts + shift) == pytest.approx(d, rel=1e-12)
-    assert diameter(scale * pts) == pytest.approx(scale * d, rel=1e-12)
+    assert np.sqrt(squared_diameter(pts + shift)) == pytest.approx(d, rel=1e-12)
+    assert np.sqrt(squared_diameter(scale * pts)) == pytest.approx(scale * d, rel=1e-12)
 
 
 def test_radius_and_mean():
@@ -243,10 +243,10 @@ def test_series_match_pointwise_diameter_and_dissipation(rng, kind, scheme, infl
     traj = integrate(config, datum, 4 * config.tau)
     ms = compute_metrics(traj)
     i0 = int(np.searchsorted(traj.grid, 0.0))
-    startup_max = max(diameter(s) for s in traj.states[: i0 + 1])
+    startup_max = max(np.sqrt(squared_diameter(s)) for s in traj.states[: i0 + 1])
     d_scale = float(np.nanmax(ms.D))
     for m, t in enumerate(traj.grid):
-        assert ms.d_x[m] == (startup_max if m <= i0 else diameter(traj.states[m]))
+        assert ms.d_x[m] == (startup_max if m <= i0 else np.sqrt(squared_diameter(traj.states[m])))
         if m >= i0:
             expect = dissipation(config, traj, float(t))
             assert ms.D[m] == pytest.approx(expect, rel=1e-12, abs=1e-14 * d_scale)

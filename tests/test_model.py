@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkdelay import dynamics
+from hkdelay import dynamics, model
 from hkdelay.errors import InvalidConfig, InvalidDatum, OutOfRange
 from hkdelay.model import (
     DelayKind,
@@ -21,7 +21,7 @@ from hkdelay.model import (
     WeightScheme,
     blocks,
     check_icass,
-    diameter,
+    squared_diameter,
     pair_sq,
     psi_floor,
     radius,
@@ -288,8 +288,8 @@ def test_kernel_matches_broadcast_reference(n, d, kind, scheme, influence, scale
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_kernel_on_stacked_states_matches_per_slice_calls(batch, n, d, kind, scheme, influence, seed):
-    # the pair kernel, the weights, the diameter and the radius give each
-    # state the same bits alone as in a stack
+    # the pair kernel, the weights, the squared diameter and the radius
+    # give each state the same bits alone as in a stack
     rng = np.random.default_rng(seed)
     config = make_config(n_agents=n, dim=d, delay_kind=kind, weight_scheme=scheme,
                          influence=influence)
@@ -297,10 +297,10 @@ def test_kernel_on_stacked_states_matches_per_slice_calls(batch, n, d, kind, sch
     x_del = rng.normal(size=batch + (n, d))
     sq = pair_sq(x_now, x_del).T
     w = weights_from_states(config, x_now, x_del).matrix()
-    d_x, r_x = diameter(x_del), radius(x_del)
+    d_x, r_x = np.sqrt(squared_diameter(x_del)), radius(x_del)
     assert sq.shape == w.shape == batch + (n, n)
     assert d_x.shape == r_x.shape == batch
-    # the series' d_x and r_x before diameter and radius took stacks: the
+    # the series' d_x and r_x before the reductions took stacks: the
     # pair_sq maximum and the einsum of node-major states, reduced node-last
     nodes = x_del.reshape(-1, n, d)
     assert np.array_equal(d_x.ravel(), np.sqrt(pair_sq(nodes, nodes).max(axis=(0, 1))))
@@ -308,24 +308,47 @@ def test_kernel_on_stacked_states_matches_per_slice_calls(batch, n, d, kind, sch
     for idx in np.ndindex(*batch):
         assert np.array_equal(sq[idx], pair_sq(x_now[idx], x_del[idx]).T)
         assert np.array_equal(w[idx], weights_from_states(config, x_now[idx], x_del[idx]).matrix())
-        assert diameter(x_del[idx]) == d_x[idx] == math.sqrt(pair_sq(x_del[idx], x_del[idx]).max())
+        assert np.sqrt(squared_diameter(x_del[idx])) == d_x[idx] == math.sqrt(pair_sq(x_del[idx], x_del[idx]).max())
         assert radius(x_del[idx]) == r_x[idx]
 
 
 @pytest.mark.parametrize("stack, n", [
     *[(stack, n) for n in (5, 100) for stack in (1, 2, 8, 64)],
-    (1, 400), (2, 400), (8, 400),
+    (1, 400), (2, 400), (8, 400), (64, 30),
 ])
 def test_stacked_diameters_equal_the_per_state_ones(stack, n):
-    # diameter reduces j and then i; short stacks of large-N states are
-    # where that order is faster, and a maximum has the same bits either
-    # way.  N = 400 stops at 8 states: a stacked pair array of 64 would
-    # take about 160 MB
+    # squared_diameter reduces j and then i; short stacks of large-N states
+    # are where that order is faster, and a maximum has the same bits
+    # either way.  At N = 30 the 64 states span eight blocks of up to 9.
+    # N = 400 stops at 8 states: a stacked pair array of 64 would take
+    # about 160 MB
     x = np.random.default_rng(n + stack).normal(size=(stack, n, 2))
-    d_x = diameter(x)
+    d_x = np.sqrt(squared_diameter(x))
     assert d_x.shape == (stack,)
-    assert np.array_equal(d_x, [diameter(state) for state in x])
+    assert np.array_equal(d_x, [np.sqrt(squared_diameter(state)) for state in x])
     assert np.array_equal(d_x, np.sqrt(pair_sq(x, x).max(axis=(0, 1))))
+
+
+def test_squared_diameter_forms_no_pair_array_of_more_than_one_block(monkeypatch):
+    # a stack is reduced in the blocks of block_length(N^2) states that
+    # blocks cuts: at N = 30 that is 9 states, so 64 states take 8 pair_sq
+    # calls, where one call of all 64 formed a 460 KB pair array
+    x = np.random.default_rng(30).normal(size=(64, 30, 2))
+    alone = [squared_diameter(state) for state in x]
+    stacks = []
+
+    def spy(a, b):
+        stacks.append(len(a))
+        return pair_sq(a, b)
+
+    monkeypatch.setattr(model, "pair_sq", spy)
+    sq_d = squared_diameter(x)
+    assert stacks == [9] * 7 + [1]
+    assert np.array_equal(sq_d, alone)
+    # the shapes: a scalar for one state, the stack's shape otherwise
+    assert np.shape(squared_diameter(x[0])) == ()
+    assert squared_diameter(x[:10].reshape(2, 5, 30, 2)).shape == (2, 5)
+    assert squared_diameter(x[:0]).shape == (0,)
 
 
 def test_normalized_weights_do_not_underflow():

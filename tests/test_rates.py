@@ -18,7 +18,7 @@ from hkdelay.model import (
     SystemConfig,
     WeightScheme,
     check_icass,
-    diameter,
+    squared_diameter,
     psi_floor,
     radius,
 )
@@ -561,7 +561,7 @@ def test_startup_bounds_hold_on_a_fine_grid(tau, before, after, inner, n_agents,
     states = [datum.at(t) for t in fine]
     slopes = [datum.slope_at(t) for t in fine[1:-1]]
     tol = 1e-12 * (1.0 + d_x0 + r_x0 + max_slope)
-    assert max(diameter(x) for x in states) <= d_x0 + tol
+    assert max(np.sqrt(squared_diameter(x)) for x in states) <= d_x0 + tol
     assert max(radius(x) for x in states) <= r_x0 + tol
     assert max(float(np.sqrt((v * v).sum(axis=1)).max()) for v in slopes) <= max_slope + tol
 
@@ -592,9 +592,9 @@ def test_convexity_bound_identical_weights():
 def test_convexity_bound_mu_zero_is_triangle_case(rng):
     x, eta_i, eta_k, _, i, k = _random_instance(rng)
     chk = convexity_bound_check(x, eta_i, eta_k, 0.0, i=i, k=k)
-    from hkdelay.model import diameter
+    from hkdelay.model import squared_diameter
 
-    assert chk.rhs == pytest.approx(diameter(x))
+    assert chk.rhs == pytest.approx(np.sqrt(squared_diameter(x)))
     assert chk.holds
 
 

@@ -204,8 +204,8 @@ def test_velocity_and_series_read_the_stack_last_arrays_as_they_are():
 
 
 def test_states_reduce_to_d_x_and_r_x_through_model_alone():
-    # model.squared_diameter, with diameter its root, and model.radius are
-    # the one reduction of states to a diameter or a radius: metrics does
+    # model.squared_diameter, whose root is d_x, and model.radius are the
+    # one reduction of states to a diameter or a radius: metrics does
     # not name pair_sq, and dynamics calls it only in velocity_from_states,
     # whose node call takes d_x^2 from the pair array it forms for D
     tree = ast.parse((PACKAGE / "metrics.py").read_text())
@@ -345,6 +345,51 @@ def test_blocks_cuts_every_stepped_loop_and_block_length_alone_reads_the_cap():
                 readers.append(f"{path.stem}.{owner}")
     assert stepped == ["model.blocks"]
     assert readers == ["model.block_length"]
+
+
+def is_square(node) -> bool:
+    """Whether node is x**2 or x * x for one expression x."""
+    return isinstance(node, ast.BinOp) and (
+        isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant) and node.right.value == 2
+        or isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right)
+    )
+
+
+def called(node) -> set:
+    """The names of the functions that node calls, by name or as attributes."""
+    return {
+        getattr(n.func, "id", getattr(n.func, "attr", None))
+        for n in ast.walk(node) if isinstance(n, ast.Call)
+    }
+
+
+def test_squared_diameter_alone_cuts_the_diameter_blocks():
+    # model.squared_diameter reduces any stack in blocks of
+    # block_length(N^2) states itself, so the diameter block rule is
+    # written once: the package defines no diameter beside it, no other
+    # function loops blocks(...) around a diameter call, and the only other
+    # block length of N^2-sized items is the stepper's, B N^2 entries per
+    # stacked velocity call
+    reductions = {"diameter", "squared_diameter"}
+    looped, squared = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        assert "diameter" not in defined_names(tree), path.stem
+        for owner, n in by_function(tree):
+            if isinstance(n, ast.For):
+                loops = [n.iter]
+            else:
+                loops = [g.iter for g in getattr(n, "generators", ())]
+            if any("blocks" in called(it) for it in loops) and reductions & called(n):
+                looped.append(f"{path.stem}.{owner}")
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "block_length"
+                    and any(is_square(a) for a in ast.walk(n.args[0]))):
+                squared.append((f"{path.stem}.{owner}", ast.unparse(n)))
+    assert looped == []
+    assert squared == [
+        ("dynamics._integrate_group", "block_length(B * N ** 2)"),
+        ("model.squared_diameter", "block_length(flat.shape[1] ** 2)"),
+    ]
 
 
 # suites that test no one module but the package across its modules
