@@ -6,11 +6,14 @@ history.  Transmission-type velocities read the current state and step one
 node at a time.  Reaction-type velocities read only states one delay old,
 so a whole delay segment depends only on the segment before it: its
 half-step and its full-step delayed states are evaluated in stacked calls,
-and its nodes are summed in order from the increments, bit for bit as a
-step-by-step loop would give.  A half step reads the prescribed datum on
-the startup interval and the closed-form cubic Hermite midpoint of a
-computed segment after it.  A trajectory stores states, derivatives, the
-squared diameter of every node and, when asked for, the dissipation D
+the full-step ones as node calls that write the segment's derivatives in
+place, and its nodes are summed in place, in order, from the increments,
+bit for bit as a step-by-step loop would give.  A half step reads the
+prescribed datum on the startup interval and the closed-form cubic Hermite
+midpoint of a computed segment after it.  The arrays of a group of B
+members are node-major, (n, B, ...), in the order the stepper walks them,
+so a lone run's are contiguous.  A trajectory stores states, derivatives,
+the squared diameter of every node and, when asked for, the dissipation D
 (from each node call's weights) on the grid nodes only.  This module is
 the one writer of the squared diameters: a node call writes them for the
 delayed states it reads, from their pair array, and integrate fills the
@@ -189,10 +192,11 @@ def _grid_shape(config: SystemConfig, horizon: float, spec: IntegratorSpec) -> t
 
 def _allocate(config: SystemConfig, q: int, n_fwd: int, dts):
     """(grid, states, derivs) of members stepped by dts: the (B, n) grids
-    from -tau to the horizon and uninitialised (B, n, N, d) node arrays."""
+    from -tau to the horizon and uninitialised node-major (n, B, N, d) node
+    arrays, in the order the stepper walks them."""
     try:
         grid = np.arange(-q, n_fwd + 1) * np.reshape(dts, (-1, 1))
-        states = np.empty(grid.shape + (config.n_agents, config.dim))
+        states = np.empty(grid.shape[::-1] + (config.n_agents, config.dim))
         return grid, states, np.empty_like(states)
     except (MemoryError, ValueError) as exc:  # ValueError: too big for numpy
         raise InvalidConfig(f"horizon: {q + n_fwd + 1} grid nodes cannot be allocated") from exc
@@ -261,11 +265,11 @@ def rk4_method_of_steps(
 
     states and derivs hold the history on nodes 0..q and mids at the q
     startup midpoints, so q = len(mids) is the number of steps per delay.
-    A state stacks B members on its first axis, and dt is a (B, 1, ..., 1)
-    array that steps member b by dt[b]; every operation acts per member, so
-    one member's values never reach another's.  A state blows up where
-    |state - center| exceeds limit or is not finite (both broadcast against
-    a state).
+    Both are node-major, (n, B, ...): a state stacks B members on its first
+    axis, and dt is a (B, 1, ..., 1) array that steps member b by dt[b];
+    every operation acts per member, so one member's values never reach
+    another's.  A state blows up where |state - center| exceeds limit or is
+    not finite (both broadcast against a state).
 
     vel(x_now, x_delayed, rows) is the velocity, and it takes states
     stacked on extra leading axes.  rows is None for an RK4 stage; for the
@@ -283,8 +287,10 @@ def rk4_method_of_steps(
     a delay segment, up to q steps, at once: it stacks the steps' half-step
     delayed states, and apart from them their full-step ones, and evaluates
     each stack in the calls of at most per_call states (default: q) that
-    model.blocks cuts, the half-step chunks as stages and the full-step
-    chunks as the node calls of their nodes.  Either way the nodes are summed in order from the
+    model.blocks cuts: the half-step chunks as stages, into one buffer, and
+    the full-step chunks as the node calls of their nodes, straight into
+    derivs, which then holds every k1 and k4; the increments go into states
+    in place.  Either way the nodes are summed in order from the
     increments, so they equal the per-step loop's bit for bit.
 
     Returns one count per member: the number of nodes filled before its
@@ -297,19 +303,13 @@ def rk4_method_of_steps(
     half, sixth, eighth = 0.5 * dt, dt / 6.0, 0.125 * dt
     per_call = per_call or q
 
-    def stacked(xd, row=None):  # vel on chunks of xd; row: the node row of xd[0], None for stages
-        return np.concatenate([
-            vel(None, xd[s], None if row is None else slice(row + s.start, row + s.stop))
-            for s in blocks(len(xd), per_call)
-        ])
-
     with np.errstate(all="ignore"):
         derivs[q] = vel(states[q], states[0], q)
         for segment in blocks(n - 1, q, q):
             a, b = segment.start, segment.stop  # steps a..b-1 fill nodes a+1..b
             xd_half, xd_full = _delayed_nodes(states, derivs, mids, a - q, b - q, eighth)
+            nodes = states[a + 1 : b + 1]
             if reads_now:  # one step at a time, on unstacked states; k1 = derivs[m]
-                nodes = states[a + 1 : b + 1]
                 for m, xh, xf in zip(range(a, b), xd_half, xd_full):
                     k2 = vel(states[m] + half * derivs[m], xh, None)
                     k3 = vel(states[m] + half * k2, xh, None)
@@ -317,14 +317,16 @@ def rk4_method_of_steps(
                     states[m + 1] = states[m] + sixth * (derivs[m] + 2.0 * k2 + 2.0 * k3 + k4)
                     derivs[m + 1] = vel(states[m + 1], xf, m + 1)
             else:
-                k2 = k3 = stacked(xd_half)
-                k4 = stacked(xd_full, a + 1)  # xd_full[i] is node a + 1 + i's delayed state
-                k1 = np.concatenate([derivs[a : a + 1], k4[:-1]])
-                nodes = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k2 = k3 = np.empty(nodes.shape)
+                for s in blocks(b - a, per_call):  # the stages
+                    k2[s] = vel(None, xd_half[s], None)
+                for s in blocks(b + 1, per_call, a + 1):  # the node calls; node m reads node m - q
+                    derivs[s] = vel(None, states[s.start - q : s.stop - q], s)
+                k1, k4 = derivs[a:b], derivs[a + 1 : b + 1]
+                np.multiply(sixth, k1 + 2.0 * k2 + 2.0 * k3 + k4, out=nodes)
                 # node m + 1 = node m + increment m, summed in order
-                np.add(states[a : a + 1], nodes[:1], out=nodes[:1])
+                nodes[0] += states[a]
                 np.cumsum(nodes, axis=0, out=nodes)
-                states[a + 1 : b + 1], derivs[a + 1 : b + 1] = nodes, k4
             bad = _blown(nodes, center, limit, lowest)
             if bad is not None:
                 hit = bad.any(axis=0) & (n_valid == n)
@@ -378,6 +380,10 @@ def integrate(config, datum, horizon, spec=None, dissipation=True):
 
 
 def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
+    """Integrate members that share one group_key in one stepper call.
+    Every group array is node-major, as the stepper walks it: states and
+    derivs (n, B, N, d), D (n, B) and the squared diameters (n + q, B).  A
+    member's trajectory is its column [:m, b], contiguous for a lone run."""
     keys = {group_key(c, h, s) for c, h, s in zip(configs, horizons, specs)}
     if len(keys) != 1:
         raise InvalidConfig("group members must differ only in tau and share q and the step count")
@@ -386,25 +392,20 @@ def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
         d.require_fits(c)
     config = configs[0]
     dt = np.array([s.dt for s in specs]).reshape(-1, 1, 1)
-    # member-major storage, so each member's trajectory is contiguous; the
-    # stepper walks the node axis of the swapped views
     grid, states, derivs = _allocate(config, q, n_fwd, dt)
     B, n = grid.shape
     mids = np.empty((q, B, config.n_agents, config.dim))
     for b in range(B):
-        mids[:, b] = _fill_startup(grid[b], q, datums[b], states[b], derivs[b], configs[b].tau)
+        mids[:, b] = _fill_startup(grid[b], q, datums[b], states[:, b], derivs[:, b], configs[b].tau)
 
-    D = np.full(grid.shape, np.nan) if dissipation else None
-    # the stepper's row m of squared diameters is node m - q, so node k of a
-    # member is column q + k
-    sq_diameter = np.empty((B, n + q))
-    d_rows = None if D is None else D.swapaxes(0, 1)
-    sq_rows = sq_diameter[:, :n].swapaxes(0, 1)
+    D = np.full((n, B), np.nan) if dissipation else None
+    # the stepper's row m of squared diameters is node m - q, so node k is row q + k
+    sq_diameter = np.empty((n + q, B))
 
     def vel(x_now, x_delayed, rows):  # a node call writes its rows of the squared diameters and D
         if rows is None:
             return velocity_from_states(config, x_now, x_delayed)
-        return velocity_from_states(config, x_now, x_delayed, None if D is None else d_rows[rows], sq_rows[rows])
+        return velocity_from_states(config, x_now, x_delayed, None if D is None else D[rows], sq_diameter[rows])
 
     # reaction velocities read only delayed states; a reaction segment is
     # evaluated in stacks whose (states, B, N, N) pair arrays stay within
@@ -412,23 +413,22 @@ def _integrate_group(configs, datums, horizons, specs, dissipation) -> GroupRun:
     transmission = config.delay_kind is DelayKind.TRANSMISSION
     N = config.n_agents
     try:  # the grid fits, so what cannot be allocated is an (N, N, ...) pair array
-        center, limit = _blow_up_bounds(states[:, q])
+        center, limit = _blow_up_bounds(states[q])
         n_valid = rk4_method_of_steps(
-            vel, states.swapaxes(0, 1), derivs.swapaxes(0, 1), mids, dt,
-            transmission, center, limit, block_length(B * N**2),
+            vel, states, derivs, mids, dt, transmission, center, limit, block_length(B * N**2)
         )
         # each member's last q nodes: every node that no node call read, and
         # for a member that blew up, a few that one did, with the same bits
-        members, nodes = np.arange(B)[:, None], n_valid[:, None] + np.arange(-q, 0)
-        sq_diameter[members, q + nodes] = squared_diameter(states[members, nodes])
+        nodes, members = n_valid + np.arange(-q, 0)[:, None], np.arange(B)
+        sq_diameter[q + nodes, members] = squared_diameter(states[nodes, members])
     except MemoryError as exc:
         raise InvalidConfig(
             f"config.n_agents: {N} agents need ({N}, {N}) pair arrays, which cannot be allocated"
         ) from exc
     trajectories = tuple(
         Trajectory(
-            grid[b, :m], states[b, :m], derivs[b, :m], None if D is None else D[b, :m],
-            sq_diameter[b, q : q + m], configs[b], datums[b], float(grid[b, m]) if m < n else None,
+            grid[b, :m], states[:m, b], derivs[:m, b], None if D is None else D[:m, b],
+            sq_diameter[q : q + m, b], configs[b], datums[b], float(grid[b, m]) if m < n else None,
         )
         for b, m in enumerate(n_valid.tolist())
     )

@@ -122,7 +122,8 @@ def integrate_oracle(config, datum, horizon, spec=None):
         spec = dynamics.default_spec(config)
     q, n_fwd = dynamics._grid_shape(config, horizon, spec)
     datum.require_fits(config)
-    grid, states, derivs = (a[0] for a in dynamics._allocate(config, q, n_fwd, [spec.dt]))
+    grid, states, derivs = dynamics._allocate(config, q, n_fwd, [spec.dt])
+    grid, states, derivs = grid[0], states[:, 0], derivs[:, 0]
     dynamics._fill_startup(grid, q, datum, states, derivs, config.tau)
     center, limit = dynamics._blow_up_bounds(states[q])
     lowest = np.min(limit)

@@ -477,6 +477,19 @@ def test_integrate_refuses_a_datum_of_another_shape():
             integrate(config, datum, 2 * config.tau)
 
 
+@pytest.mark.parametrize("kind", list(DelayKind))
+def test_the_grid_ends_at_the_first_node_at_or_past_the_horizon(kind):
+    # ceil(horizon/dt - 1e-9) forward steps: a horizon between two nodes
+    # runs on to the next node, and one within 1e-9 dt past a node ends there
+    config = make_config(tau=1.0, delay_kind=kind)
+    datum = InitialDatum.constant([[0.0], [1.0], [2.0]])
+    spec = IntegratorSpec(1.0 / 64)
+    for horizon, steps in ((2.6 * spec.dt, 3), ((64 + 1e-10) * spec.dt, 64)):
+        traj = integrate(config, datum, horizon, spec)
+        assert traj.blow_up_time is None
+        assert traj.grid.size == 64 + steps + 1 and traj.grid[-1] == steps * spec.dt
+
+
 def test_blow_up_reports_time_and_partial():
     config = make_config(
         n_agents=2, tau=2.0, delay_kind=DelayKind.REACTION,
@@ -544,6 +557,11 @@ def assert_members_equal_solo_runs(configs, datums, horizons, specs):
         assert same_bits(run.grid[b, : traj.grid.size], traj.grid)
         for name in ("grid", "states", "derivs", "D"):
             assert same_bits(getattr(member, name), getattr(traj, name)), (b, name)
+        # group arrays are node-major: a member's nodes lie B apart, and a
+        # lone run's arrays are contiguous
+        for name in ("states", "derivs", "D", "sq_diameter"):
+            mine, solo = getattr(member, name), getattr(traj, name)
+            assert solo.flags.c_contiguous and mine.strides[0] == len(configs) * solo.strides[0], (b, name)
         # D, written with each node's velocity, is the series that a second
         # weight evaluation over the stored nodes gives
         assert same_bits(member.D, blocked_dissipation(configs[b], member.states, member.origin)), b
@@ -842,7 +860,7 @@ def test_velocity_lays_out_each_state_once(monkeypatch, kind, lead, node_call):
     rng = np.random.default_rng(33)
     n, d = 6, 3
     config = make_config(n, d, 0.5, kind)
-    # member_stack: the stepper's view of member-major storage, (c, B, N, d)
+    # member_stack: a strided (c, B, N, d) view, which the layout copies like any other
     x_now, x_del = (rng.normal(size=lead[::-1] + (n, d)).swapaxes(0, 1) if len(lead) == 2
                     else rng.normal(size=lead + (n, d)) for _ in range(2))
     buffers = (np.empty(lead), np.empty(lead)) if node_call else ()

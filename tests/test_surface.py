@@ -4,6 +4,7 @@ modules import one another in one order."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 from hkdelay.rates import THEOREMS
@@ -123,6 +124,23 @@ def test_modules_import_only_earlier_layers():
         if layer[imported] >= layer[module]
     ]
     assert not upward
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the package's one runtime dependency; scipy, hypothesis and
+    # pytest serve the tests alone
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hkdelay"}
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.stem} imports {n}" for n in names if n.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_metrics_forms_no_weights():
@@ -390,6 +408,14 @@ def test_squared_diameter_alone_cuts_the_diameter_blocks():
         ("dynamics._integrate_group", "block_length(B * N ** 2)"),
         ("model.squared_diameter", "block_length(flat.shape[1] ** 2)"),
     ]
+
+
+def test_dynamics_stores_its_arrays_in_the_order_its_stepper_walks_them():
+    # _integrate_group allocates its group arrays node-major, as
+    # rk4_method_of_steps walks them, and a reaction segment's node calls
+    # write into derivs: no axis is swapped and no stage is joined
+    calls = called(ast.parse((PACKAGE / "dynamics.py").read_text()))
+    assert calls & {"swapaxes", "concatenate"} == set()
 
 
 # suites that test no one module but the package across its modules
