@@ -2,7 +2,8 @@
 """Count the code lines of Python source files: every line that is not
 blank, not a comment line and not part of a module, class or function
 docstring.  With no arguments it counts src/hkdelay; otherwise the given
-files and the *.py files under the given folders.  Prints the total.
+files and the *.py files under the given folders.  Prints the total, or
+a usage line and exits 2 when a path is neither a folder nor a .py file.
 
     python3 scripts/code_lines.py
     python3 scripts/code_lines.py src/hkdelay/rates.py tests
@@ -36,13 +37,16 @@ def code_lines(source: str) -> int:
 
 
 def python_files(paths):
-    for path in map(Path, paths):
+    for path in paths:
         yield from sorted(path.rglob("*.py")) if path.is_dir() else [path]
 
 
 def main(argv=None) -> int:
-    paths = sys.argv[1:] if argv is None else argv
-    print(sum(code_lines(path.read_text()) for path in python_files(paths or [PACKAGE])))
+    paths = [Path(p) for p in (sys.argv[1:] if argv is None else argv)] or [PACKAGE]
+    if not all(p.is_dir() or p.is_file() and p.suffix == ".py" for p in paths):
+        print("usage: python3 scripts/code_lines.py [FOLDER | FILE.py ...]", file=sys.stderr)
+        return 2
+    print(sum(code_lines(path.read_text()) for path in python_files(paths)))
     return 0
 
 

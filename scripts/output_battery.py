@@ -19,12 +19,13 @@ with normalized weights and with classical weights of psi(0) = 1/2, a
 blow-up, a sampled datum with a tabulated psi, a sampled datum at N = 40
 whose startup check reduces its 8 states in blocks of 5 and 3 and whose
 tail fill reduces 64 nodes in 13 blocks, data far from the origin,
-theorem rates below float resolution, refused specs (among them constant
-vectors of shape (N, 1, 2) in place of (N, d)), 9 toys at the default
-horizon and step, 2 with --horizon and --dt, and 8 rate equations, the
-last three past the overflow of the uniform kernel's product and the last
-two past the overflow of either kernel itself.  scripts/byte_check.py
-runs it in two revisions and compares their batteries.
+theorem rates below float resolution, a transmission run with a
+non-monotone tabulated psi, whose lowest knot sets the rate's psi_lower,
+and a two-agent one, whose rate is skipped, refused specs (among them
+constant vectors of shape (N, 1, 2) in place of (N, d)), 9 toys at the
+default horizon and step, 2 with --horizon and --dt, and 8 rate
+equations, the last three past the overflow of the uniform kernel's
+product and the last two past the overflow of either kernel itself.
 
     python3 scripts/output_battery.py [--write-manifest]
 
@@ -94,6 +95,8 @@ SAMPLED_N40 = {
                for t in N40_TIMES],
 }
 TABLE = {"kind": "table", "samples": [[0.0, 1.0], [0.5, 0.8], [1.5, 0.3]]}
+# not monotone: its 0.2 knot sets psi_lower below psi at twice the initial radius
+DIP_TABLE = {"kind": "table", "samples": [[0.0, 1.0], [0.5, 0.2], [1.5, 0.6]]}
 
 # (name, spec document or a function of the battery folder, or None; argv)
 CASES = [
@@ -117,6 +120,10 @@ CASES = [
     ("sim_gamma20", spec(5, "transmission", "normalized", seed=3, horizon=20.0,
                          influence={"kind": "algebraic_decay", "gamma": 20.0},
                          datum={"kind": "random_uniform", "low": 0.0, "high": 5.0}), SIM),
+    ("sim_table_transmission", spec(4, "transmission", "normalized", influence=DIP_TABLE, seed=12, horizon=10.0,
+                                    outputs=["rates", "report"]), SIM),
+    ("sim_two_agent_transmission", spec(2, "transmission", "normalized", seed=2, horizon=10.0,
+                                        outputs=["rates", "report"]), SIM),
     ("sim_misspelled", spec(3, "transmission", "normalized", horizn=5.0), SIM),
     ("sim_vectors_3d", spec(2, "transmission", "normalized", dim=1,
                             datum={"kind": "constant_per_agent", "vectors": [[[0.0, 1.0]], [[1.0, 2.0]]]}), SIM),

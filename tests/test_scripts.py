@@ -3,8 +3,6 @@ the current package API and writes what its docstring promises."""
 
 import importlib.util
 import json
-import shutil
-import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +51,8 @@ def test_scenario_document_loads_and_reloads_from_its_report_spec(name):
             "output_battery",
             ["battery/sim_n100_transmission/out/trajectory.csv", "battery/sim_n30_reaction/out/metrics.csv",
              "battery/sim_n5_reaction_long/out/metrics.csv", "battery/sim_sampled_n40/out/report.json",
-             "battery/sim_vectors_3d/stderr",
+             "battery/sim_table_transmission/out/rates.json",
+             "battery/sim_two_agent_transmission/out/report.json", "battery/sim_vectors_3d/stderr",
              "battery/sweep_tau_n5_reaction/out/sweep.csv", "battery/sweep_tau_two_agents_classical/out/sweep.csv",
              "battery/sweep_tau_n60_transmission_group/out/sweep.csv",
              "battery/sweep_tau_n60_reaction_group/out/sweep.csv",
@@ -78,17 +77,23 @@ def test_script_runs_and_writes_its_results(tmp_path, monkeypatch, name, written
 def assert_battery_matches_manifest(script, root):
     # every battery byte is pinned: a change that means to alter outputs
     # rewrites the manifest with --write-manifest and names what moved
+    moved = battery_moves(script, root)
+    assert not moved, "\n".join(moved)
+
+
+def battery_moves(script, root):
+    """A line for each path under root whose bytes differ from the
+    manifest's, or that is on one side only."""
     pinned, fresh = json.loads(script.MANIFEST.read_text()), script.manifest(root)
     for tool in ("python", "numpy"):
         assert fresh[tool] == pinned[tool], (
             f"{script.MANIFEST.name} was written with {tool} {pinned[tool]}, this run has {tool} {fresh[tool]}"
         )
     old, new = pinned["files"], fresh["files"]
-    moved = [
+    return [
         f"{'missing' if path not in new else 'not in manifest' if path not in old else 'differs'}: {path}"
         for path in sorted(old.keys() | new.keys()) if old.get(path) != new.get(path)
     ]
-    assert not moved, "\n".join(moved)
 
 
 FIXTURE = '''"""A module docstring
@@ -125,6 +130,12 @@ def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path, capsys):
     assert capsys.readouterr().out == "8\n"
 
 
+@pytest.mark.parametrize("arg", ["--help", str(SCRIPTS / "no-such-folder"), str(SCRIPTS.parent / "README.md")])
+def test_code_lines_refuses_a_missing_or_non_python_path(capsys, arg):
+    assert load_script("code_lines").main([str(SCRIPTS), arg]) == 2
+    assert capsys.readouterr() == ("", "usage: python3 scripts/code_lines.py [FOLDER | FILE.py ...]\n")
+
+
 def battery_tree(root):
     (root / "case" / "out").mkdir(parents=True)
     (root / "case" / "exit").write_text("0\n")
@@ -132,25 +143,18 @@ def battery_tree(root):
     return root
 
 
-def test_byte_check_names_each_path_that_differs_or_is_on_one_side_only(tmp_path):
-    compare = load_script("byte_check").compare
+def test_battery_manifest_names_each_path_that_differs_or_is_on_one_side_only(tmp_path, monkeypatch):
+    script = load_script("output_battery")
+    monkeypatch.setattr(script, "MANIFEST", tmp_path / "manifest.json")
     a, b = battery_tree(tmp_path / "a"), battery_tree(tmp_path / "b")
-    assert compare(a, b) == []
+
+    def moves(pinned, fresh):
+        script.MANIFEST.write_text(json.dumps(script.manifest(pinned)))
+        return battery_moves(script, fresh)
+
+    assert moves(a, b) == []
     (b / "case" / "out" / "report.json").write_bytes(b'{"C": 0.6}\n')
-    assert compare(a, b) == ["differs: case/out/report.json"]
+    assert moves(a, b) == ["differs: case/out/report.json"]
     (a / "case" / "stderr").write_text("")
-    assert compare(a, b) == ["differs: case/out/report.json", "only in parent: case/stderr"]
-    assert compare(b, a) == ["differs: case/out/report.json", "only in change: case/stderr"]
-
-
-def in_git_checkout():
-    if shutil.which("git") is None:
-        return False
-    return subprocess.run(["git", "-C", str(SCRIPTS.parent), "rev-parse", "--verify", "-q", "HEAD"],
-                          capture_output=True).returncode == 0
-
-
-@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout")
-def test_byte_check_finds_no_difference_between_a_commit_and_itself(capsys):
-    assert load_script("byte_check").main(["HEAD", "HEAD"]) == 0
-    assert capsys.readouterr().out == "identical: 43 cases\n"
+    assert moves(a, b) == ["differs: case/out/report.json", "missing: case/stderr"]
+    assert moves(b, a) == ["differs: case/out/report.json", "not in manifest: case/stderr"]
